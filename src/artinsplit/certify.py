@@ -6,6 +6,10 @@ checks its machine-verifiable hypotheses against the computed evidence
 the first applicable rule decides the verdict.  Every certificate records
 the rule, its citation, the evidence, and the proof obligations that are
 cited rather than recomputed.
+
+The rules are R1 and R3 to R8.  The numbering skips R2, because a
+three-vertex graph with two edges is a path, which R1 decides; rule numbers
+stay fixed because certificates name them.
 """
 
 from __future__ import annotations
@@ -44,8 +48,6 @@ NOT_APPLICABLE = "NotApplicable"
 _CITATIONS = {
     "R1": "Artin groups over forest defining graphs are virtually special, "
           "hence residually finite.",
-    "R2": "Three-generator Artin groups with one infinite label are "
-          "residually finite (classical).",
     "R3": "The affine three-generator Artin groups, labels (3,3,3), (2,4,4) "
           "and (2,3,6), are residually finite.",
     "R4": "Triangle Artin groups with all labels at least 4 are residually "
@@ -61,7 +63,6 @@ _CITATIONS = {
 
 _DESCRIPTIONS = {
     "R1": "defining graph is a forest",
-    "R2": "triangle with a missing edge",
     "R3": "affine triangle labels",
     "R4": "triangle labels at least 4, not (odd,4,4)",
     "R5": "admissible orientation, all labels even and at least 6",
@@ -134,7 +135,7 @@ def _monochrome_json(mono: Optional[MonochromeVerdict]) -> dict:
     return out
 
 
-def _witness_json(w: Optional[WitnessCycle]) -> Optional[dict]:
+def witness_json(w: Optional[WitnessCycle]) -> Optional[dict]:
     if w is None:
         return None
     return {"vertices": list(w.vertices), "tails": list(w.tails)}
@@ -154,7 +155,7 @@ def _resolve_orientation(g: DefiningGraph) -> tuple[Optional[DefiningGraph], dic
         if verdict.admissible:
             info["used"] = "provided"
             return g, info
-        info["provided_witness"] = _witness_json(verdict.witness)
+        info["provided_witness"] = witness_json(verdict.witness)
         info["note"] = (
             "provided orientation is inadmissible; residual finiteness is a "
             "group property, so an admissible orientation was searched for"
@@ -188,12 +189,12 @@ def certify(
 ) -> RFCertificate:
     """Evaluate the certification rules in order; first match decides.
 
-    R1 forest; R2 triangle with a missing edge; R3 affine triangle; R4
-    triangle with labels at least 4 avoiding (odd,4,4); R5 admissible and
-    all labels even at least 6; R6 admissible and monochrome self fiber
-    product; R7 admissible, splitting only; R8 unknown.  On triangles where
-    a label rule decides, the monochrome machinery still runs and the
-    comparison is recorded as a consistency probe.
+    R1 forest; R3 affine triangle; R4 triangle with labels at least 4
+    avoiding (odd,4,4); R5 admissible and all labels even at least 6; R6
+    admissible and monochrome self fiber product; R7 admissible, splitting
+    only; R8 unknown.  On triangles where a label rule decides, the
+    monochrome machinery still runs and the comparison is recorded as a
+    consistency probe.
     """
     if iota is not None:
         g = g.with_orientation(dict(iota))
@@ -257,11 +258,6 @@ def certify(
             "separately and combine as a free product"
         )
         return cert(UNKNOWN, "R8")
-
-    # R2: three generators, one missing edge.  Such a graph is a path, so
-    # R1 has already caught it; the rule is kept for the stated order.
-    if len(g.vertices) == 3 and len(g.edges) == 2:
-        return cert(RESIDUALLY_FINITE, "R2")
 
     if g.is_triangle():
         srt = tuple(sorted(labels))

@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
-from .certify import certify
+from .certify import certify, witness_json
 from .defining_graph import (
     DefiningGraph,
     InvalidDefiningGraph,
@@ -169,12 +168,6 @@ def colored_graph_text(cg: ColoredGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _witness_dict(w: Optional[WitnessCycle]) -> Optional[dict]:
-    if w is None:
-        return None
-    return {"vertices": list(w.vertices), "tails": list(w.tails)}
-
-
 def _witness_text(w: WitnessCycle) -> str:
     cyc = " -> ".join(w.vertices + (w.vertices[0],))
     tails = ", ".join(t if t is not None else "(free)" for t in w.tails)
@@ -230,10 +223,10 @@ def cmd_check(args) -> int:
             },
             "admissible": verdict.admissible,
             "reason": verdict.reason,
-            "witness": _witness_dict(verdict.witness),
+            "witness": witness_json(verdict.witness),
             "oracle": {
                 "max_cycle_len": args.max_cycle_len,
-                "witness": _witness_dict(oracle),
+                "witness": witness_json(oracle),
                 "status": status,
             },
         })
@@ -307,7 +300,7 @@ def cmd_split(args) -> int:
             _emit_json(args, {
                 "refused": "orientation is not admissible",
                 "reason": exc.verdict.reason,
-                "witness": _witness_dict(exc.verdict.witness),
+                "witness": witness_json(exc.verdict.witness),
             })
         else:
             _emit(args, f"refused: {exc}\n")
@@ -335,7 +328,7 @@ def _collapsed_or_refuse(args, g: DefiningGraph):
         _emit_json(args, {
             "refused": "orientation is not admissible; the collapsed "
                        "quarter graph does not immerse",
-            "witness": _witness_dict(collapsed.witness),
+            "witness": witness_json(collapsed.witness),
         })
     else:
         _emit(args, "refused: orientation is not admissible\n")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
+from .multigraph import UnionFind
+
 
 class InvalidDefiningGraph(ValueError):
     """An operation was asked to run on a structurally invalid graph."""
@@ -205,35 +207,15 @@ def require_valid(g: DefiningGraph, oriented: bool = True) -> None:
 
 
 def is_connected(g: DefiningGraph) -> bool:
-    if not g.vertices:
-        return True
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for w in g.neighbours(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(set(g.vertices))
+    uf = UnionFind(g.vertices)
+    for e in g.edges:
+        uf.union(e.u, e.v)
+    return len({uf.find(v) for v in g.vertices}) <= 1
 
 
 def is_forest(g: DefiningGraph) -> bool:
-    # union-find cycle detection over the undirected edges
-    parent = {v: v for v in g.vertices}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in g.sorted_edges:
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    uf = UnionFind(g.vertices)
+    return all(uf.union(e.u, e.v) for e in g.edges)
 
 
 def is_bipartite(g: DefiningGraph) -> bool:
@@ -275,24 +257,6 @@ def canonical_cycle(seq: Iterable[str]) -> Cycle:
                 best = rot
     assert best is not None
     return best
-
-
-def cycle_edges(g: DefiningGraph, cyc: Cycle) -> list[DefiningEdge]:
-    """The defining edges traversed by a closed walk, in order."""
-    out = []
-    n = len(cyc)
-    for i in range(n):
-        e = g.edge_between(cyc[i], cyc[(i + 1) % n])
-        if e is None:
-            raise InvalidDefiningGraph(
-                OrientationReport(
-                    (f"no edge between {cyc[i]} and {cyc[(i + 1) % n]}",),
-                    (),
-                    True,
-                )
-            )
-        out.append(e)
-    return out
 
 
 def enumerate_cycles(g: DefiningGraph, max_len: int = 10) -> list[Cycle]:

@@ -18,11 +18,13 @@ from .multigraph import (
     Edge,
     GraphMap,
     StructureError,
+    UnionFind,
     Walk,
     blocks,
     connected_components,
     free_rank,
     is_immersion,
+    shortest_path,
 )
 
 
@@ -75,12 +77,6 @@ class FiberProduct:
             for i, kind in enumerate(self.classification)
             if kind == "cycle-bearing"
         )
-
-    def component_of_vertex(self, v: str) -> int:
-        for i, comp in enumerate(self.components):
-            if v in set(comp.vertices):
-                return i
-        raise StructureError(f"vertex {v!r} not in the fiber product")
 
     def branching_vertices(self, index: int) -> tuple[str, ...]:
         """Vertices of valence at least 3 in the given component."""
@@ -225,44 +221,6 @@ def _reverse_steps(steps: Sequence[tuple[str, int]]) -> list[tuple[str, int]]:
     return [(eid, -sign) for eid, sign in reversed(steps)]
 
 
-def _bfs_steps(
-    g: ColoredGraph,
-    src: str,
-    dst: str,
-    banned_vertices: set[str],
-    banned_edges: set[str],
-) -> Optional[list[tuple[str, int]]]:
-    """Steps of a shortest path src -> dst avoiding the banned items."""
-    if src == dst:
-        return []
-    prev: dict[str, tuple[str, str, int]] = {}
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e, _ in sorted(g.incident_ends(v), key=lambda t: t[0].id):
-                if e.id in banned_edges:
-                    continue
-                w = e.head if e.tail == v else e.tail
-                if w in seen or w in banned_vertices:
-                    continue
-                seen.add(w)
-                prev[w] = (v, e.id, +1 if e.tail == v else -1)
-                if w == dst:
-                    steps = []
-                    cur = w
-                    while cur != src:
-                        pv, eid, sign = prev[cur]
-                        steps.append((eid, sign))
-                        cur = pv
-                    steps.reverse()
-                    return steps
-                nxt.append(w)
-        frontier = nxt
-    return None
-
-
 def _cycle_through(
     g: ColoredGraph, block: frozenset[str], e1: Edge, e2: Edge
 ) -> Walk:
@@ -283,7 +241,7 @@ def _cycle_through(
         v = min(shared)
         x = (ends1 - {v}).pop()
         y = (ends2 - {v}).pop()
-        mid = _bfs_steps(sub, x, y, {v}, {e1.id, e2.id})
+        mid = shortest_path(sub, x, y, {v}, {e1.id, e2.id})
         assert mid is not None, "block not biconnected"
         steps = [_step(e1, v)] + mid + [_step(e2, y)]
         return Walk(g, v, tuple(steps))
@@ -437,11 +395,8 @@ def fill_rank_check(component: ColoredGraph) -> bool:
         for chord in sub_edges:
             if chord.id in sub_tree:
                 continue
-            if chord.tail == chord.head:
-                path: list[tuple[str, int]] = []
-            else:
-                path = _bfs_steps(forest, chord.head, chord.tail, set(), set())
-                assert path is not None
+            path = shortest_path(forest, chord.head, chord.tail)
+            assert path is not None
             cycle_ids = {chord.id} | {eid for eid, _ in path}
             mask = 0
             for eid in cycle_ids:
@@ -463,23 +418,10 @@ def fill_rank_check(component: ColoredGraph) -> bool:
 
 def _spanning_forest(edges: Sequence[Edge]) -> set[str]:
     """Ids of a spanning forest chosen greedily in edge-id order."""
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    chosen: set[str] = set()
-    for e in sorted(edges, key=lambda e: e.id):
-        ru, rv = find(e.tail), find(e.head)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.add(e.id)
-    return chosen
+    uf = UnionFind(v for e in edges for v in (e.tail, e.head))
+    return {
+        e.id for e in sorted(edges, key=lambda e: e.id) if uf.union(e.tail, e.head)
+    }
 
 
 @dataclass(frozen=True)

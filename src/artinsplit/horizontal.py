@@ -41,9 +41,11 @@ from .multigraph import (
 from .orientation import (
     AdmissibilityVerdict,
     WitnessCycle,
+    collapse,
     is_admissible,
-    plus,
     minus,
+    plus,
+    quarter_vertices,
 )
 
 
@@ -80,7 +82,7 @@ def build_family(g: DefiningGraph) -> HorizontalFamily:
 
     half_vertices = list(g.vertices)
     half_edges = []
-    q_vertices = [plus(v) for v in g.vertices] + [minus(v) for v in g.vertices]
+    q_vertices = quarter_vertices(g)
     q_edges = []
     vmap: dict[str, str] = {}
     emap: dict[str, str] = {}
@@ -190,51 +192,22 @@ def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
     and `rho_immersion` record whether it yields an immersion.
     """
     require_valid(g, oriented=True)
-    verdict = is_admissible(g)
+    collapsed, classes, verdict = collapse(g)
 
-    # vertex classes of the collapse
+    # each vertex class is named by its sorted members
     members: dict[str, list[str]] = {}
-    uf_parent: dict[str, str] = {}
-    quarterpoints = [plus(v) for v in g.vertices] + [
-        minus(v) for v in g.vertices
-    ]
-    for q in quarterpoints:
-        uf_parent[q] = q
-
-    def find(x: str) -> str:
-        while uf_parent[x] != x:
-            uf_parent[x] = uf_parent[uf_parent[x]]
-            x = uf_parent[x]
-        return x
-
-    collapsed_sources: list[str] = []
-    for e in g.sorted_edges:
-        pairs = []
-        if e.label == 2:
-            pairs = [
-                (plus(e.u), minus(e.v), f"xq:{e.color}:p+"),
-                (minus(e.u), plus(e.v), f"xq:{e.color}:p-"),
-            ]
-        else:
-            t = e.iota
-            assert t is not None
-            h = e.other(t)
-            side = "p+" if t == e.u else "p-"
-            pairs = [(plus(t), minus(h), f"xq:{e.color}:{side}")]
-        for a, b, src in pairs:
-            collapsed_sources.append(src)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                uf_parent[ra] = rb
-    for q in quarterpoints:
-        members.setdefault(find(q), []).append(q)
+    for q in quarter_vertices(g):
+        members.setdefault(classes.find(q), []).append(q)
     old_class = {}
-    class_name = {}
-    for root, qs in members.items():
+    for qs in members.values():
         name = "/".join(sorted(qs))
-        class_name[root] = name
         for q in qs:
             old_class[q] = name
+    # lift "dc:<color>:p" is the parallel copy "xq:<color>:p+", ":m" is ":p-"
+    collapsed_sources = []
+    for lid in collapsed:
+        _, color, side = lid.split(":")
+        collapsed_sources.append(f"xq:{color}:{'p+' if side == 'p' else 'p-'}")
 
     vertices: set[str] = set(old_class.values())
     edges: list[Edge] = []

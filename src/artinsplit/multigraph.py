@@ -5,12 +5,14 @@ walks may traverse them either way; loops and parallel edges are allowed.
 Each edge carries a color naming the relation edge it came from.  All
 operations are pure: graphs are never mutated after construction, and every
 listing (components, blocks, cycles) comes back in a deterministic order.
+The graph algorithms the other modules share live here: the union-find,
+connected components, blocks and the shortest-path search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 
 class StructureError(ValueError):
@@ -216,27 +218,43 @@ def is_degree_n_cover(m: GraphMap, n: int) -> bool:
     return is_immersion(m)
 
 
+class UnionFind:
+    """Disjoint classes of hashable items, joined by `union`."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, items: Iterable = ()):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Join the classes of a and b; False when already joined."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
 def connected_components(g: ColoredGraph) -> list[ColoredGraph]:
     """Components as graphs, ordered by their smallest vertex id."""
-    seen: set[str] = set()
-    comps: list[ColoredGraph] = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        stack = [start]
-        vs = set()
-        while stack:
-            v = stack.pop()
-            if v in vs:
-                continue
-            vs.add(v)
-            for e, _ in g.incident_ends(v):
-                stack.append(e.head if e.tail == v else e.tail)
-        seen |= vs
-        es = [e for e in g.edges if e.tail in vs]
-        comps.append(ColoredGraph(vs, es))
-    comps.sort(key=lambda c: c.vertices[0])
-    return comps
+    uf = UnionFind(g.vertices)
+    for e in g.edges:
+        uf.union(e.tail, e.head)
+    # g.vertices is sorted, so classes appear in order of their least vertex
+    members: dict[str, list[str]] = {}
+    for v in g.vertices:
+        members.setdefault(uf.find(v), []).append(v)
+    edges: dict[str, list[Edge]] = {root: [] for root in members}
+    for e in g.edges:
+        edges[uf.find(e.tail)].append(e)
+    return [ColoredGraph(vs, edges[root]) for root, vs in members.items()]
 
 
 def free_rank(g: ColoredGraph) -> int:
@@ -247,35 +265,6 @@ def free_rank(g: ColoredGraph) -> int:
             "connected_components first"
         )
     return len(g.edges) - len(g.vertices) + 1
-
-
-def core(g: ColoredGraph) -> ColoredGraph:
-    """Iteratively strip valence-1 vertices; a tree collapses to its least vertex."""
-    if len(connected_components(g)) != 1:
-        raise DisconnectedError("core requires a connected graph")
-    alive_v = set(g.vertices)
-    alive_e = {e.id: e for e in g.edges}
-    valence = {v: g.valence(v) for v in g.vertices}
-    queue = [v for v in g.vertices if valence[v] == 1]
-    while queue:
-        v = queue.pop()
-        if v not in alive_v or valence[v] != 1:
-            continue
-        alive_v.discard(v)
-        for e, _ in g.incident_ends(v):
-            if e.id not in alive_e:
-                continue
-            del alive_e[e.id]
-            other = e.head if e.tail == v else e.tail
-            valence[other] -= 1
-            valence[v] -= 1
-            if other in alive_v and valence[other] == 1:
-                queue.append(other)
-    if not alive_e:
-        return ColoredGraph([g.vertices[0]], [])
-    return ColoredGraph(
-        {v for v in alive_v}, [e for e in g.edges if e.id in alive_e]
-    )
 
 
 def blocks(g: ColoredGraph) -> list[frozenset[str]]:
@@ -346,6 +335,48 @@ def blocks(g: ColoredGraph) -> list[frozenset[str]]:
     return out
 
 
+def shortest_path(
+    g: ColoredGraph,
+    src: str,
+    dst: str,
+    banned_vertices: Collection[str] = (),
+    banned_edges: Collection[str] = (),
+) -> Optional[list[tuple[str, int]]]:
+    """Steps of a shortest path src -> dst avoiding the banned items, or None.
+
+    Breadth-first, trying the edges at each vertex in id order, so the
+    answer is deterministic; in a forest it is the unique path.
+    """
+    if src == dst:
+        return []
+    prev: dict[str, tuple[str, str, int]] = {}
+    seen = {src}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for e, _ in sorted(g.incident_ends(v), key=lambda t: t[0].id):
+                if e.id in banned_edges:
+                    continue
+                w = e.head if e.tail == v else e.tail
+                if w in seen or w in banned_vertices:
+                    continue
+                seen.add(w)
+                prev[w] = (v, e.id, +1 if e.tail == v else -1)
+                if w == dst:
+                    steps = []
+                    cur = w
+                    while cur != src:
+                        pv, eid, sign = prev[cur]
+                        steps.append((eid, sign))
+                        cur = pv
+                    steps.reverse()
+                    return steps
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
 @dataclass(frozen=True)
 class Walk:
     """A walk in a graph: a start vertex and (edge id, direction) steps.
@@ -384,10 +415,6 @@ class Walk:
 
     def is_closed(self) -> bool:
         return self.end == self.start
-
-    def is_simple_path(self) -> bool:
-        vs = self.vertices()
-        return len(set(vs)) == len(vs)
 
     def is_simple_cycle(self) -> bool:
         if not self.is_closed() or not self.steps:

@@ -9,25 +9,27 @@ edges may be directed freely and oriented edges must follow their iota.
 The decision procedure works on the sign double cover of the defining
 graph: each edge {a, b} lifts to {a+, b-} and {a-, b+}, and a lift {t+, h-}
 is collapsed when iota = t, or when the label is 2 (then both lifts are
-collapsed).  Misdirected paths correspond exactly to paths inside the
-collapsed subgraph, which reduces admissibility to a forest test plus
-connectivity patterns.  A bounded search over explicit closed walks,
+collapsed); `collapsed_lifts` is the one place that rule is written.
+Misdirected paths correspond exactly to paths inside the collapsed
+subgraph, which reduces admissibility to a forest test plus connectivity
+patterns.  A bounded search over explicit closed walks,
 `oracle_almost_misdirected`, provides an independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .defining_graph import (
     Cycle,
+    DefiningEdge,
     DefiningGraph,
     canonical_cycle,
     enumerate_cycles,
     require_valid,
 )
-from .multigraph import ColoredGraph, Edge
+from .multigraph import ColoredGraph, Edge, UnionFind, Walk, shortest_path
 
 
 def plus(v: str) -> str:
@@ -36,6 +38,86 @@ def plus(v: str) -> str:
 
 def minus(v: str) -> str:
     return v + "-"
+
+
+def quarter_vertices(g: DefiningGraph) -> list[str]:
+    """The vertices of the sign double cover: every v+, then every v-."""
+    return [plus(v) for v in g.vertices] + [minus(v) for v in g.vertices]
+
+
+Lift = tuple[str, tuple[str, str]]  # (lift id, (end, end))
+EdgeLifts = tuple[DefiningEdge, Lift, Lift]
+
+
+def edge_lifts(g: DefiningGraph) -> tuple[EdgeLifts, ...]:
+    """Every edge with its two lifts to the sign double cover.
+
+    In sorted edge order; "dc:<color>:p" joins u+ to v-, "dc:<color>:m"
+    joins u- to v+.
+    """
+    return tuple(
+        (
+            e,
+            (f"dc:{e.color}:p", (plus(e.u), minus(e.v))),
+            (f"dc:{e.color}:m", (minus(e.u), plus(e.v))),
+        )
+        for e in g.sorted_edges
+    )
+
+
+def collapsed_lifts(
+    lifts: Iterable[EdgeLifts],
+    iota: Mapping[tuple[str, str], Optional[str]],
+) -> dict[str, tuple[str, str]]:
+    """The collapsed lifts under a partial orientation, as {lift id: ends}.
+
+    Both lifts of a label-2 edge collapse.  An orientable edge collapses the
+    lift whose positive end lies over its tail `iota[key]`: the p lift for
+    tail u, the m lift for tail v.  An edge that `iota` leaves without a
+    tail collapses nothing yet.
+    """
+    out: dict[str, tuple[str, str]] = {}
+    for e, (pid, p_ends), (mid, m_ends) in lifts:
+        tail = iota.get(e.key)
+        if e.label == 2 or tail == e.u:
+            out[pid] = p_ends
+        if e.label == 2 or tail == e.v:
+            out[mid] = m_ends
+    return out
+
+
+def collapse_classes(
+    g: DefiningGraph, collapsed: Mapping[str, tuple[str, str]]
+) -> tuple[UnionFind, bool]:
+    """Classes of the double cover's vertices joined by the collapsed lifts,
+    and whether those lifts form a forest."""
+    classes = UnionFind(quarter_vertices(g))
+    forest = True
+    for a, b in collapsed.values():
+        if not classes.union(a, b):
+            forest = False
+    return classes, forest
+
+
+def _failing_patterns(
+    g: DefiningGraph,
+    lifts: Iterable[EdgeLifts],
+    collapsed: Mapping[str, tuple[str, str]],
+    classes: UnionFind,
+) -> Iterator[tuple[int, str, str, str]]:
+    """Pairs a collapse class must keep apart but joins, as (kind, key, a, b).
+
+    Kind 0: the two lifts v- and v+ of a vertex.  Kind 1: the two ends of
+    an uncollapsed lift.
+    """
+    find = classes.find
+    for v in sorted(g.vertices):
+        if find(minus(v)) == find(plus(v)):
+            yield (0, v, minus(v), plus(v))
+    for e, p, m in lifts:
+        for lid, (a, b) in (p, m):
+            if lid not in collapsed and find(a) == find(b):
+                yield (1, e.color, a, b)
 
 
 @dataclass(frozen=True)
@@ -53,58 +135,32 @@ def double_cover(g: DefiningGraph) -> DoubleCoverGraph:
     """Build the sign double cover of an oriented defining graph.
 
     The lift of {a, b} through a+ and b- has id "dc:<color>:p", the other
-    "dc:<color>:m".  Lift {t+, h-} is flagged collapsed when iota is t or
-    the label is 2.
+    "dc:<color>:m".  The collapsed flags come from `collapsed_lifts`.
     """
     require_valid(g, oriented=True)
-    vertices = [plus(v) for v in g.vertices] + [minus(v) for v in g.vertices]
-    edges = []
-    collapsed = set()
-    for e in g.sorted_edges:
-        pid = f"dc:{e.color}:p"
-        mid = f"dc:{e.color}:m"
-        edges.append(Edge(pid, plus(e.u), minus(e.v), e.color))
-        edges.append(Edge(mid, minus(e.u), plus(e.v), e.color))
-        if e.label == 2:
-            collapsed.add(pid)
-            collapsed.add(mid)
-        elif e.iota == e.u:
-            collapsed.add(pid)
-        else:
-            collapsed.add(mid)
+    lifts = edge_lifts(g)
+    return _double_cover(g, lifts, collapsed_lifts(lifts, g.orientation()))
+
+
+def _double_cover(
+    g: DefiningGraph,
+    lifts: Iterable[EdgeLifts],
+    collapsed: Mapping[str, tuple[str, str]],
+) -> DoubleCoverGraph:
+    edges = [
+        Edge(lid, a, b, e.color) for e, p, m in lifts for lid, (a, b) in (p, m)
+    ]
     return DoubleCoverGraph(
-        ColoredGraph(vertices, edges), frozenset(collapsed)
+        ColoredGraph(quarter_vertices(g), edges), frozenset(collapsed)
     )
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        """Join the classes of a and b; False when already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
 
 
 def has_collapsed_cycle(dc: DoubleCoverGraph) -> bool:
     """True when the collapsed lifts contain a cycle (are not a forest)."""
-    uf = _UnionFind(dc.graph.vertices)
-    for eid in sorted(dc.collapsed):
-        e = dc.graph.edge(eid)
-        if not uf.union(e.tail, e.head):
-            return True
-    return False
+    classes = UnionFind(dc.graph.vertices)
+    return not all(
+        classes.union(e.tail, e.head) for e in dc.collapsed_subgraph().edges
+    )
 
 
 @dataclass(frozen=True)
@@ -201,12 +257,15 @@ class AdmissibilityVerdict:
     reason: Optional[str] = None
 
 
-def _components(dc: DoubleCoverGraph) -> _UnionFind:
-    uf = _UnionFind(dc.graph.vertices)
-    for eid in sorted(dc.collapsed):
-        e = dc.graph.edge(eid)
-        uf.union(e.tail, e.head)
-    return uf
+def collapse(
+    g: DefiningGraph,
+) -> tuple[dict[str, tuple[str, str]], UnionFind, AdmissibilityVerdict]:
+    """The collapsed lifts of an oriented graph, their classes, and the
+    admissibility verdict read off those classes."""
+    lifts = edge_lifts(g)
+    collapsed = collapsed_lifts(lifts, g.orientation())
+    classes, forest = collapse_classes(g, collapsed)
+    return collapsed, classes, _verdict(g, lifts, collapsed, classes, forest)
 
 
 def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
@@ -218,28 +277,28 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
     are the endpoints of its uncollapsed lift connected.
     """
     require_valid(g, oriented=True)
-    dc = double_cover(g)
-    if has_collapsed_cycle(dc):
+    _, _, verdict = collapse(g)
+    return verdict
+
+
+def _verdict(
+    g: DefiningGraph,
+    lifts: tuple[EdgeLifts, ...],
+    collapsed: Mapping[str, tuple[str, str]],
+    classes: UnionFind,
+    forest: bool,
+) -> AdmissibilityVerdict:
+    if not forest:
+        dc = _double_cover(g, lifts, collapsed)
         return AdmissibilityVerdict(
             admissible=False,
             witness=_witness_from_collapsed_cycle(g, dc),
             reason="collapsed lifts contain a cycle",
         )
-    uf = _components(dc)
-    candidates: list[tuple[int, str, str, str]] = []
-    for v in sorted(g.vertices):
-        if uf.find(minus(v)) == uf.find(plus(v)):
-            candidates.append((0, v, minus(v), plus(v)))
-    for e in g.sorted_edges:
-        if e.label == 2:
-            continue
-        pid, mid = f"dc:{e.color}:p", f"dc:{e.color}:m"
-        if pid not in dc.collapsed and uf.find(plus(e.u)) == uf.find(minus(e.v)):
-            candidates.append((1, e.color, plus(e.u), minus(e.v)))
-        if mid not in dc.collapsed and uf.find(minus(e.u)) == uf.find(plus(e.v)):
-            candidates.append((1, e.color, minus(e.u), plus(e.v)))
+    candidates = list(_failing_patterns(g, lifts, collapsed, classes))
     if not candidates:
         return AdmissibilityVerdict(admissible=True)
+    dc = _double_cover(g, lifts, collapsed)
     witness = _witness_from_patterns(g, dc, candidates)
     reason = (
         "two lifts of one vertex are joined by collapsed lifts"
@@ -256,32 +315,6 @@ def _collapsed_adjacency(dc: DoubleCoverGraph) -> dict[str, list[tuple[str, str]
         adj[e.tail].append((e.head, eid))
         adj[e.head].append((e.tail, eid))
     return adj
-
-
-def _shortest_collapsed_path(
-    dc: DoubleCoverGraph, src: str, dst: str
-) -> Optional[list[str]]:
-    """Vertex list of a shortest path through collapsed lifts (BFS)."""
-    adj = _collapsed_adjacency(dc)
-    prev: dict[str, Optional[str]] = {src: None}
-    queue = [src]
-    while queue:
-        nxt: list[str] = []
-        for v in queue:
-            for w, _ in sorted(adj[v]):
-                if w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        if dst in prev:
-            break
-        queue = nxt
-    if dst not in prev:
-        return None
-    path = [dst]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])  # type: ignore[arg-type]
-    path.reverse()
-    return path
 
 
 def _project(quarter: str) -> tuple[str, int]:
@@ -326,15 +359,14 @@ def _witness_from_patterns(
     dc: DoubleCoverGraph,
     candidates: list[tuple[int, str, str, str]],
 ) -> WitnessCycle:
-    best: Optional[tuple[int, int, str, list[str], int]] = None
-    for rank, (kind, label_key, src, dst) in enumerate(sorted(candidates)):
-        path = _shortest_collapsed_path(dc, src, dst)
-        assert path is not None
-        entry = (len(path), kind, label_key, path, rank)
-        if best is None or entry[:2] < best[:2]:
-            best = entry
-    assert best is not None
-    _, kind, _, path, _ = best
+    sub = dc.collapsed_subgraph()
+    paths = []
+    for kind, _, src, dst in sorted(candidates):
+        steps = shortest_path(sub, src, dst)
+        assert steps is not None
+        paths.append((kind, list(Walk(sub, src, tuple(steps)).vertices())))
+    # the first shortest path, preferring a vertex's two lifts on a tie
+    kind, path = min(paths, key=lambda kp: (len(kp[1]), kp[0]))
     if kind == 0:
         path = _strip_wrap_backtracking(g, path)
         vertices = tuple(_project(q)[0] for q in path[:-1])
@@ -448,36 +480,15 @@ def find_admissible_orientation(
             f"{MAX_ORIENTABLE_EDGES}"
         )
 
+    lifts = edge_lifts(g)
     assignment: dict[tuple[str, str], str] = {}
 
     def viable() -> bool:
-        trial = g.with_orientation(assignment)
-        uf = _UnionFind(
-            [plus(v) for v in g.vertices] + [minus(v) for v in g.vertices]
-        )
-        for e in trial.sorted_edges:
-            lifts = []
-            if e.label == 2:
-                lifts = [(plus(e.u), minus(e.v)), (minus(e.u), plus(e.v))]
-            elif e.key in assignment:
-                t = assignment[e.key]
-                h = e.other(t)
-                lifts = [(plus(t), minus(h))]
-            for a, b in lifts:
-                if not uf.union(a, b):
-                    return False  # forest violated
-        for v in g.vertices:
-            if uf.find(plus(v)) == uf.find(minus(v)):
-                return False
-        for e in trial.sorted_edges:
-            if e.label == 2:
-                continue
-            t = assignment.get(e.key)
-            if t != e.u and uf.find(plus(e.u)) == uf.find(minus(e.v)):
-                return False
-            if t != e.v and uf.find(minus(e.u)) == uf.find(plus(e.v)):
-                return False
-        return True
+        collapsed = collapsed_lifts(lifts, assignment)
+        classes, forest = collapse_classes(g, collapsed)
+        return forest and next(
+            _failing_patterns(g, lifts, collapsed, classes), None
+        ) is None
 
     def search(i: int) -> bool:
         if not viable():

@@ -14,7 +14,8 @@ from artinsplit import (
     is_admissible,
 )
 
-VERTEX_POOL = tuple("abcdefg")
+# the first seven names are the ones small graphs have always drawn
+VERTEX_POOL = tuple("abcdefghijkl")
 
 LABELS = (2, 3, 3, 4, 4, 5, 6, 7, 8)  # small labels slightly favoured
 

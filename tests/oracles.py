@@ -8,6 +8,12 @@ points at the library.
 from artinsplit import ColoredGraph, Walk, free_rank
 
 
+def is_simple_path(w: Walk) -> bool:
+    """A walk that visits no vertex twice."""
+    vs = w.vertices()
+    return len(set(vs)) == len(vs)
+
+
 def all_simple_cycles(g: ColoredGraph) -> list[Walk]:
     """Every simple cycle of g, once per edge set.
 

@@ -9,7 +9,6 @@ from artinsplit.defining_graph import (
     MAX_CYCLE_LEN,
     all_labels_even,
     canonical_cycle,
-    cycle_edges,
     enumerate_cycles,
     is_bipartite,
     is_connected,
@@ -165,11 +164,6 @@ class TestCycles:
     def test_triangle_has_one_short_cycle(self):
         cycles = enumerate_cycles(triangle(), max_len=3)
         assert cycles == [("a", "b", "c")]
-
-    def test_cycle_edges_traverse_in_order(self):
-        g = triangle()
-        es = cycle_edges(g, ("a", "b", "c"))
-        assert [e.color for e in es] == ["a-b", "b-c", "a-c"]
 
     def test_longer_walks_appear_past_the_simple_length(self):
         # a closed non-backtracking walk around two triangles glued on an edge

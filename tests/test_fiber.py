@@ -23,7 +23,7 @@ from generators import (
     random_bouquet_immersion,
     random_colored_graph,
 )
-from oracles import has_mixed_simple_cycle, monochrome_cycles_fill
+from oracles import has_mixed_simple_cycle, is_simple_path, monochrome_cycles_fill
 
 
 def triangle(labels, tails=("a", "b", "c")):
@@ -100,14 +100,6 @@ class TestFiberProduct:
             for i in fp.diagonal_components:
                 covered |= set(fp.components[i].vertices)
             assert covered == diag
-
-    def test_component_lookup(self):
-        _, fp = self_fiber(triangle((3, 3, 3)))
-        for i, comp in enumerate(fp.components):
-            for v in comp.vertices:
-                assert fp.component_of_vertex(v) == i
-        with pytest.raises(StructureError):
-            fp.component_of_vertex("nope|nope")
 
     def test_branching_vertices_have_high_valence(self):
         _, fp = self_fiber(triangle((5, 5, 5)))
@@ -234,7 +226,7 @@ class TestOppressive:
         for el in ops.elements:
             assert el.mu1.start == "u"
             assert el.mu1.end != "u"
-            assert el.mu1.is_simple_path()
+            assert is_simple_path(el.mu1)
             if el.mu2 is not None:
                 assert el.mu2.end == "u"
                 assert el.mu2.start not in ("u", el.mu1.end)

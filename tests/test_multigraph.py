@@ -14,13 +14,12 @@ from artinsplit import (
     blocks,
     bouquet,
     connected_components,
-    core,
     free_rank,
     is_degree_n_cover,
     is_immersion,
 )
 from generators import random_colored_graph
-from oracles import all_simple_cycles, on_common_simple_cycle
+from oracles import all_simple_cycles, is_simple_path, on_common_simple_cycle
 
 
 def path_graph(n, color="a"):
@@ -228,26 +227,6 @@ class TestComponentsAndRank:
             assert total == len(g.edges) - len(g.vertices) + len(comps)
 
 
-class TestCore:
-    def test_tree_collapses_to_a_vertex(self):
-        c = core(path_graph(6))
-        assert len(c.vertices) == 1 and not c.edges
-
-    def test_cycle_is_its_own_core(self):
-        g = cycle_graph(4)
-        assert core(g) == g
-
-    def test_tail_is_stripped(self):
-        g = ColoredGraph(
-            ["v0", "v1", "v2", "v3", "t"],
-            [e for e in cycle_graph(4).edges] + [Edge("tail", "v2", "t", "a")],
-        )
-        c = core(g)
-        assert set(c.vertices) == {"v0", "v1", "v2", "v3"}
-        assert not c.has_edge("tail")
-        assert free_rank(c) == free_rank(g) == 1
-
-
 class TestBlocks:
     def test_loop_is_its_own_block(self):
         g = ColoredGraph(
@@ -323,7 +302,7 @@ class TestWalk:
         assert w.vertices() == ("v2", "v1", "v0")
         assert w.end == "v0"
         assert not w.is_closed()
-        assert w.is_simple_path()
+        assert is_simple_path(w)
 
     def test_simple_cycle_detection(self):
         g = cycle_graph(3)

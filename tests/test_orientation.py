@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -132,6 +133,32 @@ class TestFindOrientation:
         assignment = find_admissible_orientation(CLASHING)
         assert assignment is not None
         assert is_admissible(CLASHING.with_orientation(assignment)).admissible
+
+    def test_search_is_complete_against_every_orientation(self):
+        # None exactly when no orientation of the orientable edges is
+        # admissible, checked by enumerating all 2^k of them
+        rng = random.Random(11)
+        checked = exhausted = 0
+        while checked < 150:
+            g = random_defining_graph(rng, max_vertices=8, max_extra_edges=4)
+            orientable = [e for e in g.sorted_edges if e.label >= 3]
+            if len(orientable) > 8:
+                continue
+            checked += 1
+            any_admissible = any(
+                is_admissible(g.with_orientation(
+                    {e.key: t for e, t in zip(orientable, tails)}
+                )).admissible
+                for tails in itertools.product(*((e.u, e.v) for e in orientable))
+            )
+            found = find_admissible_orientation(g)
+            assert (found is not None) == any_admissible
+            if found is None:
+                exhausted += 1
+            else:
+                assert is_admissible(g.with_orientation(found)).admissible
+        # both answers occur, so neither direction is checked vacuously
+        assert 0 < exhausted < checked
 
     def test_search_space_guard(self):
         names = [f"v{i}" for i in range(8)]
