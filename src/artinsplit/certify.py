@@ -178,7 +178,10 @@ def _monochrome_evidence(
     g_star: DefiningGraph,
 ) -> tuple[CollapsedQuarter, FiberProduct, MonochromeVerdict]:
     collapsed = build_collapsed(g_star)
-    assert collapsed.admissible and collapsed.rho_immersion
+    if not (collapsed.admissible and collapsed.rho_immersion):
+        raise AssertionError(
+            "an admissible orientation must give an immersion onto the bouquet"
+        )
     fp = fiber_product(collapsed.rho, collapsed.rho)
     return collapsed, fp, monochrome_check(fp)
 

@@ -17,6 +17,7 @@ import sys
 
 from .certify import certify, witness_json
 from .defining_graph import (
+    MAX_CYCLE_LEN,
     DefiningGraph,
     InvalidDefiningGraph,
     SchemaError,
@@ -341,6 +342,17 @@ def cmd_fiber(args) -> int:
     collapsed = _collapsed_or_refuse(args, g)
     if collapsed is None:
         return 1
+    if (
+        args.oppressive
+        and args.basepoint is not None
+        and args.basepoint not in collapsed.graph.vertices
+    ):
+        print(
+            f"input error: basepoint {args.basepoint!r} is not a vertex of "
+            "the collapsed graph",
+            file=sys.stderr,
+        )
+        return 2
     fp = fiber_product(collapsed.rho, collapsed.rho)
     mono = monochrome_check(fp)
     inventory = []
@@ -475,6 +487,20 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _cycle_len_bound(text: str) -> int:
+    """--max-cycle-len: an integer from 3, the shortest cycle, up to the
+    enumeration bound MAX_CYCLE_LEN."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 3 <= bound <= MAX_CYCLE_LEN:
+        raise argparse.ArgumentTypeError(
+            f"{bound} is outside 3..{MAX_CYCLE_LEN}"
+        )
+    return bound
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artinsplit",
@@ -492,8 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate and decide admissibility")
     common(p)
-    p.add_argument("--max-cycle-len", type=int, default=10,
-                   help="bound for the independent cycle-search oracle")
+    p.add_argument("--max-cycle-len", type=_cycle_len_bound, default=10,
+                   help="bound for the independent cycle-search oracle "
+                        f"(3 to {MAX_CYCLE_LEN})")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("orient", help="search for an admissible orientation")

@@ -199,7 +199,8 @@ def monochrome_check(fp: FiberProduct) -> MonochromeVerdict:
             )
             witness = _cycle_through(comp, block, e1, e2)
             witness = Walk(fp.graph, witness.start, witness.steps)
-            assert witness.is_simple_cycle()
+            if not witness.is_simple_cycle():
+                raise AssertionError("monochrome witness is not a simple cycle")
             return MonochromeVerdict(
                 all_monochrome=False,
                 witness=witness,

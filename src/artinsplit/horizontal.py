@@ -332,6 +332,12 @@ class SplittingCertificate:
         return out
 
 
+def _require(holds: bool, identity: str) -> None:
+    """A cross-check of the splitting that stays on under `python -O`."""
+    if not holds:
+        raise AssertionError(f"splitting cross-check failed: {identity}")
+
+
 def compute_splitting(g: DefiningGraph) -> SplittingCertificate:
     """Derive the splitting with exact ranks; cross-checked on the graphs.
 
@@ -355,13 +361,15 @@ def compute_splitting(g: DefiningGraph) -> SplittingCertificate:
     rank_b = 1 - nv + 2 * ne
     comps = connected_components(family.x_quarter)
     hnn = is_bipartite(g) and all_labels_even(g)
-    assert (len(comps) == 2) == hnn
-    assert free_rank(family.x0) == rank_a
-    assert free_rank(family.x_half) == rank_b
-    assert is_degree_n_cover(family.cover, 2)
+    _require((len(comps) == 2) == hnn, "x_quarter components")
+    _require(free_rank(family.x0) == rank_a, "rank of x0")
+    _require(free_rank(family.x_half) == rank_b, "rank of x_half")
+    _require(
+        is_degree_n_cover(family.cover, 2), "x_quarter -> x_half double cover"
+    )
     if hnn:
         for comp in comps:
-            assert free_rank(comp) == rank_b
+            _require(free_rank(comp) == rank_b, "rank of an x_quarter half")
         return SplittingCertificate(
             kind="hnn",
             rank_a=rank_a,
@@ -370,8 +378,8 @@ def compute_splitting(g: DefiningGraph) -> SplittingCertificate:
             index_c_in_b=None,
         )
     rank_c = 1 - 2 * nv + 4 * ne
-    assert free_rank(family.x_quarter) == rank_c
-    assert rank_c == 2 * rank_b - 1
+    _require(free_rank(family.x_quarter) == rank_c, "rank of x_quarter")
+    _require(rank_c == 2 * rank_b - 1, "rank_c = 2 rank_b - 1")
     return SplittingCertificate(
         kind="amalgam",
         rank_a=rank_a,

@@ -219,17 +219,25 @@ def is_degree_n_cover(m: GraphMap, n: int) -> bool:
 
 
 class UnionFind:
-    """Disjoint classes of hashable items, joined by `union`."""
+    """Disjoint classes of hashable items, joined by `union`.
 
-    __slots__ = ("parent",)
+    Every join is logged, so `undo` can take back the latest ones in
+    reverse order, as a backtracking search needs.  `find` does not
+    compress paths, so that undoing a join only has to reset the one link
+    the join set; joining the smaller class under the larger keeps every
+    path logarithmic instead.
+    """
+
+    __slots__ = ("parent", "size", "joins")
 
     def __init__(self, items: Iterable = ()):
         self.parent = {x: x for x in items}
+        self.size = dict.fromkeys(self.parent, 1)
+        self.joins: list = []
 
     def find(self, x):
         p = self.parent
         while p[x] != x:
-            p[x] = p[p[x]]
             x = p[x]
         return x
 
@@ -238,8 +246,20 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
+        size = self.size
+        if size[ra] > size[rb]:
+            ra, rb = rb, ra
         self.parent[ra] = rb
+        size[rb] += size[ra]
+        self.joins.append(ra)
         return True
+
+    def undo(self) -> None:
+        """Take back the latest join still in force."""
+        ra = self.joins.pop()
+        rb = self.parent[ra]
+        self.parent[ra] = ra
+        self.size[rb] -= self.size[ra]
 
 
 def connected_components(g: ColoredGraph) -> list[ColoredGraph]:

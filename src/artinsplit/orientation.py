@@ -464,11 +464,27 @@ def find_admissible_orientation(
 ) -> Optional[dict[tuple[str, str], str]]:
     """Backtracking search for an admissible orientation, or None.
 
-    Edges are assigned in (label, endpoints) order.  A partial assignment is
-    abandoned as soon as its collapsed lifts contain a cycle, connect the
-    two lifts of a vertex, or connect a lift pair that any completion would
-    be forced to either close into a cycle or leave as a failing pattern.
-    Since collapsed subgraphs only grow, all three conditions are permanent.
+    Returns the first admissible orientation in search order: edges sorted
+    by (label, endpoints), tail u tried before tail v.  The dict lists the
+    edges in that order.
+
+    Choosing a tail collapses the one lift `collapsed_lifts` picks for it,
+    and the search keeps the collapse classes in one union-find, joining
+    that lift's ends on the way down and undoing the join on backtracking;
+    the label-2 lifts are joined once, at the root.  A join is refused
+    when its ends are already in one class (a collapsed cycle) or when
+    some pair that must stay apart would cross the two classes it merges:
+    the two lifts v+ and v- of a vertex, or the ends of any other
+    orientable lift that is not collapsed.  Each class carries a bit mask
+    of the pairs its members belong to, so that test is one AND of two
+    masks.  A refused join marks a partial orientation that no completion
+    makes admissible, since collapsed subgraphs only grow.
+
+    After every step each unassigned edge is checked: when neither tail
+    can join, the search backtracks; when exactly one can, that tail is
+    forced.  Pruning only subtrees without an admissible leaf keeps the
+    first answer the same.  An explicit stack of open decisions drives the
+    search, so its depth does not grow the Python stack.
     """
     require_valid(g, oriented=False)
     orientable = sorted(
@@ -481,28 +497,93 @@ def find_admissible_orientation(
         )
 
     lifts = edge_lifts(g)
-    assignment: dict[tuple[str, str], str] = {}
+    by_key = {e.key: (e, p, m) for e, p, m in lifts}
 
-    def viable() -> bool:
-        collapsed = collapsed_lifts(lifts, assignment)
-        classes, forest = collapse_classes(g, collapsed)
-        return forest and next(
-            _failing_patterns(g, lifts, collapsed, classes), None
-        ) is None
+    def lift_for(e: DefiningEdge, tail: str) -> Lift:
+        ((lid, ends),) = collapsed_lifts([by_key[e.key]], {e.key: tail}).items()
+        return lid, ends
 
-    def search(i: int) -> bool:
-        if not viable():
-            return False
-        if i == len(orientable):
-            return True
-        e = orientable[i]
-        for choice in (e.u, e.v):
-            assignment[e.key] = choice
-            if search(i + 1):
-                return True
-            del assignment[e.key]
-        return False
+    # options[i][c]: the lift that tail (u, v)[c] of orientable[i] collapses
+    options = [(lift_for(e, e.u), lift_for(e, e.v)) for e in orientable]
+    quarter = quarter_vertices(g)
+    # mask[root]: the pairs to keep apart that have an end in root's class
+    mask = dict.fromkeys(quarter, 0)
+    for i, v in enumerate(g.vertices):
+        mask[plus(v)] |= 1 << i
+        mask[minus(v)] |= 1 << i
+    pair_bit: dict[str, int] = {}
+    for lid, (a, b) in (lift for pair in options for lift in pair):
+        pair_bit[lid] = bit = 1 << (len(g.vertices) + len(pair_bit))
+        mask[a] |= bit
+        mask[b] |= bit
 
-    if search(0):
-        return dict(assignment)
-    return None
+    classes = UnionFind(quarter)
+    find = classes.find
+    tails: list[Optional[str]] = [None] * len(orientable)
+    # per assigned tail: (edge index, surviving root, its mask before)
+    trail: list[tuple[int, str, int]] = []
+
+    def joinable(lift: Lift) -> bool:
+        lid, (a, b) = lift
+        ra, rb = find(a), find(b)
+        return ra != rb and not mask[ra] & mask[rb] & ~pair_bit.get(lid, 0)
+
+    def join(lift: Lift) -> tuple[str, int]:
+        """Join the lift's ends; the surviving root and its mask before."""
+        _, (a, b) = lift
+        ra, rb = find(a), find(b)
+        classes.union(ra, rb)
+        root = find(ra)
+        before = mask[root]
+        mask[root] = mask[ra] | mask[rb]
+        return root, before
+
+    def assign(i: int, c: int) -> None:
+        trail.append((i, *join(options[i][c])))
+        tails[i] = (orientable[i].u, orientable[i].v)[c]
+
+    def undo_to(mark: int) -> None:
+        while len(trail) > mark:
+            i, root, before = trail.pop()
+            classes.undo()
+            mask[root] = before
+            tails[i] = None
+
+    def propagate() -> bool:
+        """Force every edge with one joinable tail; False on a dead end."""
+        forced = True
+        while forced:
+            forced = False
+            for i, t in enumerate(tails):
+                if t is not None:
+                    continue
+                open_tails = [c for c in (0, 1) if joinable(options[i][c])]
+                if not open_tails:
+                    return False
+                if len(open_tails) == 1:
+                    assign(i, open_tails[0])
+                    forced = True
+        return True
+
+    # the label-2 lifts stay collapsed, so their joins are never undone
+    for lift in collapsed_lifts(lifts, {}).items():
+        if not joinable(lift):
+            return None
+        join(lift)
+    # open decisions: (edge index, trail length before its tail u)
+    decisions: list[tuple[int, int]] = []
+    alive = propagate()
+    while True:
+        if alive:
+            if None not in tails:
+                return {e.key: t for e, t in zip(orientable, tails)}
+            i = tails.index(None)
+            decisions.append((i, len(trail)))
+            assign(i, 0)
+        elif decisions:
+            i, mark = decisions.pop()
+            undo_to(mark)
+            assign(i, 1)
+        else:
+            return None
+        alive = propagate()

@@ -5,7 +5,15 @@ linear algebra done the long way, so that disagreement with the library
 points at the library.
 """
 
-from artinsplit import ColoredGraph, Walk, free_rank
+import itertools
+
+from artinsplit import (
+    ColoredGraph,
+    DefiningGraph,
+    Walk,
+    free_rank,
+    is_admissible,
+)
 
 
 def is_simple_path(w: Walk) -> bool:
@@ -90,3 +98,20 @@ def on_common_simple_cycle(g: ColoredGraph, eid1: str, eid2: str) -> bool:
         if eid1 in ids and eid2 in ids:
             return True
     return False
+
+
+def first_admissible_orientation(g: DefiningGraph):
+    """Reference for find_admissible_orientation: the first admissible
+    orientation in search order, or None.
+
+    Every orientation of the label >= 3 edges, sorted by (label, endpoints),
+    is tried in `itertools.product` order with tail u before tail v.
+    """
+    orientable = sorted(
+        (e for e in g.edges if e.label >= 3), key=lambda e: (e.label, e.key)
+    )
+    for tails in itertools.product(*((e.u, e.v) for e in orientable)):
+        iota = {e.key: t for e, t in zip(orientable, tails)}
+        if is_admissible(g.with_orientation(iota)).admissible:
+            return iota
+    return None

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import artinsplit
 import pytest
 from artinsplit import DefiningGraph, certify
 from artinsplit.certify import RESIDUALLY_FINITE, SPLITS_ONLY, UNKNOWN
@@ -192,3 +198,35 @@ class TestCertificateSerialization:
         cert = certify(tri(3, 3, 3))
         assert cert.evidence["rule_description"]
         assert "labels" in cert.evidence
+
+
+def test_immersion_check_survives_python_O():
+    # `python -O` strips asserts; the check that an admissible orientation
+    # gives an immersion must still fire when build_collapsed is broken
+    script = textwrap.dedent("""
+        import dataclasses, importlib, sys
+        from artinsplit import DefiningGraph
+        c = importlib.import_module("artinsplit.certify")
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        real = c.build_collapsed
+        c.build_collapsed = lambda g: dataclasses.replace(
+            real(g), rho_immersion=False
+        )
+        g = DefiningGraph.build(
+            ["a", "b", "c"],
+            [("a", "b", 5, "a"), ("b", "c", 5, "b"), ("a", "c", 5, "c")],
+        )
+        c._monochrome_evidence(g)
+        print("check did not fire")
+    """)
+    src = str(Path(artinsplit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "AssertionError: an admissible orientation must give an immersion" in (
+        proc.stderr
+    )

@@ -28,6 +28,16 @@ CLASHING = {
     ],
 }
 
+MISDIRECTED_SQUARE = {
+    "vertices": ["a", "b", "c", "d"],
+    "edges": [
+        {"u": "a", "v": "b", "label": 3, "iota": "a"},
+        {"u": "b", "v": "c", "label": 3, "iota": "c"},
+        {"u": "c", "v": "d", "label": 3, "iota": "c"},
+        {"u": "a", "v": "d", "label": 3, "iota": "d"},
+    ],
+}
+
 UNORIENTED = {
     "vertices": ["a", "b"],
     "edges": [{"u": "a", "v": "b", "label": 4}],
@@ -145,14 +155,25 @@ class TestCheck:
         assert data["oracle"]["status"] == "confirmed"
 
     def test_small_bound_goes_inconclusive(self, write, capsys):
+        # the only almost misdirected cycle is the whole square, beyond 3
         main(
-            ["check", "--input", write(CLASHING), "--format", "json",
-             "--max-cycle-len", "2"]
+            ["check", "--input", write(MISDIRECTED_SQUARE), "--format", "json",
+             "--max-cycle-len", "3"]
         )
         data = json.loads(capsys.readouterr().out)
         assert data["admissible"] is False
         assert data["oracle"]["status"] == "inconclusive"
         assert data["witness"]["vertices"]
+
+    @pytest.mark.parametrize("bound", ["-3", "2", "13", "50"])
+    def test_bound_outside_3_to_12_is_exit_two(self, write, capsys, bound):
+        # below 3 no cycle would be searched, above 12 is past the
+        # enumeration bound
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--input", write(TRIANGLE), "--max-cycle-len", bound])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-cycle-len" in err and "Traceback" not in err
 
 
 class TestOrient:
@@ -216,6 +237,15 @@ class TestFiber:
 
     def test_refuses_inadmissible(self, write):
         assert main(["fiber", "--input", write(CLASHING)]) == 1
+
+    def test_unknown_basepoint_is_exit_two(self, write, capsys):
+        assert main(
+            ["fiber", "--input", write(TRIANGLE), "--oppressive",
+             "--basepoint", "nope"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: basepoint 'nope'")
+        assert captured.out == ""
 
 
 class TestCertify:

@@ -20,6 +20,7 @@ from generators import (
     random_defining_graph,
     with_random_orientation,
 )
+from oracles import first_admissible_orientation
 
 
 def triangle(labels=(3, 3, 3), tails=("a", "b", "c")):
@@ -158,6 +159,29 @@ class TestFindOrientation:
             else:
                 assert is_admissible(g.with_orientation(found)).admissible
         # both answers occur, so neither direction is checked vacuously
+        assert 0 < exhausted < checked
+
+    def test_search_returns_the_first_admissible_orientation(self):
+        # the exact dict, edges in search order, that trying all 2^k
+        # orientations in search order finds first, up to k = 10; about
+        # half of these graphs have an edge whose tail is forced
+        rng = random.Random(21)
+        checked = exhausted = widest = 0
+        while checked < 60:
+            g = random_defining_graph(rng, max_vertices=11, max_extra_edges=4)
+            k = sum(1 for e in g.edges if e.label >= 3)
+            if k > 10:
+                continue
+            checked += 1
+            widest = max(widest, k)
+            expected = first_admissible_orientation(g)
+            found = find_admissible_orientation(g)
+            assert found == expected
+            if found is None:
+                exhausted += 1
+            else:
+                assert list(found) == list(expected)
+        assert widest == 10
         assert 0 < exhausted < checked
 
     def test_search_space_guard(self):
