@@ -206,7 +206,6 @@ def _emit_json(args, payload: dict) -> None:
 
 def cmd_check(args) -> int:
     g = _read_input(args.input)
-    require_valid(g, oriented=True)
     report = validate(g)
     verdict = is_admissible(g)
     oracle = oracle_almost_misdirected(g, args.max_cycle_len)
@@ -238,7 +237,8 @@ def cmd_check(args) -> int:
         ]
         if not verdict.admissible:
             lines.append(f"reason: {verdict.reason}")
-            assert verdict.witness is not None
+            if verdict.witness is None:
+                raise AssertionError("inadmissible verdict without a witness")
             lines.append(f"witness: {_witness_text(verdict.witness)}")
         lines.append(
             f"oracle (closed walks up to {args.max_cycle_len}): {status}"
@@ -249,7 +249,6 @@ def cmd_check(args) -> int:
 
 def cmd_orient(args) -> int:
     g = _read_input(args.input)
-    require_valid(g, oriented=False)
     try:
         assignment = find_admissible_orientation(g)
     except SearchSpaceError as exc:
@@ -293,7 +292,6 @@ def _splitting_text(cert: SplittingCertificate) -> str:
 
 def cmd_split(args) -> int:
     g = _read_input(args.input)
-    require_valid(g, oriented=True)
     try:
         cert = compute_splitting(g)
     except InadmissibleOrientation as exc:
@@ -338,7 +336,6 @@ def _collapsed_or_refuse(args, g: DefiningGraph):
 
 def cmd_fiber(args) -> int:
     g = _read_input(args.input)
-    require_valid(g, oriented=True)
     collapsed = _collapsed_or_refuse(args, g)
     if collapsed is None:
         return 1
@@ -405,7 +402,8 @@ def cmd_fiber(args) -> int:
         if mono.all_monochrome:
             lines.append("monochrome: yes")
         else:
-            assert mono.witness is not None
+            if mono.witness is None:
+                raise AssertionError("mixed verdict without a witness")
             lines.append(
                 "monochrome: no (component "
                 f"{mono.witness_component}, colors "
@@ -462,7 +460,6 @@ def cmd_export(args) -> int:
             _emit(args, "\n".join(lines) + "\n")
         return 0
     if args.graph in ("X0", "Xhalf", "Xquarter"):
-        require_valid(g, oriented=False)
         family = build_family(g)
         cg = {
             "X0": family.x0,
@@ -470,10 +467,8 @@ def cmd_export(args) -> int:
             "Xquarter": family.x_quarter,
         }[args.graph]
     elif args.graph == "Xbar":
-        require_valid(g, oriented=True)
         cg = build_collapsed(g).graph
     else:  # fiber
-        require_valid(g, oriented=True)
         collapsed = _collapsed_or_refuse(args, g)
         if collapsed is None:
             return 1

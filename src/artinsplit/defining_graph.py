@@ -248,15 +248,7 @@ Cycle = tuple[str, ...]
 def canonical_cycle(seq: Iterable[str]) -> Cycle:
     """Least rotation of the lesser traversal direction of a closed walk."""
     s = tuple(seq)
-    n = len(s)
-    best = None
-    for cand in (s, tuple(reversed(s))):
-        for i in range(n):
-            rot = cand[i:] + cand[:i]
-            if best is None or rot < best:
-                best = rot
-    assert best is not None
-    return best
+    return min(c[i:] + c[:i] for c in (s, s[::-1]) for i in range(len(s)))
 
 
 def enumerate_cycles(g: DefiningGraph, max_len: int = 10) -> list[Cycle]:

@@ -146,17 +146,13 @@ def fiber_product(rho1: GraphMap, rho2: GraphMap) -> FiberProduct:
         else:
             classification.append("tree")
 
-    proj1 = GraphMap(graph, g1, vmap1, emap1)
-    proj2 = GraphMap(graph, g2, vmap2, emap2)
-    proj1.check()
-    proj2.check()
     return FiberProduct(
         graph=graph,
         components=comps,
         classification=tuple(classification),
         diagonal_components=tuple(diagonal),
-        proj1=proj1,
-        proj2=proj2,
+        proj1=GraphMap(graph, g1, vmap1, emap1),
+        proj2=GraphMap(graph, g2, vmap2, emap2),
     )
 
 
@@ -243,13 +239,15 @@ def _cycle_through(
         x = (ends1 - {v}).pop()
         y = (ends2 - {v}).pop()
         mid = shortest_path(sub, x, y, {v}, {e1.id, e2.id})
-        assert mid is not None, "block not biconnected"
+        if mid is None:
+            raise AssertionError("block not biconnected")
         steps = [_step(e1, v)] + mid + [_step(e2, y)]
         return Walk(g, v, tuple(steps))
     paths = _two_disjoint_paths(
         sub, (e1.tail, e1.head), (e2.tail, e2.head), {e1.id, e2.id}
     )
-    assert paths is not None, "block not biconnected"
+    if paths is None:
+        raise AssertionError("block not biconnected")
     sink_from_head, steps_from_head = paths[e1.head]
     _, steps_from_tail = paths[e1.tail]
     steps = (
@@ -366,63 +364,23 @@ def _two_disjoint_paths(
 def fill_rank_check(component: ColoredGraph) -> bool:
     """Whether the simple monochrome cycles span the whole cycle space.
 
-    The monochrome simple cycles of a graph are exactly the simple cycles
-    of its single-color subgraphs, and the simple cycles of any graph span
-    its cycle space, so the span in question is the sum of the per-color
-    cycle spaces.  Each is generated by fundamental cycles of a spanning
-    forest of that color; comparing the mod-2 span of those against the
-    free rank decides the question without enumerating cycles.
+    The monochrome simple cycles are the simple cycles of the single-color
+    subgraphs, which span those subgraphs' cycle spaces, so the span in
+    question is the sum of the per-color cycle spaces.  Every edge has one
+    color, so those spaces have disjoint supports and the sum is direct;
+    its dimension is the sum of the per-color cycle ranks, and it is the
+    whole cycle space exactly when that equals the free rank.  Each rank
+    is counted as in `free_rank`, on one union-find of (color, vertex)
+    pairs.
     """
-    rank = free_rank(component)
-    if rank == 0:
-        return True
-
-    tree_edges = _spanning_forest(component.edges)
-    chord_bit = {
-        e.id: i
-        for i, e in enumerate(
-            e for e in component.edges if e.id not in tree_edges
-        )
-    }
-
-    vectors = []
-    for color in component.colors():
-        sub_edges = [e for e in component.edges if e.color == color]
-        sub_tree = _spanning_forest(sub_edges)
-        forest = ColoredGraph(
-            {v for e in sub_edges for v in (e.tail, e.head)},
-            [e for e in sub_edges if e.id in sub_tree],
-        )
-        for chord in sub_edges:
-            if chord.id in sub_tree:
-                continue
-            path = shortest_path(forest, chord.head, chord.tail)
-            assert path is not None
-            cycle_ids = {chord.id} | {eid for eid, _ in path}
-            mask = 0
-            for eid in cycle_ids:
-                if eid in chord_bit:
-                    mask |= 1 << chord_bit[eid]
-            vectors.append(mask)
-
-    basis: dict[int, int] = {}
-    for mask in vectors:
-        while mask:
-            lead = mask.bit_length() - 1
-            if lead in basis:
-                mask ^= basis[lead]
-            else:
-                basis[lead] = mask
-                break
-    return len(basis) == rank
-
-
-def _spanning_forest(edges: Sequence[Edge]) -> set[str]:
-    """Ids of a spanning forest chosen greedily in edge-id order."""
-    uf = UnionFind(v for e in edges for v in (e.tail, e.head))
-    return {
-        e.id for e in sorted(edges, key=lambda e: e.id) if uf.union(e.tail, e.head)
-    }
+    uf = UnionFind(
+        (e.color, v) for e in component.edges for v in (e.tail, e.head)
+    )
+    per_color = sum(
+        not uf.union((e.color, e.tail), (e.color, e.head))
+        for e in component.edges
+    )
+    return per_color == free_rank(component)
 
 
 @dataclass(frozen=True)
@@ -506,26 +464,31 @@ def oppressive_set(rho: GraphMap, y0: str) -> OppressiveSet:
 
 
 def _simple_paths_from(g: ColoredGraph, y0: str) -> list[Walk]:
-    """Every nontrivial simple path starting at y0, in search order."""
+    """Every nontrivial simple path starting at y0, in search order; the
+    search runs on an explicit stack, so long paths do not recurse."""
+
+    def ends(at: str):
+        return iter(sorted(g.incident_ends(at), key=lambda t: (t[0].id, -t[1])))
+
     out: list[Walk] = []
     steps: list[tuple[str, int]] = []
     visited = {y0}
-
-    def extend(at: str) -> None:
-        for e, _ in sorted(
-            g.incident_ends(at), key=lambda t: (t[0].id, -t[1])
-        ):
+    stack = [(y0, ends(y0))]
+    while stack:
+        at, untried = stack[-1]
+        for e, _ in untried:
             w = e.head if e.tail == at else e.tail
-            if w in visited:
-                continue
-            steps.append((e.id, +1 if e.tail == at else -1))
-            visited.add(w)
-            out.append(Walk(g, y0, tuple(steps)))
-            extend(w)
-            visited.discard(w)
-            steps.pop()
-
-    extend(y0)
+            if w not in visited:
+                steps.append((e.id, +1 if e.tail == at else -1))
+                visited.add(w)
+                out.append(Walk(g, y0, tuple(steps)))
+                stack.append((w, ends(w)))
+                break
+        else:
+            stack.pop()
+            if stack:
+                visited.discard(at)
+                steps.pop()
     return out
 
 

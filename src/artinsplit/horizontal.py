@@ -111,7 +111,6 @@ def build_family(g: DefiningGraph) -> HorizontalFamily:
     x_half = ColoredGraph(half_vertices, half_edges)
     x_quarter = ColoredGraph(q_vertices, q_edges)
     cover = GraphMap(x_quarter, x_half, vmap, emap)
-    cover.check()
     return HorizontalFamily(
         x0=x0, x_half=x_half, x_quarter=x_quarter, cover=cover, deck=deck
     )
@@ -132,9 +131,7 @@ def deck_involution_on_quarter(family: HorizontalFamily) -> GraphMap:
     for e in family.x_quarter.edges:
         swapped = e.id[:-1] + ("-" if e.id.endswith("+") else "+")
         emap[e.id] = swapped
-    m = GraphMap(family.x_quarter, family.x_quarter, dict(family.deck), emap)
-    m.check()
-    return m
+    return GraphMap(family.x_quarter, family.x_quarter, dict(family.deck), emap)
 
 
 @dataclass(frozen=True)
@@ -163,8 +160,6 @@ class CollapsedQuarter:
     graph: ColoredGraph
     rho: GraphMap
     old_class: dict[str, str]
-    new_vertices: tuple[str, ...]
-    collapsed_quarter_edges: tuple[str, ...]
     segments: dict[str, tuple[Segment, ...]]
     admissible: bool
     witness: Optional[WitnessCycle]
@@ -192,7 +187,7 @@ def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
     and `rho_immersion` record whether it yields an immersion.
     """
     require_valid(g, oriented=True)
-    collapsed, classes, verdict = collapse(g)
+    classes, verdict = collapse(g)
 
     # each vertex class is named by its sorted members
     members: dict[str, list[str]] = {}
@@ -203,15 +198,9 @@ def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
         name = "/".join(sorted(qs))
         for q in qs:
             old_class[q] = name
-    # lift "dc:<color>:p" is the parallel copy "xq:<color>:p+", ":m" is ":p-"
-    collapsed_sources = []
-    for lid in collapsed:
-        _, color, side = lid.split(":")
-        collapsed_sources.append(f"xq:{color}:{'p+' if side == 'p' else 'p-'}")
 
     vertices: set[str] = set(old_class.values())
     edges: list[Edge] = []
-    new_vertices: list[str] = []
     segments: dict[str, tuple[Segment, ...]] = {}
 
     def add_run(source_edge: str, color: str, u: str, w: str, k: int) -> Segment:
@@ -221,7 +210,6 @@ def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
             nv = f"xb:{color}:{source_edge.rsplit(':', 1)[1]}:{i}"
             chain.append(nv)
             vertices.add(nv)
-            new_vertices.append(nv)
         chain.append(w)
         ids = []
         for i in range(k):
@@ -242,7 +230,8 @@ def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
             segs.append(add_run(f"xq:{c}:d-", c, kb, kb, 1))
         else:
             t = e.iota
-            assert t is not None
+            if t is None:
+                raise AssertionError(f"edge {e.color!r} has no tail")
             h = e.other(t)
             m = e.label // 2
             surv_side = "p-" if t == e.u else "p+"
@@ -292,13 +281,10 @@ def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
         {v: "*" for v in graph.vertices},
         {e.id: f"x0:{e.color}" for e in graph.edges},
     )
-    rho.check()
     return CollapsedQuarter(
         graph=graph,
         rho=rho,
         old_class=old_class,
-        new_vertices=tuple(sorted(new_vertices)),
-        collapsed_quarter_edges=tuple(sorted(collapsed_sources)),
         segments=segments,
         admissible=verdict.admissible,
         witness=verdict.witness,

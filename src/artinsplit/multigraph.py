@@ -140,6 +140,7 @@ class GraphMap:
 
     Edge images preserve the stored direction (tail goes to tail).  Colors
     must be preserved whenever the source palette is part of the target's.
+    Construction raises StructureError unless the map is well formed.
     """
 
     source: ColoredGraph
@@ -153,8 +154,7 @@ class GraphMap:
     def edge_image(self, edge_id: str) -> Edge:
         return self.target.edge(self.edge_map[edge_id])
 
-    def check(self) -> None:
-        """Raise StructureError unless this is a well-formed combinatorial map."""
+    def __post_init__(self):
         tvs = set(self.target.vertices)
         for v in self.source.vertices:
             if v not in self.vertex_map:
@@ -178,9 +178,8 @@ def is_immersion(m: GraphMap) -> bool:
     """True when m is locally injective on edge-ends, in both directions.
 
     At every source vertex no two distinct tail-ends may share an image edge,
-    and likewise for head-ends.  Malformed maps raise StructureError.
+    and likewise for head-ends.
     """
-    m.check()
     for v in m.source.vertices:
         seen_out = set()
         for e in m.source.out_edges(v):
@@ -199,7 +198,6 @@ def is_immersion(m: GraphMap) -> bool:
 
 def is_degree_n_cover(m: GraphMap, n: int) -> bool:
     """True when m is a covering map with every fiber of size exactly n."""
-    m.check()
     vertex_fibers: dict[str, int] = {v: 0 for v in m.target.vertices}
     for v in m.source.vertices:
         vertex_fibers[m.vertex_map[v]] += 1
@@ -278,13 +276,16 @@ def connected_components(g: ColoredGraph) -> list[ColoredGraph]:
 
 
 def free_rank(g: ColoredGraph) -> int:
-    """First Betti number |E| - |V| + 1 of a connected graph."""
-    if len(connected_components(g)) != 1:
+    """First Betti number |E| - |V| + 1 of a connected graph: the edges
+    whose ends earlier edges already joined, counted on one union-find."""
+    uf = UnionFind(g.vertices)
+    closing = sum(not uf.union(e.tail, e.head) for e in g.edges)
+    if len(g.edges) - closing != len(g.vertices) - 1:
         raise DisconnectedError(
             "free_rank requires a connected graph; split with "
             "connected_components first"
         )
-    return len(g.edges) - len(g.vertices) + 1
+    return closing
 
 
 def blocks(g: ColoredGraph) -> list[frozenset[str]]:

@@ -215,7 +215,8 @@ def _expression_misdirects(
         ok = True
         for i in range(n - 1):
             e = g.edge_between(seq[i], seq[i + 1])
-            assert e is not None
+            if e is None:
+                raise AssertionError("cycle expression skips an edge")
             forward = first_forward if i % 2 == 0 else not first_forward
             want_tail = seq[i] if forward else seq[i + 1]
             if e.label >= 3 and e.iota != want_tail:
@@ -224,7 +225,8 @@ def _expression_misdirects(
             tails.append(want_tail)
         if ok:
             closing = g.edge_between(seq[-1], seq[0])
-            assert closing is not None
+            if closing is None:
+                raise AssertionError("cycle expression does not close")
             tails.append(closing.iota)
             return tuple(tails)
     return None
@@ -257,15 +259,13 @@ class AdmissibilityVerdict:
     reason: Optional[str] = None
 
 
-def collapse(
-    g: DefiningGraph,
-) -> tuple[dict[str, tuple[str, str]], UnionFind, AdmissibilityVerdict]:
-    """The collapsed lifts of an oriented graph, their classes, and the
+def collapse(g: DefiningGraph) -> tuple[UnionFind, AdmissibilityVerdict]:
+    """The classes the collapsed lifts of an oriented graph join, and the
     admissibility verdict read off those classes."""
     lifts = edge_lifts(g)
     collapsed = collapsed_lifts(lifts, g.orientation())
     classes, forest = collapse_classes(g, collapsed)
-    return collapsed, classes, _verdict(g, lifts, collapsed, classes, forest)
+    return classes, _verdict(g, lifts, collapsed, classes, forest)
 
 
 def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
@@ -277,7 +277,7 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
     are the endpoints of its uncollapsed lift connected.
     """
     require_valid(g, oriented=True)
-    _, _, verdict = collapse(g)
+    _, verdict = collapse(g)
     return verdict
 
 
@@ -363,7 +363,8 @@ def _witness_from_patterns(
     paths = []
     for kind, _, src, dst in sorted(candidates):
         steps = shortest_path(sub, src, dst)
-        assert steps is not None
+        if steps is None:
+            raise AssertionError("failing pattern has no collapsed path")
         paths.append((kind, list(Walk(sub, src, tuple(steps)).vertices())))
     # the first shortest path, preferring a vertex's two lifts on a tie
     kind, path = min(paths, key=lambda kp: (len(kp[1]), kp[0]))
@@ -376,7 +377,8 @@ def _witness_from_patterns(
     vertices = tuple(_project(q)[0] for q in path)
     tails = _tails_from_lift_path(path)
     closing = g.edge_between(vertices[-1], vertices[0])
-    assert closing is not None
+    if closing is None:
+        raise AssertionError("witness path does not close in the graph")
     tails.append(closing.iota)
     return WitnessCycle(vertices=vertices, tails=tuple(tails))
 

@@ -109,14 +109,12 @@ def random_bouquet_immersion(
         c for c in connected_components(whole) if "y0" in set(c.vertices)
     )
     x0 = bouquet(colors)
-    rho = GraphMap(
+    return GraphMap(
         comp,
         x0,
         {v: "*" for v in comp.vertices},
         {e.id: f"x0:{e.color}" for e in comp.edges},
     )
-    rho.check()
-    return rho
 
 
 def random_colored_graph(

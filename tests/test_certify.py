@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -230,3 +231,16 @@ def test_immersion_check_survives_python_O():
     assert "AssertionError: an admissible orientation must give an immersion" in (
         proc.stderr
     )
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements, so invariants in the library
+    # are checked with explicit raises instead
+    package = Path(artinsplit.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

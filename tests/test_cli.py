@@ -43,6 +43,19 @@ UNORIENTED = {
     "edges": [{"u": "a", "v": "b", "label": 4}],
 }
 
+INVALID = {
+    "vertices": ["a", "b", "c"],
+    "edges": [
+        {"u": "a", "v": "b", "label": 1},
+        {"u": "b", "v": "c", "label": 3, "iota": "a"},
+    ],
+}
+
+INVALID_LINES = [
+    "input error: edge a-b: label must be an integer >= 2",
+    "input error: edge b-c: iota 'a' is not an endpoint",
+]
+
 
 @pytest.fixture
 def write(tmp_path):
@@ -133,6 +146,32 @@ class TestExitCodes:
         bad = {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "label": 1}]}
         assert main(["check", "--input", write(bad)]) == 2
         assert "label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,data,lines",
+        [
+            (argv, INVALID, INVALID_LINES)
+            for argv in (
+                ["check"], ["orient"], ["split"], ["fiber"], ["certify"],
+                *(["export", "--graph", graph] for graph in (
+                    "input", "X0", "Xhalf", "Xquarter", "Xbar", "fiber",
+                )),
+            )
+        ] + [
+            (argv, UNORIENTED, ["input error: edge a-b: label >= 3 requires iota"])
+            for argv in (
+                ["check"], ["split"], ["fiber"],
+                ["export", "--graph", "Xbar"], ["export", "--graph", "fiber"],
+            )
+        ],
+    )
+    def test_every_subcommand_reports_input_errors(
+        self, write, capsys, argv, data, lines
+    ):
+        assert main(argv + ["--input", write(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == lines
+        assert captured.out == ""
 
     def test_missing_file_is_exit_two(self, capsys):
         assert main(["check", "--input", "/nonexistent/x.json"]) == 2

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from artinsplit import (
@@ -18,6 +19,7 @@ from artinsplit import (
     oppressive_set,
     traces_word,
 )
+from artinsplit.fiber import _simple_paths_from
 from generators import (
     random_admissible_graph,
     random_bouquet_immersion,
@@ -240,6 +242,18 @@ class TestOppressive:
             assert ops.is_empty() == (len(rho.source.vertices) == 1)
             for word in ops.words():
                 assert traces_word(rho.source, y0, word).outcome != "closes"
+
+    def test_simple_paths_deeper_than_the_recursion_limit(self):
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        g = ColoredGraph(
+            [f"v{i}" for i in range(n + 1)],
+            [Edge(f"e{i}", f"v{i}", f"v{i + 1}", "a") for i in range(n)],
+        )
+        paths = _simple_paths_from(g, "v0")
+        assert [p.steps for p in paths] == [
+            tuple((f"e{i}", 1) for i in range(k)) for k in range(1, n + 1)
+        ]
 
 
 class TestTracesWord:

@@ -101,34 +101,29 @@ def test_path_is_not_bouquet():
 class TestGraphMap:
     def test_check_accepts_identity(self):
         g = path_graph(3)
-        m = GraphMap(g, g, {v: v for v in g.vertices}, {e.id: e.id for e in g.edges})
-        m.check()
+        GraphMap(g, g, {v: v for v in g.vertices}, {e.id: e.id for e in g.edges})
 
     def test_missing_vertex_image(self):
         g = path_graph(2)
-        m = GraphMap(g, g, {"v0": "v0"}, {"e0": "e0"})
         with pytest.raises(StructureError, match="no image"):
-            m.check()
+            GraphMap(g, g, {"v0": "v0"}, {"e0": "e0"})
 
     def test_tail_preservation_enforced(self):
         g = path_graph(2)
-        m = GraphMap(g, g, {"v0": "v1", "v1": "v0"}, {"e0": "e0"})
         with pytest.raises(StructureError, match="tail"):
-            m.check()
+            GraphMap(g, g, {"v0": "v1", "v1": "v0"}, {"e0": "e0"})
 
     def test_color_mismatch_when_palette_contained(self):
         src = ColoredGraph(["a", "b"], [Edge("e", "a", "b", "r")])
         dst = ColoredGraph(["x", "y"], [Edge("f", "x", "y", "r"), Edge("h", "x", "y", "g")])
-        m = GraphMap(src, dst, {"a": "x", "b": "y"}, {"e": "h"})
         with pytest.raises(StructureError, match="color"):
-            m.check()
+            GraphMap(src, dst, {"a": "x", "b": "y"}, {"e": "h"})
 
     def test_color_ignored_when_palette_disjoint(self):
         # quotient-style maps may rename colors freely
         src = ColoredGraph(["a", "b"], [Edge("e", "a", "b", "odd")])
         dst = ColoredGraph(["x", "y"], [Edge("f", "x", "y", "r")])
-        m = GraphMap(src, dst, {"a": "x", "b": "y"}, {"e": "f"})
-        m.check()
+        GraphMap(src, dst, {"a": "x", "b": "y"}, {"e": "f"})
 
     def test_edge_image(self):
         b = bouquet(["r"])
