@@ -16,23 +16,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from .defining_graph import (
     DefiningGraph,
+    OrientationReport,
     all_labels_even,
     is_connected,
     is_forest,
     require_valid,
-    validate,
 )
-from .fiber import FiberProduct, MonochromeVerdict, fiber_product, monochrome_check
-from .horizontal import (
-    CollapsedQuarter,
-    SplittingCertificate,
-    build_collapsed,
-    compute_splitting,
-)
+from .fiber import MonochromeVerdict, fiber_product, monochrome_check
+from .horizontal import SplittingCertificate, build_collapsed, compute_splitting
 from .orientation import (
     SearchSpaceError,
     WitnessCycle,
@@ -116,7 +111,13 @@ class RFCertificate:
 
     def to_json(self) -> str:
         """Canonical serialization: identical inputs give identical bytes."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return canonical_json(self.to_json_dict())
+
+
+def canonical_json(payload: dict) -> str:
+    """The one JSON layout of every certificate and CLI report: sorted keys,
+    two-space indent."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _monochrome_json(mono: Optional[MonochromeVerdict]) -> dict:
@@ -141,10 +142,12 @@ def witness_json(w: Optional[WitnessCycle]) -> Optional[dict]:
     return {"vertices": list(w.vertices), "tails": list(w.tails)}
 
 
-def _resolve_orientation(g: DefiningGraph) -> tuple[Optional[DefiningGraph], dict]:
+def _resolve_orientation(
+    g: DefiningGraph, report: OrientationReport
+) -> tuple[Optional[DefiningGraph], dict]:
     """Find an admissible total orientation to analyze, preferring the
-    provided one.  Returns (oriented graph or None, evidence record)."""
-    report = validate(g)
+    provided one.  `report` is g's validation report.  Returns (oriented
+    graph or None, evidence record)."""
     info: dict = {
         "provided_total": report.iota_total,
         "orientable_edges": ["-".join(k) for k in report.orientable_edges],
@@ -174,22 +177,16 @@ def _resolve_orientation(g: DefiningGraph) -> tuple[Optional[DefiningGraph], dic
     return g.with_orientation(assignment), info
 
 
-def _monochrome_evidence(
-    g_star: DefiningGraph,
-) -> tuple[CollapsedQuarter, FiberProduct, MonochromeVerdict]:
+def _monochrome_evidence(g_star: DefiningGraph) -> MonochromeVerdict:
     collapsed = build_collapsed(g_star)
     if not (collapsed.admissible and collapsed.rho_immersion):
         raise AssertionError(
             "an admissible orientation must give an immersion onto the bouquet"
         )
-    fp = fiber_product(collapsed.rho, collapsed.rho)
-    return collapsed, fp, monochrome_check(fp)
+    return monochrome_check(fiber_product(collapsed.rho, collapsed.rho))
 
 
-def certify(
-    g: DefiningGraph,
-    iota: Optional[Mapping[tuple[str, str], str]] = None,
-) -> RFCertificate:
+def certify(g: DefiningGraph) -> RFCertificate:
     """Evaluate the certification rules in order; first match decides.
 
     R1 forest; R3 affine triangle; R4 triangle with labels at least 4
@@ -199,9 +196,7 @@ def certify(
     monochrome machinery still runs and the comparison is recorded as a
     consistency probe.
     """
-    if iota is not None:
-        g = g.with_orientation(dict(iota))
-    require_valid(g, oriented=False)
+    report = require_valid(g, oriented=False)
 
     labels = g.labels()
     evidence: dict = {
@@ -238,11 +233,11 @@ def certify(
         verdict a label rule already decided, and record the comparison."""
         probe: dict = {"evaluated": False}
         evidence["consistency_probe"] = probe
-        g_star, orient_info = _resolve_orientation(g)
+        g_star, orient_info = _resolve_orientation(g, report)
         probe["orientation"] = orient_info
         if g_star is None:
             return
-        _, _, mono = _monochrome_evidence(g_star)
+        mono = _monochrome_evidence(g_star)
         probe["evaluated"] = True
         probe["all_monochrome"] = mono.all_monochrome
         srt = sorted(labels)
@@ -275,7 +270,7 @@ def certify(
                 caveats=(_CAVEAT_TILING, _CAVEAT_QUOTIENT),
             )
 
-    g_star, orient_info = _resolve_orientation(g)
+    g_star, orient_info = _resolve_orientation(g, report)
     evidence["orientation"] = orient_info
     if g_star is None:
         return cert(UNKNOWN, "R8")
@@ -290,7 +285,7 @@ def certify(
             splitting=splitting,
         )
 
-    _, _, mono = _monochrome_evidence(g_star)
+    mono = _monochrome_evidence(g_star)
     if mono.all_monochrome:
         caveats = [_CAVEAT_QUOTIENT, _CAVEAT_TILING]
         if all(l % 2 == 1 for l in labels):

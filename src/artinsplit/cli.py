@@ -12,10 +12,11 @@ admissible, nothing found, splitting undefined), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .certify import certify, witness_json
+from .certify import canonical_json, certify, witness_json
 from .defining_graph import (
     MAX_CYCLE_LEN,
     DefiningGraph,
@@ -175,10 +176,6 @@ def _witness_text(w: WitnessCycle) -> str:
     return f"{cyc}  (tails: {tails})"
 
 
-def _word_text(word) -> str:
-    return " ".join(f"{c}^{s:+d}" for c, s in word)
-
-
 def _read_input(path: str) -> DefiningGraph:
     if path == "-":
         text = sys.stdin.read()
@@ -201,7 +198,7 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, canonical_json(payload) + "\n")
 
 
 def cmd_check(args) -> int:
@@ -422,7 +419,7 @@ def cmd_certify(args) -> int:
     g = _read_input(args.input)
     cert = certify(g)
     if args.format == "json":
-        _emit(args, cert.to_json() + "\n")
+        _emit_json(args, cert.to_json_dict())
     else:
         lines = [
             f"verdict: {cert.verdict}",
@@ -496,7 +493,9 @@ def _cycle_len_bound(text: str) -> int:
     return bound
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="artinsplit",
         description="Level graphs, admissible orientations, free splittings "

@@ -183,8 +183,10 @@ def validate(g: DefiningGraph) -> OrientationReport:
     )
 
 
-def require_valid(g: DefiningGraph, oriented: bool = True) -> None:
-    """Raise InvalidDefiningGraph unless g passes validate.
+def require_valid(
+    g: DefiningGraph, oriented: bool = True
+) -> OrientationReport:
+    """Raise InvalidDefiningGraph unless g passes validate; return the report.
 
     With oriented=True additionally require iota on every orientable edge.
     """
@@ -204,6 +206,7 @@ def require_valid(g: DefiningGraph, oriented: bool = True) -> None:
                 iota_total=False,
             )
         )
+    return report
 
 
 def is_connected(g: DefiningGraph) -> bool:

@@ -41,34 +41,19 @@ def _pair(u: str, v: str) -> str:
 class FiberProduct:
     """The fiber product graph together with its component inventory.
 
-    `components` is ordered by smallest vertex id.  `classification` runs in
-    parallel with it; each entry is one of "diagonal", "tree", or
-    "cycle-bearing".  Diagonal components exist only for a self-fiber, where
-    the diagonal pairs (v, v) form full components isomorphic to the factor.
+    A vertex id "u|v" and an edge id "e1|e2" name the pair of factor
+    vertices or edges, so the two projections are read off the ids and not
+    stored.  `components` is ordered by smallest vertex id.
+    `classification` runs in parallel with it; each entry is one of
+    "diagonal", "tree", or "cycle-bearing".  Diagonal components exist only
+    for a self-fiber, where the diagonal pairs (v, v) form full components
+    isomorphic to the factor; `diagonal_components` lists them.
     """
 
     graph: ColoredGraph
     components: tuple[ColoredGraph, ...]
     classification: tuple[str, ...]
     diagonal_components: tuple[int, ...]
-    proj1: GraphMap
-    proj2: GraphMap
-
-    @property
-    def diagonal_component(self) -> Optional[int]:
-        """The diagonal component id, when there is exactly one.
-
-        None for a fiber of two different maps.  A disconnected self-fiber
-        factor has one diagonal component per factor component; asking for
-        "the" one is then ambiguous and raises StructureError.
-        """
-        if not self.diagonal_components:
-            return None
-        if len(self.diagonal_components) > 1:
-            raise StructureError(
-                "several diagonal components; use diagonal_components"
-            )
-        return self.diagonal_components[0]
 
     def nontrivial_components(self) -> tuple[int, ...]:
         """Indices of off-diagonal components containing at least one cycle."""
@@ -99,35 +84,22 @@ def fiber_product(rho1: GraphMap, rho2: GraphMap) -> FiberProduct:
         raise FiberInputError("fiber products require immersions")
     g1, g2 = rho1.source, rho2.source
 
-    vertices = []
-    vmap1: dict[str, str] = {}
-    vmap2: dict[str, str] = {}
-    for u in g1.vertices:
-        for v in g2.vertices:
-            p = _pair(u, v)
-            vertices.append(p)
-            vmap1[p] = u
-            vmap2[p] = v
+    vertices = [_pair(u, v) for u in g1.vertices for v in g2.vertices]
 
     by_loop: dict[str, list[Edge]] = {}
     for e in g2.edges:
         by_loop.setdefault(rho2.edge_map[e.id], []).append(e)
     edges = []
-    emap1: dict[str, str] = {}
-    emap2: dict[str, str] = {}
     for e1 in g1.edges:
         for e2 in by_loop.get(rho1.edge_map[e1.id], ()):
-            eid = _pair(e1.id, e2.id)
             edges.append(
                 Edge(
-                    eid,
+                    _pair(e1.id, e2.id),
                     _pair(e1.tail, e2.tail),
                     _pair(e1.head, e2.head),
                     rho1.edge_image(e1.id).color,
                 )
             )
-            emap1[eid] = e1.id
-            emap2[eid] = e2.id
 
     graph = ColoredGraph(vertices, edges)
     comps = tuple(connected_components(graph))
@@ -151,8 +123,6 @@ def fiber_product(rho1: GraphMap, rho2: GraphMap) -> FiberProduct:
         components=comps,
         classification=tuple(classification),
         diagonal_components=tuple(diagonal),
-        proj1=GraphMap(graph, g1, vmap1, emap1),
-        proj2=GraphMap(graph, g2, vmap2, emap2),
     )
 
 

@@ -126,11 +126,11 @@ class ColoredGraph:
         )
 
 
-def bouquet(colors: Iterable[str], vertex: str = "*") -> ColoredGraph:
-    """One-vertex graph with a loop per color, the common target of all maps."""
+def bouquet(colors: Iterable[str]) -> ColoredGraph:
+    """One-vertex graph "*" with a loop per color, the common target of all
+    maps."""
     return ColoredGraph(
-        [vertex],
-        [Edge(f"x0:{c}", vertex, vertex, c) for c in sorted(set(colors))],
+        ["*"], [Edge(f"x0:{c}", "*", "*", c) for c in sorted(set(colors))]
     )
 
 

@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .defining_graph import (
-    Cycle,
     DefiningEdge,
     DefiningGraph,
-    canonical_cycle,
     enumerate_cycles,
     require_valid,
 )
@@ -121,49 +119,6 @@ def _failing_patterns(
 
 
 @dataclass(frozen=True)
-class DoubleCoverGraph:
-    """The sign double cover with per-lift collapse flags."""
-
-    graph: ColoredGraph
-    collapsed: frozenset[str]
-
-    def collapsed_subgraph(self) -> ColoredGraph:
-        return self.graph.restricted(self.collapsed)
-
-
-def double_cover(g: DefiningGraph) -> DoubleCoverGraph:
-    """Build the sign double cover of an oriented defining graph.
-
-    The lift of {a, b} through a+ and b- has id "dc:<color>:p", the other
-    "dc:<color>:m".  The collapsed flags come from `collapsed_lifts`.
-    """
-    require_valid(g, oriented=True)
-    lifts = edge_lifts(g)
-    return _double_cover(g, lifts, collapsed_lifts(lifts, g.orientation()))
-
-
-def _double_cover(
-    g: DefiningGraph,
-    lifts: Iterable[EdgeLifts],
-    collapsed: Mapping[str, tuple[str, str]],
-) -> DoubleCoverGraph:
-    edges = [
-        Edge(lid, a, b, e.color) for e, p, m in lifts for lid, (a, b) in (p, m)
-    ]
-    return DoubleCoverGraph(
-        ColoredGraph(quarter_vertices(g), edges), frozenset(collapsed)
-    )
-
-
-def has_collapsed_cycle(dc: DoubleCoverGraph) -> bool:
-    """True when the collapsed lifts contain a cycle (are not a forest)."""
-    classes = UnionFind(dc.graph.vertices)
-    return not all(
-        classes.union(e.tail, e.head) for e in dc.collapsed_subgraph().edges
-    )
-
-
-@dataclass(frozen=True)
 class WitnessCycle:
     """A closed walk of the defining graph with a direction extension.
 
@@ -174,12 +129,6 @@ class WitnessCycle:
 
     vertices: tuple[str, ...]
     tails: tuple[Optional[str], ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def canonical(self) -> Cycle:
-        return canonical_cycle(self.vertices)
 
 
 def check_witness(g: DefiningGraph, w: WitnessCycle) -> bool:
@@ -289,17 +238,19 @@ def _verdict(
     forest: bool,
 ) -> AdmissibilityVerdict:
     if not forest:
-        dc = _double_cover(g, lifts, collapsed)
         return AdmissibilityVerdict(
             admissible=False,
-            witness=_witness_from_collapsed_cycle(g, dc),
+            witness=_witness_from_collapsed_cycle(
+                _collapsed_graph(lifts, collapsed)
+            ),
             reason="collapsed lifts contain a cycle",
         )
     candidates = list(_failing_patterns(g, lifts, collapsed, classes))
     if not candidates:
         return AdmissibilityVerdict(admissible=True)
-    dc = _double_cover(g, lifts, collapsed)
-    witness = _witness_from_patterns(g, dc, candidates)
+    witness = _witness_from_patterns(
+        g, _collapsed_graph(lifts, collapsed), candidates
+    )
     reason = (
         "two lifts of one vertex are joined by collapsed lifts"
         if candidates[0][0] == 0
@@ -308,13 +259,19 @@ def _verdict(
     return AdmissibilityVerdict(admissible=False, witness=witness, reason=reason)
 
 
-def _collapsed_adjacency(dc: DoubleCoverGraph) -> dict[str, list[tuple[str, str]]]:
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in dc.graph.vertices}
-    for eid in sorted(dc.collapsed):
-        e = dc.graph.edge(eid)
-        adj[e.tail].append((e.head, eid))
-        adj[e.head].append((e.tail, eid))
-    return adj
+def _collapsed_graph(
+    lifts: Iterable[EdgeLifts], collapsed: Mapping[str, tuple[str, str]]
+) -> ColoredGraph:
+    """The collapsed lifts alone, as a graph on their ends."""
+    return ColoredGraph(
+        (q for ends in collapsed.values() for q in ends),
+        (
+            Edge(lid, a, b, e.color)
+            for e, p, m in lifts
+            for lid, (a, b) in (p, m)
+            if lid in collapsed
+        ),
+    )
 
 
 def _project(quarter: str) -> tuple[str, int]:
@@ -336,9 +293,7 @@ def _tails_from_lift_path(path: list[str]) -> list[str]:
     return tails
 
 
-def _strip_wrap_backtracking(
-    g: DefiningGraph, path: list[str]
-) -> list[str]:
+def _strip_wrap_backtracking(path: list[str]) -> list[str]:
     """Shrink a closed lift projection until its wrap-around is immersed.
 
     `path` runs between the two lifts of one vertex; if its projection
@@ -356,10 +311,9 @@ def _strip_wrap_backtracking(
 
 def _witness_from_patterns(
     g: DefiningGraph,
-    dc: DoubleCoverGraph,
+    sub: ColoredGraph,
     candidates: list[tuple[int, str, str, str]],
 ) -> WitnessCycle:
-    sub = dc.collapsed_subgraph()
     paths = []
     for kind, _, src, dst in sorted(candidates):
         steps = shortest_path(sub, src, dst)
@@ -369,7 +323,7 @@ def _witness_from_patterns(
     # the first shortest path, preferring a vertex's two lifts on a tie
     kind, path = min(paths, key=lambda kp: (len(kp[1]), kp[0]))
     if kind == 0:
-        path = _strip_wrap_backtracking(g, path)
+        path = _strip_wrap_backtracking(path)
         vertices = tuple(_project(q)[0] for q in path[:-1])
         tails = _tails_from_lift_path(path)
         # last path edge closes the cycle; its tail entry is already there
@@ -383,10 +337,8 @@ def _witness_from_patterns(
     return WitnessCycle(vertices=vertices, tails=tuple(tails))
 
 
-def _witness_from_collapsed_cycle(
-    g: DefiningGraph, dc: DoubleCoverGraph
-) -> WitnessCycle:
-    cycle = _find_collapsed_cycle(dc)
+def _witness_from_collapsed_cycle(sub: ColoredGraph) -> WitnessCycle:
+    cycle = _find_collapsed_cycle(sub)
     by_name: dict[str, list[int]] = {}
     for i, q in enumerate(cycle):
         by_name.setdefault(_project(q)[0], []).append(i)
@@ -397,13 +349,12 @@ def _witness_from_collapsed_cycle(
             if {_project(cycle[i])[1], _project(cycle[j])[1]} == {+1, -1}:
                 split = (i, j)
                 break
-    n = len(cycle)
     if split is not None:
         i, j = split
         arc1 = cycle[i : j + 1]
         arc2 = cycle[j:] + cycle[: i + 1]
         path = list(arc1 if len(arc1) <= len(arc2) else arc2)
-        path = _strip_wrap_backtracking(g, path)
+        path = _strip_wrap_backtracking(path)
         vertices = tuple(_project(q)[0] for q in path[:-1])
         return WitnessCycle(
             vertices=vertices, tails=tuple(_tails_from_lift_path(path))
@@ -415,23 +366,24 @@ def _witness_from_collapsed_cycle(
     return WitnessCycle(vertices=vertices, tails=tuple(tails))
 
 
-def _find_collapsed_cycle(dc: DoubleCoverGraph) -> tuple[str, ...]:
-    """Vertices of some simple cycle inside the collapsed subgraph."""
-    adj = _collapsed_adjacency(dc)
+def _find_collapsed_cycle(sub: ColoredGraph) -> tuple[str, ...]:
+    """Vertices of some simple cycle inside the collapsed lifts `sub`."""
+    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in sub.vertices}
+    for e in sub.edges:
+        adj[e.tail].append((e.head, e.id))
+        adj[e.head].append((e.tail, e.id))
     seen: set[str] = set()
-    for root in sorted(dc.graph.vertices):
-        if root in seen or not adj[root]:
+    for root in sub.vertices:
+        if root in seen:
             continue
         parent_edge: dict[str, Optional[str]] = {root: None}
         parent: dict[str, Optional[str]] = {root: None}
         stack = [root]
-        order = []
         while stack:
             v = stack.pop()
             if v in seen:
                 continue
             seen.add(v)
-            order.append(v)
             for w, eid in sorted(adj[v]):
                 if eid == parent_edge[v]:
                     continue
@@ -443,7 +395,7 @@ def _find_collapsed_cycle(dc: DoubleCoverGraph) -> tuple[str, ...]:
                     pb: list[str] = [w]
                     while parent[pb[-1]] is not None:
                         pb.append(parent[pb[-1]])  # type: ignore[arg-type]
-                    sa, sb = set(pa), set(pb)
+                    sb = set(pb)
                     meet = next(x for x in pa if x in sb)
                     ca = pa[: pa.index(meet) + 1]
                     cb = pb[: pb.index(meet) + 1]

@@ -137,17 +137,10 @@ class TestOrientationHandling:
     def test_inadmissible_orientation_triggers_search(self):
         g = tri(5, 4, 4)
         bad = {("a", "b"): "a", ("b", "c"): "b", ("a", "c"): "a"}
-        cert = certify(g, iota=bad)
+        cert = certify(g.with_orientation(bad))
         info = cert.evidence["orientation"]
         assert info["provided_admissible"] is False
         assert cert.verdict == SPLITS_ONLY
-
-    def test_iota_argument_equivalent_to_embedded(self):
-        g = tri(5, 4, 4)
-        iota = {("a", "b"): "a", ("b", "c"): "b", ("a", "c"): "c"}
-        via_arg = certify(g, iota=iota)
-        via_graph = certify(g.with_orientation(iota))
-        assert via_arg.to_json() == via_graph.to_json()
 
 
 class TestConsistencyProbe:
@@ -244,3 +237,33 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_private_helper_is_used():
+    # a module-level private function or class that nothing else in the
+    # library refers to is dead code
+    package = Path(artinsplit.__file__).resolve().parent
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    uses: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.alias):
+                uses.setdefault(node.name, []).append(node)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or not node.name.startswith("_"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if all(id(n) in inside for n in uses.get(node.name, [])):
+                unused.append(f"{module}:{node.name}")
+    assert unused == []

@@ -367,3 +367,20 @@ def test_stdin_input(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TRIANGLE)))
     assert main(["check"]) == 0
     assert "admissible: yes" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(write, monkeypatch, capsys):
+    import argparse
+
+    path = write(TRIANGLE)
+    assert main(["check", "--input", path]) == 0
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert main(["check", "--input", path]) == 0
+    assert added == []

@@ -14,7 +14,6 @@ from artinsplit import (
     fiber_product,
     fill_rank_check,
     free_rank,
-    is_immersion,
     monochrome_check,
     oppressive_set,
     traces_word,
@@ -76,15 +75,10 @@ class TestFiberProduct:
         col, fp = self_fiber(triangle((3, 3, 3)))
         assert len(col.graph.vertices) == 3 and len(col.graph.edges) == 9
         assert fp.classification == ("diagonal", "cycle-bearing", "cycle-bearing")
-        assert fp.diagonal_component == 0
+        assert fp.diagonal_components == (0,)
         assert fp.nontrivial_components() == (1, 2)
         for i in fp.nontrivial_components():
             assert free_rank(fp.components[i]) == 7
-
-    def test_projections_are_immersions(self):
-        _, fp = self_fiber(triangle((3, 4, 5)))
-        assert is_immersion(fp.proj1)
-        assert is_immersion(fp.proj2)
 
     def test_diagonal_is_a_union_of_components(self):
         rng = random.Random(41)

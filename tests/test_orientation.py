@@ -9,13 +9,16 @@ from artinsplit import (
     DefiningGraph,
     SearchSpaceError,
     check_witness,
-    double_cover,
     find_admissible_orientation,
-    has_collapsed_cycle,
     is_admissible,
     oracle_almost_misdirected,
 )
-from artinsplit.orientation import MAX_ORIENTABLE_EDGES
+from artinsplit.orientation import (
+    MAX_ORIENTABLE_EDGES,
+    collapse_classes,
+    collapsed_lifts,
+    edge_lifts,
+)
 from generators import (
     random_defining_graph,
     with_random_orientation,
@@ -43,30 +46,36 @@ ALL_TWOS = DefiningGraph.build(
 )
 
 
+def collapsed_of(g):
+    return collapsed_lifts(edge_lifts(g), g.orientation())
+
+
 class TestDoubleCover:
     def test_shape_and_ids(self):
-        dc = double_cover(CYCLIC)
-        assert set(dc.graph.vertices) == {
-            "a+", "a-", "b+", "b-", "c+", "c-"
-        }
-        assert len(dc.graph.edges) == 6
-        assert dc.graph.has_edge("dc:a-b:p") and dc.graph.has_edge("dc:a-b:m")
+        lifts = edge_lifts(CYCLIC)
+        ends = {q for _, p, m in lifts for _, pair in (p, m) for q in pair}
+        assert ends == {"a+", "a-", "b+", "b-", "c+", "c-"}
+        ids = {lid for _, p, m in lifts for lid, _ in (p, m)}
+        assert len(ids) == 6
+        e, p, m = next(lift for lift in lifts if lift[0].key == ("a", "b"))
+        assert p == ("dc:a-b:p", ("a+", "b-"))
+        assert m == ("dc:a-b:m", ("a-", "b+"))
 
     def test_collapsed_lift_follows_iota(self):
-        dc = double_cover(CYCLIC)
+        collapsed = collapsed_of(CYCLIC)
         # iota a on edge a-b collapses the lift through a+ and b-
-        assert len(dc.collapsed) == 3
-        sub = dc.collapsed_subgraph()
-        pairs = {frozenset((e.tail, e.head)) for e in sub.edges}
-        assert frozenset(("a+", "b-")) in pairs
+        assert len(collapsed) == 3
+        assert collapsed["dc:a-b:p"] == ("a+", "b-")
+        assert "dc:a-b:m" not in collapsed
 
     def test_label_two_collapses_both_lifts(self):
-        dc = double_cover(ALL_TWOS)
-        assert len(dc.collapsed) == 6
+        assert len(collapsed_of(ALL_TWOS)) == 6
 
     def test_collapsed_cycle_detection(self):
-        assert has_collapsed_cycle(double_cover(ALL_TWOS))
-        assert not has_collapsed_cycle(double_cover(CYCLIC))
+        _, forest = collapse_classes(ALL_TWOS, collapsed_of(ALL_TWOS))
+        assert not forest
+        _, forest = collapse_classes(CYCLIC, collapsed_of(CYCLIC))
+        assert forest
 
 
 class TestIsAdmissible:
@@ -93,6 +102,45 @@ class TestIsAdmissible:
             g = random_defining_graph(rng, max_vertices=6, max_extra_edges=0)
             oriented = with_random_orientation(rng, g)
             assert is_admissible(oriented).admissible
+
+    @pytest.mark.parametrize(
+        "g, vertices, tails, reason",
+        [
+            # a collapsed cycle meeting both lifts of a, split there
+            (ALL_TWOS, ("a", "b", "c"), ("b", "b", "a"),
+             "collapsed lifts contain a cycle"),
+            # a collapsed cycle meeting no vertex in both signs: an even
+            # misdirected cycle
+            (
+                DefiningGraph.build(
+                    ["a", "b", "c", "d"],
+                    [("a", "b", 2, None), ("b", "c", 2, None),
+                     ("c", "d", 2, None), ("a", "d", 2, None)],
+                ),
+                ("b", "c", "d", "a"), ("c", "c", "a", "a"),
+                "collapsed lifts contain a cycle",
+            ),
+            # the two lifts of b joined
+            (CLASHING, ("b", "a", "c"), ("a", "a", "b"),
+             "two lifts of one vertex are joined by collapsed lifts"),
+            # the uncollapsed lift of a-b closes a collapsed path
+            (
+                DefiningGraph.build(
+                    ["a", "b", "c", "d"],
+                    [("a", "b", 4, "a"), ("b", "c", 2, None),
+                     ("a", "d", 5, "d"), ("c", "d", 6, "d")],
+                ),
+                ("a", "d", "c", "b"), ("d", "d", "b", "a"),
+                "an uncollapsed lift closes a collapsed path",
+            ),
+        ],
+        ids=["cycle-split", "cycle-even", "two-lifts", "uncollapsed-lift"],
+    )
+    def test_witness_on_each_path(self, g, vertices, tails, reason):
+        verdict = is_admissible(g)
+        assert (verdict.witness.vertices, verdict.witness.tails, verdict.reason) == (
+            vertices, tails, reason
+        )
 
     def test_verdict_is_deterministic(self):
         v1 = is_admissible(CLASHING)
