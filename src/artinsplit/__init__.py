@@ -43,12 +43,10 @@ from .horizontal import (
     CollapsedQuarter,
     HorizontalFamily,
     InadmissibleOrientation,
-    Segment,
     SplittingCertificate,
     build_collapsed,
     build_family,
     compute_splitting,
-    deck_involution_on_quarter,
 )
 from .fiber import (
     FiberInputError,
@@ -56,12 +54,10 @@ from .fiber import (
     MonochromeVerdict,
     OppressiveSet,
     OppressiveWord,
-    TraceResult,
     fiber_product,
     fill_rank_check,
     monochrome_check,
     oppressive_set,
-    traces_word,
 )
 from .certify import RFCertificate, certify
 
@@ -86,10 +82,8 @@ __all__ = [
     "RFCertificate",
     "SchemaError",
     "SearchSpaceError",
-    "Segment",
     "SplittingCertificate",
     "StructureError",
-    "TraceResult",
     "Walk",
     "WitnessCycle",
     "blocks",
@@ -100,7 +94,6 @@ __all__ = [
     "check_witness",
     "compute_splitting",
     "connected_components",
-    "deck_involution_on_quarter",
     "enumerate_cycles",
     "fiber_product",
     "fill_rank_check",
@@ -113,6 +106,5 @@ __all__ = [
     "oppressive_set",
     "oracle_almost_misdirected",
     "require_valid",
-    "traces_word",
     "validate",
 ]

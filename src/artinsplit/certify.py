@@ -183,7 +183,7 @@ def _monochrome_evidence(g_star: DefiningGraph) -> MonochromeVerdict:
         raise AssertionError(
             "an admissible orientation must give an immersion onto the bouquet"
         )
-    return monochrome_check(fiber_product(collapsed.rho, collapsed.rho))
+    return monochrome_check(fiber_product(collapsed.graph))
 
 
 def certify(g: DefiningGraph) -> RFCertificate:

@@ -23,7 +23,6 @@ from .defining_graph import (
     InvalidDefiningGraph,
     SchemaError,
     require_valid,
-    validate,
 )
 from .fiber import (
     fiber_product,
@@ -201,9 +200,18 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, canonical_json(payload) + "\n")
 
 
+def _refuse(args, reason: str, **payload) -> int:
+    """Report a refusal with its reason and return its exit code, 1."""
+    if args.format == "json":
+        _emit_json(args, {"refused": reason, **payload})
+    else:
+        _emit(args, f"refused: {reason}\n")
+    return 1
+
+
 def cmd_check(args) -> int:
     g = _read_input(args.input)
-    report = validate(g)
+    report = g.report
     verdict = is_admissible(g)
     oracle = oracle_almost_misdirected(g, args.max_cycle_len)
     if verdict.admissible:
@@ -249,11 +257,7 @@ def cmd_orient(args) -> int:
     try:
         assignment = find_admissible_orientation(g)
     except SearchSpaceError as exc:
-        if args.format == "json":
-            _emit_json(args, {"found": False, "refused": str(exc)})
-        else:
-            _emit(args, f"refused: {exc}\n")
-        return 1
+        return _refuse(args, str(exc), found=False)
     if assignment is None:
         if args.format == "json":
             _emit_json(args, {"found": False})
@@ -302,11 +306,7 @@ def cmd_split(args) -> int:
             _emit(args, f"refused: {exc}\n")
         return 1
     except DisconnectedError as exc:
-        if args.format == "json":
-            _emit_json(args, {"refused": str(exc)})
-        else:
-            _emit(args, f"refused: {exc}\n")
-        return 1
+        return _refuse(args, str(exc))
     if args.format == "json":
         _emit_json(args, cert.to_json_dict())
     else:
@@ -316,7 +316,7 @@ def cmd_split(args) -> int:
 
 def _collapsed_or_refuse(args, g: DefiningGraph):
     """Build the collapsed quarter graph; None (after reporting) when the
-    orientation is inadmissible, since only then rho fails to immerse."""
+    orientation is inadmissible, since only then it fails to immerse."""
     collapsed = build_collapsed(g)
     if collapsed.admissible:
         return collapsed
@@ -347,7 +347,10 @@ def cmd_fiber(args) -> int:
             file=sys.stderr,
         )
         return 2
-    fp = fiber_product(collapsed.rho, collapsed.rho)
+    if args.oppressive and not g.vertices:
+        return _refuse(args, "the graph is empty; oppressive words need a "
+                             "basepoint")
+    fp = fiber_product(collapsed.graph)
     mono = monochrome_check(fp)
     inventory = []
     for i, comp in enumerate(fp.components):
@@ -375,7 +378,7 @@ def cmd_fiber(args) -> int:
         }
     if args.oppressive:
         basepoint = args.basepoint or collapsed.old_class[plus(min(g.vertices))]
-        words = oppressive_set(collapsed.rho, basepoint)
+        words = oppressive_set(collapsed.graph, basepoint)
         payload["oppressive"] = {
             "basepoint": basepoint,
             "count": len(words.elements),
@@ -469,7 +472,7 @@ def cmd_export(args) -> int:
         collapsed = _collapsed_or_refuse(args, g)
         if collapsed is None:
             return 1
-        cg = fiber_product(collapsed.rho, collapsed.rho).graph
+        cg = fiber_product(collapsed.graph).graph
     if args.format == "json":
         _emit_json(args, colored_graph_json_dict(cg))
     elif args.format == "dot":

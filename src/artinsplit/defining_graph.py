@@ -79,6 +79,11 @@ class DefiningGraph:
         return tuple(sorted(self.edges, key=lambda e: e.key))
 
     @cached_property
+    def report(self) -> "OrientationReport":
+        """`validate(self)`, computed once per graph."""
+        return validate(self)
+
+    @cached_property
     def edge_index(self) -> dict[tuple[str, str], DefiningEdge]:
         return {e.key: e for e in self.edges}
 
@@ -190,7 +195,7 @@ def require_valid(
 
     With oriented=True additionally require iota on every orientable edge.
     """
-    report = validate(g)
+    report = g.report
     if not report.ok:
         raise InvalidDefiningGraph(report)
     if oriented and not report.iota_total:
@@ -213,7 +218,7 @@ def is_connected(g: DefiningGraph) -> bool:
     uf = UnionFind(g.vertices)
     for e in g.edges:
         uf.union(e.u, e.v)
-    return len({uf.find(v) for v in g.vertices}) <= 1
+    return len({uf.find(v) for v in g.vertices}) == 1
 
 
 def is_forest(g: DefiningGraph) -> bool:

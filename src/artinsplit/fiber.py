@@ -1,10 +1,12 @@
 """Stallings fiber products, monochromality, and oppressive word sets.
 
-Two immersions over the same bouquet pull back to their fiber product: the
-graph whose vertices are pairs of vertices and whose edges are pairs of
+A colored graph in which no color repeats among the edges leaving a
+vertex, or among those entering it, is an immersion into the bouquet of its
+colors: each edge maps onto its color's loop.  Its self fiber product is
+the graph whose vertices are pairs of vertices and whose edges are pairs of
 equally-colored edges matched tail-to-tail.  Its connected components away
-from the diagonal describe intersections of conjugates of the subgroups the
-immersions represent; downstream certification asks whether every simple
+from the diagonal describe intersections of conjugates of the subgroup the
+immersion represents; downstream certification asks whether every simple
 cycle in those components is monochrome.
 """
 
@@ -16,7 +18,6 @@ from typing import Optional, Sequence
 from .multigraph import (
     ColoredGraph,
     Edge,
-    GraphMap,
     StructureError,
     UnionFind,
     Walk,
@@ -29,8 +30,8 @@ from .multigraph import (
 
 
 class FiberInputError(ValueError):
-    """The maps handed to fiber_product are unusable (wrong target, or not
-    immersions, so the pullback would not represent subgroup intersections)."""
+    """The graph handed to fiber_product or oppressive_set is not an
+    immersion, so the pullback would not represent subgroup intersections."""
 
 
 def _pair(u: str, v: str) -> str:
@@ -45,9 +46,10 @@ class FiberProduct:
     vertices or edges, so the two projections are read off the ids and not
     stored.  `components` is ordered by smallest vertex id.
     `classification` runs in parallel with it; each entry is one of
-    "diagonal", "tree", or "cycle-bearing".  Diagonal components exist only
-    for a self-fiber, where the diagonal pairs (v, v) form full components
-    isomorphic to the factor; `diagonal_components` lists them.
+    "diagonal", "tree", or "cycle-bearing".  The diagonal pairs (v, v) form
+    full components isomorphic to the factor, since an edge leaving (v, v)
+    pairs two edges of one color leaving v, which the immersion makes
+    equal; `diagonal_components` lists them.
     """
 
     graph: ColoredGraph
@@ -69,44 +71,37 @@ class FiberProduct:
         return tuple(v for v in comp.vertices if comp.valence(v) >= 3)
 
 
-def fiber_product(rho1: GraphMap, rho2: GraphMap) -> FiberProduct:
-    """Pull two bouquet immersions back to their fiber product.
+def fiber_product(Y: ColoredGraph) -> FiberProduct:
+    """Pull the bouquet immersion Y back along itself.
 
-    Vertices are all pairs (both maps hit the single bouquet vertex); edges
-    are pairs of edges with the same image loop, matched positively since
-    edge maps preserve direction.
+    Vertices are all pairs (every vertex maps to the single bouquet
+    vertex); edges are pairs of edges of one color, matched positively
+    since the immersion preserves direction.
     """
-    if rho1.target != rho2.target:
-        raise FiberInputError("the two maps have different targets")
-    if not rho1.target.is_bouquet():
-        raise FiberInputError("fiber products are taken over a bouquet")
-    if not is_immersion(rho1) or not is_immersion(rho2):
+    if not is_immersion(Y):
         raise FiberInputError("fiber products require immersions")
-    g1, g2 = rho1.source, rho2.source
 
-    vertices = [_pair(u, v) for u in g1.vertices for v in g2.vertices]
+    vertices = [_pair(u, v) for u in Y.vertices for v in Y.vertices]
 
-    by_loop: dict[str, list[Edge]] = {}
-    for e in g2.edges:
-        by_loop.setdefault(rho2.edge_map[e.id], []).append(e)
+    by_color: dict[str, list[Edge]] = {}
+    for e in Y.edges:
+        by_color.setdefault(e.color, []).append(e)
     edges = []
-    for e1 in g1.edges:
-        for e2 in by_loop.get(rho1.edge_map[e1.id], ()):
+    for e1 in Y.edges:
+        for e2 in by_color[e1.color]:
             edges.append(
                 Edge(
                     _pair(e1.id, e2.id),
                     _pair(e1.tail, e2.tail),
                     _pair(e1.head, e2.head),
-                    rho1.edge_image(e1.id).color,
+                    e1.color,
                 )
             )
 
     graph = ColoredGraph(vertices, edges)
     comps = tuple(connected_components(graph))
 
-    diag_vertices: set[str] = set()
-    if g1 == g2 and dict(rho1.edge_map) == dict(rho2.edge_map):
-        diag_vertices = {_pair(v, v) for v in g1.vertices}
+    diag_vertices = {_pair(v, v) for v in Y.vertices}
     diagonal = []
     classification = []
     for i, comp in enumerate(comps):
@@ -145,16 +140,19 @@ class MonochromeVerdict:
 
 
 def monochrome_check(fp: FiberProduct) -> MonochromeVerdict:
-    """Decide monochromality block by block.
+    """Decide monochromality by the rank count of `fill_rank_check`.
 
-    Two distinct edges lie on a common simple cycle exactly when they share
-    a biconnected block, so a mixed simple cycle exists in some nontrivial
-    component exactly when one of its blocks carries two colors.  A mixed
-    block yields an explicit witness cycle through two differently colored
-    edges.
+    A component holds a mixed simple cycle exactly when it fails that
+    count (see there), so every component that passes is skipped.  In the
+    first one that fails, two distinct edges lie on a common simple cycle
+    exactly when they share a biconnected block, so some block carries
+    two colors; it yields an explicit witness cycle through two
+    differently colored edges.
     """
     for idx in fp.nontrivial_components():
         comp = fp.components[idx]
+        if fill_rank_check(comp):
+            continue
         for block in blocks(comp):
             cols = {comp.edge(eid).color for eid in block}
             if len(cols) < 2:
@@ -172,6 +170,7 @@ def monochrome_check(fp: FiberProduct) -> MonochromeVerdict:
                 witness=witness,
                 witness_component=idx,
             )
+        raise AssertionError("fill rank deficient without a mixed block")
     return MonochromeVerdict(all_monochrome=True)
 
 
@@ -332,7 +331,9 @@ def _two_disjoint_paths(
 
 
 def fill_rank_check(component: ColoredGraph) -> bool:
-    """Whether the simple monochrome cycles span the whole cycle space.
+    """Whether the simple monochrome cycles span the whole cycle space;
+    for a connected component, exactly when every simple cycle is
+    monochrome.
 
     The monochrome simple cycles are the simple cycles of the single-color
     subgraphs, which span those subgraphs' cycle spaces, so the span in
@@ -342,6 +343,13 @@ def fill_rank_check(component: ColoredGraph) -> bool:
     whole cycle space exactly when that equals the free rank.  Each rank
     is counted as in `free_rank`, on one union-find of (color, vertex)
     pairs.
+
+    If every simple cycle is monochrome the count holds, since simple
+    cycles span the cycle space.  Conversely, if it holds, a simple cycle
+    C is a sum of per-color cycles with disjoint supports, so the edges of
+    C of one color form an even subgraph of C.  A proper nonempty edge set
+    of a simple cycle has vertices of degree one, so each color takes all
+    of C or none of it: C is monochrome.
     """
     uf = UnionFind(
         (e.color, v) for e in component.edges for v in (e.tail, e.head)
@@ -366,18 +374,14 @@ class OppressiveWord:
 class OppressiveSet:
     """All words read off admissible path pairs, one witness pair per word."""
 
-    rho: GraphMap
     basepoint: str
     elements: tuple[OppressiveWord, ...]
 
     def words(self) -> tuple[tuple[tuple[str, int], ...], ...]:
         return tuple(el.word for el in self.elements)
 
-    def is_empty(self) -> bool:
-        return not self.elements
 
-
-def oppressive_set(rho: GraphMap, y0: str) -> OppressiveSet:
+def oppressive_set(Y: ColoredGraph, y0: str) -> OppressiveSet:
     """Enumerate the oppressive words of an immersion at a basepoint.
 
     A word is the color sequence of mu1 followed by mu2, where mu1 is a
@@ -386,25 +390,18 @@ def oppressive_set(rho: GraphMap, y0: str) -> OppressiveSet:
     y2 != y0.  Reading any such word from y0 can never trace back to y0,
     because forward and backward lifts through an immersion are unique.
     The set is empty exactly when no nontrivial simple path leaves y0,
-    which for a connected source means the map is an embedding.
+    which for a connected Y means Y embeds in the bouquet.
 
     Simple paths are enumerated exhaustively, so this is intended for
     small graphs.  Each distinct word appears once, with the witness pair
     that is shortest in the enumeration order.
     """
-    if not rho.target.is_bouquet():
-        raise FiberInputError("oppressive sets are defined over a bouquet")
-    if not is_immersion(rho):
+    if not is_immersion(Y):
         raise FiberInputError("oppressive sets require an immersion")
-    if y0 not in set(rho.source.vertices):
-        raise StructureError(f"basepoint {y0!r} not in the source")
+    if y0 not in set(Y.vertices):
+        raise StructureError(f"basepoint {y0!r} not in the graph")
 
-    outward = _simple_paths_from(rho.source, y0)
-
-    def word_of(walk: Walk) -> tuple[tuple[str, int], ...]:
-        return tuple(
-            (rho.edge_image(eid).color, sign) for eid, sign in walk.steps
-        )
+    outward = _simple_paths_from(Y, y0)
 
     best: dict[tuple, tuple[tuple, OppressiveWord]] = {}
     for mu1 in outward:
@@ -413,12 +410,12 @@ def oppressive_set(rho: GraphMap, y0: str) -> OppressiveSet:
         for back in outward:
             if back.end not in (y0, y1):
                 inward.append(
-                    Walk(rho.source, back.end, tuple(_reverse_steps(back.steps)))
+                    Walk(Y, back.end, tuple(_reverse_steps(back.steps)))
                 )
         for mu2 in inward:
-            word = word_of(mu1)
+            word = mu1.word()
             if mu2 is not None:
-                word = word + word_of(mu2)
+                word = word + mu2.word()
             key = (
                 len(mu1.steps) + (len(mu2.steps) if mu2 else 0),
                 mu1.steps,
@@ -430,7 +427,7 @@ def oppressive_set(rho: GraphMap, y0: str) -> OppressiveSet:
     elements = tuple(
         best[w][1] for w in sorted(best, key=lambda w: (len(w), w))
     )
-    return OppressiveSet(rho=rho, basepoint=y0, elements=elements)
+    return OppressiveSet(basepoint=y0, elements=elements)
 
 
 def _simple_paths_from(g: ColoredGraph, y0: str) -> list[Walk]:
@@ -460,47 +457,3 @@ def _simple_paths_from(g: ColoredGraph, y0: str) -> list[Walk]:
                 visited.discard(at)
                 steps.pop()
     return out
-
-
-@dataclass(frozen=True)
-class TraceResult:
-    """Outcome of following a word letter by letter from a base vertex.
-
-    outcome is "closes" (full trace returning to the base), "exits" (full
-    trace ending elsewhere; `vertex` says where), or "no-edge" (the letter
-    at `failed_index` has no continuation at `vertex`).
-    """
-
-    outcome: str
-    vertex: str
-    failed_index: Optional[int] = None
-
-
-def traces_word(
-    Y: ColoredGraph, y0: str, word: Sequence[tuple[str, int]]
-) -> TraceResult:
-    """Follow a word of (color, direction) letters through Y from y0.
-
-    Y must immerse into the bouquet of its own colors, so each letter has
-    at most one continuation; a repeated choice raises StructureError.
-    """
-    if y0 not in set(Y.vertices):
-        raise StructureError(f"base vertex {y0!r} not in the graph")
-    at = y0
-    for i, (color, sign) in enumerate(word):
-        if sign == +1:
-            candidates = [e for e in Y.out_edges(at) if e.color == color]
-        else:
-            candidates = [e for e in Y.in_edges(at) if e.color == color]
-        if len(candidates) > 1:
-            raise StructureError(
-                f"two {color!r} edges leave {at!r}; the graph does not "
-                "immerse in its bouquet"
-            )
-        if not candidates:
-            return TraceResult(outcome="no-edge", vertex=at, failed_index=i)
-        e = candidates[0]
-        at = e.head if sign == +1 else e.tail
-    if at == y0:
-        return TraceResult(outcome="closes", vertex=at)
-    return TraceResult(outcome="exits", vertex=at)

@@ -8,8 +8,8 @@ height function; its level sets at heights 0, 1/2 and 1/4 are graphs:
 * x_quarter: a double cover of x_half whose vertices are signed copies
   a+ and a- of the defining vertices,
 * the collapsed quarter graph: x_quarter with one parallel family per
-  edge collapsed and the remaining edges subdivided, so that each color
-  maps onto its loop combinatorially.
+  edge collapsed and the remaining edges subdivided, so that no color
+  repeats at a vertex: the coloring is its immersion onto x0.
 
 The fundamental groups of these graphs are the vertex and edge groups of
 the splitting certified by `compute_splitting`.
@@ -59,14 +59,12 @@ class InadmissibleOrientation(ValueError):
 
 @dataclass(frozen=True)
 class HorizontalFamily:
-    """The three level graphs, the covering map between the upper two, and
-    the deck involution of the cover as a vertex swap."""
+    """The three level graphs and the covering map between the upper two."""
 
     x0: ColoredGraph
     x_half: ColoredGraph
     x_quarter: ColoredGraph
     cover: GraphMap
-    deck: dict[str, str]
 
 
 def build_family(g: DefiningGraph) -> HorizontalFamily:
@@ -86,12 +84,9 @@ def build_family(g: DefiningGraph) -> HorizontalFamily:
     q_edges = []
     vmap: dict[str, str] = {}
     emap: dict[str, str] = {}
-    deck: dict[str, str] = {}
     for v in g.vertices:
         vmap[plus(v)] = v
         vmap[minus(v)] = v
-        deck[plus(v)] = minus(v)
-        deck[minus(v)] = plus(v)
     for e in g.sorted_edges:
         c = e.color
         half_edges.append(Edge(f"xh:{c}:p", e.u, e.v, c))
@@ -112,61 +107,22 @@ def build_family(g: DefiningGraph) -> HorizontalFamily:
     x_quarter = ColoredGraph(q_vertices, q_edges)
     cover = GraphMap(x_quarter, x_half, vmap, emap)
     return HorizontalFamily(
-        x0=x0, x_half=x_half, x_quarter=x_quarter, cover=cover, deck=deck
+        x0=x0, x_half=x_half, x_quarter=x_quarter, cover=cover
     )
-
-
-def deck_involution_on_quarter(family: HorizontalFamily) -> GraphMap:
-    """The sign swap of x_quarter as a graph automorphism.
-
-    Only meaningful as the edge-group twist in the amalgam case, so a
-    disconnected x_quarter is refused.
-    """
-    if len(connected_components(family.x_quarter)) != 1:
-        raise DisconnectedError(
-            "x_quarter is disconnected; the splitting is an HNN extension "
-            "and has no single-component involution"
-        )
-    emap = {}
-    for e in family.x_quarter.edges:
-        swapped = e.id[:-1] + ("-" if e.id.endswith("+") else "+")
-        emap[e.id] = swapped
-    return GraphMap(family.x_quarter, family.x_quarter, dict(family.deck), emap)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A maximal run of collapsed-quarter edges covering one source edge.
-
-    `edge_ids` follow the flow direction: every edge of the collapsed
-    quarter graph maps onto its color's loop positively.
-    """
-
-    source_edge: str
-    edge_ids: tuple[str, ...]
-    start: str
-    end: str
-
-    @property
-    def length(self) -> int:
-        return len(self.edge_ids)
 
 
 @dataclass(frozen=True)
 class CollapsedQuarter:
     """x_quarter after collapsing one parallel family per edge and
-    subdividing the rest; `rho` is the induced map onto the bouquet."""
+    subdividing the rest.  Its coloring is the induced map rho onto the
+    bouquet x0, each edge onto its color's loop; `rho_immersion` records
+    whether that map immerses."""
 
     graph: ColoredGraph
-    rho: GraphMap
     old_class: dict[str, str]
-    segments: dict[str, tuple[Segment, ...]]
     admissible: bool
     witness: Optional[WitnessCycle]
     rho_immersion: bool
-
-    def segment_lengths(self, color: str) -> tuple[int, ...]:
-        return tuple(sorted(s.length for s in self.segments[color]))
 
 
 def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
@@ -201,94 +157,45 @@ def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
 
     vertices: set[str] = set(old_class.values())
     edges: list[Edge] = []
-    segments: dict[str, tuple[Segment, ...]] = {}
 
-    def add_run(source_edge: str, color: str, u: str, w: str, k: int) -> Segment:
-        """k edges from u to w along the flow, subdividing source_edge."""
-        chain = [u]
-        for i in range(1, k):
-            nv = f"xb:{color}:{source_edge.rsplit(':', 1)[1]}:{i}"
-            chain.append(nv)
-            vertices.add(nv)
-        chain.append(w)
-        ids = []
+    def add_run(color: str, side: str, u: str, w: str, k: int) -> None:
+        """k edges xb:<color>:<side>:e1..ek from u to w along the flow,
+        subdividing the quarter edge xq:<color>:<side>."""
+        chain = [u] + [f"xb:{color}:{side}:{i}" for i in range(1, k)] + [w]
+        vertices.update(chain[1:-1])
         for i in range(k):
-            eid = f"xb:{color}:{source_edge.rsplit(':', 1)[1]}:e{i + 1}"
+            eid = f"xb:{color}:{side}:e{i + 1}"
             edges.append(Edge(eid, chain[i], chain[i + 1], color))
-            ids.append(eid)
-        return Segment(
-            source_edge=source_edge, edge_ids=tuple(ids), start=u, end=w
-        )
 
     for e in g.sorted_edges:
         c = e.color
-        segs: list[Segment] = []
         if e.label == 2:
-            ka = old_class[plus(e.u)]
-            kb = old_class[minus(e.u)]
-            segs.append(add_run(f"xq:{c}:d+", c, ka, ka, 1))
-            segs.append(add_run(f"xq:{c}:d-", c, kb, kb, 1))
+            add_run(c, "d+", old_class[plus(e.u)], old_class[plus(e.u)], 1)
+            add_run(c, "d-", old_class[minus(e.u)], old_class[minus(e.u)], 1)
+            continue
+        t = e.iota
+        if t is None:
+            raise AssertionError(f"edge {e.color!r} has no tail")
+        h = e.other(t)
+        m = e.label // 2
+        add_run(c, "p-" if t == e.u else "p+",
+                old_class[minus(t)], old_class[plus(h)], 1)
+        if e.label % 2 == 1:
+            add_run(c, "d+", old_class[plus(h)], old_class[plus(t)], m)
+            add_run(c, "d-", old_class[minus(h)], old_class[minus(t)], m)
         else:
-            t = e.iota
-            if t is None:
-                raise AssertionError(f"edge {e.color!r} has no tail")
-            h = e.other(t)
-            m = e.label // 2
-            surv_side = "p-" if t == e.u else "p+"
-            surv = add_run(
-                f"xq:{c}:{surv_side}",
-                c,
-                old_class[minus(t)],
-                old_class[plus(h)],
-                1,
-            )
-            segs.append(surv)
-            if e.label % 2 == 1:
-                segs.append(
-                    add_run(
-                        f"xq:{c}:d+", c,
-                        old_class[plus(h)], old_class[plus(t)], m,
-                    )
-                )
-                segs.append(
-                    add_run(
-                        f"xq:{c}:d-", c,
-                        old_class[minus(h)], old_class[minus(t)], m,
-                    )
-                )
-            else:
-                closed_side = "d+" if t == e.u else "d-"
-                open_side = "d-" if t == e.u else "d+"
-                segs.append(
-                    add_run(
-                        f"xq:{c}:{closed_side}", c,
-                        old_class[minus(h)], old_class[plus(t)], m,
-                    )
-                )
-                segs.append(
-                    add_run(
-                        f"xq:{c}:{open_side}", c,
-                        old_class[plus(h)], old_class[minus(t)], m - 1,
-                    )
-                )
-        segments[c] = tuple(segs)
+            add_run(c, "d+" if t == e.u else "d-",
+                    old_class[minus(h)], old_class[plus(t)], m)
+            add_run(c, "d-" if t == e.u else "d+",
+                    old_class[plus(h)], old_class[minus(t)], m - 1)
 
     graph = ColoredGraph(vertices, edges)
-    x0 = bouquet([e.color for e in g.sorted_edges])
-    rho = GraphMap(
-        graph,
-        x0,
-        {v: "*" for v in graph.vertices},
-        {e.id: f"x0:{e.color}" for e in graph.edges},
-    )
     return CollapsedQuarter(
         graph=graph,
-        rho=rho,
         old_class=old_class,
-        segments=segments,
         admissible=verdict.admissible,
         witness=verdict.witness,
-        rho_immersion=is_immersion(rho),
+        rho_immersion=is_immersion(graph),
     )
 
 

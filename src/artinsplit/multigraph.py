@@ -72,9 +72,6 @@ class ColoredGraph:
         except KeyError:
             raise StructureError(f"no edge {edge_id!r}") from None
 
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._by_id
-
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         return self._out[v]
 
@@ -96,11 +93,6 @@ class ColoredGraph:
 
     def colors(self) -> tuple[str, ...]:
         return tuple(sorted({e.color for e in self.edges}))
-
-    def is_bouquet(self) -> bool:
-        return len(self.vertices) == 1 and all(
-            e.tail == e.head for e in self.edges
-        )
 
     def restricted(self, edge_ids: Iterable[str]) -> "ColoredGraph":
         """Subgraph spanned by the given edges (only their endpoints kept)."""
@@ -127,8 +119,8 @@ class ColoredGraph:
 
 
 def bouquet(colors: Iterable[str]) -> ColoredGraph:
-    """One-vertex graph "*" with a loop per color, the common target of all
-    maps."""
+    """One-vertex graph "*" with a loop per color: the level graph x0, onto
+    which an immersion (see `is_immersion`) maps each edge by its color."""
     return ColoredGraph(
         ["*"], [Edge(f"x0:{c}", "*", "*", c) for c in sorted(set(colors))]
     )
@@ -147,12 +139,6 @@ class GraphMap:
     target: ColoredGraph
     vertex_map: Mapping[str, str]
     edge_map: Mapping[str, str]
-
-    def vertex_image(self, v: str) -> str:
-        return self.vertex_map[v]
-
-    def edge_image(self, edge_id: str) -> Edge:
-        return self.target.edge(self.edge_map[edge_id])
 
     def __post_init__(self):
         tvs = set(self.target.vertices)
@@ -174,25 +160,15 @@ class GraphMap:
                 raise StructureError(f"edge {e.id!r}: color not preserved")
 
 
-def is_immersion(m: GraphMap) -> bool:
-    """True when m is locally injective on edge-ends, in both directions.
-
-    At every source vertex no two distinct tail-ends may share an image edge,
-    and likewise for head-ends.
+def is_immersion(g: ColoredGraph) -> bool:
+    """True when g immerses into the bouquet of its colors, each edge onto
+    its color's loop: no two edges leaving one vertex share a color, and
+    no two entering one do (Stallings, "Topology of finite graphs", 1983).
     """
-    for v in m.source.vertices:
-        seen_out = set()
-        for e in m.source.out_edges(v):
-            img = m.edge_map[e.id]
-            if img in seen_out:
+    for v in g.vertices:
+        for ends in (g.out_edges(v), g.in_edges(v)):
+            if len({e.color for e in ends}) != len(ends):
                 return False
-            seen_out.add(img)
-        seen_in = set()
-        for e in m.source.in_edges(v):
-            img = m.edge_map[e.id]
-            if img in seen_in:
-                return False
-            seen_in.add(img)
     return True
 
 
@@ -208,12 +184,14 @@ def is_degree_n_cover(m: GraphMap, n: int) -> bool:
         edge_fibers[m.edge_map[e.id]] += 1
     if any(count != n for count in edge_fibers.values()):
         return False
-    # local bijectivity on stars: injective plus equal star sizes
+    # local bijectivity on stars: injective on edge images, equal star sizes
     for v in m.source.vertices:
-        w = m.vertex_map[v]
-        if m.source.valence(v) != m.target.valence(w):
+        if m.source.valence(v) != m.target.valence(m.vertex_map[v]):
             return False
-    return is_immersion(m)
+        for ends in (m.source.out_edges(v), m.source.in_edges(v)):
+            if len({m.edge_map[e.id] for e in ends}) != len(ends):
+                return False
+    return True
 
 
 class UnionFind:

@@ -6,9 +6,7 @@ from artinsplit import (
     ColoredGraph,
     DefiningGraph,
     Edge,
-    GraphMap,
     SearchSpaceError,
-    bouquet,
     connected_components,
     find_admissible_orientation,
     is_admissible,
@@ -88,12 +86,12 @@ def random_bouquet_immersion(
     max_vertices: int = 6,
     colors: tuple[str, ...] = COLORS,
     keep: float = 0.6,
-) -> GraphMap:
+) -> ColoredGraph:
     """A connected graph immersing into the bouquet on `colors`.
 
     Per color the edges form a partial injection on the vertices, which is
     exactly the local injectivity an immersion needs.  The component of the
-    vertex y0 is returned with its map.
+    vertex y0 is returned.
     """
     n = rng.randint(1, max_vertices)
     vs = [f"y{i}" for i in range(n)]
@@ -105,15 +103,8 @@ def random_bouquet_immersion(
             if rng.random() < keep:
                 edges.append(Edge(f"e:{c}:{v}", v, w, c))
     whole = ColoredGraph(vs, edges)
-    comp = next(
+    return next(
         c for c in connected_components(whole) if "y0" in set(c.vertices)
-    )
-    x0 = bouquet(colors)
-    return GraphMap(
-        comp,
-        x0,
-        {v: "*" for v in comp.vertices},
-        {e.id: f"x0:{e.color}" for e in comp.edges},
     )
 
 

@@ -6,11 +6,18 @@ points at the library.
 """
 
 import itertools
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from artinsplit import (
     ColoredGraph,
     DefiningGraph,
+    DisconnectedError,
+    GraphMap,
+    HorizontalFamily,
+    StructureError,
     Walk,
+    connected_components,
     free_rank,
     is_admissible,
 )
@@ -100,6 +107,17 @@ def on_common_simple_cycle(g: ColoredGraph, eid1: str, eid2: str) -> bool:
     return False
 
 
+def run_lengths(xbar: ColoredGraph, color: str) -> tuple[int, ...]:
+    """Sorted lengths of the runs of one color in the collapsed graph, read
+    off the edge ids xb:<color>:<side>:e<i>, one run per side."""
+    runs: dict[str, int] = {}
+    for e in xbar.edges:
+        _, c, side, _ = e.id.split(":")
+        if c == color:
+            runs[side] = runs.get(side, 0) + 1
+    return tuple(sorted(runs.values()))
+
+
 def first_admissible_orientation(g: DefiningGraph):
     """Reference for find_admissible_orientation: the first admissible
     orientation in search order, or None.
@@ -115,3 +133,72 @@ def first_admissible_orientation(g: DefiningGraph):
         if is_admissible(g.with_orientation(iota)).admissible:
             return iota
     return None
+
+
+@dataclass(frozen=True)
+class TraceResult:
+    """Outcome of following a word letter by letter from a base vertex.
+
+    outcome is "closes" (full trace returning to the base), "exits" (full
+    trace ending elsewhere; `vertex` says where), or "no-edge" (the letter
+    at `failed_index` has no continuation at `vertex`).
+    """
+
+    outcome: str
+    vertex: str
+    failed_index: Optional[int] = None
+
+
+def traces_word(
+    Y: ColoredGraph, y0: str, word: Sequence[tuple[str, int]]
+) -> TraceResult:
+    """Follow a word of (color, direction) letters through Y from y0.
+
+    Y must immerse into the bouquet of its own colors, so each letter has
+    at most one continuation; a repeated choice raises StructureError.
+    """
+    if y0 not in set(Y.vertices):
+        raise StructureError(f"base vertex {y0!r} not in the graph")
+    at = y0
+    for i, (color, sign) in enumerate(word):
+        if sign == +1:
+            candidates = [e for e in Y.out_edges(at) if e.color == color]
+        else:
+            candidates = [e for e in Y.in_edges(at) if e.color == color]
+        if len(candidates) > 1:
+            raise StructureError(
+                f"two {color!r} edges leave {at!r}; the graph does not "
+                "immerse in its bouquet"
+            )
+        if not candidates:
+            return TraceResult(outcome="no-edge", vertex=at, failed_index=i)
+        e = candidates[0]
+        at = e.head if sign == +1 else e.tail
+    if at == y0:
+        return TraceResult(outcome="closes", vertex=at)
+    return TraceResult(outcome="exits", vertex=at)
+
+
+def _swap_sign(name: str) -> str:
+    return name[:-1] + ("-" if name.endswith("+") else "+")
+
+
+def deck_involution_on_quarter(family: HorizontalFamily) -> GraphMap:
+    """The sign swap of x_quarter (v+ with v-, and each lift id ending in
+    + with its partner ending in -) as a graph automorphism.
+
+    Only meaningful as the edge-group twist in the amalgam case, so a
+    disconnected x_quarter is refused.
+    """
+    if len(connected_components(family.x_quarter)) != 1:
+        raise DisconnectedError(
+            "x_quarter is disconnected; the splitting is an HNN extension "
+            "and has no single-component involution"
+        )
+    q = family.x_quarter
+    return GraphMap(
+        q,
+        q,
+        {v: _swap_sign(v) for v in q.vertices},
+        {e.id: _swap_sign(e.id) for e in q.edges},
+    )

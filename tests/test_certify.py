@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -145,10 +146,21 @@ class TestOrientationHandling:
 
 class TestConsistencyProbe:
     def test_probe_agrees_on_even_triangles(self):
-        probe = certify(tri(4, 4, 4)).evidence["consistency_probe"]
-        assert probe["evaluated"]
-        assert probe["all_monochrome"] is True
-        assert probe["agrees"] is True
+        # the paper's triangle statement: labels at least 4 give residual
+        # finiteness except (2m+1, 4, 4); the probe compares it with the
+        # monochrome verdict wherever the label rule decides
+        agreed = all_odd = 0
+        for labels in itertools.combinations_with_replacement(range(2, 14), 3):
+            probe = certify(tri(*labels)).evidence.get("consistency_probe", {})
+            if "label_rule_predicts_rf" in probe:
+                assert probe["agrees"] is True, labels
+                agreed += 1
+            if min(labels) >= 5 and all(l % 2 for l in labels):
+                # R4 rests on the cited label rule alone here
+                assert probe["evaluated"], labels
+                assert probe["all_monochrome"] is False, labels
+                all_odd += 1
+        assert (agreed, all_odd) == (180, 35)
 
     def test_probe_records_without_judging_all_odd(self):
         probe = certify(tri(5, 5, 5)).evidence["consistency_probe"]

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from artinsplit import DefiningGraph, SchemaError
+from artinsplit import DefiningGraph, SchemaError, defining_graph
 from artinsplit.cli import (
     defining_graph_dot,
     defining_graph_json_dict,
@@ -137,6 +137,15 @@ class TestExitCodes:
     def test_split_refuses_inadmissible(self, write):
         assert main(["split", "--input", write(CLASHING)]) == 1
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("argv", [["split"], ["fiber", "--oppressive"]])
+    def test_empty_graph_is_refused(self, write, capsys, argv, fmt):
+        path = write({"vertices": [], "edges": []})
+        assert main(argv + ["--input", path, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert "refused" in captured.out
+        assert "Traceback" not in captured.err
+
     def test_schema_error_is_exit_two(self, write, capsys):
         path = write({"vertices": [], "edges": [], "oops": 1})
         assert main(["check", "--input", path]) == 2
@@ -186,6 +195,15 @@ class TestExitCodes:
 
 
 class TestCheck:
+    def test_input_is_validated_once(self, write, monkeypatch, capsys):
+        calls = []
+        real = defining_graph.validate
+        monkeypatch.setattr(
+            defining_graph, "validate", lambda g: calls.append(g) or real(g)
+        )
+        assert main(["check", "--input", write(TRIANGLE)]) == 0
+        assert len(calls) == 1
+
     def test_json_payload(self, write, capsys):
         main(["check", "--input", write(TRIANGLE), "--format", "json"])
         data = json.loads(capsys.readouterr().out)

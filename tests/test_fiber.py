@@ -7,16 +7,14 @@ from artinsplit import (
     DefiningGraph,
     Edge,
     FiberInputError,
-    GraphMap,
     StructureError,
-    bouquet,
     build_collapsed,
+    fiber,
     fiber_product,
     fill_rank_check,
     free_rank,
     monochrome_check,
     oppressive_set,
-    traces_word,
 )
 from artinsplit.fiber import _simple_paths_from
 from generators import (
@@ -24,7 +22,12 @@ from generators import (
     random_bouquet_immersion,
     random_colored_graph,
 )
-from oracles import has_mixed_simple_cycle, is_simple_path, monochrome_cycles_fill
+from oracles import (
+    has_mixed_simple_cycle,
+    is_simple_path,
+    monochrome_cycles_fill,
+    traces_word,
+)
 
 
 def triangle(labels, tails=("a", "b", "c")):
@@ -41,17 +44,7 @@ def triangle(labels, tails=("a", "b", "c")):
 def self_fiber(g):
     col = build_collapsed(g)
     assert col.admissible
-    return col, fiber_product(col.rho, col.rho)
-
-
-def immersion_on(graph, colors):
-    x0 = bouquet(colors)
-    return GraphMap(
-        graph,
-        x0,
-        {v: "*" for v in graph.vertices},
-        {e.id: f"x0:{e.color}" for e in graph.edges},
-    )
+    return col, fiber_product(col.graph)
 
 
 class TestFiberProduct:
@@ -60,16 +53,8 @@ class TestFiberProduct:
             ["u", "v", "w"],
             [Edge("1", "u", "v", "a"), Edge("2", "u", "w", "a")],
         )
-        rho = immersion_on(g, ["a"])
         with pytest.raises(FiberInputError, match="immersion"):
-            fiber_product(rho, rho)
-
-    def test_rejects_mismatched_targets(self):
-        g = ColoredGraph(["u"], [Edge("1", "u", "u", "a")])
-        rho1 = immersion_on(g, ["a"])
-        rho2 = immersion_on(g, ["a", "b"])
-        with pytest.raises(FiberInputError):
-            fiber_product(rho1, rho2)
+            fiber_product(g)
 
     def test_art333_self_fiber(self):
         col, fp = self_fiber(triangle((3, 3, 3)))
@@ -83,9 +68,9 @@ class TestFiberProduct:
     def test_diagonal_is_a_union_of_components(self):
         rng = random.Random(41)
         for _ in range(25):
-            rho = random_bouquet_immersion(rng)
-            fp = fiber_product(rho, rho)
-            diag = {f"{v}|{v}" for v in rho.source.vertices}
+            Y = random_bouquet_immersion(rng)
+            fp = fiber_product(Y)
+            diag = {f"{v}|{v}" for v in Y.vertices}
             for i, comp in enumerate(fp.components):
                 hit = diag & set(comp.vertices)
                 if hit:
@@ -134,22 +119,37 @@ class TestMonochrome:
             )
             assert verdict.all_monochrome == (not mixed)
 
-    def test_matches_exhaustive_search_on_random_graphs(self):
+    def test_matches_exhaustive_search_on_random_graphs(self, monkeypatch):
+        # blocks runs only on the one component that fails the rank count
+        block_calls = []
+        real_blocks = fiber.blocks
+        monkeypatch.setattr(
+            fiber, "blocks", lambda g: block_calls.append(g) or real_blocks(g)
+        )
+
+        def check(fp):
+            del block_calls[:]
+            verdict = monochrome_check(fp)
+            assert len(block_calls) <= 1
+            mixed = []
+            for i in fp.nontrivial_components():
+                comp = fp.components[i]
+                mixed.append(has_mixed_simple_cycle(comp))
+                assert fill_rank_check(comp) == (not mixed[-1])
+            assert verdict.all_monochrome == (not any(mixed))
+
         rng = random.Random(43)
         done = 0
         while done < 12:
             g = random_admissible_graph(rng, max_vertices=4, max_extra_edges=2)
             if sum(e.label for e in g.edges) > 14:
                 continue  # keep the brute-force search tractable
-            col = build_collapsed(g)
-            fp = fiber_product(col.rho, col.rho)
-            verdict = monochrome_check(fp)
-            mixed = any(
-                has_mixed_simple_cycle(fp.components[i])
-                for i in fp.nontrivial_components()
-            )
-            assert verdict.all_monochrome == (not mixed)
+            check(fiber_product(build_collapsed(g).graph))
             done += 1
+        # bouquet immersions also have tree components and color classes
+        # that are paths, which products of collapsed graphs do not
+        for _ in range(200):
+            check(fiber_product(random_bouquet_immersion(rng, max_vertices=4)))
 
 
 class TestFillRank:
@@ -187,25 +187,23 @@ class TestOppressive:
             [Edge("1", "u", "v", "a"), Edge("2", "u", "w", "a")],
         )
         with pytest.raises(FiberInputError):
-            oppressive_set(immersion_on(g, ["a"]), "u")
+            oppressive_set(g, "u")
 
     def test_single_edge_graph(self):
         g = ColoredGraph(["u", "v"], [Edge("1", "u", "v", "a")])
-        rho = immersion_on(g, ["a"])
-        assert oppressive_set(rho, "u").words() == ((("a", 1),),)
-        assert oppressive_set(rho, "v").words() == ((("a", -1),),)
+        assert oppressive_set(g, "u").words() == ((("a", 1),),)
+        assert oppressive_set(g, "v").words() == ((("a", -1),),)
 
     def test_embedded_vertex_with_loops_is_empty(self):
         g = ColoredGraph(["u"], [Edge("1", "u", "u", "a")])
-        ops = oppressive_set(immersion_on(g, ["a"]), "u")
-        assert ops.is_empty()
+        assert oppressive_set(g, "u").elements == ()
 
     def test_two_edge_path_enumeration(self):
         g = ColoredGraph(
             ["u", "v", "w"],
             [Edge("1", "u", "v", "a"), Edge("2", "v", "w", "b")],
         )
-        ops = oppressive_set(immersion_on(g, ["a", "b"]), "u")
+        ops = oppressive_set(g, "u")
         assert set(ops.words()) == {
             (("a", 1),),
             (("a", 1), ("b", 1)),
@@ -218,7 +216,7 @@ class TestOppressive:
             ["u", "v", "w"],
             [Edge("1", "u", "v", "a"), Edge("2", "v", "w", "b")],
         )
-        ops = oppressive_set(immersion_on(g, ["a", "b"]), "u")
+        ops = oppressive_set(g, "u")
         for el in ops.elements:
             assert el.mu1.start == "u"
             assert el.mu1.end != "u"
@@ -230,12 +228,12 @@ class TestOppressive:
     def test_no_word_closes(self):
         rng = random.Random(53)
         for _ in range(30):
-            rho = random_bouquet_immersion(rng, max_vertices=5)
-            y0 = min(rho.source.vertices)
-            ops = oppressive_set(rho, y0)
-            assert ops.is_empty() == (len(rho.source.vertices) == 1)
+            Y = random_bouquet_immersion(rng, max_vertices=5)
+            y0 = min(Y.vertices)
+            ops = oppressive_set(Y, y0)
+            assert (not ops.elements) == (len(Y.vertices) == 1)
             for word in ops.words():
-                assert traces_word(rho.source, y0, word).outcome != "closes"
+                assert traces_word(Y, y0, word).outcome != "closes"
 
     def test_simple_paths_deeper_than_the_recursion_limit(self):
         n = 1500

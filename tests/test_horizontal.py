@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from artinsplit import (
@@ -10,12 +11,12 @@ from artinsplit import (
     build_family,
     compute_splitting,
     connected_components,
-    deck_involution_on_quarter,
     free_rank,
     is_degree_n_cover,
     is_immersion,
 )
 from generators import random_admissible_graph
+from oracles import deck_involution_on_quarter, run_lengths
 
 
 def single_edge(label, iota="a"):
@@ -50,7 +51,8 @@ class TestFamily:
     def test_level_graph_sizes(self):
         g = triangle()
         fam = build_family(g)
-        assert len(fam.x0.edges) == 3 and fam.x0.is_bouquet()
+        assert fam.x0.vertices == ("*",) and len(fam.x0.edges) == 3
+        assert all(e.tail == e.head for e in fam.x0.edges)
         assert len(fam.x_half.vertices) == 3
         assert len(fam.x_half.edges) == 6
         assert len(fam.x_quarter.vertices) == 6
@@ -98,7 +100,7 @@ class TestCollapsed:
         for label in (3, 5, 7):
             col = build_collapsed(single_edge(label))
             m = (label - 1) // 2
-            assert col.segment_lengths("a-b") == (1, m, m)
+            assert run_lengths(col.graph, "a-b") == (1, m, m)
             comps = connected_components(col.graph)
             assert len(comps) == 1
             assert len(col.graph.edges) == label
@@ -108,7 +110,7 @@ class TestCollapsed:
         for label in (4, 6, 8):
             col = build_collapsed(single_edge(label))
             m = label // 2
-            assert col.segment_lengths("a-b") == (1, m - 1, m)
+            assert run_lengths(col.graph, "a-b") == (1, m - 1, m)
             comps = connected_components(col.graph)
             assert len(comps) == 2
             assert sorted(len(c.edges) for c in comps) == [m, m]
@@ -129,9 +131,7 @@ class TestCollapsed:
     def test_rho_immerses_when_admissible(self):
         col = build_collapsed(triangle((5, 4, 4)))
         assert col.admissible and col.rho_immersion
-        assert is_immersion(col.rho)
-        for e in col.graph.edges:
-            assert col.rho.edge_image(e.id).color == e.color
+        assert is_immersion(col.graph)
 
     def test_rho_fails_to_immerse_when_inadmissible(self):
         bad = DefiningGraph.build(
@@ -148,12 +148,20 @@ class TestCollapsed:
         for _ in range(15):
             g = random_admissible_graph(rng, max_vertices=5, max_extra_edges=2)
             col = build_collapsed(g)
-            seen = []
-            for segs in col.segments.values():
-                for s in segs:
-                    seen.extend(s.edge_ids)
-            assert sorted(seen) == sorted(e.id for e in col.graph.edges)
-            assert len(seen) == len(set(seen))
+            runs = {}
+            for e in col.graph.edges:
+                _, color, side, index = e.id.split(":")
+                assert e.color == color
+                runs.setdefault((color, side), {})[int(index[1:])] = e
+            # each source edge of a color is subdivided into one directed
+            # path, numbered e1, e2, ... along the flow
+            for run in runs.values():
+                assert sorted(run) == list(range(1, len(run) + 1))
+                for i in range(1, len(run)):
+                    assert run[i].head == run[i + 1].tail
+            sides = Counter(color for color, _ in runs)
+            for e in g.edges:
+                assert sides[e.color] == (2 if e.label == 2 else 3)
 
 
 class TestSplitting:
