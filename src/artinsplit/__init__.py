@@ -55,7 +55,6 @@ from .fiber import (
     OppressiveSet,
     OppressiveWord,
     fiber_product,
-    fill_rank_check,
     monochrome_check,
     oppressive_set,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "connected_components",
     "enumerate_cycles",
     "fiber_product",
-    "fill_rank_check",
     "find_admissible_orientation",
     "free_rank",
     "is_admissible",

@@ -26,7 +26,6 @@ from .defining_graph import (
 )
 from .fiber import (
     fiber_product,
-    fill_rank_check,
     monochrome_check,
     oppressive_set,
 )
@@ -37,7 +36,7 @@ from .horizontal import (
     build_family,
     compute_splitting,
 )
-from .multigraph import ColoredGraph, DisconnectedError, free_rank
+from .multigraph import ColoredGraph, DisconnectedError
 from .orientation import (
     SearchSpaceError,
     WitnessCycle,
@@ -353,17 +352,17 @@ def cmd_fiber(args) -> int:
     fp = fiber_product(collapsed.graph)
     mono = monochrome_check(fp)
     inventory = []
-    for i, comp in enumerate(fp.components):
+    for i, kind in enumerate(fp.classification):
         entry = {
             "index": i,
-            "classification": fp.classification[i],
-            "vertices": len(comp.vertices),
-            "edges": len(comp.edges),
-            "rank": free_rank(comp),
+            "classification": kind,
+            "vertices": fp.vertex_counts[i],
+            "edges": fp.edge_counts[i],
+            "rank": fp.rank(i),
             "branching_vertices": list(fp.branching_vertices(i)),
         }
-        if fp.classification[i] == "cycle-bearing":
-            entry["fill_rank_ok"] = fill_rank_check(comp)
+        if kind == "cycle-bearing":
+            entry["fill_rank_ok"] = fp.fill_rank_ok[i]
         inventory.append(entry)
     payload: dict = {
         "components": inventory,
@@ -387,7 +386,7 @@ def cmd_fiber(args) -> int:
     if args.format == "json":
         _emit_json(args, payload)
     else:
-        lines = [f"components: {len(fp.components)}"]
+        lines = [f"components: {len(fp.classification)}"]
         for entry in inventory:
             line = (
                 f"  [{entry['index']}] {entry['classification']}: "

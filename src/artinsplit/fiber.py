@@ -13,17 +13,17 @@ cycle in those components is monochrome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from itertools import chain
+from math import gcd
+from typing import Callable, Optional, Sequence
 
 from .multigraph import (
     ColoredGraph,
     Edge,
     StructureError,
-    UnionFind,
     Walk,
     blocks,
-    connected_components,
-    free_rank,
     is_immersion,
     shortest_path,
 )
@@ -38,24 +38,71 @@ def _pair(u: str, v: str) -> str:
     return f"{u}|{v}"
 
 
+def _pair_axes(Y: ColoredGraph) -> tuple[dict, dict, Callable[[int], str]]:
+    """The integer pair index: (row, col, name).
+
+    The pair (u, v) has index row[u] + col[v], and name(index) is its id
+    "u|v".  col[v] is the place of v among the vertices, and row[u] is n
+    times the place of u + "|" among the strings w + "|".  No vertex id
+    contains "|", so u1 + "|" and u2 + "|" first differ at a place inside
+    both, where the ids "u1|v1" and "u2|v2" first differ too.  Pair indices
+    therefore run in the order of the pair ids.  Ordering by the names u
+    alone would not: "a1|b" sorts before "a|b".
+    """
+    cols = Y.vertices
+    n = len(cols)
+    rows = sorted(cols, key=lambda v: v + "|")
+    row = {v: i * n for i, v in enumerate(rows)}
+    col = {v: i for i, v in enumerate(cols)}
+
+    def name(index: int) -> str:
+        i, j = divmod(index, n)
+        return _pair(rows[i], cols[j])
+
+    return row, col, name
+
+
+def _edge_pairs(Y: ColoredGraph, row: dict, col: dict):
+    """Every product edge as (e1, e2, tail index, head index): each pair of
+    equally-colored edges of Y, matched positively since the immersion
+    preserves direction."""
+    by_color: dict[str, list[tuple[Edge, int, int]]] = {}
+    for e in Y.edges:
+        by_color.setdefault(e.color, []).append((e, col[e.tail], col[e.head]))
+    for e1 in Y.edges:
+        tail, head = row[e1.tail], row[e1.head]
+        for e2, t2, h2 in by_color[e1.color]:
+            yield e1, e2, tail + t2, head + h2
+
+
 @dataclass(frozen=True)
 class FiberProduct:
-    """The fiber product graph together with its component inventory.
+    """The self fiber product of an immersion Y, counted per component.
 
-    A vertex id "u|v" and an edge id "e1|e2" name the pair of factor
-    vertices or edges, so the two projections are read off the ids and not
-    stored.  `components` is ordered by smallest vertex id.
-    `classification` runs in parallel with it; each entry is one of
+    A vertex id "u|v" and an edge id "e1|e2" name the pair of vertices or
+    edges of the factor Y, so the two projections are read off the ids.
+    The product is computed on integer pair indices, which run in the order
+    of the ids "u|v" (see `_pair_axes`); `component_of` maps each index to
+    its component.  Components are ordered by smallest vertex id, and
+    `classification`, `vertex_counts`, `edge_counts` and `fill_rank_ok` run
+    in parallel with them.  Each classification entry is one of
     "diagonal", "tree", or "cycle-bearing".  The diagonal pairs (v, v) form
-    full components isomorphic to the factor, since an edge leaving (v, v)
-    pairs two edges of one color leaving v, which the immersion makes
-    equal; `diagonal_components` lists them.
+    full components isomorphic to Y, since an edge leaving (v, v) pairs two
+    edges of one color leaving v, which the immersion makes equal;
+    `diagonal_components` lists them.  `fill_rank_ok` holds the verdicts
+    of `fill_rank_check`.
+
+    The string-keyed graphs `graph`, `components` and `component(i)` are
+    built from the component classes when first read.
     """
 
-    graph: ColoredGraph
-    components: tuple[ColoredGraph, ...]
+    factor: ColoredGraph
+    component_of: tuple[int, ...]
     classification: tuple[str, ...]
     diagonal_components: tuple[int, ...]
+    vertex_counts: tuple[int, ...]
+    edge_counts: tuple[int, ...]
+    fill_rank_ok: tuple[bool, ...]
 
     def nontrivial_components(self) -> tuple[int, ...]:
         """Indices of off-diagonal components containing at least one cycle."""
@@ -65,59 +112,128 @@ class FiberProduct:
             if kind == "cycle-bearing"
         )
 
+    def rank(self, index: int) -> int:
+        """The free rank |E| - |V| + 1 of the given component."""
+        return self.edge_counts[index] - self.vertex_counts[index] + 1
+
     def branching_vertices(self, index: int) -> tuple[str, ...]:
         """Vertices of valence at least 3 in the given component."""
-        comp = self.components[index]
-        return tuple(v for v in comp.vertices if comp.valence(v) >= 3)
+        return self._branching[index]
+
+    @cached_property
+    def _branching(self) -> tuple[tuple[str, ...], ...]:
+        row, col, name = _pair_axes(self.factor)
+        valence = [0] * len(self.component_of)
+        for _, _, tail, head in _edge_pairs(self.factor, row, col):
+            valence[tail] += 1
+            valence[head] += 1
+        out: list[list[str]] = [[] for _ in self.classification]
+        for p, degree in enumerate(valence):
+            if degree >= 3:
+                out[self.component_of[p]].append(name(p))
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def graph(self) -> ColoredGraph:
+        """The whole product as one graph."""
+        return self._graphs([0] * len(self.classification), 1)[0]
+
+    @cached_property
+    def components(self) -> tuple[ColoredGraph, ...]:
+        """Every component as a graph."""
+        count = len(self.classification)
+        return tuple(self._graphs(range(count), count))
+
+    def component(self, index: int) -> ColoredGraph:
+        """The given component as a graph, built alone."""
+        slot: list[Optional[int]] = [None] * len(self.classification)
+        slot[index] = 0
+        return self._graphs(slot, 1)[0]
+
+    def _graphs(
+        self, slot: Sequence[Optional[int]], count: int
+    ) -> list[ColoredGraph]:
+        """`count` graphs; graph k holds each component i with slot[i] == k."""
+        row, col, name = _pair_axes(self.factor)
+        vertices: list[list[str]] = [[] for _ in range(count)]
+        for p, i in enumerate(self.component_of):
+            k = slot[i]
+            if k is not None:
+                vertices[k].append(name(p))
+        edges: list[list[Edge]] = [[] for _ in range(count)]
+        for e1, e2, tail, head in _edge_pairs(self.factor, row, col):
+            k = slot[self.component_of[tail]]
+            if k is not None:
+                edges[k].append(
+                    Edge(_pair(e1.id, e2.id), name(tail), name(head), e1.color)
+                )
+        return [ColoredGraph(vs, es) for vs, es in zip(vertices, edges)]
 
 
 def fiber_product(Y: ColoredGraph) -> FiberProduct:
     """Pull the bouquet immersion Y back along itself.
 
     Vertices are all pairs (every vertex maps to the single bouquet
-    vertex); edges are pairs of edges of one color, matched positively
-    since the immersion preserves direction.
+    vertex); edges are pairs of edges of one color.  One union-find pass
+    over the integer pair indices finds the components and counts their
+    vertices and edges; no string is built.
     """
     if not is_immersion(Y):
         raise FiberInputError("fiber products require immersions")
+    if any("|" in x for x in chain(Y.vertices, (e.id for e in Y.edges))):
+        raise FiberInputError('pair ids join factor ids with "|", so no '
+                              'vertex or edge id may contain it')
 
-    vertices = [_pair(u, v) for u in Y.vertices for v in Y.vertices]
+    row, col, _ = _pair_axes(Y)
+    count = len(Y.vertices) ** 2
+    parent = list(range(count))
+    size = [1] * count
+    edges = [0] * count
 
-    by_color: dict[str, list[Edge]] = {}
-    for e in Y.edges:
-        by_color.setdefault(e.color, []).append(e)
-    edges = []
-    for e1 in Y.edges:
-        for e2 in by_color[e1.color]:
-            edges.append(
-                Edge(
-                    _pair(e1.id, e2.id),
-                    _pair(e1.tail, e2.tail),
-                    _pair(e1.head, e2.head),
-                    e1.color,
-                )
-            )
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    graph = ColoredGraph(vertices, edges)
-    comps = tuple(connected_components(graph))
+    for _, _, tail, head in _edge_pairs(Y, row, col):
+        a, b = find(tail), find(head)
+        if a == b:
+            edges[a] += 1
+            continue
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        edges[a] += edges[b] + 1
 
-    diag_vertices = {_pair(v, v) for v in Y.vertices}
-    diagonal = []
-    classification = []
-    for i, comp in enumerate(comps):
-        if diag_vertices & set(comp.vertices):
-            diagonal.append(i)
-            classification.append("diagonal")
-        elif len(comp.edges) >= len(comp.vertices):
-            classification.append("cycle-bearing")
-        else:
-            classification.append("tree")
-
+    # the pairs in index order meet the components in order of their
+    # smallest vertex id
+    position: dict[int, int] = {}
+    component_of = [position.setdefault(find(p), len(position))
+                    for p in range(count)]
+    roots = list(position)
+    vertex_counts = tuple(size[r] for r in roots)
+    edge_counts = tuple(edges[r] for r in roots)
+    diagonal = {component_of[row[v] + col[v]] for v in Y.vertices}
+    classification = tuple(
+        "diagonal" if i in diagonal
+        else "cycle-bearing" if e >= v
+        else "tree"
+        for i, (v, e) in enumerate(zip(vertex_counts, edge_counts))
+    )
+    fill = fill_rank_check(
+        Y,
+        lambda u, v: component_of[row[u] + col[v]],
+        [e - v + 1 for v, e in zip(vertex_counts, edge_counts)],
+    )
     return FiberProduct(
-        graph=graph,
-        components=comps,
-        classification=tuple(classification),
-        diagonal_components=tuple(diagonal),
+        factor=Y,
+        component_of=tuple(component_of),
+        classification=classification,
+        diagonal_components=tuple(sorted(diagonal)),
+        vertex_counts=vertex_counts,
+        edge_counts=edge_counts,
+        fill_rank_ok=fill,
     )
 
 
@@ -125,8 +241,8 @@ def fiber_product(Y: ColoredGraph) -> FiberProduct:
 class MonochromeVerdict:
     """Whether every simple cycle off the diagonal uses a single color.
 
-    When not, `witness` is a simple cycle of the fiber graph using at least
-    two colors and `witness_component` locates it.
+    When not, `witness` is a simple cycle using at least two colors, a walk
+    on the graph of the fiber product's component `witness_component`.
     """
 
     all_monochrome: bool
@@ -143,16 +259,16 @@ def monochrome_check(fp: FiberProduct) -> MonochromeVerdict:
     """Decide monochromality by the rank count of `fill_rank_check`.
 
     A component holds a mixed simple cycle exactly when it fails that
-    count (see there), so every component that passes is skipped.  In the
-    first one that fails, two distinct edges lie on a common simple cycle
-    exactly when they share a biconnected block, so some block carries
-    two colors; it yields an explicit witness cycle through two
-    differently colored edges.
+    count (see there), so every component that passes is skipped, and
+    only the first one that fails is built as a graph.  In it, two
+    distinct edges lie on a common simple cycle exactly when they share a
+    biconnected block, so some block carries two colors; it yields an
+    explicit witness cycle through two differently colored edges.
     """
     for idx in fp.nontrivial_components():
-        comp = fp.components[idx]
-        if fill_rank_check(comp):
+        if fp.fill_rank_ok[idx]:
             continue
+        comp = fp.component(idx)
         for block in blocks(comp):
             cols = {comp.edge(eid).color for eid in block}
             if len(cols) < 2:
@@ -162,7 +278,6 @@ def monochrome_check(fp: FiberProduct) -> MonochromeVerdict:
                 min(eid for eid in block if comp.edge(eid).color != e1.color)
             )
             witness = _cycle_through(comp, block, e1, e2)
-            witness = Walk(fp.graph, witness.start, witness.steps)
             if not witness.is_simple_cycle():
                 raise AssertionError("monochrome witness is not a simple cycle")
             return MonochromeVerdict(
@@ -330,19 +445,23 @@ def _two_disjoint_paths(
     return out
 
 
-def fill_rank_check(component: ColoredGraph) -> bool:
-    """Whether the simple monochrome cycles span the whole cycle space;
-    for a connected component, exactly when every simple cycle is
-    monochrome.
+def fill_rank_check(
+    Y: ColoredGraph,
+    component: Callable[[str, str], int],
+    ranks: Sequence[int],
+) -> tuple[bool, ...]:
+    """Per component of the self fiber product of the immersion Y, whether
+    its simple monochrome cycles span its whole cycle space; for a
+    connected graph, exactly when every simple cycle is monochrome.
+    `component` maps a pair of vertices of Y to its component, and `ranks`
+    holds the components' free ranks.
 
     The monochrome simple cycles are the simple cycles of the single-color
     subgraphs, which span those subgraphs' cycle spaces, so the span in
     question is the sum of the per-color cycle spaces.  Every edge has one
     color, so those spaces have disjoint supports and the sum is direct;
     its dimension is the sum of the per-color cycle ranks, and it is the
-    whole cycle space exactly when that equals the free rank.  Each rank
-    is counted as in `free_rank`, on one union-find of (color, vertex)
-    pairs.
+    whole cycle space exactly when that equals the free rank.
 
     If every simple cycle is monochrome the count holds, since simple
     cycles span the cycle space.  Conversely, if it holds, a simple cycle
@@ -350,15 +469,44 @@ def fill_rank_check(component: ColoredGraph) -> bool:
     C of one color form an even subgraph of C.  A proper nonempty edge set
     of a simple cycle has vertices of degree one, so each color takes all
     of C or none of it: C is monochrome.
+
+    The per-color ranks are read off Y.  Since Y immerses, its edges of
+    one color c form a partial injection s of its vertices, tail to head,
+    and the product's edges of color c form s x s.  The components of a
+    partial injection are paths and cycles, so its cycle rank is its
+    number of cycles.  Cycles of s of lengths a and b, through u0 and
+    through consecutive v0, v1, ..., give gcd(a, b) cycles of s x s, one
+    through each (u0, vk) with k < gcd(a, b); every other pair lies on a
+    path.
     """
-    uf = UnionFind(
-        (e.color, v) for e in component.edges for v in (e.tail, e.head)
-    )
-    per_color = sum(
-        not uf.union((e.color, e.tail), (e.color, e.head))
-        for e in component.edges
-    )
-    return per_color == free_rank(component)
+    monochrome = [0] * len(ranks)
+    steps: dict[str, dict[str, str]] = {}
+    for e in Y.edges:
+        steps.setdefault(e.color, {})[e.tail] = e.head
+    for step in steps.values():
+        cycles = _cycles(step)
+        for a in cycles:
+            for b in cycles:
+                for v in b[: gcd(len(a), len(b))]:
+                    monochrome[component(a[0], v)] += 1
+    return tuple(m == r for m, r in zip(monochrome, ranks))
+
+
+def _cycles(step: dict[str, str]) -> list[list[str]]:
+    """The cycles of a partial injection, each as its vertices in order."""
+    out = []
+    seen: set[str] = set()
+    for start in step:
+        path = []
+        v = start
+        while v in step and v not in seen:
+            seen.add(v)
+            path.append(v)
+            v = step[v]
+        # no vertex has two preimages, so a walk can only close at its start
+        if path and v == start:
+            out.append(path)
+    return out
 
 
 @dataclass(frozen=True)

@@ -130,9 +130,8 @@ def bouquet(colors: Iterable[str]) -> ColoredGraph:
 class GraphMap:
     """A combinatorial map: vertices to vertices, edges to edges.
 
-    Edge images preserve the stored direction (tail goes to tail).  Colors
-    must be preserved whenever the source palette is part of the target's.
-    Construction raises StructureError unless the map is well formed.
+    Edge images preserve the stored direction (tail goes to tail) and the
+    color.  Construction raises StructureError unless the map is well formed.
     """
 
     source: ColoredGraph
@@ -147,7 +146,6 @@ class GraphMap:
                 raise StructureError(f"vertex {v!r} has no image")
             if self.vertex_map[v] not in tvs:
                 raise StructureError(f"image of vertex {v!r} is dangling")
-        check_colors = set(self.source.colors()) <= set(self.target.colors())
         for e in self.source.edges:
             if e.id not in self.edge_map:
                 raise StructureError(f"edge {e.id!r} has no image")
@@ -156,7 +154,7 @@ class GraphMap:
                 raise StructureError(f"edge {e.id!r}: tail not preserved")
             if self.vertex_map[e.head] != img.head:
                 raise StructureError(f"edge {e.id!r}: head not preserved")
-            if check_colors and e.color != img.color:
+            if e.color != img.color:
                 raise StructureError(f"edge {e.id!r}: color not preserved")
 
 

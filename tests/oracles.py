@@ -13,14 +13,18 @@ from artinsplit import (
     ColoredGraph,
     DefiningGraph,
     DisconnectedError,
+    Edge,
     GraphMap,
     HorizontalFamily,
     StructureError,
     Walk,
+    blocks,
     connected_components,
     free_rank,
     is_admissible,
 )
+from artinsplit.fiber import _cycle_through
+from artinsplit.multigraph import UnionFind
 
 
 def is_simple_path(w: Walk) -> bool:
@@ -96,6 +100,76 @@ def monochrome_cycles_fill(g: ColoredGraph) -> bool:
         if is_monochrome_walk(w)
     ]
     return gf2_span_rank(masks) == free_rank(g)
+
+
+def rank_count_fills(g: ColoredGraph) -> bool:
+    """Polynomial stand-in for `monochrome_cycles_fill` on graphs too large
+    to enumerate: the per-color cycle ranks, each counted as in `free_rank`
+    on one union-find of (color, vertex) pairs, add up to the free rank."""
+    uf = UnionFind((e.color, v) for e in g.edges for v in (e.tail, e.head))
+    per_color = sum(
+        not uf.union((e.color, e.tail), (e.color, e.head)) for e in g.edges
+    )
+    return per_color == free_rank(g)
+
+
+@dataclass(frozen=True)
+class ExplicitProduct:
+    """The self fiber product built with string ids throughout."""
+
+    graph: ColoredGraph
+    components: tuple[ColoredGraph, ...]
+    classification: tuple[str, ...]
+    diagonal_components: tuple[int, ...]
+
+
+def explicit_fiber_product(Y: ColoredGraph) -> ExplicitProduct:
+    """Reference for fiber_product: every pair "u|v" and every pair "e1|e2"
+    of equally-colored edges as a string-keyed graph, split into its
+    components by `connected_components`."""
+    vertices = [f"{u}|{v}" for u in Y.vertices for v in Y.vertices]
+    edges = [
+        Edge(f"{e1.id}|{e2.id}", f"{e1.tail}|{e2.tail}",
+             f"{e1.head}|{e2.head}", e1.color)
+        for e1 in Y.edges
+        for e2 in Y.edges
+        if e1.color == e2.color
+    ]
+    graph = ColoredGraph(vertices, edges)
+    comps = tuple(connected_components(graph))
+    diagonal = {f"{v}|{v}" for v in Y.vertices}
+    classification = tuple(
+        "diagonal" if diagonal & set(comp.vertices)
+        else "cycle-bearing" if len(comp.edges) >= len(comp.vertices)
+        else "tree"
+        for comp in comps
+    )
+    return ExplicitProduct(
+        graph=graph,
+        components=comps,
+        classification=classification,
+        diagonal_components=tuple(
+            i for i, kind in enumerate(classification) if kind == "diagonal"
+        ),
+    )
+
+
+def explicit_monochrome_witness(fp: ExplicitProduct) -> Optional[tuple]:
+    """Reference for monochrome_check's witness as (component, start,
+    steps), or None when every simple cycle is monochrome: the first
+    cycle-bearing component that fails `rank_count_fills`, its first block
+    of two colors, and the cycle through that block's least edge and its
+    least edge of another color."""
+    for idx, comp in enumerate(fp.components):
+        if fp.classification[idx] != "cycle-bearing" or rank_count_fills(comp):
+            continue
+        for block in blocks(comp):
+            e1 = comp.edge(min(block))
+            others = [eid for eid in block if comp.edge(eid).color != e1.color]
+            if others:
+                w = _cycle_through(comp, block, e1, comp.edge(min(others)))
+                return idx, w.start, w.steps
+    return None
 
 
 def on_common_simple_cycle(g: ColoredGraph, eid1: str, eid2: str) -> bool:

@@ -279,3 +279,36 @@ def test_every_private_helper_is_used():
             if all(id(n) in inside for n in uses.get(node.name, [])):
                 unused.append(f"{module}:{node.name}")
     assert unused == []
+
+
+def test_certify_builds_only_the_witness_component_as_a_graph(monkeypatch):
+    # the self fiber product of Xbar has |Xbar|^2 vertices; certify counts
+    # its components on pair indices and builds only the witness's one as
+    # a graph
+    from artinsplit import ColoredGraph, build_collapsed
+    from oracles import explicit_fiber_product
+
+    g = graph(
+        ["a", "b", "c"],
+        [("a", "b", 41, "a"), ("b", "c", 4, "b"), ("a", "c", 4, "c")],
+    )
+    built = []
+    real = ColoredGraph.__init__
+
+    def counting(self, vertices, edges):
+        real(self, vertices, edges)
+        built.append(self.vertices)
+
+    monkeypatch.setattr(ColoredGraph, "__init__", counting)
+    cert = certify(g)
+    monkeypatch.undo()
+    assert cert.evidence["orientation"]["used"] == "provided"
+    idx = cert.monochrome.witness_component
+    product = explicit_fiber_product(build_collapsed(g).graph)
+    witness = product.components[idx].vertices
+    assert len(witness) < len(product.graph.vertices) // 10
+    assert max(map(len, built)) == len(witness)
+    products = [vs for vs in built if any("|" in v for v in vs)]
+    assert witness in products
+    # the rest are the witness block and other subgraphs of its component
+    assert all(set(vs) <= set(witness) for vs in products)

@@ -11,7 +11,6 @@ from artinsplit import (
     build_collapsed,
     fiber,
     fiber_product,
-    fill_rank_check,
     free_rank,
     monochrome_check,
     oppressive_set,
@@ -23,9 +22,12 @@ from generators import (
     random_colored_graph,
 )
 from oracles import (
+    explicit_fiber_product,
+    explicit_monochrome_witness,
     has_mixed_simple_cycle,
     is_simple_path,
     monochrome_cycles_fill,
+    rank_count_fills,
     traces_word,
 )
 
@@ -135,7 +137,7 @@ class TestMonochrome:
             for i in fp.nontrivial_components():
                 comp = fp.components[i]
                 mixed.append(has_mixed_simple_cycle(comp))
-                assert fill_rank_check(comp) == (not mixed[-1])
+                assert fp.fill_rank_ok[i] == (not mixed[-1])
             assert verdict.all_monochrome == (not any(mixed))
 
         rng = random.Random(43)
@@ -158,26 +160,121 @@ class TestFillRank:
             ["0", "1"],
             [Edge("1", "0", "1", "a"), Edge("2", "1", "0", "a")],
         )
-        assert fill_rank_check(g)
+        fp = fiber_product(g)
+        # the diagonal copy of g, and the 2-cycle 0|1 -> 1|0 -> 0|1
+        assert fp.classification == ("diagonal", "cycle-bearing")
+        assert fp.fill_rank_ok == (True, True)
 
     def test_mixed_cycle_does_not_fill(self):
         g = ColoredGraph(
             ["0", "1"],
             [Edge("1", "0", "1", "a"), Edge("2", "1", "0", "b")],
         )
-        assert not fill_rank_check(g)
+        fp = fiber_product(g)
+        # the diagonal copy of g, and the isolated pairs 0|1 and 1|0
+        assert fp.classification == ("diagonal", "tree", "tree")
+        assert fp.fill_rank_ok == (False, True, True)
 
     def test_matches_exhaustive_span(self):
         rng = random.Random(47)
         for _ in range(40):
+            fp = fiber_product(random_bouquet_immersion(rng, max_vertices=4))
+            for i, comp in enumerate(fp.components):
+                assert fp.fill_rank_ok[i] == monochrome_cycles_fill(comp)
+        # the count the differential tests use on components too large to
+        # enumerate, on graphs of any shape
+        for _ in range(40):
             g = random_colored_graph(rng, max_vertices=5, max_edges=7)
-            assert fill_rank_check(g) == monochrome_cycles_fill(g)
+            assert rank_count_fills(g) == monochrome_cycles_fill(g)
 
     def test_on_fiber_components(self):
         _, fp = self_fiber(triangle((4, 4, 4)))
         for i in fp.nontrivial_components():
-            comp = fp.components[i]
-            assert fill_rank_check(comp) == monochrome_cycles_fill(comp)
+            assert fp.fill_rank_ok[i] == monochrome_cycles_fill(fp.component(i))
+
+
+def head_to_tail(names, labels):
+    """A cycle through `names` with every edge oriented head to tail, which
+    is admissible when no label is 2."""
+    n = len(names)
+    return DefiningGraph.build(
+        names,
+        [
+            (names[i], names[(i + 1) % n], labels[i], names[i])
+            for i in range(n)
+        ],
+    )
+
+
+# vertex names where "u|v" order and (u, v) order disagree: "a1|x" sorts
+# before "a|x", and "a_b|x" before both
+PREFIX_NAMES = ("a", "a1", "a10", "a_b", "ab", "b")
+
+
+def renamed(Y, rng):
+    """Y with its vertices renamed from PREFIX_NAMES and its edges numbered."""
+    name = dict(zip(Y.vertices, rng.sample(PREFIX_NAMES, len(Y.vertices))))
+    return ColoredGraph(
+        name.values(),
+        [
+            Edge(str(k), name[e.tail], name[e.head], e.color)
+            for k, e in enumerate(Y.edges)
+        ],
+    )
+
+
+class TestAgainstExplicitProduct:
+    """The integer product against the string-keyed one it replaced."""
+
+    def assert_same_product(self, Y):
+        fp = fiber_product(Y)
+        ex = explicit_fiber_product(Y)
+        assert fp.classification == ex.classification
+        assert fp.diagonal_components == ex.diagonal_components
+        for i, comp in enumerate(ex.components):
+            if ex.classification[i] != "tree":
+                assert fp.component(i) == comp
+            assert fp.vertex_counts[i] == len(comp.vertices)
+            assert fp.edge_counts[i] == len(comp.edges)
+            assert fp.rank(i) == free_rank(comp)
+            assert fp.branching_vertices(i) == tuple(
+                v for v in comp.vertices if comp.valence(v) >= 3
+            )
+            assert fp.fill_rank_ok[i] == rank_count_fills(comp)
+        assert fp.components == ex.components
+        assert fp.graph.vertices == ex.graph.vertices
+        assert fp.graph.edges == ex.graph.edges
+        verdict = monochrome_check(fp)
+        expected = explicit_monochrome_witness(ex)
+        assert verdict.all_monochrome == (expected is None)
+        if expected is not None:
+            w = verdict.witness
+            assert (verdict.witness_component, w.start, w.steps) == expected
+        return verdict.all_monochrome
+
+    def test_triangles_and_cycles_with_long_runs(self):
+        # a label of 22 or more gives runs of 11 edges or more, whose inner
+        # vertices xb:c:s:1 and xb:c:s:10 are prefixes of one another
+        rng = random.Random(59)
+        verdicts = set()
+        cases = [[rng.randrange(23, 31, 2), 4, 4] for _ in range(2)]
+        for _ in range(8):
+            k = rng.choice((3, 3, 4, 5))
+            labels = [rng.randint(3, 30) for _ in range(k)]
+            labels[rng.randrange(k)] = rng.randint(22, 30)
+            cases.append(labels)
+        for labels in cases:
+            k = len(labels)
+            col = build_collapsed(head_to_tail(rng.sample(PREFIX_NAMES, k), labels))
+            assert col.admissible
+            assert any(":10" in v for v in col.graph.vertices)
+            verdicts.add(self.assert_same_product(col.graph))
+        assert verdicts == {True, False}
+
+    def test_bouquet_immersions_with_prefix_names(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            self.assert_same_product(renamed(random_bouquet_immersion(rng), rng))
 
 
 class TestOppressive:

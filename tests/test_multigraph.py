@@ -114,11 +114,11 @@ class TestGraphMap:
         with pytest.raises(StructureError, match="color"):
             GraphMap(src, dst, {"a": "x", "b": "y"}, {"e": "h"})
 
-    def test_color_ignored_when_palette_disjoint(self):
-        # quotient-style maps may rename colors freely
+    def test_color_checked_when_palette_disjoint(self):
         src = ColoredGraph(["a", "b"], [Edge("e", "a", "b", "odd")])
         dst = ColoredGraph(["x", "y"], [Edge("f", "x", "y", "r")])
-        GraphMap(src, dst, {"a": "x", "b": "y"}, {"e": "f"})
+        with pytest.raises(StructureError, match="color not preserved"):
+            GraphMap(src, dst, {"a": "x", "b": "y"}, {"e": "f"})
 
 
 class TestImmersion:
