@@ -52,8 +52,6 @@ from .fiber import (
     FiberInputError,
     FiberProduct,
     MonochromeVerdict,
-    OppressiveSet,
-    OppressiveWord,
     fiber_product,
     monochrome_check,
     oppressive_set,
@@ -75,8 +73,6 @@ __all__ = [
     "InadmissibleOrientation",
     "InvalidDefiningGraph",
     "MonochromeVerdict",
-    "OppressiveSet",
-    "OppressiveWord",
     "OrientationReport",
     "RFCertificate",
     "SchemaError",

@@ -380,8 +380,8 @@ def cmd_fiber(args) -> int:
         words = oppressive_set(collapsed.graph, basepoint)
         payload["oppressive"] = {
             "basepoint": basepoint,
-            "count": len(words.elements),
-            "words": [[list(l) for l in w] for w in words.words()],
+            "count": len(words),
+            "words": [[list(l) for l in w] for w in words],
         }
     if args.format == "json":
         _emit_json(args, payload)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .multigraph import (
     ColoredGraph,
@@ -298,10 +298,6 @@ def _step(e: Edge, from_vertex: str) -> tuple[str, int]:
     raise StructureError(f"edge {e.id!r} not incident to {from_vertex!r}")
 
 
-def _reverse_steps(steps: Sequence[tuple[str, int]]) -> list[tuple[str, int]]:
-    return [(eid, -sign) for eid, sign in reversed(steps)]
-
-
 def _cycle_through(
     g: ColoredGraph, block: frozenset[str], e1: Edge, e2: Edge
 ) -> Walk:
@@ -338,7 +334,7 @@ def _cycle_through(
         [(e1.id, +1)]
         + steps_from_head
         + [_step(e2, sink_from_head)]
-        + _reverse_steps(steps_from_tail)
+        + [(eid, -sign) for eid, sign in reversed(steps_from_tail)]
     )
     return Walk(g, e1.tail, tuple(steps))
 
@@ -421,16 +417,20 @@ def _two_disjoint_paths(
     if pushed < 2:
         return None
 
-    net = {a: orig[a] - cap[a] for a in orig if orig[a] - cap[a] > 0}
+    # the heads of the arcs carrying flow, one per unit, per tail; each
+    # step takes the least one left
+    heads: dict[tuple, list[tuple]] = {}
+    for (a, b), c in orig.items():
+        if c > cap[(a, b)]:
+            heads.setdefault(a, []).extend([b] * (c - cap[(a, b)]))
+    for hs in heads.values():
+        hs.sort(reverse=True)
     out: dict[str, tuple[str, list[tuple[str, int]]]] = {}
     for _ in range(2):
         trail = [S]
         node = S
         while node != T:
-            nbr = min(b for (a, b) in net if a == node)
-            net[(node, nbr)] -= 1
-            if net[(node, nbr)] == 0:
-                del net[(node, nbr)]
+            nbr = heads[node].pop()
             trail.append(nbr)
             node = nbr
         source = trail[1][1]
@@ -509,28 +509,12 @@ def _cycles(step: dict[str, str]) -> list[list[str]]:
     return out
 
 
-@dataclass(frozen=True)
-class OppressiveWord:
-    """One word of the oppressive set with the path pair that produced it."""
-
-    word: tuple[tuple[str, int], ...]
-    mu1: Walk
-    mu2: Optional[Walk]
+Word = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class OppressiveSet:
-    """All words read off admissible path pairs, one witness pair per word."""
-
-    basepoint: str
-    elements: tuple[OppressiveWord, ...]
-
-    def words(self) -> tuple[tuple[tuple[str, int], ...], ...]:
-        return tuple(el.word for el in self.elements)
-
-
-def oppressive_set(Y: ColoredGraph, y0: str) -> OppressiveSet:
-    """Enumerate the oppressive words of an immersion at a basepoint.
+def oppressive_set(Y: ColoredGraph, y0: str) -> tuple[Word, ...]:
+    """The oppressive words of an immersion at a basepoint, sorted by
+    length and then by letters.
 
     A word is the color sequence of mu1 followed by mu2, where mu1 is a
     nontrivial simple path from y0 ending at some y1 != y0, and mu2 is
@@ -540,53 +524,48 @@ def oppressive_set(Y: ColoredGraph, y0: str) -> OppressiveSet:
     The set is empty exactly when no nontrivial simple path leaves y0,
     which for a connected Y means Y embeds in the bouquet.
 
+    Each mu2 is a simple path from y0 read backwards, so its word is the
+    inverse of that path's word, and each path's word is read once.
     Simple paths are enumerated exhaustively, so this is intended for
-    small graphs.  Each distinct word appears once, with the witness pair
-    that is shortest in the enumeration order.
+    small graphs.
     """
     if not is_immersion(Y):
         raise FiberInputError("oppressive sets require an immersion")
     if y0 not in set(Y.vertices):
         raise StructureError(f"basepoint {y0!r} not in the graph")
 
-    outward = _simple_paths_from(Y, y0)
-
-    best: dict[tuple, tuple[tuple, OppressiveWord]] = {}
-    for mu1 in outward:
-        y1 = mu1.end
-        inward: list[Optional[Walk]] = [None]
-        for back in outward:
-            if back.end not in (y0, y1):
-                inward.append(
-                    Walk(Y, back.end, tuple(_reverse_steps(back.steps)))
-                )
-        for mu2 in inward:
-            word = mu1.word()
-            if mu2 is not None:
-                word = word + mu2.word()
-            key = (
-                len(mu1.steps) + (len(mu2.steps) if mu2 else 0),
-                mu1.steps,
-                mu2.steps if mu2 else (),
-            )
-            if word not in best or key < best[word][0]:
-                best[word] = (key, OppressiveWord(word, mu1, mu2))
-
-    elements = tuple(
-        best[w][1] for w in sorted(best, key=lambda w: (len(w), w))
-    )
-    return OppressiveSet(basepoint=y0, elements=elements)
+    paths = list(_simple_paths_from(Y, y0))
+    inverses: dict[str, list[Word]] = {}
+    for end, word in paths:
+        inverses.setdefault(end, []).append(
+            tuple((c, -sign) for c, sign in reversed(word))
+        )
+    words = set()
+    for y1, word in paths:
+        words.add(word)
+        for y2, tails in inverses.items():
+            if y2 != y1:
+                words.update(word + tail for tail in tails)
+    # sorting each length apart needs no (length, word) key per word
+    by_length: dict[int, list[Word]] = {}
+    for word in words:
+        by_length.setdefault(len(word), []).append(word)
+    return tuple(chain.from_iterable(
+        sorted(by_length[n]) for n in sorted(by_length)
+    ))
 
 
-def _simple_paths_from(g: ColoredGraph, y0: str) -> list[Walk]:
-    """Every nontrivial simple path starting at y0, in search order; the
-    search runs on an explicit stack, so long paths do not recurse."""
+def _simple_paths_from(
+    g: ColoredGraph, y0: str
+) -> Iterator[tuple[str, Word]]:
+    """(end, word) of every nontrivial simple path starting at y0, in
+    search order; the search runs on an explicit stack, so long paths do
+    not recurse."""
 
     def ends(at: str):
         return iter(sorted(g.incident_ends(at), key=lambda t: (t[0].id, -t[1])))
 
-    out: list[Walk] = []
-    steps: list[tuple[str, int]] = []
+    word: list[tuple[str, int]] = []
     visited = {y0}
     stack = [(y0, ends(y0))]
     while stack:
@@ -594,14 +573,13 @@ def _simple_paths_from(g: ColoredGraph, y0: str) -> list[Walk]:
         for e, _ in untried:
             w = e.head if e.tail == at else e.tail
             if w not in visited:
-                steps.append((e.id, +1 if e.tail == at else -1))
+                word.append((e.color, +1 if e.tail == at else -1))
                 visited.add(w)
-                out.append(Walk(g, y0, tuple(steps)))
+                yield w, tuple(word)
                 stack.append((w, ends(w)))
                 break
         else:
             stack.pop()
             if stack:
                 visited.discard(at)
-                steps.pop()
-    return out
+                word.pop()

@@ -91,25 +91,12 @@ class ColoredGraph:
         # loops count twice, once per end
         return len(self._out[v]) + len(self._in[v])
 
-    def colors(self) -> tuple[str, ...]:
-        return tuple(sorted({e.color for e in self.edges}))
-
     def restricted(self, edge_ids: Iterable[str]) -> "ColoredGraph":
         """Subgraph spanned by the given edges (only their endpoints kept)."""
         keep = set(edge_ids)
         es = [e for e in self.edges if e.id in keep]
         vs = {e.tail for e in es} | {e.head for e in es}
         return ColoredGraph(vs, es)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ColoredGraph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
         return (

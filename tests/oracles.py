@@ -253,6 +253,45 @@ def traces_word(
     return TraceResult(outcome="exits", vertex=at)
 
 
+def simple_paths(g: ColoredGraph, y0: str) -> list[Walk]:
+    """Every nontrivial simple path from y0 as a walk, shortest first: each
+    round extends the last round's paths by one step in every way that
+    reaches a new vertex."""
+    out: list[Walk] = []
+    frontier = [Walk(g, y0, ())]
+    while frontier:
+        longer = []
+        for w in frontier:
+            seen = set(w.vertices())
+            for e, sign in g.incident_ends(w.end):
+                if (e.head if sign == +1 else e.tail) not in seen:
+                    longer.append(Walk(g, y0, w.steps + ((e.id, sign),)))
+        out += longer
+        frontier = longer
+    return out
+
+
+def oppressive_pairs(
+    Y: ColoredGraph, y0: str
+) -> list[tuple[tuple[tuple[str, int], ...], Walk, Optional[Walk]]]:
+    """Every path pair behind an oppressive word at y0, as (word, mu1, mu2).
+
+    mu1 is a nontrivial simple path from y0; mu2 is None or a simple path
+    into y0, built as the reverse of a simple path from y0, that starts
+    away from the end of mu1.  The word is the colors mu1 and then mu2 read.
+    """
+    outward = simple_paths(Y, y0)
+    out = []
+    for mu1 in outward:
+        out.append((mu1.word(), mu1, None))
+        for back in outward:
+            if back.end != mu1.end:
+                mu2 = Walk(Y, back.end, tuple(
+                    (eid, -sign) for eid, sign in reversed(back.steps)))
+                out.append((mu1.word() + mu2.word(), mu1, mu2))
+    return out
+
+
 def _swap_sign(name: str) -> str:
     return name[:-1] + ("-" if name.endswith("+") else "+")
 

@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
-from artinsplit import DefiningGraph, SchemaError, defining_graph
+
+import artinsplit
+from artinsplit import DefiningGraph, SchemaError, cli, defining_graph
 from artinsplit.cli import (
     defining_graph_dot,
     defining_graph_json_dict,
@@ -303,6 +306,22 @@ class TestFiber:
         captured = capsys.readouterr()
         assert captured.err.startswith("input error: basepoint 'nope'")
         assert captured.out == ""
+
+    def test_benchmark_outputs_are_byte_identical(self, monkeypatch):
+        # every default-seed fiber command of the benchmark's cli workload,
+        # replayed and checked against its recorded output digest
+        bench = Path(__file__).resolve().parents[1] / "benchmark"
+        monkeypatch.syspath_prepend(str(bench))
+        from operations import execute, prepare
+        from workloads import DEFAULT_SEED, cli_ops
+
+        expected = json.loads((bench / "expected.json").read_text())["cli"]
+        ops = [op for op in cli_ops(DEFAULT_SEED) if op.argv[0] == "fiber"]
+        assert any("--oppressive" in op.argv for op in ops)
+        for op in ops:
+            outcome = execute(artinsplit, cli, op, prepare(artinsplit, op),
+                              expected, need_digest=True)
+            assert outcome.problem is None, (op.argv, outcome.problem)
 
 
 class TestCertify:

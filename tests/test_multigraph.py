@@ -71,13 +71,6 @@ class TestColoredGraph:
         assert sub.vertices == ("v0", "v1")
         assert [e.id for e in sub.edges] == ["e0"]
 
-    def test_equality_and_hash(self):
-        g1 = path_graph(3)
-        g2 = ColoredGraph(g1.vertices, g1.edges)
-        assert g1 == g2
-        assert hash(g1) == hash(g2)
-        assert g1 != path_graph(4)
-
     def test_edge_lookup(self):
         g = path_graph(3)
         assert g.edge("e1").head == "v2"
@@ -88,7 +81,7 @@ class TestColoredGraph:
 def test_bouquet_shape():
     b = bouquet(["r", "g"])
     assert b.vertices == ("*",)
-    assert b.colors() == ("g", "r")
+    assert {e.color for e in b.edges} == {"g", "r"}
     assert {e.id for e in b.edges} == {"x0:g", "x0:r"}
     assert all(e.tail == e.head == "*" for e in b.edges)
 
@@ -336,5 +329,7 @@ def test_components_are_deterministic(seed):
     rng1, rng2 = random.Random(seed), random.Random(seed)
     g1 = random_colored_graph(rng1, connected=False)
     g2 = random_colored_graph(rng2, connected=False)
-    assert connected_components(g1) == connected_components(g2)
+    assert [(c.vertices, c.edges) for c in connected_components(g1)] == [
+        (c.vertices, c.edges) for c in connected_components(g2)
+    ]
     assert blocks(g1) == blocks(g2)

@@ -9,6 +9,7 @@ from artinsplit import (
     DefiningGraph,
     SearchSpaceError,
     check_witness,
+    enumerate_cycles,
     find_admissible_orientation,
     is_admissible,
     oracle_almost_misdirected,
@@ -35,6 +36,14 @@ def triangle(labels=(3, 3, 3), tails=("a", "b", "c")):
             ("a", "c", labels[2], tails[2]),
         ],
     )
+
+
+def is_directed(cycle, iota):
+    """Whether every edge of the cycle, a vertex sequence, has its tail
+    before its head, or every edge its head before its tail."""
+    steps = zip(cycle, cycle[1:] + cycle[:1])
+    forward = {iota[tuple(sorted(step))] == step[0] for step in steps}
+    return len(forward) == 1
 
 
 CYCLIC = triangle()
@@ -102,6 +111,31 @@ class TestIsAdmissible:
             g = random_defining_graph(rng, max_vertices=6, max_extra_edges=0)
             oriented = with_random_orientation(rng, g)
             assert is_admissible(oriented).admissible
+
+    def test_large_type_with_every_simple_cycle_directed_is_admissible(self):
+        # the paper's splitting criterion for large type (every label at
+        # least 3): an orientation that directs every simple cycle of the
+        # defining graph is admissible; all 2^k orientations are tried on
+        # graphs with a cycle (forests are checked above)
+        rng = random.Random(13)
+        directed = 0
+        for _ in range(400):
+            shape = random_defining_graph(rng, max_vertices=6, max_extra_edges=4)
+            g = DefiningGraph.build(
+                shape.vertices,
+                [(e.u, e.v, rng.randint(3, 7), None) for e in shape.edges],
+            )
+            cycles = [c for c in enumerate_cycles(g, max_len=6)
+                      if len(set(c)) == len(c)]
+            if not cycles:
+                continue
+            edges = g.sorted_edges
+            for tails in itertools.product(*((e.u, e.v) for e in edges)):
+                iota = {e.key: t for e, t in zip(edges, tails)}
+                if all(is_directed(c, iota) for c in cycles):
+                    directed += 1
+                    assert is_admissible(g.with_orientation(iota)).admissible
+        assert directed
 
     @pytest.mark.parametrize(
         "g, vertices, tails, reason",
