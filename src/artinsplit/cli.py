@@ -175,14 +175,15 @@ def _witness_text(w: WitnessCycle) -> str:
 
 
 def _read_input(path: str) -> DefiningGraph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+    # also bad input: bytes not UTF-8, over-long integers, too-deep nesting
     try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as f:
+                text = f.read()
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"input is not valid JSON: {exc}") from None
     return parse_defining_graph(data)
 
@@ -221,7 +222,7 @@ def cmd_check(args) -> int:
         _emit_json(args, {
             "report": {
                 "ok": report.ok,
-                "problems": list(report.problems),
+                "problems": report.problems,
                 "orientable_edges": ["-".join(k) for k in report.orientable_edges],
                 "iota_total": report.iota_total,
             },
@@ -359,21 +360,21 @@ def cmd_fiber(args) -> int:
             "vertices": fp.vertex_counts[i],
             "edges": fp.edge_counts[i],
             "rank": fp.rank(i),
-            "branching_vertices": list(fp.branching_vertices(i)),
+            "branching_vertices": fp.branching_vertices(i),
         }
         if kind == "cycle-bearing":
             entry["fill_rank_ok"] = fp.fill_rank_ok[i]
         inventory.append(entry)
     payload: dict = {
         "components": inventory,
-        "diagonal_components": list(fp.diagonal_components),
+        "diagonal_components": fp.diagonal_components,
         "monochrome": {"all_monochrome": mono.all_monochrome},
     }
     if mono.witness is not None:
         payload["monochrome"]["witness"] = {
             "component": mono.witness_component,
-            "vertices": list(mono.witness.vertices()),
-            "colors": list(mono.witness_colors()),
+            "vertices": mono.witness.vertices(),
+            "colors": mono.witness_colors(),
         }
     if args.oppressive:
         basepoint = args.basepoint or collapsed.old_class[plus(min(g.vertices))]
@@ -381,7 +382,7 @@ def cmd_fiber(args) -> int:
         payload["oppressive"] = {
             "basepoint": basepoint,
             "count": len(words),
-            "words": [[list(l) for l in w] for w in words],
+            "words": words,
         }
     if args.format == "json":
         _emit_json(args, payload)

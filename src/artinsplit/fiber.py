@@ -23,6 +23,7 @@ from .multigraph import (
     Edge,
     StructureError,
     Walk,
+    bfs_path,
     blocks,
     is_immersion,
     shortest_path,
@@ -351,97 +352,58 @@ def _two_disjoint_paths(
     usable edge becomes a capacity-one arc, edges usable in either
     direction.  Returns {source: (sink, steps)} or None when no two such
     paths exist.  Sources and sinks are assumed pairwise distinct vertices.
+
+    Every node but S and T has a single arc entering it or a single arc
+    leaving it, so it carries at most one unit of flow, and the flow is
+    the set of arcs it uses: a residual arc is an unused arc, or a used
+    one reversed.  Each path is read out by following from its source the
+    one used arc that leaves each node.
     """
-    S = ("S", "")
-    T = ("T", "")
-    cap: dict[tuple, int] = {}
-    orig: dict[tuple, int] = {}
-
-    def arc(a: tuple, b: tuple) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + 1
-        orig[(a, b)] = orig.get((a, b), 0) + 1
-        cap.setdefault((b, a), 0)
-        orig.setdefault((b, a), 0)
-
-    for v in g.vertices:
-        arc(("i", v), ("o", v))
+    S, T = ("S", ""), ("T", "")
+    arcs = [(("i", v), ("o", v)) for v in g.vertices]
     for e in g.edges:
         if e.id in banned_edges or e.tail == e.head:
             continue
-        arc(("en", e.id), ("ex", e.id))
-        arc(("o", e.tail), ("en", e.id))
-        arc(("o", e.head), ("en", e.id))
-        arc(("ex", e.id), ("i", e.tail))
-        arc(("ex", e.id), ("i", e.head))
-    for s in sources:
-        arc(S, ("i", s))
-    for t in sinks:
-        arc(("o", t), T)
+        enter, leave = ("en", e.id), ("ex", e.id)
+        arcs += [(enter, leave), (("o", e.tail), enter), (("o", e.head), enter),
+                 (leave, ("i", e.tail)), (leave, ("i", e.head))]
+    arcs += [(S, ("i", s)) for s in sources]
+    arcs += [(("o", t), T) for t in sinks]
 
-    adj: dict[tuple, list[tuple]] = {}
-    for a, b in cap:
-        adj.setdefault(a, []).append(b)
-    for a in adj:
-        adj[a].sort()
+    neighbours: dict[tuple, list[tuple]] = {}
+    for a, b in arcs:
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    for nbrs in neighbours.values():
+        nbrs.sort()
+    original = set(arcs)
+    used: set[tuple] = set()
 
-    pushed = 0
+    def residual(a: tuple):
+        for b in neighbours[a]:
+            if (b, a) in used or (a, b) in original and (a, b) not in used:
+                yield b, b
+
     for _ in range(2):
-        prev: dict[tuple, tuple] = {}
-        seen = {S}
-        frontier = [S]
-        reached = False
-        while frontier and not reached:
-            nxt = []
-            for a in frontier:
-                for b in adj.get(a, ()):
-                    if b in seen or cap[(a, b)] <= 0:
-                        continue
-                    seen.add(b)
-                    prev[b] = a
-                    if b == T:
-                        reached = True
-                        break
-                    nxt.append(b)
-                if reached:
-                    break
-            frontier = nxt
-        if not reached:
-            break
-        node = T
-        while node != S:
-            p = prev[node]
-            cap[(p, node)] -= 1
-            cap[(node, p)] += 1
-            node = p
-        pushed += 1
-    if pushed < 2:
-        return None
+        path = bfs_path(S, T, residual)
+        if path is None:
+            return None
+        for a, b in zip([S] + path, path):
+            if (b, a) in used:
+                used.remove((b, a))
+            else:
+                used.add((a, b))
 
-    # the heads of the arcs carrying flow, one per unit, per tail; each
-    # step takes the least one left
-    heads: dict[tuple, list[tuple]] = {}
-    for (a, b), c in orig.items():
-        if c > cap[(a, b)]:
-            heads.setdefault(a, []).extend([b] * (c - cap[(a, b)]))
-    for hs in heads.values():
-        hs.sort(reverse=True)
+    after = dict(used)
     out: dict[str, tuple[str, list[tuple[str, int]]]] = {}
-    for _ in range(2):
-        trail = [S]
-        node = S
-        while node != T:
-            nbr = heads[node].pop()
-            trail.append(nbr)
-            node = nbr
-        source = trail[1][1]
-        sink = trail[-2][1]
-        steps: list[tuple[str, int]] = []
-        for i in range(3, len(trail) - 2, 4):
-            eid = trail[i][1]
-            at = trail[i - 1][1]
-            e = g.edge(eid)
-            steps.append((eid, +1 if e.tail == at else -1))
-        out[source] = (sink, steps)
+    for source in sources:
+        trail = [("o", source)]
+        while trail[-1] != T:
+            trail.append(after[trail[-1]])
+        # trail: (o, source), then (en, e), (ex, e), (i, v), (o, v) per edge
+        steps = [_step(g.edge(eid), at)
+                 for (_, at), (_, eid) in zip(trail[::4], trail[1:-1:4])]
+        out[source] = (trail[-2][1], steps)
     return out
 
 
@@ -562,12 +524,9 @@ def _simple_paths_from(
     search order; the search runs on an explicit stack, so long paths do
     not recurse."""
 
-    def ends(at: str):
-        return iter(sorted(g.incident_ends(at), key=lambda t: (t[0].id, -t[1])))
-
     word: list[tuple[str, int]] = []
     visited = {y0}
-    stack = [(y0, ends(y0))]
+    stack = [(y0, iter(g.incident_ends(y0)))]
     while stack:
         at, untried = stack[-1]
         for e, _ in untried:
@@ -576,7 +535,7 @@ def _simple_paths_from(
                 word.append((e.color, +1 if e.tail == at else -1))
                 visited.add(w)
                 yield w, tuple(word)
-                stack.append((w, ends(w)))
+                stack.append((w, iter(g.incident_ends(w))))
                 break
         else:
             stack.pop()

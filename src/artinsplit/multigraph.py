@@ -6,7 +6,7 @@ Each edge carries a color naming the relation edge it came from.  All
 operations are pure: graphs are never mutated after construction, and every
 listing (components, blocks, cycles) comes back in a deterministic order.
 The graph algorithms the other modules share live here: the union-find,
-connected components, blocks and the shortest-path search.
+connected components, blocks and the one breadth-first search.
 """
 
 from __future__ import annotations
@@ -40,28 +40,25 @@ class ColoredGraph:
     fixes the deterministic output order used everywhere downstream.
     """
 
-    __slots__ = ("vertices", "edges", "_by_id", "_out", "_in")
+    __slots__ = ("vertices", "edges", "_by_id", "_star")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
         vs = tuple(sorted(set(vertices)))
         es = tuple(sorted(edges, key=lambda e: e.id))
         by_id: dict[str, Edge] = {}
-        vset = set(vs)
-        out: dict[str, list[Edge]] = {v: [] for v in vs}
-        inc: dict[str, list[Edge]] = {v: [] for v in vs}
+        star: dict[str, list[tuple[Edge, int]]] = {v: [] for v in vs}
         for e in es:
             if e.id in by_id:
                 raise StructureError(f"duplicate edge id {e.id!r}")
-            if e.tail not in vset or e.head not in vset:
+            if e.tail not in star or e.head not in star:
                 raise StructureError(f"edge {e.id!r} has a dangling endpoint")
             by_id[e.id] = e
-            out[e.tail].append(e)
-            inc[e.head].append(e)
+            star[e.tail].append((e, +1))
+            star[e.head].append((e, -1))
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", es)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_out", {v: tuple(l) for v, l in out.items()})
-        object.__setattr__(self, "_in", {v: tuple(l) for v, l in inc.items()})
+        object.__setattr__(self, "_star", {v: tuple(l) for v, l in star.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("ColoredGraph is immutable")
@@ -73,23 +70,24 @@ class ColoredGraph:
             raise StructureError(f"no edge {edge_id!r}") from None
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
-        return self._out[v]
+        return tuple(e for e, sign in self._star[v] if sign == +1)
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
-        return self._in[v]
+        return tuple(e for e, sign in self._star[v] if sign == -1)
 
     def incident_ends(self, v: str) -> tuple[tuple[Edge, int], ...]:
-        """All edge-ends at v as (edge, +1 for tail-end / -1 for head-end).
+        """The star of v: every edge-end at v as (edge, +1 for its tail end
+        or -1 for its head end), in edge-id order.
 
-        A loop at v contributes two ends.
+        A loop at v contributes two ends, its +1 end first.  Every search
+        over the graph tries the ends in this order, which makes its answer
+        deterministic.
         """
-        return tuple((e, +1) for e in self._out[v]) + tuple(
-            (e, -1) for e in self._in[v]
-        )
+        return self._star[v]
 
     def valence(self, v: str) -> int:
         # loops count twice, once per end
-        return len(self._out[v]) + len(self._in[v])
+        return len(self._star[v])
 
     def restricted(self, edge_ids: Iterable[str]) -> "ColoredGraph":
         """Subgraph spanned by the given edges (only their endpoints kept)."""
@@ -150,11 +148,10 @@ def is_immersion(g: ColoredGraph) -> bool:
     its color's loop: no two edges leaving one vertex share a color, and
     no two entering one do (Stallings, "Topology of finite graphs", 1983).
     """
-    for v in g.vertices:
-        for ends in (g.out_edges(v), g.in_edges(v)):
-            if len({e.color for e in ends}) != len(ends):
-                return False
-    return True
+    return all(
+        len({(e.color, sign) for e, sign in g.incident_ends(v)}) == g.valence(v)
+        for v in g.vertices
+    )
 
 
 def is_degree_n_cover(m: GraphMap, n: int) -> bool:
@@ -173,9 +170,9 @@ def is_degree_n_cover(m: GraphMap, n: int) -> bool:
     for v in m.source.vertices:
         if m.source.valence(v) != m.target.valence(m.vertex_map[v]):
             return False
-        for ends in (m.source.out_edges(v), m.source.in_edges(v)):
-            if len({m.edge_map[e.id] for e in ends}) != len(ends):
-                return False
+        ends = m.source.incident_ends(v)
+        if len({(m.edge_map[e.id], sign) for e, sign in ends}) != len(ends):
+            return False
     return True
 
 
@@ -261,12 +258,11 @@ def blocks(g: ColoredGraph) -> list[frozenset[str]]:
     out: list[frozenset[str]] = [frozenset([lid]) for lid in sorted(loop_ids)]
 
     def neighbours(v: str):
-        ends = [
-            (e, e.head if e.tail == v else e.tail)
-            for e, _ in g.incident_ends(v)
-            if e.id not in loop_ids
-        ]
-        return iter(sorted(ends, key=lambda t: t[0].id))
+        return (
+            (e, e.head if sign == +1 else e.tail)
+            for e, sign in g.incident_ends(v)
+            if e.tail != e.head
+        )
 
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -319,6 +315,35 @@ def blocks(g: ColoredGraph) -> list[frozenset[str]]:
     return out
 
 
+def bfs_path(start, goal, step) -> Optional[list]:
+    """The labels along a shortest path start -> goal, or None.
+
+    Level-order breadth-first search: `step(node)` yields (next node,
+    label) pairs in the order to try them, and the first discovery of
+    `goal` wins, so the answer is as deterministic as `step`.
+    """
+    if start == goal:
+        return []
+    prev = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for w, label in step(node):
+                if w in prev:
+                    continue
+                prev[w] = (node, label)
+                if w == goal:
+                    labels = []
+                    while w != start:
+                        w, label = prev[w]
+                        labels.append(label)
+                    return labels[::-1]
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
 def shortest_path(
     g: ColoredGraph,
     src: str,
@@ -328,37 +353,17 @@ def shortest_path(
 ) -> Optional[list[tuple[str, int]]]:
     """Steps of a shortest path src -> dst avoiding the banned items, or None.
 
-    Breadth-first, trying the edges at each vertex in id order, so the
-    answer is deterministic; in a forest it is the unique path.
+    Breadth-first, trying the ends at each vertex in its star's order, so
+    the answer is deterministic; in a forest it is the unique path.
     """
-    if src == dst:
-        return []
-    prev: dict[str, tuple[str, str, int]] = {}
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e, _ in sorted(g.incident_ends(v), key=lambda t: t[0].id):
-                if e.id in banned_edges:
-                    continue
-                w = e.head if e.tail == v else e.tail
-                if w in seen or w in banned_vertices:
-                    continue
-                seen.add(w)
-                prev[w] = (v, e.id, +1 if e.tail == v else -1)
-                if w == dst:
-                    steps = []
-                    cur = w
-                    while cur != src:
-                        pv, eid, sign = prev[cur]
-                        steps.append((eid, sign))
-                        cur = pv
-                    steps.reverse()
-                    return steps
-                nxt.append(w)
-        frontier = nxt
-    return None
+
+    def step(v: str):
+        for e, sign in g.incident_ends(v):
+            w = e.head if sign == +1 else e.tail
+            if e.id not in banned_edges and w not in banned_vertices:
+                yield w, (e.id, sign)
+
+    return bfs_path(src, dst, step)
 
 
 @dataclass(frozen=True)

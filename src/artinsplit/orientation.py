@@ -368,10 +368,6 @@ def _witness_from_collapsed_cycle(sub: ColoredGraph) -> WitnessCycle:
 
 def _find_collapsed_cycle(sub: ColoredGraph) -> tuple[str, ...]:
     """Vertices of some simple cycle inside the collapsed lifts `sub`."""
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in sub.vertices}
-    for e in sub.edges:
-        adj[e.tail].append((e.head, e.id))
-        adj[e.head].append((e.tail, e.id))
     seen: set[str] = set()
     for root in sub.vertices:
         if root in seen:
@@ -384,7 +380,11 @@ def _find_collapsed_cycle(sub: ColoredGraph) -> tuple[str, ...]:
             if v in seen:
                 continue
             seen.add(v)
-            for w, eid in sorted(adj[v]):
+            # by neighbour, then edge id
+            for w, eid in sorted(
+                (e.head if sign == +1 else e.tail, e.id)
+                for e, sign in sub.incident_ends(v)
+            ):
                 if eid == parent_edge[v]:
                     continue
                 if w in seen:

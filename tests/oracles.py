@@ -7,7 +7,7 @@ points at the library.
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from artinsplit import (
     ColoredGraph,
@@ -61,6 +61,158 @@ def all_simple_cycles(g: ColoredGraph) -> list[Walk]:
                 elif w not in visited and pos[w] > pos[s]:
                     stack.append((w, visited + (w,), steps + (step,)))
     return [found[k] for k in sorted(found, key=sorted)]
+
+
+def shortest_path_by_levels(
+    g: ColoredGraph,
+    src: str,
+    dst: str,
+    banned_vertices: Collection[str] = (),
+    banned_edges: Collection[str] = (),
+) -> Optional[list[tuple[str, int]]]:
+    """Reference for multigraph.shortest_path: steps of a shortest path
+    src -> dst avoiding the banned items, or None.
+
+    Breadth-first, trying the edges at each vertex in id order, so the
+    answer is deterministic; in a forest it is the unique path.
+    """
+    if src == dst:
+        return []
+    prev: dict[str, tuple[str, str, int]] = {}
+    seen = {src}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for e, _ in sorted(g.incident_ends(v), key=lambda t: t[0].id):
+                if e.id in banned_edges:
+                    continue
+                w = e.head if e.tail == v else e.tail
+                if w in seen or w in banned_vertices:
+                    continue
+                seen.add(w)
+                prev[w] = (v, e.id, +1 if e.tail == v else -1)
+                if w == dst:
+                    steps = []
+                    cur = w
+                    while cur != src:
+                        pv, eid, sign = prev[cur]
+                        steps.append((eid, sign))
+                        cur = pv
+                    steps.reverse()
+                    return steps
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
+def two_disjoint_paths(
+    g: ColoredGraph,
+    sources: tuple[str, str],
+    sinks: tuple[str, str],
+    banned_edges: set[str],
+) -> Optional[dict[str, tuple[str, list[tuple[str, int]]]]]:
+    """Reference for fiber._two_disjoint_paths: two vertex-disjoint paths
+    joining the sources to the sinks, one each.
+
+    Unit-capacity max flow on the split digraph: every vertex and every
+    usable edge becomes a capacity-one arc, edges usable in either
+    direction.  Returns {source: (sink, steps)} or None when no two such
+    paths exist.  Sources and sinks are assumed pairwise distinct vertices.
+    The flow is kept as capacities and read out one unit per arc, so no
+    argument about how much flow a node can carry is needed.
+    """
+    S = ("S", "")
+    T = ("T", "")
+    cap: dict[tuple, int] = {}
+    orig: dict[tuple, int] = {}
+
+    def arc(a: tuple, b: tuple) -> None:
+        cap[(a, b)] = cap.get((a, b), 0) + 1
+        orig[(a, b)] = orig.get((a, b), 0) + 1
+        cap.setdefault((b, a), 0)
+        orig.setdefault((b, a), 0)
+
+    for v in g.vertices:
+        arc(("i", v), ("o", v))
+    for e in g.edges:
+        if e.id in banned_edges or e.tail == e.head:
+            continue
+        arc(("en", e.id), ("ex", e.id))
+        arc(("o", e.tail), ("en", e.id))
+        arc(("o", e.head), ("en", e.id))
+        arc(("ex", e.id), ("i", e.tail))
+        arc(("ex", e.id), ("i", e.head))
+    for s in sources:
+        arc(S, ("i", s))
+    for t in sinks:
+        arc(("o", t), T)
+
+    adj: dict[tuple, list[tuple]] = {}
+    for a, b in cap:
+        adj.setdefault(a, []).append(b)
+    for a in adj:
+        adj[a].sort()
+
+    pushed = 0
+    for _ in range(2):
+        prev: dict[tuple, tuple] = {}
+        seen = {S}
+        frontier = [S]
+        reached = False
+        while frontier and not reached:
+            nxt = []
+            for a in frontier:
+                for b in adj.get(a, ()):
+                    if b in seen or cap[(a, b)] <= 0:
+                        continue
+                    seen.add(b)
+                    prev[b] = a
+                    if b == T:
+                        reached = True
+                        break
+                    nxt.append(b)
+                if reached:
+                    break
+            frontier = nxt
+        if not reached:
+            break
+        node = T
+        while node != S:
+            p = prev[node]
+            cap[(p, node)] -= 1
+            cap[(node, p)] += 1
+            node = p
+        pushed += 1
+    if pushed < 2:
+        return None
+
+    # the heads of the arcs carrying flow, one per unit, per tail; each
+    # step takes the least one left
+    heads: dict[tuple, list[tuple]] = {}
+    for (a, b), c in orig.items():
+        if c > cap[(a, b)]:
+            heads.setdefault(a, []).extend([b] * (c - cap[(a, b)]))
+    for hs in heads.values():
+        hs.sort(reverse=True)
+    out: dict[str, tuple[str, list[tuple[str, int]]]] = {}
+    for _ in range(2):
+        trail = [S]
+        node = S
+        while node != T:
+            nbr = heads[node].pop()
+            trail.append(nbr)
+            node = nbr
+        source = trail[1][1]
+        sink = trail[-2][1]
+        steps: list[tuple[str, int]] = []
+        for i in range(3, len(trail) - 2, 4):
+            eid = trail[i][1]
+            at = trail[i - 1][1]
+            e = g.edge(eid)
+            steps.append((eid, +1 if e.tail == at else -1))
+        out[source] = (sink, steps)
+    return out
 
 
 def is_monochrome_walk(w: Walk) -> bool:

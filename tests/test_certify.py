@@ -281,6 +281,31 @@ def test_every_private_helper_is_used():
     assert unused == []
 
 
+def test_benchmark_certificates_are_byte_identical(monkeypatch):
+    # every default-seed certify operation of the benchmark, the library
+    # calls of `labels` and `search` and the `cli` certify commands,
+    # replayed and checked against its recorded output digest; this pins
+    # the witness cycles of rule R7 to the byte
+    import artinsplit.cli as cli
+
+    bench = Path(__file__).resolve().parents[1] / "benchmark"
+    monkeypatch.syspath_prepend(str(bench))
+    from operations import execute, prepare
+    from workloads import DEFAULT_SEED, WORKLOADS
+
+    expected = json.loads((bench / "expected.json").read_text())
+    replayed = {}
+    for workload, make in WORKLOADS.items():
+        ops = [op for op in make(DEFAULT_SEED)
+               if op.kind == "certify" or op.argv[0] == "certify"]
+        replayed[workload] = len(ops)
+        for op in ops:
+            outcome = execute(artinsplit, cli, op, prepare(artinsplit, op),
+                              expected[workload], need_digest=True)
+            assert outcome.problem is None, (workload, op.key, outcome.problem)
+    assert replayed == {"labels": 83, "search": 256, "cli": 220}
+
+
 def test_certify_builds_only_the_witness_component_as_a_graph(monkeypatch):
     # the self fiber product of Xbar has |Xbar|^2 vertices; certify counts
     # its components on pair indices and builds only the witness's one as

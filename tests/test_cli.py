@@ -1,4 +1,7 @@
+import io
 import json
+import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,13 @@ INVALID = {
         {"u": "b", "v": "c", "label": 3, "iota": "a"},
     ],
 }
+
+# text that Python's json module fails on with something other than a
+# JSONDecodeError: an integer past its conversion limit of 4,300 digits,
+# and arrays nested past the recursion limit
+LONG_INTEGER = '{"vertices": [], "edges": [], "n": ' + "7" * 5000 + "}"
+DEEP_ARRAYS = "[" * (10 * sys.getrecursionlimit())
+NOT_UTF8 = b'{"vertices": ["\xff"], "edges": []}'
 
 INVALID_LINES = [
     "input error: edge a-b: label must be an integer >= 2",
@@ -184,6 +194,35 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == lines
         assert captured.out == ""
+
+    def assert_not_json(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: input is not valid JSON: ")
+        assert captured.out == ""
+
+    def test_file_not_utf8_is_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_bytes(NOT_UTF8)
+        self.assert_not_json(capsys, ["check", "--input", str(path)])
+
+    def test_integer_past_conversion_limit_is_exit_two(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "g.json"
+        path.write_text(LONG_INTEGER)
+        self.assert_not_json(capsys, ["certify", "--input", str(path)])
+        monkeypatch.setattr("sys.stdin", io.StringIO(LONG_INTEGER))
+        self.assert_not_json(capsys, ["certify"])
+
+    def test_nesting_past_recursion_limit_is_exit_two(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "g.json"
+        path.write_text(DEEP_ARRAYS)
+        self.assert_not_json(capsys, ["split", "--input", str(path)])
+        monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_ARRAYS))
+        self.assert_not_json(capsys, ["split"])
 
     def test_missing_file_is_exit_two(self, capsys):
         assert main(["check", "--input", "/nonexistent/x.json"]) == 2
@@ -421,3 +460,91 @@ def test_parser_is_built_once_per_process(write, monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
     assert main(["check", "--input", path]) == 0
     assert added == []
+
+
+FUZZ_COMMANDS = [["check"], ["orient"], ["split"], ["fiber"], ["certify"]] + [
+    ["export", "--graph", graph]
+    for graph in ("input", "X0", "Xhalf", "Xquarter", "Xbar", "fiber")
+]
+ODD_VALUES = (None, True, 0, 1, -4, 2.5, "", "v0", "zz", [], {}, ["v0"])
+
+
+def fuzz_graph(rng):
+    """A random defining graph on up to 5 vertices, labels 2 to 9, with
+    some of the edges of label 3 or more left unoriented."""
+    names = [f"v{i}" for i in range(rng.randint(0, 5))]
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    edges = []
+    for u, v in rng.sample(pairs, rng.randint(0, min(len(pairs), 7))):
+        edge = {"u": u, "v": v, "label": rng.randint(2, 9)}
+        if edge["label"] >= 3 and rng.random() < 0.9:
+            edge["iota"] = rng.choice((u, v))
+        edges.append(edge)
+    return {"vertices": names, "edges": edges}
+
+
+def malformed(rng, graph):
+    """The graph's JSON truncated, with one character changed, or with one
+    field removed, added or given a value of the wrong kind."""
+    text = json.dumps(graph)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[: rng.randrange(len(text))]
+    if kind == 1:
+        i = rng.randrange(len(text))
+        return text[:i] + rng.choice('{}[],:"x0- ') + text[i + 1:]
+    target = rng.choice([graph] + graph["edges"])
+    key = rng.choice(list(target) + ["extra"])
+    if rng.random() < 0.3:
+        target.pop(key, None)
+    else:
+        target[key] = rng.choice(ODD_VALUES)
+    return json.dumps(graph)
+
+
+def test_seeded_fuzz_every_input_ends_in_exit_0_1_or_2(tmp_path, monkeypatch):
+    # Every subcommand and export graph in every format, on random valid
+    # graphs, malformed JSON and the three inputs json fails on in other
+    # ways.  Input sizes stay small: very large labels still run without
+    # limit until the library has size budgets.
+    bad_bytes = tmp_path / "not-utf8.json"
+    bad_bytes.write_bytes(NOT_UTF8)
+
+    def run(argv, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdout", io.StringIO())
+        err = io.StringIO()
+        monkeypatch.setattr("sys.stderr", err)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag with exit 2
+            code = exc.code
+        assert code in (0, 1, 2), (argv, text)
+        codes.add(code)
+        if code == 2:
+            assert err.getvalue().startswith(("input error: ", "usage: "))
+
+    codes = set()
+    rng = random.Random(9)
+    for round_ in range(150):
+        graph = fuzz_graph(rng)
+        texts = [json.dumps(graph), malformed(rng, fuzz_graph(rng))]
+        if round_ < 3:
+            texts += [LONG_INTEGER, DEEP_ARRAYS]
+        commands = FUZZ_COMMANDS[:]
+        if len(graph["vertices"]) <= 3:
+            # oppressive_set enumerates every simple path of Xbar
+            commands.append(["fiber", "--oppressive"])
+            commands.append(["fiber", "--oppressive", "--basepoint",
+                             rng.choice(("v0+", "v0+/v1-", "zz"))])
+        commands.append(["check", "--max-cycle-len",
+                         rng.choice(("2", "3", "5", "12", "13", "x"))])
+        for command in commands:
+            formats = ["json", "text"] + (["dot"] if command[0] == "export" else [])
+            for fmt in formats:
+                argv = command + ["--format", fmt]
+                for text in texts:
+                    run(argv, text)
+                if round_ < 3:
+                    run(argv + ["--input", str(bad_bytes)], "")
+    assert codes == {0, 1, 2}

@@ -9,6 +9,7 @@ from artinsplit import (
     FiberInputError,
     StructureError,
     Walk,
+    blocks,
     build_collapsed,
     fiber,
     fiber_product,
@@ -16,7 +17,7 @@ from artinsplit import (
     monochrome_check,
     oppressive_set,
 )
-from artinsplit.fiber import _simple_paths_from
+from artinsplit.fiber import _simple_paths_from, _two_disjoint_paths
 from generators import (
     random_admissible_graph,
     random_bouquet_immersion,
@@ -31,6 +32,7 @@ from oracles import (
     oppressive_pairs,
     rank_count_fills,
     traces_word,
+    two_disjoint_paths,
 )
 
 
@@ -154,6 +156,30 @@ class TestMonochrome:
         # that are paths, which products of collapsed graphs do not
         for _ in range(200):
             check(fiber_product(random_bouquet_immersion(rng, max_vertices=4)))
+
+
+def test_disjoint_paths_match_the_capacity_flow():
+    # the flow kept as a set of used arcs against the reference that keeps
+    # capacities, for every pair of disjoint edges, within each block (as
+    # monochrome_check asks) and across the whole graph (where the paths
+    # may not exist)
+    rng = random.Random(2024)
+    compared = missing = 0
+    for _ in range(300):
+        g = random_colored_graph(rng, max_vertices=8, max_edges=14)
+        for sub in [g] + [g.restricted(block) for block in blocks(g)]:
+            edges = [e for e in sub.edges if e.tail != e.head]
+            for i, e1 in enumerate(edges):
+                for e2 in edges[i + 1:]:
+                    if {e1.tail, e1.head} & {e2.tail, e2.head}:
+                        continue
+                    args = (sub, (e1.tail, e1.head), (e2.tail, e2.head),
+                            {e1.id, e2.id})
+                    found = _two_disjoint_paths(*args)
+                    assert found == two_disjoint_paths(*args)
+                    compared += 1
+                    missing += found is None
+    assert compared > 1000 and 0 < missing < compared
 
 
 class TestFillRank:

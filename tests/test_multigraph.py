@@ -18,9 +18,14 @@ from artinsplit import (
     is_degree_n_cover,
     is_immersion,
 )
-from artinsplit.multigraph import UnionFind
+from artinsplit.multigraph import UnionFind, shortest_path
 from generators import random_colored_graph
-from oracles import all_simple_cycles, is_simple_path, on_common_simple_cycle
+from oracles import (
+    all_simple_cycles,
+    is_simple_path,
+    on_common_simple_cycle,
+    shortest_path_by_levels,
+)
 
 
 def path_graph(n, color="a"):
@@ -64,6 +69,18 @@ class TestColoredGraph:
         ends = g.incident_ends("a")
         assert len(ends) == 2
         assert {sign for _, sign in ends} == {+1, -1}
+
+    def test_star_in_edge_id_order_loop_tail_end_first(self):
+        g = ColoredGraph(
+            ["a", "b"],
+            [Edge("3", "b", "a", "c"), Edge("2", "a", "a", "c"),
+             Edge("1", "a", "b", "c")],
+        )
+        assert [(e.id, sign) for e, sign in g.incident_ends("a")] == [
+            ("1", +1), ("2", +1), ("2", -1), ("3", -1)
+        ]
+        assert [e.id for e in g.out_edges("a")] == ["1", "2"]
+        assert [e.id for e in g.in_edges("a")] == ["2", "3"]
 
     def test_restricted_keeps_only_endpoint_vertices(self):
         g = path_graph(4)
@@ -333,3 +350,21 @@ def test_components_are_deterministic(seed):
         (c.vertices, c.edges) for c in connected_components(g2)
     ]
     assert blocks(g1) == blocks(g2)
+
+
+def test_shortest_path_matches_the_level_by_level_search():
+    # the one BFS against a plain level-by-level search that sorts each
+    # vertex's edges by id, with and without banned vertices and edges
+    rng = random.Random(7)
+    for _ in range(300):
+        g = random_colored_graph(rng, max_vertices=8, max_edges=12)
+        ids = [e.id for e in g.edges]
+        for _ in range(5):
+            src, dst = rng.choice(g.vertices), rng.choice(g.vertices)
+            others = [v for v in g.vertices if v not in (src, dst)]
+            banned = (set(rng.sample(others, min(len(others), 2))),
+                      set(rng.sample(ids, min(len(ids), 2))))
+            for bans in ((), banned):
+                assert shortest_path(g, src, dst, *bans) == (
+                    shortest_path_by_levels(g, src, dst, *bans)
+                )
