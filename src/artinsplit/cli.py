@@ -5,8 +5,12 @@ admissible orientation), split (free splitting ranks), fiber (self fiber
 product inventory), certify (residual finiteness certificate), export
 (DOT/JSON of any constructed graph).
 
+Each report command builds one JSON payload; `--format text` renders
+that payload, so the text says nothing the JSON does not.
+
 Exit codes: 0 success, 1 the analysis answered "no" or refused (not
-admissible, nothing found, splitting undefined), 2 malformed input.
+admissible, nothing found, splitting undefined), 2 malformed input or a
+path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .fiber import (
 )
 from .horizontal import (
     InadmissibleOrientation,
-    SplittingCertificate,
     build_collapsed,
     build_family,
     compute_splitting,
@@ -39,7 +42,6 @@ from .horizontal import (
 from .multigraph import ColoredGraph, DisconnectedError
 from .orientation import (
     SearchSpaceError,
-    WitnessCycle,
     find_admissible_orientation,
     is_admissible,
     oracle_almost_misdirected,
@@ -168,10 +170,20 @@ def colored_graph_text(cg: ColoredGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _witness_text(w: WitnessCycle) -> str:
-    cyc = " -> ".join(w.vertices + (w.vertices[0],))
-    tails = ", ".join(t if t is not None else "(free)" for t in w.tails)
+def _witness_text(w: dict) -> str:
+    """A `witness_json` dict as one line."""
+    cyc = " -> ".join(w["vertices"] + [w["vertices"][0]])
+    tails = ", ".join(t if t is not None else "(free)" for t in w["tails"])
     return f"{cyc}  (tails: {tails})"
+
+
+def _open(path: str, mode: str):
+    # open() refuses a path with a NUL byte by ValueError; report it as the
+    # OSError any other path it cannot open gives
+    try:
+        return open(path, mode, encoding="utf-8")
+    except ValueError as exc:
+        raise OSError(f"{exc}: {path!r}") from None
 
 
 def _read_input(path: str) -> DefiningGraph:
@@ -180,7 +192,7 @@ def _read_input(path: str) -> DefiningGraph:
         if path == "-":
             text = sys.stdin.read()
         else:
-            with open(path, "r", encoding="utf-8") as f:
+            with _open(path, "r") as f:
                 text = f.read()
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -190,27 +202,42 @@ def _read_input(path: str) -> DefiningGraph:
 
 def _emit(args, text: str) -> None:
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as f:
+        with _open(args.output, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(args, payload: dict) -> None:
-    _emit(args, canonical_json(payload) + "\n")
+def _report(args, payload: dict, text, code: int = 0) -> int:
+    """Write a command's one result: `payload` as canonical JSON, or the
+    lines `text(payload)` renders from it.  Returns the exit code `code`."""
+    lines = [canonical_json(payload)] if args.format == "json" else text(payload)
+    _emit(args, "\n".join(lines) + "\n")
+    return code
 
 
 def _refuse(args, reason: str, **payload) -> int:
     """Report a refusal with its reason and return its exit code, 1."""
-    if args.format == "json":
-        _emit_json(args, {"refused": reason, **payload})
-    else:
-        _emit(args, f"refused: {reason}\n")
-    return 1
+    return _report(args, {"refused": reason, **payload},
+                   lambda p: [f"refused: {p['refused']}"], 1)
 
 
-def cmd_check(args) -> int:
-    g = _read_input(args.input)
+def _check_text(p: dict) -> list[str]:
+    lines = [
+        f"structure: ok ({len(p['report']['orientable_edges'])} orientable edges)",
+        f"admissible: {'yes' if p['admissible'] else 'no'}",
+    ]
+    if not p["admissible"]:
+        lines.append(f"reason: {p['reason']}")
+        if p["witness"] is None:
+            raise AssertionError("inadmissible verdict without a witness")
+        lines.append(f"witness: {_witness_text(p['witness'])}")
+    oracle = p["oracle"]
+    return lines + [f"oracle (closed walks up to {oracle['max_cycle_len']}): "
+                    f"{oracle['status']}"]
+
+
+def cmd_check(args, g: DefiningGraph) -> int:
     report = g.report
     verdict = is_admissible(g)
     oracle = oracle_almost_misdirected(g, args.max_cycle_len)
@@ -218,100 +245,72 @@ def cmd_check(args) -> int:
         status = "confirmed" if oracle is None else "conflict"
     else:
         status = "confirmed" if oracle is not None else "inconclusive"
-    if args.format == "json":
-        _emit_json(args, {
-            "report": {
-                "ok": report.ok,
-                "problems": report.problems,
-                "orientable_edges": ["-".join(k) for k in report.orientable_edges],
-                "iota_total": report.iota_total,
-            },
-            "admissible": verdict.admissible,
-            "reason": verdict.reason,
-            "witness": witness_json(verdict.witness),
-            "oracle": {
-                "max_cycle_len": args.max_cycle_len,
-                "witness": witness_json(oracle),
-                "status": status,
-            },
-        })
-    else:
-        lines = [
-            f"structure: ok ({len(report.orientable_edges)} orientable edges)",
-            f"admissible: {'yes' if verdict.admissible else 'no'}",
-        ]
-        if not verdict.admissible:
-            lines.append(f"reason: {verdict.reason}")
-            if verdict.witness is None:
-                raise AssertionError("inadmissible verdict without a witness")
-            lines.append(f"witness: {_witness_text(verdict.witness)}")
-        lines.append(
-            f"oracle (closed walks up to {args.max_cycle_len}): {status}"
-        )
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if verdict.admissible else 1
+    return _report(args, {
+        "report": {
+            "ok": report.ok,
+            "problems": report.problems,
+            "orientable_edges": ["-".join(k) for k in report.orientable_edges],
+            "iota_total": report.iota_total,
+        },
+        "admissible": verdict.admissible,
+        "reason": verdict.reason,
+        "witness": witness_json(verdict.witness),
+        "oracle": {
+            "max_cycle_len": args.max_cycle_len,
+            "witness": witness_json(oracle),
+            "status": status,
+        },
+    }, _check_text, 0 if verdict.admissible else 1)
 
 
-def cmd_orient(args) -> int:
-    g = _read_input(args.input)
+def _orient_text(p: dict) -> list[str]:
+    if not p["found"]:
+        return ["no admissible orientation exists"]
+    return ["admissible orientation found:"] + [
+        f"  {edge}: tail {t}" for edge, t in p["iota"].items()
+    ]
+
+
+def cmd_orient(args, g: DefiningGraph) -> int:
     try:
         assignment = find_admissible_orientation(g)
     except SearchSpaceError as exc:
         return _refuse(args, str(exc), found=False)
     if assignment is None:
-        if args.format == "json":
-            _emit_json(args, {"found": False})
-        else:
-            _emit(args, "no admissible orientation exists\n")
-        return 1
-    oriented = g.with_orientation(assignment)
-    if args.format == "json":
-        _emit_json(args, {
-            "found": True,
-            "iota": {"-".join(k): t for k, t in sorted(assignment.items())},
-            "graph": defining_graph_json_dict(oriented),
-        })
-    else:
-        lines = ["admissible orientation found:"]
-        for (u, v), t in sorted(assignment.items()):
-            lines.append(f"  {u}-{v}: tail {t}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return _report(args, {"found": False}, _orient_text, 1)
+    return _report(args, {
+        "found": True,
+        "iota": {"-".join(k): t for k, t in sorted(assignment.items())},
+        "graph": defining_graph_json_dict(g.with_orientation(assignment)),
+    }, _orient_text)
 
 
-def _splitting_text(cert: SplittingCertificate) -> str:
-    if cert.kind == "amalgam":
+def _splitting_text(ranks: dict) -> str:
+    """A `SplittingCertificate.to_json_dict()` dict as one line."""
+    if ranks["kind"] == "amalgam":
         return (
-            f"amalgam: F_{cert.rank_a} *_(F_{cert.rank_c}) F_{cert.rank_b}; "
-            f"edge group has index {cert.index_c_in_b} in F_{cert.rank_b}"
+            f"amalgam: F_{ranks['rank_a']} *_(F_{ranks['rank_c']}) "
+            f"F_{ranks['rank_b']}; edge group has index "
+            f"{ranks['index_c_in_b']} in F_{ranks['rank_b']}"
         )
     return (
-        f"HNN extension: base F_{cert.rank_a}, edge group F_{cert.rank_b} "
-        "attached along two embeddings"
+        f"HNN extension: base F_{ranks['rank_a']}, edge group "
+        f"F_{ranks['rank_b']} attached along two embeddings"
     )
 
 
-def cmd_split(args) -> int:
-    g = _read_input(args.input)
+def cmd_split(args, g: DefiningGraph) -> int:
     try:
         cert = compute_splitting(g)
     except InadmissibleOrientation as exc:
-        if args.format == "json":
-            _emit_json(args, {
-                "refused": "orientation is not admissible",
-                "reason": exc.verdict.reason,
-                "witness": witness_json(exc.verdict.witness),
-            })
-        else:
-            _emit(args, f"refused: {exc}\n")
-        return 1
+        return _report(args, {
+            "refused": "orientation is not admissible",
+            "reason": exc.verdict.reason,
+            "witness": witness_json(exc.verdict.witness),
+        }, lambda p: [f"refused: {p['reason']}"], 1)
     except DisconnectedError as exc:
         return _refuse(args, str(exc))
-    if args.format == "json":
-        _emit_json(args, cert.to_json_dict())
-    else:
-        _emit(args, _splitting_text(cert) + "\n")
-    return 0
+    return _report(args, cert.to_json_dict(), lambda p: [_splitting_text(p)])
 
 
 def _collapsed_or_refuse(args, g: DefiningGraph):
@@ -320,33 +319,51 @@ def _collapsed_or_refuse(args, g: DefiningGraph):
     collapsed = build_collapsed(g)
     if collapsed.admissible:
         return collapsed
-    if args.format == "json":
-        _emit_json(args, {
-            "refused": "orientation is not admissible; the collapsed "
-                       "quarter graph does not immerse",
-            "witness": witness_json(collapsed.witness),
-        })
-    else:
-        _emit(args, "refused: orientation is not admissible\n")
+    _report(args, {
+        "refused": "orientation is not admissible; the collapsed "
+                   "quarter graph does not immerse",
+        "witness": witness_json(collapsed.witness),
+    }, lambda p: ["refused: orientation is not admissible"])
     return None
 
 
-def cmd_fiber(args) -> int:
-    g = _read_input(args.input)
+def _fiber_text(p: dict) -> list[str]:
+    lines = [f"components: {len(p['components'])}"]
+    for entry in p["components"]:
+        line = (
+            f"  [{entry['index']}] {entry['classification']}: "
+            f"{entry['vertices']} vertices, {entry['edges']} edges, "
+            f"rank {entry['rank']}"
+        )
+        if entry["branching_vertices"]:
+            line += f", branching: {', '.join(entry['branching_vertices'])}"
+        if "fill_rank_ok" in entry:
+            line += f", fill rank {'ok' if entry['fill_rank_ok'] else 'deficient'}"
+        lines.append(line)
+    mono = p["monochrome"]
+    if mono["all_monochrome"]:
+        lines.append("monochrome: yes")
+    else:
+        if "witness" not in mono:
+            raise AssertionError("mixed verdict without a witness")
+        lines.append(
+            f"monochrome: no (component {mono['witness']['component']}, "
+            f"colors {', '.join(mono['witness']['colors'])})"
+        )
+    if "oppressive" in p:
+        op = p["oppressive"]
+        lines.append(f"oppressive words at {op['basepoint']}: {op['count']}")
+    return lines
+
+
+def cmd_fiber(args, g: DefiningGraph) -> int:
     collapsed = _collapsed_or_refuse(args, g)
     if collapsed is None:
         return 1
-    if (
-        args.oppressive
-        and args.basepoint is not None
-        and args.basepoint not in collapsed.graph.vertices
-    ):
-        print(
-            f"input error: basepoint {args.basepoint!r} is not a vertex of "
-            "the collapsed graph",
-            file=sys.stderr,
-        )
-        return 2
+    if (args.oppressive and args.basepoint is not None
+            and args.basepoint not in collapsed.graph.vertices):
+        raise SchemaError(f"basepoint {args.basepoint!r} is not a vertex of "
+                          "the collapsed graph")
     if args.oppressive and not g.vertices:
         return _refuse(args, "the graph is empty; oppressive words need a "
                              "basepoint")
@@ -384,72 +401,32 @@ def cmd_fiber(args) -> int:
             "count": len(words),
             "words": words,
         }
-    if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        lines = [f"components: {len(fp.classification)}"]
-        for entry in inventory:
-            line = (
-                f"  [{entry['index']}] {entry['classification']}: "
-                f"{entry['vertices']} vertices, {entry['edges']} edges, "
-                f"rank {entry['rank']}"
-            )
-            if entry["branching_vertices"]:
-                line += f", branching: {', '.join(entry['branching_vertices'])}"
-            if "fill_rank_ok" in entry:
-                line += f", fill rank {'ok' if entry['fill_rank_ok'] else 'deficient'}"
-            lines.append(line)
-        if mono.all_monochrome:
-            lines.append("monochrome: yes")
-        else:
-            if mono.witness is None:
-                raise AssertionError("mixed verdict without a witness")
-            lines.append(
-                "monochrome: no (component "
-                f"{mono.witness_component}, colors "
-                f"{', '.join(mono.witness_colors())})"
-            )
-        if "oppressive" in payload:
-            op = payload["oppressive"]
-            lines.append(
-                f"oppressive words at {op['basepoint']}: {op['count']}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return _report(args, payload, _fiber_text)
 
 
-def cmd_certify(args) -> int:
-    g = _read_input(args.input)
-    cert = certify(g)
-    if args.format == "json":
-        _emit_json(args, cert.to_json_dict())
-    else:
-        lines = [
-            f"verdict: {cert.verdict}",
-            f"rule: {cert.rule} ({cert.evidence.get('rule_description', '')})",
-        ]
-        for c in cert.citations:
-            lines.append(f"citation: {c}")
-        if cert.splitting is not None:
-            lines.append("splitting: " + _splitting_text(cert.splitting))
-        if cert.monochrome is not None:
-            lines.append(
-                "monochrome: "
-                + ("yes" if cert.monochrome.all_monochrome else "no")
-            )
-        for c in cert.caveats:
-            lines.append(f"caveat: {c}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+def _certify_text(p: dict) -> list[str]:
+    lines = [
+        f"verdict: {p['verdict']}",
+        f"rule: {p['rule']} ({p['evidence'].get('rule_description', '')})",
+    ]
+    lines += [f"citation: {c}" for c in p["citations"]]
+    if p["ranks"]:
+        lines.append("splitting: " + _splitting_text(p["ranks"]))
+    if p["monochrome"]:
+        mono = p["monochrome"]["all_monochrome"]
+        lines.append("monochrome: " + ("yes" if mono else "no"))
+    return lines + [f"caveat: {c}" for c in p["caveats"]]
 
 
-def cmd_export(args) -> int:
-    g = _read_input(args.input)
-    pal = edge_palette(g)
+def cmd_certify(args, g: DefiningGraph) -> int:
+    return _report(args, certify(g).to_json_dict(), _certify_text)
+
+
+def cmd_export(args, g: DefiningGraph) -> int:
     if args.graph == "input":
         require_valid(g, oriented=False)
         if args.format == "json":
-            _emit_json(args, defining_graph_json_dict(g))
+            _emit(args, canonical_json(defining_graph_json_dict(g)) + "\n")
         elif args.format == "dot":
             _emit(args, defining_graph_dot(g))
         else:
@@ -461,11 +438,8 @@ def cmd_export(args) -> int:
         return 0
     if args.graph in ("X0", "Xhalf", "Xquarter"):
         family = build_family(g)
-        cg = {
-            "X0": family.x0,
-            "Xhalf": family.x_half,
-            "Xquarter": family.x_quarter,
-        }[args.graph]
+        cg = {"X0": family.x0, "Xhalf": family.x_half,
+              "Xquarter": family.x_quarter}[args.graph]
     elif args.graph == "Xbar":
         cg = build_collapsed(g).graph
     else:  # fiber
@@ -474,9 +448,9 @@ def cmd_export(args) -> int:
             return 1
         cg = fiber_product(collapsed.graph).graph
     if args.format == "json":
-        _emit_json(args, colored_graph_json_dict(cg))
+        _emit(args, canonical_json(colored_graph_json_dict(cg)) + "\n")
     elif args.format == "dot":
-        _emit(args, colored_graph_dot(cg, pal, args.graph))
+        _emit(args, colored_graph_dot(cg, edge_palette(g), args.graph))
     else:
         _emit(args, colored_graph_text(cg))
     return 0
@@ -551,10 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _read_input(args.input))
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

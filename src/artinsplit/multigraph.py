@@ -69,12 +69,6 @@ class ColoredGraph:
         except KeyError:
             raise StructureError(f"no edge {edge_id!r}") from None
 
-    def out_edges(self, v: str) -> tuple[Edge, ...]:
-        return tuple(e for e, sign in self._star[v] if sign == +1)
-
-    def in_edges(self, v: str) -> tuple[Edge, ...]:
-        return tuple(e for e, sign in self._star[v] if sign == -1)
-
     def incident_ends(self, v: str) -> tuple[tuple[Edge, int], ...]:
         """The star of v: every edge-end at v as (edge, +1 for its tail end
         or -1 for its head end), in edge-id order.

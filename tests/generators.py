@@ -58,6 +58,29 @@ def with_random_orientation(rng: random.Random, g: DefiningGraph) -> DefiningGra
     return DefiningGraph.build(g.vertices, rows)
 
 
+def glued_cycle_blocks(rng: random.Random) -> DefiningGraph:
+    """2 to 4 cycles of 3 to 5 vertices, some with a chord, each after the
+    first glued at one vertex to an earlier cycle, sometimes with a pendant
+    bridge; no orientation."""
+    vertices: list[str] = []
+    pairs: list[tuple[str, str]] = []
+    for _ in range(rng.randint(2, 4)):
+        glue = [rng.choice(vertices)] if vertices else []
+        ring = glue + [
+            f"v{len(vertices) + i}" for i in range(rng.randint(3, 5) - len(glue))
+        ]
+        vertices += ring[len(glue):]
+        pairs += list(zip(ring, ring[1:] + ring[:1]))
+        if len(ring) >= 4 and rng.random() < 0.5:
+            pairs.append((ring[0], ring[2]))
+    if rng.random() < 0.3:
+        pairs.append((rng.choice(vertices), f"v{len(vertices)}"))
+        vertices.append(pairs[-1][1])
+    return DefiningGraph.build(
+        vertices, [(u, v, rng.choice(LABELS), None) for u, v in pairs]
+    )
+
+
 def random_admissible_graph(rng: random.Random, **kwargs) -> DefiningGraph:
     """A connected graph together with an admissible orientation.
 

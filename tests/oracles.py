@@ -361,6 +361,16 @@ def first_admissible_orientation(g: DefiningGraph):
     return None
 
 
+def out_edges(g: ColoredGraph, v: str) -> tuple[Edge, ...]:
+    """The edges with tail v, in edge-id order."""
+    return tuple(e for e, sign in g.incident_ends(v) if sign == +1)
+
+
+def in_edges(g: ColoredGraph, v: str) -> tuple[Edge, ...]:
+    """The edges with head v, in edge-id order."""
+    return tuple(e for e, sign in g.incident_ends(v) if sign == -1)
+
+
 @dataclass(frozen=True)
 class TraceResult:
     """Outcome of following a word letter by letter from a base vertex.
@@ -388,9 +398,9 @@ def traces_word(
     at = y0
     for i, (color, sign) in enumerate(word):
         if sign == +1:
-            candidates = [e for e in Y.out_edges(at) if e.color == color]
+            candidates = [e for e in out_edges(Y, at) if e.color == color]
         else:
-            candidates = [e for e in Y.in_edges(at) if e.color == color]
+            candidates = [e for e in in_edges(Y, at) if e.color == color]
         if len(candidates) > 1:
             raise StructureError(
                 f"two {color!r} edges leave {at!r}; the graph does not "

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -63,6 +64,9 @@ INVALID = {
 LONG_INTEGER = '{"vertices": [], "edges": [], "n": ' + "7" * 5000 + "}"
 DEEP_ARRAYS = "[" * (10 * sys.getrecursionlimit())
 NOT_UTF8 = b'{"vertices": ["\xff"], "edges": []}'
+
+# sha256 of every output of test_outputs_are_byte_identical
+PINNED_OUTPUTS = "181cb9d9586f59661e90d620badb2761f539f9f0fb28aa68d0116ea11bf5b955"
 
 INVALID_LINES = [
     "input error: edge a-b: label must be an integer >= 2",
@@ -227,6 +231,19 @@ class TestExitCodes:
     def test_missing_file_is_exit_two(self, capsys):
         assert main(["check", "--input", "/nonexistent/x.json"]) == 2
 
+    def test_input_path_with_nul_byte_is_exit_two(self, capsys):
+        assert main(["check", "--input", "a\x00b"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "input error: embedded null byte: 'a\\x00b'\n"
+        assert captured.out == ""
+
+    def test_output_path_with_nul_byte_is_exit_two(self, write, capsys):
+        argv = ["check", "--input", write(TRIANGLE), "--output", "a\x00b"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "input error: embedded null byte: 'a\\x00b'\n"
+        assert captured.out == ""
+
     def test_missing_iota_is_exit_two_for_check(self, write, capsys):
         assert main(["check", "--input", write(UNORIENTED)]) == 2
         assert "requires iota" in capsys.readouterr().err
@@ -301,6 +318,20 @@ class TestOrient:
             "rank_c": 7,
             "index_c_in_b": 2,
         }
+
+    @pytest.mark.parametrize("fmt,out", [
+        ("json", '{\n  "found": false,\n  "refused": "28 orientable edges '
+                 'exceed the search bound 24"\n}\n'),
+        ("text", "refused: 28 orientable edges exceed the search bound 24\n"),
+    ])
+    def test_search_space_refusal(self, write, capsys, fmt, out):
+        names = [f"v{i}" for i in range(8)]
+        k8 = {"vertices": names, "edges": [
+            {"u": u, "v": v, "label": 3}
+            for i, u in enumerate(names) for v in names[i + 1:]
+        ]}
+        assert main(["orient", "--input", write(k8), "--format", fmt]) == 1
+        assert capsys.readouterr().out == out
 
 
 class TestFiber:
@@ -469,14 +500,14 @@ FUZZ_COMMANDS = [["check"], ["orient"], ["split"], ["fiber"], ["certify"]] + [
 ODD_VALUES = (None, True, 0, 1, -4, 2.5, "", "v0", "zz", [], {}, ["v0"])
 
 
-def fuzz_graph(rng):
-    """A random defining graph on up to 5 vertices, labels 2 to 9, with
-    some of the edges of label 3 or more left unoriented."""
+def fuzz_graph(rng, top_label=9):
+    """A random defining graph on up to 5 vertices, labels 2 to top_label,
+    with some of the edges of label 3 or more left unoriented."""
     names = [f"v{i}" for i in range(rng.randint(0, 5))]
     pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
     edges = []
     for u, v in rng.sample(pairs, rng.randint(0, min(len(pairs), 7))):
-        edge = {"u": u, "v": v, "label": rng.randint(2, 9)}
+        edge = {"u": u, "v": v, "label": rng.randint(2, top_label)}
         if edge["label"] >= 3 and rng.random() < 0.9:
             edge["iota"] = rng.choice((u, v))
         edges.append(edge)
@@ -502,29 +533,79 @@ def malformed(rng, graph):
     return json.dumps(graph)
 
 
+def run_captured(monkeypatch, argv, text):
+    """main(argv) with `text` on stdin: (exit code, stdout, stderr)."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr("sys.stdout", out)
+    monkeypatch.setattr("sys.stderr", err)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag with exit 2
+        code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_outputs_are_byte_identical(monkeypatch):
+    # Every subcommand and export graph in every format on 150 seeded
+    # graphs (up to 5 vertices, labels 2 to 7, partial orientations) and
+    # one malformed graph per round: one digest over every exit code,
+    # stdout and stderr.  Record a new digest only for an intended change
+    # of output.
+    rng = random.Random(10)
+    h = hashlib.sha256()
+    runs = 0
+    for _ in range(150):
+        graph = fuzz_graph(rng, top_label=7)
+        texts = [json.dumps(graph), malformed(rng, fuzz_graph(rng, top_label=7))]
+        commands = FUZZ_COMMANDS[:]
+        if len(graph["vertices"]) <= 3:
+            commands.append(["fiber", "--oppressive"])
+            commands.append(["fiber", "--oppressive", "--basepoint",
+                             rng.choice(("v0+", "v0+/v1-", "zz"))])
+        for command in commands:
+            formats = ["json", "text"] + (["dot"] if command[0] == "export" else [])
+            for fmt in formats:
+                for text in texts:
+                    code, out, err = run_captured(
+                        monkeypatch, command + ["--format", fmt], text)
+                    h.update(f"{code}\0{out}\0{err}\0".encode())
+                    runs += 1
+    assert runs > 3000
+    assert h.hexdigest() == PINNED_OUTPUTS
+
+
 def test_seeded_fuzz_every_input_ends_in_exit_0_1_or_2(tmp_path, monkeypatch):
     # Every subcommand and export graph in every format, on random valid
     # graphs, malformed JSON and the three inputs json fails on in other
     # ways.  Input sizes stay small: very large labels still run without
     # limit until the library has size budgets.
+    # A seeded tenth of the commands run again with --output: the file
+    # holds what stdout held, and the exit code and stderr stay the same.
+    # An --output that cannot be opened is an input error.
     bad_bytes = tmp_path / "not-utf8.json"
     bad_bytes.write_bytes(NOT_UTF8)
+    out_file = tmp_path / "out.txt"
+    unopenable = (str(tmp_path), str(tmp_path / "a\x00b"),
+                  str(tmp_path / "missing" / "out.txt"))
 
     def run(argv, text):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        monkeypatch.setattr("sys.stdout", io.StringIO())
-        err = io.StringIO()
-        monkeypatch.setattr("sys.stderr", err)
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses a flag with exit 2
-            code = exc.code
+        code, out, err = run_captured(monkeypatch, argv, text)
         assert code in (0, 1, 2), (argv, text)
         codes.add(code)
         if code == 2:
-            assert err.getvalue().startswith(("input error: ", "usage: "))
+            assert err.startswith(("input error: ", "usage: "))
+        if pick.random() < 0.1:
+            out_file.unlink(missing_ok=True)
+            again, nothing, again_err = run_captured(
+                monkeypatch, argv + ["--output", str(out_file)], text)
+            written = out_file.read_text() if out_file.exists() else ""
+            assert (again, nothing, again_err, written) == (code, "", err, out)
+            redirected.append(code)
 
     codes = set()
+    redirected = []
+    pick = random.Random(10)
     rng = random.Random(9)
     for round_ in range(150):
         graph = fuzz_graph(rng)
@@ -547,4 +628,10 @@ def test_seeded_fuzz_every_input_ends_in_exit_0_1_or_2(tmp_path, monkeypatch):
                     run(argv, text)
                 if round_ < 3:
                     run(argv + ["--input", str(bad_bytes)], "")
+                    for path in unopenable:
+                        code, out, err = run_captured(
+                            monkeypatch, argv + ["--output", path], texts[0])
+                        assert code == 2 and out == "", (argv, path)
+                        assert err.startswith(("input error: ", "usage: "))
     assert codes == {0, 1, 2}
+    assert set(redirected) == {0, 1, 2}

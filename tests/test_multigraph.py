@@ -22,8 +22,10 @@ from artinsplit.multigraph import UnionFind, shortest_path
 from generators import random_colored_graph
 from oracles import (
     all_simple_cycles,
+    in_edges,
     is_simple_path,
     on_common_simple_cycle,
+    out_edges,
     shortest_path_by_levels,
 )
 
@@ -79,8 +81,8 @@ class TestColoredGraph:
         assert [(e.id, sign) for e, sign in g.incident_ends("a")] == [
             ("1", +1), ("2", +1), ("2", -1), ("3", -1)
         ]
-        assert [e.id for e in g.out_edges("a")] == ["1", "2"]
-        assert [e.id for e in g.in_edges("a")] == ["2", "3"]
+        assert [e.id for e in out_edges(g, "a")] == ["1", "2"]
+        assert [e.id for e in in_edges(g, "a")] == ["2", "3"]
 
     def test_restricted_keeps_only_endpoint_vertices(self):
         g = path_graph(4)

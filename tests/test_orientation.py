@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinsplit import (
+    ColoredGraph,
     DefiningGraph,
+    Edge,
     SearchSpaceError,
     check_witness,
     enumerate_cycles,
+    blocks,
     find_admissible_orientation,
     is_admissible,
     oracle_almost_misdirected,
@@ -21,6 +24,7 @@ from artinsplit.orientation import (
     edge_lifts,
 )
 from generators import (
+    glued_cycle_blocks,
     random_defining_graph,
     with_random_orientation,
 )
@@ -136,6 +140,42 @@ class TestIsAdmissible:
                     directed += 1
                     assert is_admissible(g.with_orientation(iota)).admissible
         assert directed
+
+    def test_admissibility_is_block_local(self):
+        # every simple cycle lies in one biconnected block, so the graph is
+        # admissible exactly when each block is, taken as its own graph
+        rng = random.Random(17)
+        seen = {True: 0, False: 0}
+        for i in range(1000):
+            g = glued_cycle_blocks(rng)
+            assignment = None
+            if i % 2:
+                try:
+                    assignment = find_admissible_orientation(g)
+                except SearchSpaceError:
+                    pass
+            if assignment is None:
+                g = with_random_orientation(rng, g)
+            else:
+                if rng.random() < 0.5:
+                    u, v = key = rng.choice(sorted(assignment))
+                    assignment[key] = v if assignment[key] == u else u
+                g = g.with_orientation(assignment)
+            cg = ColoredGraph(
+                g.vertices, [Edge(e.color, e.u, e.v, e.color) for e in g.edges]
+            )
+            parts = []
+            for block in blocks(cg):
+                edges = [e for e in g.edges if e.color in block]
+                parts.append(DefiningGraph.build(
+                    sorted({v for e in edges for v in e.key}),
+                    [(e.u, e.v, e.label, e.iota) for e in edges],
+                ))
+            assert len(parts) >= 2
+            admissible = is_admissible(g).admissible
+            assert admissible == all(is_admissible(p).admissible for p in parts)
+            seen[admissible] += 1
+        assert seen[True] > 50 and seen[False] > 500
 
     @pytest.mark.parametrize(
         "g, vertices, tails, reason",
