@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .multigraph import UnionFind
+from .multigraph import UnionFind, bfs_forest
 
 
 class InvalidDefiningGraph(ValueError):
@@ -227,21 +227,12 @@ def is_forest(g: DefiningGraph) -> bool:
 
 
 def is_bipartite(g: DefiningGraph) -> bool:
-    side: dict[str, int] = {}
-    for start in g.vertices:
-        if start in side:
-            continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbours(v):
-                if w not in side:
-                    side[w] = 1 - side[v]
-                    stack.append(w)
-                elif side[w] == side[v]:
-                    return False
-    return True
+    """Whether no edge joins two vertices of one depth parity in a
+    breadth-first spanning forest."""
+    _, depth = bfs_forest(
+        g.vertices, lambda v: ((w, None) for w in g.neighbours(v))
+    )
+    return all(depth[e.u] % 2 != depth[e.v] % 2 for e in g.edges)
 
 
 def all_labels_even(g: DefiningGraph) -> bool:

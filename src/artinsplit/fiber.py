@@ -305,18 +305,15 @@ def _cycle_through(
     """A simple cycle of the block through both of the given edges.
 
     One exists because any two edges of a biconnected block lie on a common
-    simple cycle.  Three shapes: the edges are parallel, share one endpoint,
-    or are disjoint (then joined by two vertex-disjoint paths).
+    simple cycle.  Two shapes: the edges share an endpoint v (e1's tail when
+    they are parallel, so the path between their other ends is empty), or
+    they are disjoint and joined by two vertex-disjoint paths.
     """
     sub = g.restricted(block)
     ends1 = {e1.tail, e1.head}
     ends2 = {e2.tail, e2.head}
-    if ends1 == ends2:
-        steps = [_step(e1, e1.tail), _step(e2, e1.head)]
-        return Walk(g, e1.tail, tuple(steps))
-    shared = ends1 & ends2
-    if shared:
-        v = min(shared)
+    if ends1 & ends2:
+        v = e1.tail if e1.tail in ends2 else e1.head
         x = (ends1 - {v}).pop()
         y = (ends2 - {v}).pop()
         mid = shortest_path(sub, x, y, {v}, {e1.id, e2.id})

@@ -5,8 +5,9 @@ walks may traverse them either way; loops and parallel edges are allowed.
 Each edge carries a color naming the relation edge it came from.  All
 operations are pure: graphs are never mutated after construction, and every
 listing (components, blocks, cycles) comes back in a deterministic order.
-The graph algorithms the other modules share live here: the union-find,
-connected components, blocks and the one breadth-first search.
+The graph algorithms the other modules share live here: the union-find
+and the one breadth-first search, `bfs_tree`, on which paths, blocks and
+the bipartite test run.
 """
 
 from __future__ import annotations
@@ -242,100 +243,87 @@ def free_rank(g: ColoredGraph) -> int:
     return closing
 
 
-def blocks(g: ColoredGraph) -> list[frozenset[str]]:
-    """Biconnected blocks as edge-id sets; every edge lands in exactly one.
+def bfs_tree(start, step, goal=None) -> dict:
+    """Level-order breadth-first search: {node: (previous node, label)} in
+    discovery order, start mapped to None, stopping once `goal` is found;
+    `step(node)` yields (next node, label) pairs in the order to try them."""
+    tree: dict = {start: None}
+    queue = [start]
+    for node in queue:
+        for w, label in step(node):
+            if w not in tree:
+                tree[w] = (node, label)
+                if w == goal:
+                    return tree
+                queue.append(w)
+    return tree
 
-    Loops are their own blocks.  Parallel edges share a block.  The list is
-    ordered by each block's smallest edge id.
-    """
-    loop_ids = {e.id for e in g.edges if e.tail == e.head}
-    out: list[frozenset[str]] = [frozenset([lid]) for lid in sorted(loop_ids)]
 
-    def neighbours(v: str):
-        return (
-            (e, e.head if sign == +1 else e.tail)
-            for e, sign in g.incident_ends(v)
-            if e.tail != e.head
-        )
-
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    counter = 0
-    estack: list[str] = []
-    used_edges: set[str] = set()
-
-    for root in g.vertices:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        # frames: (vertex, id of the tree edge into it, end iterator)
-        stack: list[tuple[str, Optional[str], object]] = [
-            (root, None, neighbours(root))
-        ]
-        while stack:
-            v, via, it = stack[-1]
-            advanced = False
-            for e, w in it:  # type: ignore[assignment]
-                if e.id in used_edges:
-                    continue
-                used_edges.add(e.id)
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    estack.append(e.id)
-                    stack.append((w, e.id, neighbours(w)))
-                    advanced = True
-                    break
-                # w already visited and the edge unseen: w is an ancestor
-                estack.append(e.id)
-                low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= index[parent]:
-                    block: list[str] = []
-                    while estack:
-                        eid = estack.pop()
-                        block.append(eid)
-                        if eid == via:
-                            break
-                    if block:
-                        out.append(frozenset(block))
-    out.sort(key=min)
-    return out
+def bfs_forest(roots: Iterable, step) -> tuple[dict, dict]:
+    """One `bfs_tree` from each root not yet reached, merged, and the depth
+    of each node, read off the discovery order."""
+    tree: dict = {}
+    for root in roots:
+        if root not in tree:
+            tree.update(bfs_tree(root, step))
+    depth: dict = {}
+    for node, link in tree.items():
+        depth[node] = 0 if link is None else depth[link[0]] + 1
+    return tree, depth
 
 
 def bfs_path(start, goal, step) -> Optional[list]:
-    """The labels along a shortest path start -> goal, or None.
-
-    Level-order breadth-first search: `step(node)` yields (next node,
-    label) pairs in the order to try them, and the first discovery of
-    `goal` wins, so the answer is as deterministic as `step`.
-    """
+    """The labels along the `bfs_tree` path start -> goal, or None."""
     if start == goal:
         return []
-    prev = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for w, label in step(node):
-                if w in prev:
-                    continue
-                prev[w] = (node, label)
-                if w == goal:
-                    labels = []
-                    while w != start:
-                        w, label = prev[w]
-                        labels.append(label)
-                    return labels[::-1]
-                nxt.append(w)
-        frontier = nxt
-    return None
+    tree = bfs_tree(start, step, goal)
+    if goal not in tree:
+        return None
+    labels = []
+    while goal != start:
+        goal, label = tree[goal]
+        labels.append(label)
+    return labels[::-1]
+
+
+def blocks(g: ColoredGraph) -> list[frozenset[str]]:
+    """Biconnected blocks as edge-id sets, ordered by smallest edge id.
+
+    Each edge outside a `bfs_forest` (roots in vertex order) is joined, on
+    one union-find, with the forest edges its fundamental cycle passes,
+    found by walking the deeper end up until the ends meet.  Fundamental
+    cycles are simple, so each class lies in one block.  Conversely, in a
+    block of two or more edges every edge lies on a simple cycle, a sum of
+    fundamental cycles, so on one of them.  If the classes split the block
+    into parts X and Y, each simple cycle of it is a sum of fundamental
+    cycles each inside X or Y, and since a proper nonempty edge set of a
+    simple cycle has vertices of degree one, the cycle lies wholly in X or
+    in Y; yet any two edges of a block share a simple cycle.  A loop is
+    never a forest edge and a bridge is on no fundamental cycle, so each
+    is its own block.  Parallel edges share a block.
+    """
+
+    def step(v: str):
+        for e, sign in g.incident_ends(v):
+            yield (e.head if sign == +1 else e.tail), e.id
+
+    tree, depth = bfs_forest(g.vertices, step)
+    forest = {link[1] for link in tree.values() if link is not None}
+    classes = UnionFind(e.id for e in g.edges)
+    for e in g.edges:
+        if e.id in forest:
+            continue
+        a, b = e.tail, e.head
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, tree_edge = tree[a]
+            classes.union(e.id, tree_edge)
+    # g.edges is sorted, so classes appear in order of their least edge id
+    members: dict[str, list[str]] = {}
+    for e in g.edges:
+        members.setdefault(classes.find(e.id), []).append(e.id)
+    return [frozenset(ids) for ids in members.values()]
 
 
 def shortest_path(
@@ -345,11 +333,8 @@ def shortest_path(
     banned_vertices: Collection[str] = (),
     banned_edges: Collection[str] = (),
 ) -> Optional[list[tuple[str, int]]]:
-    """Steps of a shortest path src -> dst avoiding the banned items, or None.
-
-    Breadth-first, trying the ends at each vertex in its star's order, so
-    the answer is deterministic; in a forest it is the unique path.
-    """
+    """Steps of a shortest path src -> dst avoiding the banned items, or
+    None: `bfs_path` over each vertex's star, in its order."""
 
     def step(v: str):
         for e, sign in g.incident_ends(v):

@@ -123,8 +123,9 @@ class WitnessCycle:
     """A closed walk of the defining graph with a direction extension.
 
     `vertices` lists the walk (v1, ..., vn); the closing edge returns to v1.
-    `tails[i]` directs edge (v[i], v[i+1]); the final entry belongs to the
-    closing edge and is None when that edge has no orientation of its own.
+    `tails[i]` directs edge (v[i], v[i+1]), and the path's tails alternate.
+    The final entry belongs to the closing edge: its iota when its label is
+    3 or more, and None or one of its ends when its label is 2.
     """
 
     vertices: tuple[str, ...]
@@ -132,8 +133,19 @@ class WitnessCycle:
 
 
 def check_witness(g: DefiningGraph, w: WitnessCycle) -> bool:
-    """Re-verify a witness: a genuine cycle whose initial path misdirects."""
-    return _expression_misdirects(g, w.vertices) is not None
+    """Re-verify a witness: a genuine cycle whose initial path misdirects
+    under the tails it carries, closed as `WitnessCycle` describes."""
+    seq, tails = w.vertices, w.tails
+    if len(tails) != len(seq) or not _is_cycle_expression(g, seq):
+        return False
+    if _alternating_tails(g, seq, tails[0] == seq[0]) != list(tails[:-1]):
+        return False
+    closing = g.edge_between(seq[-1], seq[0])
+    if closing is None:
+        raise AssertionError("cycle expression does not close")
+    if closing.label >= 3:
+        return tails[-1] == closing.iota
+    return tails[-1] in (None, seq[-1], seq[0])
 
 
 def _is_cycle_expression(g: DefiningGraph, seq: tuple[str, ...]) -> bool:
@@ -148,6 +160,24 @@ def _is_cycle_expression(g: DefiningGraph, seq: tuple[str, ...]) -> bool:
     return True
 
 
+def _alternating_tails(
+    g: DefiningGraph, seq: tuple[str, ...], first_forward: bool
+) -> Optional[list[str]]:
+    """The alternating tails of the path (seq[0], ..., seq[-1]) whose first
+    edge runs forward or not, or None when an oriented edge disagrees."""
+    tails = []
+    for i in range(len(seq) - 1):
+        e = g.edge_between(seq[i], seq[i + 1])
+        if e is None:
+            raise AssertionError("cycle expression skips an edge")
+        forward = first_forward if i % 2 == 0 else not first_forward
+        want_tail = seq[i] if forward else seq[i + 1]
+        if e.label >= 3 and e.iota != want_tail:
+            return None
+        tails.append(want_tail)
+    return tails
+
+
 def _expression_misdirects(
     g: DefiningGraph, seq: tuple[str, ...]
 ) -> Optional[tuple[Optional[str], ...]]:
@@ -158,26 +188,13 @@ def _expression_misdirects(
     """
     if not _is_cycle_expression(g, seq):
         return None
-    n = len(seq)
     for first_forward in (True, False):
-        tails: list[Optional[str]] = []
-        ok = True
-        for i in range(n - 1):
-            e = g.edge_between(seq[i], seq[i + 1])
-            if e is None:
-                raise AssertionError("cycle expression skips an edge")
-            forward = first_forward if i % 2 == 0 else not first_forward
-            want_tail = seq[i] if forward else seq[i + 1]
-            if e.label >= 3 and e.iota != want_tail:
-                ok = False
-                break
-            tails.append(want_tail)
-        if ok:
+        tails = _alternating_tails(g, seq, first_forward)
+        if tails is not None:
             closing = g.edge_between(seq[-1], seq[0])
             if closing is None:
                 raise AssertionError("cycle expression does not close")
-            tails.append(closing.iota)
-            return tuple(tails)
+            return (*tails, closing.iota)
     return None
 
 
@@ -293,22 +310,6 @@ def _tails_from_lift_path(path: list[str]) -> list[str]:
     return tails
 
 
-def _strip_wrap_backtracking(path: list[str]) -> list[str]:
-    """Shrink a closed lift projection until its wrap-around is immersed.
-
-    `path` runs between the two lifts of one vertex; if its projection
-    re-uses the first edge as the last, peel both ends, which exposes the
-    same situation one vertex further in.
-    """
-    while len(path) >= 5:
-        first, _ = _project(path[1])
-        last, _ = _project(path[-2])
-        if first != last:
-            break
-        path = path[1:-1]
-    return path
-
-
 def _witness_from_patterns(
     g: DefiningGraph,
     sub: ColoredGraph,
@@ -323,7 +324,9 @@ def _witness_from_patterns(
     # the first shortest path, preferring a vertex's two lifts on a tie
     kind, path = min(paths, key=lambda kp: (len(kp[1]), kp[0]))
     if kind == 0:
-        path = _strip_wrap_backtracking(path)
+        # unlike a collapsed cycle's arc below, this path never wraps: one
+        # whose first and last lifts project to one edge passes through both
+        # lifts of an inner vertex, whose own kind-0 path is shorter
         vertices = tuple(_project(q)[0] for q in path[:-1])
         tails = _tails_from_lift_path(path)
         # last path edge closes the cycle; its tail entry is already there
@@ -354,7 +357,10 @@ def _witness_from_collapsed_cycle(sub: ColoredGraph) -> WitnessCycle:
         arc1 = cycle[i : j + 1]
         arc2 = cycle[j:] + cycle[: i + 1]
         path = list(arc1 if len(arc1) <= len(arc2) else arc2)
-        path = _strip_wrap_backtracking(path)
+        # while the projection re-uses its first edge as its last, peel
+        # both ends, which exposes the same situation one vertex further in
+        while len(path) >= 5 and _project(path[1])[0] == _project(path[-2])[0]:
+            path = path[1:-1]
         vertices = tuple(_project(q)[0] for q in path[:-1])
         return WitnessCycle(
             vertices=vertices, tails=tuple(_tails_from_lift_path(path))

@@ -18,7 +18,6 @@ from artinsplit import (
     HorizontalFamily,
     StructureError,
     Walk,
-    blocks,
     connected_components,
     free_rank,
     is_admissible,
@@ -306,16 +305,86 @@ def explicit_fiber_product(Y: ColoredGraph) -> ExplicitProduct:
     )
 
 
+def lowpoint_blocks(g: ColoredGraph) -> list[frozenset[str]]:
+    """Reference for multigraph.blocks: biconnected blocks as edge-id sets
+    by the iterative lowpoint depth-first search (Tarjan, "Depth-first
+    search and linear graph algorithms", 1972); every edge lands in
+    exactly one.
+
+    Loops are their own blocks.  Parallel edges share a block.  The list is
+    ordered by each block's smallest edge id.
+    """
+    loop_ids = {e.id for e in g.edges if e.tail == e.head}
+    out: list[frozenset[str]] = [frozenset([lid]) for lid in sorted(loop_ids)]
+
+    def neighbours(v: str):
+        return (
+            (e, e.head if sign == +1 else e.tail)
+            for e, sign in g.incident_ends(v)
+            if e.tail != e.head
+        )
+
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    counter = 0
+    estack: list[str] = []
+    used_edges: set[str] = set()
+
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        # frames: (vertex, id of the tree edge into it, end iterator)
+        stack: list[tuple[str, Optional[str], object]] = [
+            (root, None, neighbours(root))
+        ]
+        while stack:
+            v, via, it = stack[-1]
+            advanced = False
+            for e, w in it:  # type: ignore[assignment]
+                if e.id in used_edges:
+                    continue
+                used_edges.add(e.id)
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    estack.append(e.id)
+                    stack.append((w, e.id, neighbours(w)))
+                    advanced = True
+                    break
+                # w already visited and the edge unseen: w is an ancestor
+                estack.append(e.id)
+                low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= index[parent]:
+                    block: list[str] = []
+                    while estack:
+                        eid = estack.pop()
+                        block.append(eid)
+                        if eid == via:
+                            break
+                    if block:
+                        out.append(frozenset(block))
+    out.sort(key=min)
+    return out
+
+
 def explicit_monochrome_witness(fp: ExplicitProduct) -> Optional[tuple]:
     """Reference for monochrome_check's witness as (component, start,
     steps), or None when every simple cycle is monochrome: the first
     cycle-bearing component that fails `rank_count_fills`, its first block
-    of two colors, and the cycle through that block's least edge and its
-    least edge of another color."""
+    of two colors by `lowpoint_blocks`, and the cycle through that block's
+    least edge and its least edge of another color."""
     for idx, comp in enumerate(fp.components):
         if fp.classification[idx] != "cycle-bearing" or rank_count_fills(comp):
             continue
-        for block in blocks(comp):
+        for block in lowpoint_blocks(comp):
             e1 = comp.edge(min(block))
             others = [eid for eid in block if comp.edge(eid).color != e1.color]
             if others:

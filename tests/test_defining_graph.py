@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -147,6 +148,23 @@ class TestPredicates:
             ],
         )
         assert is_bipartite(sq)
+
+    def test_bipartite_matches_brute_force_two_colouring(self):
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(300):
+            g = random_defining_graph(
+                rng, max_vertices=8, max_extra_edges=6,
+                connected=rng.random() < 0.5,
+            )
+            index = {v: i for i, v in enumerate(g.vertices)}
+            two_colours = any(
+                all(side[index[e.u]] != side[index[e.v]] for e in g.edges)
+                for side in itertools.product((0, 1), repeat=len(index))
+            )
+            assert is_bipartite(g) == two_colours
+            seen.add(two_colours)
+        assert seen == {True, False}
 
     def test_all_labels_even(self):
         assert all_labels_even(

@@ -18,12 +18,13 @@ from artinsplit import (
     is_degree_n_cover,
     is_immersion,
 )
-from artinsplit.multigraph import UnionFind, shortest_path
+from artinsplit.multigraph import UnionFind, bfs_path, bfs_tree, shortest_path
 from generators import random_colored_graph
 from oracles import (
     all_simple_cycles,
     in_edges,
     is_simple_path,
+    lowpoint_blocks,
     on_common_simple_cycle,
     out_edges,
     shortest_path_by_levels,
@@ -286,6 +287,43 @@ class TestBlocks:
                     assert (by_edge[e1] == by_edge[e2]) == on_common_simple_cycle(
                         g, e1, e2
                     )
+
+    def test_blocks_match_the_lowpoint_search(self):
+        # larger multigraphs than the brute-force test above reaches, with
+        # loops, parallel edges and several components
+        rng = random.Random(23)
+        seen = {"loop": 0, "parallel": 0, "components": 0}
+        for _ in range(500):
+            g = random_colored_graph(
+                rng, max_vertices=14, max_edges=40, connected=False
+            )
+            assert blocks(g) == lowpoint_blocks(g)
+            ends = [frozenset((e.tail, e.head)) for e in g.edges]
+            seen["loop"] += any(len(x) == 1 for x in ends)
+            seen["parallel"] += len(set(ends)) < len(ends)
+            seen["components"] += len(connected_components(g)) > 1
+        assert all(seen.values())
+
+
+class TestBfsTree:
+    def test_discovery_order_and_early_stop(self):
+        g = cycle_graph(5)
+
+        def step(v):
+            for e, sign in g.incident_ends(v):
+                yield (e.head if sign == +1 else e.tail), e.id
+
+        assert bfs_tree("v0", step) == {
+            "v0": None,
+            "v1": ("v0", "e0"),
+            "v4": ("v0", "e4"),
+            "v2": ("v1", "e1"),
+            "v3": ("v4", "e3"),
+        }
+        assert list(bfs_tree("v0", step, goal="v4")) == ["v0", "v1", "v4"]
+        assert bfs_path("v0", "v3", step) == ["e4", "e3"]
+        assert bfs_path("v0", "v0", step) == []
+        assert bfs_path("v0", "zz", step) is None
 
 
 class TestWalk:

@@ -10,6 +10,7 @@ from artinsplit import (
     DefiningGraph,
     Edge,
     SearchSpaceError,
+    WitnessCycle,
     check_witness,
     enumerate_cycles,
     blocks,
@@ -221,6 +222,68 @@ class TestIsAdmissible:
         v2 = is_admissible(CLASHING)
         assert v1.witness == v2.witness
         assert v1.reason == v2.reason
+
+
+class TestCheckWitness:
+    @staticmethod
+    def witnesses(count):
+        """(graph, witness) for every is_admissible witness and every
+        oracle witness of `count` seeded randomly oriented graphs."""
+        rng = random.Random(29)
+        for _ in range(count):
+            g = with_random_orientation(
+                rng, random_defining_graph(rng, max_vertices=6, max_extra_edges=3)
+            )
+            for w in (is_admissible(g).witness, oracle_almost_misdirected(g)):
+                if w is not None:
+                    yield g, w
+
+    def test_accepts_every_library_and_oracle_witness(self):
+        # the closing tail of a label-2 edge is None or one of its ends
+        closing_tails = set()
+        for g, w in self.witnesses(2000):
+            assert check_witness(g, w)
+            if g.edge_between(w.vertices[-1], w.vertices[0]).label == 2:
+                closing_tails.add(w.tails[-1] is None)
+        assert closing_tails == {True, False}
+
+    def test_rejects_tampered_tails(self):
+        closing_oriented = 0
+        for g, w in self.witnesses(300):
+            seq, tails = w.vertices, w.tails
+            for i in range(len(seq) - 1):
+                flipped = seq[i + 1] if tails[i] == seq[i] else seq[i]
+                bad = tails[:i] + (flipped,) + tails[i + 1 :]
+                assert not check_witness(g, WitnessCycle(seq, bad))
+            assert not check_witness(g, WitnessCycle(seq, tails[:-1]))
+            closing = g.edge_between(seq[-1], seq[0])
+            if closing.label >= 3:
+                closing_oriented += 1
+                for bad_tail in (None, closing.other(closing.iota)):
+                    bad = tails[:-1] + (bad_tail,)
+                    assert not check_witness(g, WitnessCycle(seq, bad))
+        assert closing_oriented
+
+    def test_collapsed_cycle_witness_peels_its_wrap(self):
+        # the collapsed cycle's arc wraps back over the edge v0-v3 at both
+        # ends; peeling them leaves the triangle v3, v2, v4
+        g = DefiningGraph.build(
+            ["v0", "v1", "v2", "v3", "v4"],
+            [("v2", "v4", 2, None), ("v0", "v1", 2, None),
+             ("v0", "v3", 2, None), ("v1", "v4", 4, "v1"),
+             ("v2", "v3", 4, "v3"), ("v1", "v2", 5, "v2"),
+             ("v3", "v4", 3, "v4")],
+        )
+        verdict = is_admissible(g)
+        assert verdict.reason == "collapsed lifts contain a cycle"
+        assert verdict.witness == WitnessCycle(
+            ("v3", "v2", "v4"), ("v3", "v4", "v4")
+        )
+        assert check_witness(g, verdict.witness)
+        # unpeeled, the walk backtracks through v0
+        assert not check_witness(g, WitnessCycle(
+            ("v0", "v3", "v2", "v4", "v3"), ("v3", "v3", "v4", "v4", "v0")
+        ))
 
 
 class TestOracle:
