@@ -14,8 +14,8 @@ stay fixed because certificates name them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .defining_graph import (
@@ -114,10 +114,62 @@ class RFCertificate:
         return canonical_json(self.to_json_dict())
 
 
+_LEAF_ITEM_TYPES = frozenset((str, int))
+
+
 def canonical_json(payload: dict) -> str:
-    """The one JSON layout of every certificate and CLI report: sorted keys,
-    two-space indent."""
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The one JSON layout of every certificate and CLI report: exactly the
+    bytes of `json.dumps(payload, indent=2, sort_keys=True)`, that is sorted
+    keys, a two-space indent and ASCII escapes.
+
+    Only `dict` with `str` keys, `list`, `tuple`, `str`, `int`, `bool` and
+    None are written.  Any other value, such as a float, a non-`str` key or
+    a subclass of one of these types, raises TypeError, so nothing is ever
+    written in another layout.
+    """
+    # The text of each leaf tuple, one whose items are all exactly str or
+    # int (a word's steps, which repeat thousands of times), kept for the
+    # length of the call and keyed by (tuple, indent).  A tuple holding a
+    # bool is never a leaf: it compares equal to the one holding 1 or 0.
+    leaf_texts: dict[tuple, str] = {}
+
+    def encode(o, indent: str) -> str:
+        t = type(o)
+        if t is str:
+            return encode_basestring_ascii(o)
+        if t is tuple or t is list:
+            if not o:
+                return "[]"
+            inner = indent + "  "
+            if t is tuple and all(map(_LEAF_ITEM_TYPES.__contains__, map(type, o))):
+                key = (o, inner)
+                text = leaf_texts.get(key)
+                if text is None:
+                    text = leaf_texts[key] = "[" + inner + ("," + inner).join(
+                        [encode_basestring_ascii(x) if type(x) is str
+                         else int.__repr__(x) for x in o]) + indent + "]"
+                return text
+            return "[" + inner + ("," + inner).join(
+                [encode(x, inner) for x in o]) + indent + "]"
+        if t is dict:
+            if not o:
+                return "{}"
+            for k in o:
+                if type(k) is not str:
+                    raise TypeError(f"key {k!r} is not a str")
+            inner = indent + "  "
+            return "{" + inner + ("," + inner).join(
+                [encode_basestring_ascii(k) + ": " + encode(o[k], inner)
+                 for k in sorted(o)]) + indent + "}"
+        if t is int:
+            return int.__repr__(o)
+        if o is None:
+            return "null"
+        if t is bool:
+            return "true" if o else "false"
+        raise TypeError(f"{t.__name__} is not written as canonical JSON")
+
+    return encode(payload, "\n")
 
 
 def _monochrome_json(mono: Optional[MonochromeVerdict]) -> dict:

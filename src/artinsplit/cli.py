@@ -16,6 +16,7 @@ path that cannot be opened.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -200,19 +201,18 @@ def _read_input(path: str) -> DefiningGraph:
     return parse_defining_graph(data)
 
 
-def _emit(args, text: str) -> None:
-    if args.output and args.output != "-":
-        with _open(args.output, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_output(path: str):
+    """The `--output` file, or standard output for '-' (left open)."""
+    if path and path != "-":
+        return _open(path, "w")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _report(args, payload: dict, text, code: int = 0) -> int:
     """Write a command's one result: `payload` as canonical JSON, or the
     lines `text(payload)` renders from it.  Returns the exit code `code`."""
     lines = [canonical_json(payload)] if args.format == "json" else text(payload)
-    _emit(args, "\n".join(lines) + "\n")
+    args.out.write("\n".join(lines) + "\n")
     return code
 
 
@@ -426,15 +426,15 @@ def cmd_export(args, g: DefiningGraph) -> int:
     if args.graph == "input":
         require_valid(g, oriented=False)
         if args.format == "json":
-            _emit(args, canonical_json(defining_graph_json_dict(g)) + "\n")
+            args.out.write(canonical_json(defining_graph_json_dict(g)) + "\n")
         elif args.format == "dot":
-            _emit(args, defining_graph_dot(g))
+            args.out.write(defining_graph_dot(g))
         else:
             lines = [f"{len(g.vertices)} vertices, {len(g.edges)} edges"]
             for e in g.edges:
                 tail = f", tail {e.iota}" if e.iota else ""
                 lines.append(f"  {e.u} - {e.v}  label {e.label}{tail}")
-            _emit(args, "\n".join(lines) + "\n")
+            args.out.write("\n".join(lines) + "\n")
         return 0
     if args.graph in ("X0", "Xhalf", "Xquarter"):
         family = build_family(g)
@@ -448,11 +448,11 @@ def cmd_export(args, g: DefiningGraph) -> int:
             return 1
         cg = fiber_product(collapsed.graph).graph
     if args.format == "json":
-        _emit(args, canonical_json(colored_graph_json_dict(cg)) + "\n")
+        args.out.write(canonical_json(colored_graph_json_dict(cg)) + "\n")
     elif args.format == "dot":
-        _emit(args, colored_graph_dot(cg, edge_palette(g), args.graph))
+        args.out.write(colored_graph_dot(cg, edge_palette(g), args.graph))
     else:
-        _emit(args, colored_graph_text(cg))
+        args.out.write(colored_graph_text(cg))
     return 0
 
 
@@ -527,7 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _read_input(args.input))
+        g = _read_input(args.input)
+        # opened before the analysis, so a path that cannot be written is
+        # refused before any work
+        with _open_output(args.output) as args.out:
+            return args.func(args, g)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -92,14 +92,17 @@ class DefiningGraph:
             a, b = b, a
         return self.edge_index.get((a, b))
 
-    def neighbours(self, v: str) -> tuple[str, ...]:
-        out = set()
+    @cached_property
+    def adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Each edge end's sorted neighbours, built once per graph."""
+        out: dict[str, set[str]] = {}
         for e in self.edges:
-            if e.u == v:
-                out.add(e.v)
-            elif e.v == v:
-                out.add(e.u)
-        return tuple(sorted(out))
+            out.setdefault(e.u, set()).add(e.v)
+            out.setdefault(e.v, set()).add(e.u)
+        return {v: tuple(sorted(ws)) for v, ws in out.items()}
+
+    def neighbours(self, v: str) -> tuple[str, ...]:
+        return self.adjacency.get(v, ())
 
     def labels(self) -> tuple[int, ...]:
         return tuple(sorted(e.label for e in self.edges))

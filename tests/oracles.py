@@ -6,6 +6,7 @@ points at the library.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Collection, Optional, Sequence
 
@@ -546,3 +547,20 @@ def deck_involution_on_quarter(family: HorizontalFamily) -> GraphMap:
         {v: _swap_sign(v) for v in q.vertices},
         {e.id: _swap_sign(e.id) for e in q.edges},
     )
+
+
+def neighbours_by_edge_scan(g: DefiningGraph, v: str) -> tuple[str, ...]:
+    """v's sorted neighbours, read off a scan of every edge."""
+    out = set()
+    for e in g.edges:
+        if e.u == v:
+            out.add(e.v)
+        elif e.v == v:
+            out.add(e.u)
+    return tuple(sorted(out))
+
+
+def canonical_json_reference(payload) -> str:
+    """The layout `certify.canonical_json` writes, by the standard
+    library's encoder."""
+    return json.dumps(payload, indent=2, sort_keys=True)

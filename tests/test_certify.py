@@ -2,15 +2,24 @@ import ast
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from collections import OrderedDict
+from enum import IntEnum
 from pathlib import Path
 
 import artinsplit
 import pytest
 from artinsplit import DefiningGraph, certify
-from artinsplit.certify import RESIDUALLY_FINITE, SPLITS_ONLY, UNKNOWN
+from artinsplit.certify import (
+    RESIDUALLY_FINITE,
+    SPLITS_ONLY,
+    UNKNOWN,
+    canonical_json,
+)
+from oracles import canonical_json_reference
 
 
 def graph(vertices, rows):
@@ -204,6 +213,82 @@ class TestCertificateSerialization:
         cert = certify(tri(3, 3, 3))
         assert cert.evidence["rule_description"]
         assert "labels" in cert.evidence
+
+
+JSON_STRINGS = ("", "a", "v0-v1", "café", "☃", "\U0001f600", "\x00",
+                "\x1f\x7f", "\n\t\r", '"', "\\", 'a"b\\c', "\ud800")
+JSON_INTS = (0, 1, -1, 2, -7, 4300, 2**63, -2**64, 10**40)
+
+
+def random_json_payload(rng, depth=0):
+    """A value of the kinds canonical_json writes: nested dicts with str
+    keys, lists and tuples, often empty, over str, int, bool and None."""
+    kind = rng.randrange(7 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice(JSON_STRINGS)
+    if kind == 1:
+        return rng.choice(JSON_INTS + (rng.randint(-10**6, 10**6),))
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind == 3:
+        # a leaf tuple: str and int items, or the bool that equals an int
+        return tuple(rng.choice(("x", "v1", 0, 1, -1, True, False))
+                     for _ in range(rng.randrange(3)))
+    items = [random_json_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return {rng.choice(JSON_STRINGS): item for item in items}
+
+
+class TestCanonicalJson:
+    def test_matches_the_reference_encoder(self):
+        leaf = ("v0-v1", -1)
+        fixed = [
+            {}, [], (), {"a": {}, "b": [], "c": (), "d": [[], {}, ((),)]},
+            {"e": [{"f": []}, ()]},
+            {"s": list(JSON_STRINGS), "n": list(JSON_INTS)},
+            {"k": [True, False, None], "é\n": "\\"},
+            ([1, 2], {"a": (3,)}), ((), [()], ({},)),
+            # one leaf tuple at two indents, and at one indent beside the
+            # tuples that compare equal to it with a bool for an int
+            {"a": leaf, "b": [leaf, [leaf]], "c": [[[leaf]]]},
+            {"a": [(True,), (1,)]}, {"a": [(1,), (True,)]},
+            [("x", 1), ("x", True)], [("x", True), ("x", 1)],
+            [(0,), (False,), (0,), ("x", False), ("x", 0)],
+            "only a string", 12, None, True,
+        ]
+        rng = random.Random(12)
+        payloads = fixed + [random_json_payload(rng) for _ in range(2000)]
+        for payload in payloads:
+            assert canonical_json(payload) == canonical_json_reference(payload)
+
+    def test_values_it_does_not_write_raise(self):
+        class Text(str):
+            pass
+
+        class Items(list):
+            pass
+
+        class Small(IntEnum):
+            ONE = 1
+
+        unsupported = [
+            1.0, 0.5, float("nan"), float("inf"), {"a": [1, 2.5]},
+            [(1,), (1.0,)], [("x", 1), ("x", 1.0)], (1.0,),
+            {1: "a"}, {None: 1}, {True: 1}, {(1, 2): "b"}, {"a": 1, 2: "b"},
+            Text("a"), {Text("k"): 1}, [Text("a")], (Text("a"),),
+            OrderedDict(b=1, a=2), Items([1]), {"a": Items()},
+            Small.ONE, (Small.ONE,), [(1,), (Small.ONE,)],
+        ]
+        for payload in unsupported:
+            try:
+                out = canonical_json(payload)
+            except TypeError:
+                continue
+            # written only in exactly the reference's bytes
+            assert out == canonical_json_reference(payload), payload
 
 
 def test_immersion_check_survives_python_O():

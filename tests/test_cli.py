@@ -244,6 +244,27 @@ class TestExitCodes:
         assert captured.err == "input error: embedded null byte: 'a\\x00b'\n"
         assert captured.out == ""
 
+    def test_unopenable_output_is_refused_before_the_analysis(
+            self, write, capsys, monkeypatch, tmp_path):
+        calls = []
+        real = cli.fiber_product
+        monkeypatch.setattr(
+            cli, "fiber_product", lambda g: calls.append(g) or real(g))
+        graph = json.loads(json.dumps(TRIANGLE))
+        for edge, label in zip(graph["edges"], (201, 4, 5)):
+            edge["label"] = label
+        path = write(graph)
+        missing = tmp_path / "missing" / "x"
+        assert main(["fiber", "--input", path, "--output", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"input error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+        assert captured.out == ""
+        assert calls == []
+        assert main(["fiber", "--input", path, "--output",
+                     str(tmp_path / "x")]) == 0
+        assert len(calls) == 1
+
     def test_missing_iota_is_exit_two_for_check(self, write, capsys):
         assert main(["check", "--input", write(UNORIENTED)]) == 2
         assert "requires iota" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from artinsplit.defining_graph import (
     is_forest,
 )
 from generators import random_defining_graph
+from oracles import neighbours_by_edge_scan
 
 
 def triangle(l1=3, l2=3, l3=3, tails=("a", "b", "c")):
@@ -50,6 +51,25 @@ class TestBuild:
     def test_neighbours(self):
         g = triangle()
         assert g.neighbours("a") == ("b", "c")
+
+    def test_neighbours_match_the_edge_scan(self):
+        # graphs that need not be connected, so with isolated vertices,
+        # and some with a loop, a parallel edge or an endpoint that is not
+        # a vertex, which validate refuses but neighbours still answers
+        rng = random.Random(11)
+        isolated = 0
+        for _ in range(300):
+            g = random_defining_graph(
+                rng, max_vertices=9, max_extra_edges=6, connected=False)
+            rows = [(e.u, e.v, e.label, None) for e in g.edges]
+            if rng.random() < 0.3:
+                u, v = rng.choice(g.vertices), rng.choice(g.vertices)
+                rows.append(rng.choice(((u, u, 3), (u, v, 4), (u, "zz", 5))))
+            g = DefiningGraph.build(g.vertices, rows)
+            for v in g.vertices + ("zz", "nope"):
+                assert g.neighbours(v) == neighbours_by_edge_scan(g, v), v
+            isolated += sum(not g.neighbours(v) for v in g.vertices)
+        assert isolated > 100
 
     def test_edge_between_either_order(self):
         g = triangle()
