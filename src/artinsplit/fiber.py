@@ -12,10 +12,12 @@ cycle in those components is monochrome.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd
+from operator import eq
 from typing import Callable, Iterator, Optional, Sequence
 
 from .multigraph import (
@@ -24,6 +26,7 @@ from .multigraph import (
     StructureError,
     Walk,
     bfs_path,
+    bfs_tree,
     blocks,
     is_immersion,
     shortest_path,
@@ -63,17 +66,72 @@ def _pair_axes(Y: ColoredGraph) -> tuple[dict, dict, Callable[[int], str]]:
     return row, col, name
 
 
-def _edge_pairs(Y: ColoredGraph, row: dict, col: dict):
-    """Every product edge as (e1, e2, tail index, head index): each pair of
-    equally-colored edges of Y, matched positively since the immersion
-    preserves direction."""
-    by_color: dict[str, list[tuple[Edge, int, int]]] = {}
-    for e in Y.edges:
-        by_color.setdefault(e.color, []).append((e, col[e.tail], col[e.head]))
-    for e1 in Y.edges:
-        tail, head = row[e1.tail], row[e1.head]
-        for e2, t2, h2 in by_color[e1.color]:
-            yield e1, e2, tail + t2, head + h2
+def _runs(Y: ColoredGraph, row: dict, col: dict) -> tuple[dict, list, dict]:
+    """The runs of the immersion Y, as (place, branches, by_color).
+
+    A vertex is interior when its star is one in-edge and one out-edge of
+    one color, and a branch vertex otherwise.  A run is a path p0, ..., pa
+    of one color whose inner vertices are interior and whose ends are
+    branch vertices, possibly the same one.  A cycle of one color whose
+    vertices are all interior is a whole component of Y; its first vertex
+    counts as a branch vertex too, which cuts the cycle open into a run.
+    So every edge lies on exactly one run, and every interior vertex
+    inside exactly one.
+
+    `branches` lists the branch vertices, `by_color` the runs of each
+    color, and `place` maps each interior vertex pk to (color, rows, cols,
+    k).  A run is [rows, cols, mins]: row[pk] and col[pk] for k = 0, ..., a,
+    and the range minima of the keys row[pk] + k (see `_min_table`).
+    """
+    out_edge = {}
+    for v in Y.vertices:
+        star = Y.incident_ends(v)
+        if len(star) == 2:
+            (e, s), (f, t) = star
+            if s != t and e.color == f.color:
+                out_edge[v] = e if s > 0 else f
+    place: dict[str, tuple] = {}
+    branches = [v for v in Y.vertices if v not in out_edge]
+    by_color: dict[str, list[list]] = {}
+
+    def walk(e: Edge) -> None:
+        rows, cols = [row[e.tail]], [col[e.tail]]
+        run = [rows, cols, None]
+        w = e.head
+        while w in out_edge:
+            place[w] = (e.color, rows, cols, len(rows))
+            rows.append(row[w])
+            cols.append(col[w])
+            w = out_edge[w].head
+        rows.append(row[w])
+        cols.append(col[w])
+        # a single edge has no inner vertex to take a minimum over
+        if len(rows) > 2:
+            run[2] = _min_table([r + k for k, r in enumerate(rows)])
+        by_color.setdefault(e.color, []).append(run)
+
+    for v in branches:
+        for e, sign in Y.incident_ends(v):
+            if sign > 0:
+                walk(e)
+    for v in Y.vertices:
+        if v in out_edge and v not in place:
+            branches.append(v)
+            walk(out_edge.pop(v))
+    return place, branches, by_color
+
+
+def _min_table(keys: list[int]) -> list[list[int]]:
+    """Range minima: level j holds the minimum of each 2**j consecutive
+    keys, so min(keys[lo:hi + 1]) is the smaller of levels[j][lo] and
+    levels[j][hi + 1 - 2**j] for the largest 2**j <= hi + 1 - lo."""
+    levels = [keys]
+    span = 1
+    while 2 * span <= len(keys):
+        below = levels[-1]
+        levels.append(list(map(min, below, below[span:])))
+        span *= 2
+    return levels
 
 
 @dataclass(frozen=True)
@@ -82,23 +140,26 @@ class FiberProduct:
 
     A vertex id "u|v" and an edge id "e1|e2" name the pair of vertices or
     edges of the factor Y, so the two projections are read off the ids.
-    The product is computed on integer pair indices, which run in the order
-    of the ids "u|v" (see `_pair_axes`); `component_of` maps each index to
-    its component.  Components are ordered by smallest vertex id, and
-    `classification`, `vertex_counts`, `edge_counts` and `fill_rank_ok` run
-    in parallel with them.  Each classification entry is one of
+    Components are ordered by smallest vertex id.  `smallest` holds that
+    pair as an integer index, which runs in the order of the ids (see
+    `_pair_axes`), and `classification`, `vertex_counts`, `edge_counts`
+    and `fill_rank_ok` run in parallel with it.  `component_of(u, v)` is
+    the component of the pair (u, v).  Each classification entry is one of
     "diagonal", "tree", or "cycle-bearing".  The diagonal pairs (v, v) form
     full components isomorphic to Y, since an edge leaving (v, v) pairs two
     edges of one color leaving v, which the immersion makes equal;
     `diagonal_components` lists them.  `fill_rank_ok` holds the verdicts
     of `fill_rank_check`.
 
-    The string-keyed graphs `graph`, `components` and `component(i)` are
-    built from the component classes when first read.
+    Nothing else is held per pair: `component_of` looks a pair up through
+    its runs (see `fiber_product`).  The string-keyed graphs `graph` and
+    `components`, which hold every pair, and `component(i)` are built when
+    read.
     """
 
     factor: ColoredGraph
-    component_of: tuple[int, ...]
+    component_of: Callable[[str, str], int]
+    smallest: tuple[int, ...]
     classification: tuple[str, ...]
     diagonal_components: tuple[int, ...]
     vertex_counts: tuple[int, ...]
@@ -119,65 +180,100 @@ class FiberProduct:
 
     def branching_vertices(self, index: int) -> tuple[str, ...]:
         """Vertices of valence at least 3 in the given component."""
-        return self._branching[index]
+        return self._branching.get(index, ())
 
     @cached_property
-    def _branching(self) -> tuple[tuple[str, ...], ...]:
-        row, col, name = _pair_axes(self.factor)
-        valence = [0] * len(self.component_of)
-        for _, _, tail, head in _edge_pairs(self.factor, row, col):
-            valence[tail] += 1
-            valence[head] += 1
-        out: list[list[str]] = [[] for _ in self.classification]
-        for p, degree in enumerate(valence):
-            if degree >= 3:
-                out[self.component_of[p]].append(name(p))
-        return tuple(map(tuple, out))
+    def _branching(self) -> dict[int, tuple[str, ...]]:
+        # the valence of (u, v) is the number of (color, sign) ends u and v
+        # share, so both coordinates of a branching pair have valence 3 or
+        # more
+        Y = self.factor
+        row, col, _ = self._axes
+        high = {v: set(self._ends[v]) for v in Y.vertices if Y.valence(v) >= 3}
+        out: dict[int, list[str]] = {}
+        for _, u, v in sorted((row[u] + col[v], u, v) for u in high
+                              for v in high if len(high[u] & high[v]) >= 3):
+            out.setdefault(self.component_of(u, v), []).append(_pair(u, v))
+        return {i: tuple(vs) for i, vs in out.items()}
+
+    @cached_property
+    def _axes(self) -> tuple[dict, dict, Callable[[int], str]]:
+        return _pair_axes(self.factor)
+
+    @cached_property
+    def _ends(self) -> dict[str, dict[tuple[str, int], Edge]]:
+        """Each vertex's edge-ends by (color, sign), which the immersion
+        makes unique."""
+        Y = self.factor
+        return {v: {(e.color, sign): e for e, sign in Y.incident_ends(v)}
+                for v in Y.vertices}
 
     @cached_property
     def graph(self) -> ColoredGraph:
         """The whole product as one graph."""
-        return self._graphs([0] * len(self.classification), 1)[0]
+        Y = self.factor
+        same: dict[str, list[Edge]] = {}
+        for e in Y.edges:
+            same.setdefault(e.color, []).append(e)
+        return ColoredGraph(
+            [_pair(u, v) for u in Y.vertices for v in Y.vertices],
+            [Edge(_pair(e1.id, e2.id), _pair(e1.tail, e2.tail),
+                  _pair(e1.head, e2.head), e1.color)
+             for e1 in Y.edges for e2 in same[e1.color]],
+        )
 
     @cached_property
     def components(self) -> tuple[ColoredGraph, ...]:
         """Every component as a graph."""
-        count = len(self.classification)
-        return tuple(self._graphs(range(count), count))
+        return tuple(map(self.component, range(len(self.classification))))
 
     def component(self, index: int) -> ColoredGraph:
-        """The given component as a graph, built alone."""
-        slot: list[Optional[int]] = [None] * len(self.classification)
-        slot[index] = 0
-        return self._graphs(slot, 1)[0]
+        """The given component as a graph, grown by a search from its
+        smallest pair; each pair found lists its edges out."""
+        ends = self._ends
+        out_edges: list[tuple] = []
 
-    def _graphs(
-        self, slot: Sequence[Optional[int]], count: int
-    ) -> list[ColoredGraph]:
-        """`count` graphs; graph k holds each component i with slot[i] == k."""
-        row, col, name = _pair_axes(self.factor)
-        vertices: list[list[str]] = [[] for _ in range(count)]
-        for p, i in enumerate(self.component_of):
-            k = slot[i]
-            if k is not None:
-                vertices[k].append(name(p))
-        edges: list[list[Edge]] = [[] for _ in range(count)]
-        for e1, e2, tail, head in _edge_pairs(self.factor, row, col):
-            k = slot[self.component_of[tail]]
-            if k is not None:
-                edges[k].append(
-                    Edge(_pair(e1.id, e2.id), name(tail), name(head), e1.color)
-                )
-        return [ColoredGraph(vs, es) for vs, es in zip(vertices, edges)]
+        def step(pair: tuple[str, str]) -> list:
+            mine, other = ends[pair[0]], ends[pair[1]]
+            out = []
+            for key in mine.keys() & other.keys():
+                e1, e2 = mine[key], other[key]
+                if key[1] > 0:
+                    out.append(((e1.head, e2.head), None))
+                    out_edges.append((e1, e2, pair, out[-1][0]))
+                else:
+                    out.append(((e1.tail, e2.tail), None))
+            return out
+
+        start = tuple(self._axes[2](self.smallest[index]).split("|"))
+        name = {p: _pair(*p) for p in bfs_tree(start, step)}
+        return ColoredGraph(name.values(), [
+            Edge(_pair(e1.id, e2.id), name[tail], name[head], e1.color)
+            for e1, e2, tail, head in out_edges
+        ])
 
 
 def fiber_product(Y: ColoredGraph) -> FiberProduct:
     """Pull the bouquet immersion Y back along itself.
 
     Vertices are all pairs (every vertex maps to the single bouquet
-    vertex); edges are pairs of edges of one color.  One union-find pass
-    over the integer pair indices finds the components and counts their
-    vertices and edges; no string is built.
+    vertex); edges are pairs of edges of one color.  The pairs are
+    counted by the runs of Y (see `_runs`), with no string built:
+
+    * a pair with a branch coordinate is a node of one list-based
+      union-find over integer pair indices;
+    * a pair of interior vertices of one color c has one edge in and one
+      out, both of color c, so it lies inside one diagonal segment
+      (r1[i + t], r2[j + t]) of two runs of color c, which leads from a
+      node to a node.  Each segment is one union-find edge weighted by
+      its length, and its smallest pair is read off the range minima of
+      r1, whose inner vertices are distinct;
+    * a pair of interior vertices of different colors has no edge, and is
+      a "tree" component alone, as is each node no segment reaches.
+
+    So the cost follows the nodes and the components, not |Y|^2.  The
+    counts are checked to cover every pair of vertices and every pair of
+    equally-colored edges exactly once.
     """
     if not is_immersion(Y):
         raise FiberInputError("fiber products require immersions")
@@ -186,55 +282,124 @@ def fiber_product(Y: ColoredGraph) -> FiberProduct:
                               'vertex or edge id may contain it')
 
     row, col, _ = _pair_axes(Y)
-    count = len(Y.vertices) ** 2
-    parent = list(range(count))
-    size = [1] * count
-    edges = [0] * count
+    n = len(Y.vertices)
+    place, branches, by_color = _runs(Y, row, col)
+    index: list[int] = []
+    for b in branches:
+        index.extend(range(row[b], row[b] + n))
+    branch_cols = [col[b] for b in branches]
+    index += [row[u] + c for u in place for c in branch_cols]
+    node = dict(zip(index, range(len(index))))
+    parent = list(range(len(index)))
+    vertices = [1] * len(index)
+    edges = [0] * len(index)
+    low = index[:]
 
     def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
 
-    for _, _, tail, head in _edge_pairs(Y, row, col):
-        a, b = find(tail), find(head)
-        if a == b:
-            edges[a] += 1
-            continue
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-        edges[a] += edges[b] + 1
+    def segment(rows: list[int], mins: list, cols: list[int], i: int,
+                j: int, length: int) -> None:
+        """Join the nodes at the ends of the segment of `length` edges that
+        leaves (r1[i], r2[j]), given r1's rows and range minima and r2's
+        columns, and count its inner pairs (r1[i + t], r2[j + t])."""
+        a = find(node[rows[i] + cols[j]])
+        b = find(node[rows[i + length] + cols[j + length]])
+        if a != b:
+            if vertices[a] < vertices[b]:
+                a, b = b, a
+            parent[b] = a
+            vertices[a] += vertices[b]
+            edges[a] += edges[b]
+            if low[b] < low[a]:
+                low[a] = low[b]
+        vertices[a] += length - 1
+        edges[a] += length
+        if length > 1:
+            w = (length - 1).bit_length() - 1
+            key = min(mins[w][i + 1], mins[w][i + length - (1 << w)])
+            t = key % n
+            key += cols[j + t - i] - t
+            if key < low[a]:
+                low[a] = key
 
-    # the pairs in index order meet the components in order of their
-    # smallest vertex id
-    position: dict[int, int] = {}
-    component_of = [position.setdefault(find(p), len(position))
-                    for p in range(count)]
-    roots = list(position)
-    vertex_counts = tuple(size[r] for r in roots)
-    edge_counts = tuple(edges[r] for r in roots)
-    diagonal = {component_of[row[v] + col[v]] for v in Y.vertices}
-    classification = tuple(
-        "diagonal" if i in diagonal
-        else "cycle-bearing" if e >= v
-        else "tree"
-        for i, (v, e) in enumerate(zip(vertex_counts, edge_counts))
-    )
-    fill = fill_rank_check(
-        Y,
-        lambda u, v: component_of[row[u] + col[v]],
-        [e - v + 1 for v, e in zip(vertex_counts, edge_counts)],
-    )
+    # every segment leaves a node (r1[0], r2[k]) or (r2[k], r1[0]) of two
+    # runs of its color
+    for runs in by_color.values():
+        for rows1, cols1, mins1 in runs:
+            a1 = len(rows1) - 1
+            for rows2, cols2, mins2 in runs:
+                a2 = len(rows2) - 1
+                for k in range(a2):
+                    length = a1 if a1 < a2 - k else a2 - k
+                    segment(rows1, mins1, cols2, 0, k, length)
+                    if k:
+                        segment(rows2, mins2, cols1, k, 0, length)
+
+    # the pairs of interior vertices of different colors
+    inside: dict[str, tuple[list, list]] = {}
+    for v, (c, _, _, _) in place.items():
+        rows, cols = inside.setdefault(c, ([], []))
+        rows.append(row[v])
+        cols.append(col[v])
+    trees = [r + x for c, (rows, _) in inside.items()
+             for d, (_, cols) in inside.items() if d != c
+             for r in rows for x in cols]
+    joined = [k for k, p in enumerate(parent) if k == p and edges[k]]
+    smallest = tuple(sorted(
+        [p for p, k in node.items() if not edges[k] and parent[k] == k]
+        + trees + [low[r] for r in joined]
+    ))
+    count = len(smallest)
+    number = {r: bisect_left(smallest, low[r]) for r in joined}
+
+    def component_of(u: str, v: str) -> int:
+        pu, pv = place.get(u), place.get(v)
+        if pu and pv:
+            c, rows, _, i = pu
+            d, _, cols, j = pv
+            if c != d:
+                return bisect_left(smallest, row[u] + col[v])
+            # back along the segment to the node it leaves
+            t = min(i, j)
+            p = rows[i - t] + cols[j - t]
+        else:
+            p = row[u] + col[v]
+        k = number.get(find(node[p]))
+        return bisect_left(smallest, p) if k is None else k
+
+    vertex_counts = [1] * count
+    edge_counts = [0] * count
+    classification = ["tree"] * count
+    for r, i in number.items():
+        vertex_counts[i] = vertices[r]
+        edge_counts[i] = edges[r]
+        if edges[r] >= vertices[r]:
+            classification[i] = "cycle-bearing"
+    per_color: dict[str, int] = {}
+    for e in Y.edges:
+        per_color[e.color] = per_color.get(e.color, 0) + 1
+    if (sum(vertex_counts) != n * n
+            or sum(edge_counts) != sum(k * k for k in per_color.values())):
+        raise AssertionError("fiber product components miss or repeat pairs")
+    # (v, v) for v inside a run leaves (p0, p0) of that run
+    diagonal = sorted({component_of(b, b) for b in branches})
+    for i in diagonal:
+        classification[i] = "diagonal"
+    ranks = [0] * count
+    for i in number.values():
+        ranks[i] = edge_counts[i] - vertex_counts[i] + 1
     return FiberProduct(
         factor=Y,
-        component_of=tuple(component_of),
-        classification=classification,
-        diagonal_components=tuple(sorted(diagonal)),
-        vertex_counts=vertex_counts,
-        edge_counts=edge_counts,
-        fill_rank_ok=fill,
+        component_of=component_of,
+        smallest=smallest,
+        classification=tuple(classification),
+        diagonal_components=tuple(diagonal),
+        vertex_counts=tuple(vertex_counts),
+        edge_counts=tuple(edge_counts),
+        fill_rank_ok=fill_rank_check(Y, component_of, ranks),
     )
 
 
@@ -448,7 +613,7 @@ def fill_rank_check(
             for b in cycles:
                 for v in b[: gcd(len(a), len(b))]:
                     monochrome[component(a[0], v)] += 1
-    return tuple(m == r for m, r in zip(monochrome, ranks))
+    return tuple(map(eq, monochrome, ranks))
 
 
 def _cycles(step: dict[str, str]) -> list[list[str]]:

@@ -131,6 +131,29 @@ def random_bouquet_immersion(
     )
 
 
+def subdivided_bouquet_immersion(
+    rng: random.Random, max_run: int = 15, **kwargs
+) -> ColoredGraph:
+    """A `random_bouquet_immersion` with each edge e cut into a run of 1 to
+    `max_run` edges of its color.  The pieces are numbered e:1, e:2, ...,
+    and so are the inner vertices, so the ids of one run are prefixes of
+    one another (e:1 and e:10).  Most runs of a color share one length,
+    which keeps the mixed cycles of the product whole."""
+    Y = random_bouquet_immersion(rng, **kwargs)
+    length = {e.color: rng.randint(1, max_run) for e in Y.edges}
+    vertices = list(Y.vertices)
+    edges = []
+    for e in Y.edges:
+        k = length[e.color] if rng.random() < 0.75 else rng.randint(1, max_run)
+        path = [e.tail] + [f"{e.id}:{i}" for i in range(1, k)] + [e.head]
+        vertices += path[1:-1]
+        edges += [
+            Edge(f"{e.id}:{i}", a, b, e.color)
+            for i, (a, b) in enumerate(zip(path, path[1:]), 1)
+        ]
+    return ColoredGraph(vertices, edges)
+
+
 def random_colored_graph(
     rng: random.Random,
     max_vertices: int = 7,

@@ -171,6 +171,32 @@ class TestConsistencyProbe:
                 all_odd += 1
         assert (agreed, all_odd) == (180, 35)
 
+    def test_probe_agrees_at_scale(self):
+        # the triangle statement past labels 13, decided by the fiber
+        # product: every (m,4,4), (m,4,5), (m,4,6) and (m,5,5) up to m = 61,
+        # and a seeded sample of labels 4..60; (odd,4,4) splits only
+        rng = random.Random(13)
+        triples = [(m, *rest) for m in range(4, 62)
+                   for rest in ((4, 4), (4, 5), (4, 6), (5, 5))]
+        triples += [tuple(rng.randint(4, 60) for _ in range(3))
+                    for _ in range(200)]
+        agreed = split_only = 0
+        for labels in triples:
+            cert = certify(tri(*labels))
+            srt = sorted(labels)
+            if srt[:2] == [4, 4] and srt[2] % 2:
+                assert cert.rule == "R7", labels
+                assert cert.monochrome.witness.is_simple_cycle(), labels
+                split_only += 1
+                continue
+            assert cert.rule == "R4", labels
+            probe = cert.evidence["consistency_probe"]
+            assert probe["evaluated"], labels
+            if "label_rule_predicts_rf" in probe:
+                assert probe["agrees"] is True, labels
+                agreed += 1
+        assert (agreed, split_only) == (349, 30)
+
     def test_probe_records_without_judging_all_odd(self):
         probe = certify(tri(5, 5, 5)).evidence["consistency_probe"]
         assert probe["evaluated"]
@@ -293,13 +319,19 @@ class TestCanonicalJson:
 
 def test_immersion_check_survives_python_O():
     # `python -O` strips asserts; the check that an admissible orientation
-    # gives an immersion must still fire when build_collapsed is broken
-    script = textwrap.dedent("""
+    # gives an immersion must still fire when build_collapsed is broken, and
+    # so must the check that the fiber product's components hold every pair
+    # once, which a triangle with runs of 100 edges passes until a run is
+    # lost
+    prelude = """
         import dataclasses, importlib, sys
-        from artinsplit import DefiningGraph
+        from artinsplit import DefiningGraph, build_collapsed
         c = importlib.import_module("artinsplit.certify")
+        f = importlib.import_module("artinsplit.fiber")
         if not sys.flags.optimize:
             sys.exit("not running under -O")
+    """
+    immersion = """
         real = c.build_collapsed
         c.build_collapsed = lambda g: dataclasses.replace(
             real(g), rho_immersion=False
@@ -310,15 +342,45 @@ def test_immersion_check_survives_python_O():
         )
         c._monochrome_evidence(g)
         print("check did not fire")
-    """)
+    """
+    conservation = """
+        g = DefiningGraph.build(
+            ["a", "b", "c"],
+            [("a", "b", 201, "a"), ("b", "c", 4, "b"), ("a", "c", 4, "c")],
+        )
+        Y = build_collapsed(g).graph
+        fp = f.fiber_product(Y)
+        print("every pair", sum(fp.vertex_counts) == len(Y.vertices) ** 2)
+        real = f._runs
+
+        def lossy(*args):
+            place, branches, by_color = real(*args)
+            max(by_color.values(), key=len).pop()
+            return place, branches, by_color
+
+        f._runs = lossy
+        f.fiber_product(Y)
+        print("check did not fire")
+    """
     src = str(Path(artinsplit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+
+    def run(body):
+        script = textwrap.dedent(prelude) + textwrap.dedent(body)
+        return subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    proc = run(immersion)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "AssertionError: an admissible orientation must give an immersion" in (
+        proc.stderr
+    )
+    proc = run(conservation)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout == "every pair True\n"
+    assert "AssertionError: fiber product components miss or repeat pairs" in (
         proc.stderr
     )
 
@@ -389,6 +451,15 @@ def test_benchmark_certificates_are_byte_identical(monkeypatch):
                               expected[workload], need_digest=True)
             assert outcome.problem is None, (workload, op.key, outcome.problem)
     assert replayed == {"labels": 83, "search": 256, "cli": 220}
+
+
+def test_long_run_triangle_certifies_with_a_witness():
+    # tri(1601,4,4): Xbar has runs of 800 edges and its self product 2.6
+    # million pairs, of which certify builds only the witness component
+    cert = certify(tri(1601, 4, 4))
+    assert cert.rule == "R7"
+    assert cert.monochrome.witness.is_simple_cycle()
+    assert len(cert.monochrome.witness_colors()) >= 2
 
 
 def test_certify_builds_only_the_witness_component_as_a_graph(monkeypatch):

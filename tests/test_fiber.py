@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 
 import pytest
 from artinsplit import (
@@ -22,6 +23,7 @@ from generators import (
     random_admissible_graph,
     random_bouquet_immersion,
     random_colored_graph,
+    subdivided_bouquet_immersion,
 )
 from oracles import (
     explicit_fiber_product,
@@ -275,6 +277,9 @@ class TestAgainstExplicitProduct:
             assert fp.fill_rank_ok[i] == rank_count_fills(comp)
         assert list(map(shape, fp.components)) == list(map(shape, ex.components))
         assert shape(fp.graph) == shape(ex.graph)
+        at = {v: i for i, comp in enumerate(ex.components) for v in comp.vertices}
+        assert [fp.component_of(u, v) for u in Y.vertices for v in Y.vertices] \
+            == [at[f"{u}|{v}"] for u in Y.vertices for v in Y.vertices]
         verdict = monochrome_check(fp)
         expected = explicit_monochrome_witness(ex)
         assert verdict.all_monochrome == (expected is None)
@@ -306,6 +311,68 @@ class TestAgainstExplicitProduct:
         rng = random.Random(61)
         for _ in range(200):
             self.assert_same_product(renamed(random_bouquet_immersion(rng), rng))
+
+    def test_run_edge_cases(self):
+        def cycle(names, color):
+            return [Edge(f"{color}:{u}", u, v, color)
+                    for u, v in zip(names, names[1:] + names[:1])]
+
+        def path(names, color):
+            return [Edge(f"{color}:{u}", u, v, color)
+                    for u, v in zip(names, names[1:])]
+
+        p = [f"p{i}" for i in range(4)]
+        q = [f"q{i}" for i in range(6)]
+        s = ["b", "s1", "s2", "c"]
+        t = ["c"] + [f"t{i}" for i in range(1, 7)] + ["b"]
+        no_branch = ColoredGraph(p + q, cycle(p, "a") + cycle(q, "a"))
+        cases = [
+            no_branch,
+            # a color loop alone, and one at a branch vertex
+            ColoredGraph(["x"], [Edge("l", "x", "x", "a")]),
+            ColoredGraph(["x"] + p, [Edge("l", "x", "x", "a")]
+                         + path(["x"] + p, "b")),
+            ColoredGraph(q, path(q, "a")),
+            # disconnected: a cycle, a path and an isolated vertex
+            ColoredGraph(p + q + ["z"], cycle(p, "a") + path(q, "b")),
+            # runs of 3 and 7 edges of color a between the branch vertices
+            # b and c
+            ColoredGraph(s + t, path(s, "a") + path(t, "a")
+                         + [Edge("x", "b", "c", "x")]),
+        ]
+        for Y in cases:
+            self.assert_same_product(Y)
+        # two cycles of one color, of lengths 4 and 6: besides the two
+        # diagonals, 3 and 5 cycles of lengths 4 and 6, and gcd(4, 6) = 2
+        # cycles of length lcm(4, 6) = 12 each way across
+        fp = fiber_product(no_branch)
+        assert fp.classification.count("diagonal") == 2
+        assert sorted(fp.vertex_counts) == [4] * 4 + [6] * 6 + [12] * 4
+        assert fp.vertex_counts == fp.edge_counts
+
+    def test_subdivided_immersions(self):
+        rng = random.Random(67)
+        verdicts = set()
+        long_runs = 0
+        for _ in range(100):
+            Y = subdivided_bouquet_immersion(rng, max_vertices=3)
+            long_runs += any(v.endswith(":10") for v in Y.vertices)
+            verdicts.add(self.assert_same_product(Y))
+        assert long_runs >= 10 and verdicts == {True, False}
+
+
+def test_long_run_product_holds_no_pair_table():
+    # tri(1601,4,5) gives |Xbar| = 1604, so 2.6 million pairs; counted by
+    # runs, the product's tracemalloc peak stays a few MiB
+    Y = build_collapsed(head_to_tail(["a", "b", "c"], [1601, 4, 5])).graph
+    tracemalloc.start()
+    try:
+        fp = fiber_product(Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(fp.vertex_counts) == len(Y.vertices) ** 2
+    assert peak < 6 * 2**20
 
 
 class TestOppressive:
