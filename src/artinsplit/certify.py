@@ -199,7 +199,9 @@ def _resolve_orientation(
 ) -> tuple[Optional[DefiningGraph], dict]:
     """Find an admissible total orientation to analyze, preferring the
     provided one.  `report` is g's validation report.  Returns (oriented
-    graph or None, evidence record)."""
+    graph or None, evidence record).  Every orientation returned has been
+    checked by `is_admissible`, the searched one too, also under
+    `python -O`."""
     info: dict = {
         "provided_total": report.iota_total,
         "orientable_edges": ["-".join(k) for k in report.orientable_edges],
@@ -223,19 +225,17 @@ def _resolve_orientation(
     if assignment is None:
         info["search"] = "exhausted: no admissible orientation exists"
         return None, info
+    g_star = g.with_orientation(assignment)
+    if not is_admissible(g_star).admissible:
+        raise AssertionError("the search returned an inadmissible orientation")
     info["search"] = "found"
     info["used"] = "searched"
     info["iota"] = {"-".join(k): t for k, t in sorted(assignment.items())}
-    return g.with_orientation(assignment), info
+    return g_star, info
 
 
 def _monochrome_evidence(g_star: DefiningGraph) -> MonochromeVerdict:
-    collapsed = build_collapsed(g_star)
-    if not (collapsed.admissible and collapsed.rho_immersion):
-        raise AssertionError(
-            "an admissible orientation must give an immersion onto the bouquet"
-        )
-    return monochrome_check(fiber_product(collapsed.graph))
+    return monochrome_check(fiber_product(build_collapsed(g_star).graph))
 
 
 def certify(g: DefiningGraph) -> RFCertificate:
@@ -280,9 +280,10 @@ def certify(g: DefiningGraph) -> RFCertificate:
             evidence=evidence,
         )
 
-    def probe_triangle() -> None:
-        """Run the orientation and monochrome machinery on a triangle whose
-        verdict a label rule already decided, and record the comparison."""
+    def probe_triangle(judged: bool) -> None:
+        """Run the orientation and monochrome machinery on a triangle that
+        a label rule already decided residually finite.  When `judged`, the
+        rule's prediction is compared with the monochrome verdict."""
         probe: dict = {"evaluated": False}
         evidence["consistency_probe"] = probe
         g_star, orient_info = _resolve_orientation(g, report)
@@ -292,11 +293,9 @@ def certify(g: DefiningGraph) -> RFCertificate:
         mono = _monochrome_evidence(g_star)
         probe["evaluated"] = True
         probe["all_monochrome"] = mono.all_monochrome
-        srt = sorted(labels)
-        if min(labels) >= 4 and any(l % 2 == 0 for l in labels):
-            label_rf = not (srt[0] == 4 and srt[1] == 4 and srt[2] % 2 == 1)
-            probe["label_rule_predicts_rf"] = label_rf
-            probe["agrees"] = mono.all_monochrome == label_rf
+        if judged:
+            probe["label_rule_predicts_rf"] = True
+            probe["agrees"] = mono.all_monochrome
 
     # R1: forests (covers every disconnected forest as well)
     if evidence["labels"]["is_forest"]:
@@ -309,13 +308,14 @@ def certify(g: DefiningGraph) -> RFCertificate:
         )
         return cert(UNKNOWN, "R8")
 
-    if g.is_triangle():
-        srt = tuple(sorted(labels))
-        if srt in ((3, 3, 3), (2, 4, 4), (2, 3, 6)):
-            probe_triangle()
+    if g.is_triangle():  # `labels` is sorted
+        if labels in ((3, 3, 3), (2, 4, 4), (2, 3, 6)):
+            probe_triangle(judged=False)
             return cert(RESIDUALLY_FINITE, "R3")
-        if srt[0] >= 4 and not (srt[0] == 4 and srt[1] == 4 and srt[2] % 2):
-            probe_triangle()
+        if labels[0] >= 4 and not (labels[:2] == (4, 4) and labels[2] % 2):
+            # the monochrome criterion is modeled on an even label, so on
+            # an all-odd triangle the probe records without judging
+            probe_triangle(judged=any(l % 2 == 0 for l in labels))
             return cert(
                 RESIDUALLY_FINITE,
                 "R4",

@@ -314,15 +314,18 @@ def cmd_split(args, g: DefiningGraph) -> int:
 
 
 def _collapsed_or_refuse(args, g: DefiningGraph):
-    """Build the collapsed quarter graph; None (after reporting) when the
-    orientation is inadmissible, since only then it fails to immerse."""
-    collapsed = build_collapsed(g)
-    if collapsed.admissible:
-        return collapsed
+    """Build the collapsed quarter graph of an admissible orientation;
+    None (after reporting) when `is_admissible` finds the orientation
+    inadmissible.  The refusal's wording, that Xbar does not immerse, is
+    kept for byte-identical output, though an inadmissible orientation's
+    Xbar may immerse."""
+    verdict = is_admissible(g)
+    if verdict.admissible:
+        return build_collapsed(g)
     _report(args, {
         "refused": "orientation is not admissible; the collapsed "
                    "quarter graph does not immerse",
-        "witness": witness_json(collapsed.witness),
+        "witness": witness_json(verdict.witness),
     }, lambda p: ["refused: orientation is not admissible"])
     return None
 

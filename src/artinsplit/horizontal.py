@@ -36,12 +36,12 @@ from .multigraph import (
     connected_components,
     free_rank,
     is_degree_n_cover,
-    is_immersion,
 )
 from .orientation import (
     AdmissibilityVerdict,
-    WitnessCycle,
-    collapse,
+    collapse_classes,
+    collapsed_lifts,
+    edge_lifts,
     is_admissible,
     minus,
     plus,
@@ -114,15 +114,12 @@ def build_family(g: DefiningGraph) -> HorizontalFamily:
 @dataclass(frozen=True)
 class CollapsedQuarter:
     """x_quarter after collapsing one parallel family per edge and
-    subdividing the rest.  Its coloring is the induced map rho onto the
-    bouquet x0, each edge onto its color's loop; `rho_immersion` records
-    whether that map immerses."""
+    subdividing the rest: the graph Xbar, whose coloring is the induced map
+    onto the bouquet x0, each edge onto its color's loop, and the name of
+    the class each x_quarter vertex collapses into."""
 
     graph: ColoredGraph
     old_class: dict[str, str]
-    admissible: bool
-    witness: Optional[WitnessCycle]
-    rho_immersion: bool
 
 
 def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
@@ -139,11 +136,14 @@ def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
       run of m - 1 edges h+ to t-, closing through the surviving copy into
       an m-cycle; two m-cycles in total.
 
-    The construction is performed for any valid orientation; the verdict
-    and `rho_immersion` record whether it yields an immersion.
+    The construction is performed for any valid orientation.  The map
+    immerses when the orientation is admissible, which `is_admissible`
+    decides; an inadmissible orientation may still give an immersion.
     """
     require_valid(g, oriented=True)
-    classes, verdict = collapse(g)
+    classes, _ = collapse_classes(
+        g, collapsed_lifts(edge_lifts(g), g.orientation())
+    )
 
     # each vertex class is named by its sorted members
     members: dict[str, list[str]] = {}
@@ -189,13 +189,8 @@ def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
             add_run(c, "d-" if t == e.u else "d+",
                     old_class[plus(h)], old_class[minus(t)], m - 1)
 
-    graph = ColoredGraph(vertices, edges)
     return CollapsedQuarter(
-        graph=graph,
-        old_class=old_class,
-        admissible=verdict.admissible,
-        witness=verdict.witness,
-        rho_immersion=is_immersion(graph),
+        graph=ColoredGraph(vertices, edges), old_class=old_class
     )
 
 

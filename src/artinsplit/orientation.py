@@ -225,15 +225,6 @@ class AdmissibilityVerdict:
     reason: Optional[str] = None
 
 
-def collapse(g: DefiningGraph) -> tuple[UnionFind, AdmissibilityVerdict]:
-    """The classes the collapsed lifts of an oriented graph join, and the
-    admissibility verdict read off those classes."""
-    lifts = edge_lifts(g)
-    collapsed = collapsed_lifts(lifts, g.orientation())
-    classes, forest = collapse_classes(g, collapsed)
-    return classes, _verdict(g, lifts, collapsed, classes, forest)
-
-
 def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
     """Decide admissibility of (graph, iota); inadmissible verdicts carry a
     witness cycle that re-checks as almost misdirected.
@@ -243,8 +234,10 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
     are the endpoints of its uncollapsed lift connected.
     """
     require_valid(g, oriented=True)
-    _, verdict = collapse(g)
-    return verdict
+    lifts = edge_lifts(g)
+    collapsed = collapsed_lifts(lifts, g.orientation())
+    classes, forest = collapse_classes(g, collapsed)
+    return _verdict(g, lifts, collapsed, classes, forest)
 
 
 def _verdict(

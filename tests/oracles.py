@@ -23,7 +23,6 @@ from artinsplit import (
     free_rank,
     is_admissible,
 )
-from artinsplit.fiber import _cycle_through
 from artinsplit.multigraph import UnionFind
 
 
@@ -376,11 +375,51 @@ def lowpoint_blocks(g: ColoredGraph) -> list[frozenset[str]]:
     return out
 
 
+def cycle_through(g: ColoredGraph, block: frozenset[str], e1: Edge,
+                  e2: Edge) -> Walk:
+    """Reference for fiber._cycle_through: a simple cycle of a biconnected
+    block through two of its edges, neither a loop.
+
+    When the edges share an end v (e1's tail if it is an end of both, as
+    for parallel edges), the cycle runs e1 away from v, a shortest path
+    in the block minus v from e1's other end to e2's, and e2 back to v.
+    When they are disjoint, it runs e1 forward, the one of two disjoint
+    paths that leaves e1's head, e2, and the other path back to e1's tail.
+    """
+    sub = ColoredGraph(
+        {v for e in g.edges if e.id in block for v in (e.tail, e.head)},
+        [e for e in g.edges if e.id in block],
+    )
+
+    def away(e: Edge, v: str) -> tuple[str, int]:
+        return (e.id, +1 if e.tail == v else -1)
+
+    def other(e: Edge, v: str) -> str:
+        return e.head if e.tail == v else e.tail
+
+    banned = {e1.id, e2.id}
+    if e1.tail in (e2.tail, e2.head) or e1.head in (e2.tail, e2.head):
+        v = e1.tail if e1.tail in (e2.tail, e2.head) else e1.head
+        y = other(e2, v)
+        mid = shortest_path_by_levels(sub, other(e1, v), y, {v}, banned)
+        if mid is None:
+            raise AssertionError("block not biconnected")
+        return Walk(g, v, (away(e1, v), *mid, away(e2, y)))
+    paths = two_disjoint_paths(
+        sub, (e1.tail, e1.head), (e2.tail, e2.head), banned)
+    if paths is None:
+        raise AssertionError("block not biconnected")
+    sink, from_head = paths[e1.head]
+    _, from_tail = paths[e1.tail]
+    back = [(eid, -sign) for eid, sign in reversed(from_tail)]
+    return Walk(g, e1.tail, ((e1.id, +1), *from_head, away(e2, sink), *back))
+
+
 def explicit_monochrome_witness(fp: ExplicitProduct) -> Optional[tuple]:
     """Reference for monochrome_check's witness as (component, start,
     steps), or None when every simple cycle is monochrome: the first
     cycle-bearing component that fails `rank_count_fills`, its first block
-    of two colors by `lowpoint_blocks`, and the cycle through that block's
+    of two colors by `lowpoint_blocks`, and `cycle_through` that block's
     least edge and its least edge of another color."""
     for idx, comp in enumerate(fp.components):
         if fp.classification[idx] != "cycle-bearing" or rank_count_fills(comp):
@@ -389,7 +428,7 @@ def explicit_monochrome_witness(fp: ExplicitProduct) -> Optional[tuple]:
             e1 = comp.edge(min(block))
             others = [eid for eid in block if comp.edge(eid).color != e1.color]
             if others:
-                w = _cycle_through(comp, block, e1, comp.edge(min(others)))
+                w = cycle_through(comp, block, e1, comp.edge(min(others)))
                 return idx, w.start, w.steps
     return None
 

@@ -160,10 +160,8 @@ def test_criterion_05_collapsed_segment_structure():
             assert sorted(len(c.edges) for c in comps) == [m, m]
             assert all(col.graph.valence(v) == 2 for v in col.graph.vertices)
     for g in admissible_suite():
-        col = build_collapsed(g)
-        assert col.admissible
-        assert col.rho_immersion
-        assert is_immersion(col.graph)
+        assert is_admissible(g).admissible
+        assert is_immersion(build_collapsed(g).graph)
 
 
 @pytest.mark.acceptance(label="06 all-threes triangle: degree-3 cover and F3 *_F7 F4")
@@ -256,8 +254,9 @@ def test_criterion_08_monochrome_dichotomy():
             ("e", "f", 4, "e"),
         ],
     )
+    assert is_admissible(bridged).admissible
     col = build_collapsed(bridged)
-    assert col.admissible
+    assert is_immersion(col.graph)
     fp = fiber_product(col.graph)
     verdict = monochrome_check(fp)
     assert not verdict.all_monochrome

@@ -317,25 +317,40 @@ class TestCanonicalJson:
             assert out == canonical_json_reference(payload), payload
 
 
+_OPTIMIZED_PRELUDE = """
+    import importlib, sys
+    from artinsplit import DefiningGraph, build_collapsed, certify
+    c = importlib.import_module("artinsplit.certify")
+    f = importlib.import_module("artinsplit.fiber")
+    if not sys.flags.optimize:
+        sys.exit("not running under -O")
+"""
+
+
+def run_optimized(body):
+    """Run the prelude and `body` in `python -O`, which strips asserts."""
+    src = str(Path(artinsplit.__file__).resolve().parents[1])
+    script = textwrap.dedent(_OPTIMIZED_PRELUDE) + textwrap.dedent(body)
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 def test_immersion_check_survives_python_O():
-    # `python -O` strips asserts; the check that an admissible orientation
-    # gives an immersion must still fire when build_collapsed is broken, and
-    # so must the check that the fiber product's components hold every pair
-    # once, which a triangle with runs of 100 edges passes until a run is
-    # lost
-    prelude = """
-        import dataclasses, importlib, sys
-        from artinsplit import DefiningGraph, build_collapsed
-        c = importlib.import_module("artinsplit.certify")
-        f = importlib.import_module("artinsplit.fiber")
-        if not sys.flags.optimize:
-            sys.exit("not running under -O")
-    """
+    # the fiber product's check that its factor immerses must still fire
+    # when build_collapsed hands certify the Xbar of an inadmissible
+    # orientation, and so must its check that the components hold every
+    # pair once, which a triangle with runs of 100 edges passes until a run
+    # is lost
     immersion = """
         real = c.build_collapsed
-        c.build_collapsed = lambda g: dataclasses.replace(
-            real(g), rho_immersion=False
+        clashing = DefiningGraph.build(
+            ["a", "b", "c"],
+            [("a", "b", 3, "a"), ("b", "c", 3, "b"), ("a", "c", 3, "a")],
         )
+        c.build_collapsed = lambda g: real(clashing)
         g = DefiningGraph.build(
             ["a", "b", "c"],
             [("a", "b", 5, "a"), ("b", "c", 5, "b"), ("a", "c", 5, "c")],
@@ -362,27 +377,43 @@ def test_immersion_check_survives_python_O():
         f.fiber_product(Y)
         print("check did not fire")
     """
-    src = str(Path(artinsplit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-
-    def run(body):
-        script = textwrap.dedent(prelude) + textwrap.dedent(body)
-        return subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-
-    proc = run(immersion)
+    proc = run_optimized(immersion)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "AssertionError: an admissible orientation must give an immersion" in (
-        proc.stderr
-    )
-    proc = run(conservation)
+    assert "FiberInputError: fiber products require immersions" in proc.stderr
+    proc = run_optimized(conservation)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout == "every pair True\n"
     assert "AssertionError: fiber product components miss or repeat pairs" in (
         proc.stderr
     )
+
+
+@pytest.mark.parametrize("vertices, rows", [
+    # R3, where the orientation feeds only the consistency probe
+    ("abc", [("a", "b", 3, None), ("b", "c", 3, None), ("a", "c", 3, None)]),
+    # a square, past the label rules
+    ("abcd", [("a", "b", 3, None), ("b", "c", 3, None), ("c", "d", 3, None),
+              ("a", "d", 3, None)]),
+], ids=["R3-triangle", "square"])
+def test_search_check_survives_python_O(vertices, rows):
+    # certify re-checks the orientation the search returns before it builds
+    # Xbar from it; a search that returns an inadmissible one, here each
+    # edge's tail at its first end, is caught there, also under -O
+    body = f"""
+        from artinsplit import is_admissible
+        g = DefiningGraph.build(list({vertices!r}), {rows!r})
+        bad = {{e.key: e.u for e in g.edges}}
+        print("inadmissible",
+              not is_admissible(g.with_orientation(bad)).admissible)
+        c.find_admissible_orientation = lambda g: bad
+        certify(g)
+        print("check did not fire")
+    """
+    proc = run_optimized(body)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout == "inadmissible True\n"
+    assert ("AssertionError: the search returned an inadmissible orientation"
+            in proc.stderr)
 
 
 def test_library_has_no_assert_statements():
@@ -426,31 +457,6 @@ def test_every_private_helper_is_used():
             if all(id(n) in inside for n in uses.get(node.name, [])):
                 unused.append(f"{module}:{node.name}")
     assert unused == []
-
-
-def test_benchmark_certificates_are_byte_identical(monkeypatch):
-    # every default-seed certify operation of the benchmark, the library
-    # calls of `labels` and `search` and the `cli` certify commands,
-    # replayed and checked against its recorded output digest; this pins
-    # the witness cycles of rule R7 to the byte
-    import artinsplit.cli as cli
-
-    bench = Path(__file__).resolve().parents[1] / "benchmark"
-    monkeypatch.syspath_prepend(str(bench))
-    from operations import execute, prepare
-    from workloads import DEFAULT_SEED, WORKLOADS
-
-    expected = json.loads((bench / "expected.json").read_text())
-    replayed = {}
-    for workload, make in WORKLOADS.items():
-        ops = [op for op in make(DEFAULT_SEED)
-               if op.kind == "certify" or op.argv[0] == "certify"]
-        replayed[workload] = len(ops)
-        for op in ops:
-            outcome = execute(artinsplit, cli, op, prepare(artinsplit, op),
-                              expected[workload], need_digest=True)
-            assert outcome.problem is None, (workload, op.key, outcome.problem)
-    assert replayed == {"labels": 83, "search": 256, "cli": 220}
 
 
 def test_long_run_triangle_certifies_with_a_witness():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import artinsplit
-from artinsplit import DefiningGraph, SchemaError, cli, defining_graph
+from artinsplit import DefiningGraph, SchemaError, certify, cli, defining_graph
 from artinsplit.cli import (
     defining_graph_dot,
     defining_graph_json_dict,
@@ -398,22 +398,6 @@ class TestFiber:
         assert captured.err.startswith("input error: basepoint 'nope'")
         assert captured.out == ""
 
-    def test_benchmark_outputs_are_byte_identical(self, monkeypatch):
-        # every default-seed fiber command of the benchmark's cli workload,
-        # replayed and checked against its recorded output digest
-        bench = Path(__file__).resolve().parents[1] / "benchmark"
-        monkeypatch.syspath_prepend(str(bench))
-        from operations import execute, prepare
-        from workloads import DEFAULT_SEED, cli_ops
-
-        expected = json.loads((bench / "expected.json").read_text())["cli"]
-        ops = [op for op in cli_ops(DEFAULT_SEED) if op.argv[0] == "fiber"]
-        assert any("--oppressive" in op.argv for op in ops)
-        for op in ops:
-            outcome = execute(artinsplit, cli, op, prepare(artinsplit, op),
-                              expected, need_digest=True)
-            assert outcome.problem is None, (op.argv, outcome.problem)
-
 
 class TestCertify:
     def test_canonical_json_and_repeatability(self, write, capsys):
@@ -594,6 +578,83 @@ def test_outputs_are_byte_identical(monkeypatch):
                     runs += 1
     assert runs > 3000
     assert h.hexdigest() == PINNED_OUTPUTS
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls of the named library functions through every binding
+    the package's modules hold of them."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for name, m in sorted(sys.modules.items())
+               if m is not None and name.split(".")[0] == "artinsplit"]
+    for name in names:
+        real = getattr(artinsplit, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in modules:
+            for binding, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, binding, counting)
+    return calls
+
+
+def used_orientation(g):
+    """The orientation certify analysed: provided or searched."""
+    evidence = certify(g).evidence
+    return evidence.get("consistency_probe", evidence)["orientation"]["used"]
+
+
+@pytest.mark.parametrize("run, expected", [
+    # certify: the R4 consistency probe, a provided R7 orientation and a
+    # searched R7 one; then the two CLI commands that build the product
+    (lambda write: used_orientation(DefiningGraph.build(["a", "b", "c"], [
+        ("a", "b", 5, None), ("b", "c", 4, None), ("a", "c", 6, None)])),
+     "searched"),
+    (lambda write: used_orientation(DefiningGraph.build(["a", "b", "c"], [
+        ("a", "b", 41, "a"), ("b", "c", 4, "b"), ("a", "c", 4, "c")])),
+     "provided"),
+    (lambda write: used_orientation(DefiningGraph.build(["a", "b", "c", "d"], [
+        ("a", "b", 5, None), ("b", "c", 5, None), ("c", "d", 5, None),
+        ("a", "d", 5, None)])),
+     "searched"),
+    (lambda write: main(["fiber", "--input", write(TRIANGLE)]), 0),
+    (lambda write: main(["export", "--graph", "fiber", "--input",
+                         write(TRIANGLE)]), 0),
+], ids=["certify-probe", "certify-provided", "certify-searched", "fiber",
+        "export-fiber"])
+def test_xbar_its_product_and_the_immersion_check_run_once(
+        run, expected, write, monkeypatch, capsys):
+    # admissibility is decided by `is_admissible` before Xbar is built, and
+    # Xbar's immersion is checked once, at the entry of `fiber_product`
+    calls = count_calls(
+        monkeypatch, ("build_collapsed", "fiber_product", "is_immersion"))
+    assert run(write) == expected
+    assert calls == {"build_collapsed": 1, "fiber_product": 1,
+                     "is_immersion": 1}
+
+
+def test_benchmark_outputs_are_byte_identical(monkeypatch):
+    # every default-seed operation of the benchmark's three workloads, the
+    # library's certify calls of `labels` and `search` and every command of
+    # `cli`, replayed and checked against its recorded output digest; this
+    # pins the witness cycles of rule R7 and every CLI output to the byte
+    bench = Path(__file__).resolve().parents[1] / "benchmark"
+    monkeypatch.syspath_prepend(str(bench))
+    from operations import execute, prepare
+    from workloads import DEFAULT_SEED, WORKLOADS
+
+    expected = json.loads((bench / "expected.json").read_text())
+    replayed = {}
+    for workload, make in WORKLOADS.items():
+        ops = make(DEFAULT_SEED)
+        replayed[workload] = len(ops)
+        for op in ops:
+            outcome = execute(artinsplit, cli, op, prepare(artinsplit, op),
+                              expected[workload], need_digest=True)
+            assert outcome.problem is None, (workload, op.key, outcome.problem)
+    assert replayed == {"labels": 83, "search": 256, "cli": 1170}
 
 
 def test_seeded_fuzz_every_input_ends_in_exit_0_1_or_2(tmp_path, monkeypatch):

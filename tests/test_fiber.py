@@ -15,6 +15,8 @@ from artinsplit import (
     fiber,
     fiber_product,
     free_rank,
+    is_admissible,
+    is_immersion,
     monochrome_check,
     oppressive_set,
 )
@@ -50,8 +52,9 @@ def triangle(labels, tails=("a", "b", "c")):
 
 
 def self_fiber(g):
+    assert is_admissible(g).admissible
     col = build_collapsed(g)
-    assert col.admissible
+    assert is_immersion(col.graph)
     return col, fiber_product(col.graph)
 
 
@@ -301,8 +304,10 @@ class TestAgainstExplicitProduct:
             cases.append(labels)
         for labels in cases:
             k = len(labels)
-            col = build_collapsed(head_to_tail(rng.sample(PREFIX_NAMES, k), labels))
-            assert col.admissible
+            g = head_to_tail(rng.sample(PREFIX_NAMES, k), labels)
+            assert is_admissible(g).admissible
+            col = build_collapsed(g)
+            assert is_immersion(col.graph)
             assert any(":10" in v for v in col.graph.vertices)
             verdicts.add(self.assert_same_product(col.graph))
         assert verdicts == {True, False}

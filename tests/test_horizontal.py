@@ -12,10 +12,15 @@ from artinsplit import (
     compute_splitting,
     connected_components,
     free_rank,
+    is_admissible,
     is_degree_n_cover,
     is_immersion,
 )
-from generators import random_admissible_graph
+from generators import (
+    random_admissible_graph,
+    random_defining_graph,
+    with_random_orientation,
+)
 from oracles import deck_involution_on_quarter, run_lengths
 
 
@@ -129,19 +134,41 @@ class TestCollapsed:
         assert col.old_class["a-"] == "a-"
 
     def test_rho_immerses_when_admissible(self):
-        col = build_collapsed(triangle((5, 4, 4)))
-        assert col.admissible and col.rho_immersion
-        assert is_immersion(col.graph)
+        g = triangle((5, 4, 4))
+        assert is_admissible(g).admissible
+        assert is_immersion(build_collapsed(g).graph)
 
     def test_rho_fails_to_immerse_when_inadmissible(self):
         bad = DefiningGraph.build(
             ["a", "b", "c"],
             [("a", "b", 3, "a"), ("b", "c", 3, "b"), ("a", "c", 3, "a")],
         )
-        col = build_collapsed(bad)
-        assert not col.admissible
-        assert col.witness is not None
-        assert not col.rho_immersion
+        verdict = is_admissible(bad)
+        assert not verdict.admissible
+        assert verdict.witness is not None
+        assert not is_immersion(build_collapsed(bad).graph)
+
+    def test_immersion_does_not_decide_admissibility(self):
+        # an admissible orientation always gives an immersion, but not
+        # conversely, so the verdict comes from `is_admissible` alone: this
+        # 4-cycle is inadmissible and its Xbar immerses
+        square = DefiningGraph.build(
+            ["v0", "v1", "v2", "v3"],
+            [("v0", "v1", 2, None), ("v0", "v2", 5, "v2"),
+             ("v1", "v3", 3, "v1"), ("v2", "v3", 4, "v2")],
+        )
+        assert not is_admissible(square).admissible
+        assert is_immersion(build_collapsed(square).graph)
+        rng = random.Random(41)
+        seen = Counter()
+        for _ in range(1000):
+            g = with_random_orientation(
+                rng, random_defining_graph(rng, max_vertices=6,
+                                           max_extra_edges=3))
+            seen[is_admissible(g).admissible,
+                 is_immersion(build_collapsed(g).graph)] += 1
+        assert seen[True, False] == 0
+        assert seen[False, True] > 0 and seen[True, True] > 0
 
     def test_segments_tile_the_graph(self):
         rng = random.Random(31)
