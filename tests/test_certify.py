@@ -459,6 +459,31 @@ def test_every_private_helper_is_used():
     assert unused == []
 
 
+def test_benchmark_certificates_are_byte_identical(monkeypatch):
+    # every default-seed certify operation of the benchmark, the library
+    # calls of `labels` and `search` and the `cli` certify commands,
+    # replayed and checked against its recorded output digest; this pins
+    # the witness cycles of rule R7 to the byte
+    import artinsplit.cli as cli
+
+    bench = Path(__file__).resolve().parents[1] / "benchmark"
+    monkeypatch.syspath_prepend(str(bench))
+    from operations import execute, prepare
+    from workloads import DEFAULT_SEED, WORKLOADS
+
+    expected = json.loads((bench / "expected.json").read_text())
+    replayed = {}
+    for workload, make in WORKLOADS.items():
+        ops = [op for op in make(DEFAULT_SEED)
+               if op.kind == "certify" or op.argv[0] == "certify"]
+        replayed[workload] = len(ops)
+        for op in ops:
+            outcome = execute(artinsplit, cli, op, prepare(artinsplit, op),
+                              expected[workload], need_digest=True)
+            assert outcome.problem is None, (workload, op.key, outcome.problem)
+    assert replayed == {"labels": 83, "search": 256, "cli": 220}
+
+
 def test_long_run_triangle_certifies_with_a_witness():
     # tri(1601,4,4): Xbar has runs of 800 edges and its self product 2.6
     # million pairs, of which certify builds only the witness component
