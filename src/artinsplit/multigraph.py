@@ -172,21 +172,14 @@ def is_degree_n_cover(m: GraphMap, n: int) -> bool:
 
 
 class UnionFind:
-    """Disjoint classes of hashable items, joined by `union`.
+    """Disjoint classes of hashable items, joined by `union`, the smaller
+    class under the larger, which keeps every `find` path logarithmic."""
 
-    Every join is logged, so `undo` can take back the latest ones in
-    reverse order, as a backtracking search needs.  `find` does not
-    compress paths, so that undoing a join only has to reset the one link
-    the join set; joining the smaller class under the larger keeps every
-    path logarithmic instead.
-    """
-
-    __slots__ = ("parent", "size", "joins")
+    __slots__ = ("parent", "size")
 
     def __init__(self, items: Iterable = ()):
         self.parent = {x: x for x in items}
         self.size = dict.fromkeys(self.parent, 1)
-        self.joins: list = []
 
     def find(self, x):
         p = self.parent
@@ -204,15 +197,7 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[ra] = rb
         size[rb] += size[ra]
-        self.joins.append(ra)
         return True
-
-    def undo(self) -> None:
-        """Take back the latest join still in force."""
-        ra = self.joins.pop()
-        rb = self.parent[ra]
-        self.parent[ra] = ra
-        self.size[rb] -= self.size[ra]
 
 
 def connected_components(g: ColoredGraph) -> list[ColoredGraph]:

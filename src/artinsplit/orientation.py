@@ -19,6 +19,7 @@ patterns.  A bounded search over explicit closed walks,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .defining_graph import (
@@ -421,13 +422,14 @@ def find_admissible_orientation(
     by (label, endpoints), tail u tried before tail v.  The dict lists the
     edges in that order.
 
-    Choosing a tail collapses the one lift `collapsed_lifts` picks for it,
-    and the search keeps the collapse classes in one union-find, joining
-    that lift's ends on the way down and undoing the join on backtracking;
-    the label-2 lifts are joined once, at the root.  A join is refused
-    when its ends are already in one class (a collapsed cycle) or when
-    some pair that must stay apart would cross the two classes it merges:
-    the two lifts v+ and v- of a vertex, or the ends of any other
+    Choosing a tail collapses the one lift `collapsed_lifts` picks for it.
+    The search keeps the collapse classes in lists over the quarter ids (v+
+    is i, v- is n + i, as `quarter_vertices` lists them), joining that
+    lift's ends on the way down and undoing the join from its log on
+    backtracking; the label-2 lifts are joined once, at the root.  A join
+    is refused when its ends are already in one class (a collapsed cycle)
+    or when some pair that must stay apart would cross the two classes it
+    merges: the two lifts v+ and v- of a vertex, or the ends of any other
     orientable lift that is not collapsed.  Each class carries a bit mask
     of the pairs its members belong to, so that test is one AND of two
     masks.  A refused join marks a partial orientation that no completion
@@ -450,56 +452,53 @@ def find_admissible_orientation(
         )
 
     lifts = edge_lifts(g)
-    by_key = {e.key: (e, p, m) for e, p, m in lifts}
+    by_key = {el[0].key: el for el in lifts}
+    chosen = [by_key[e.key] for e in orientable]
+    on_u = collapsed_lifts(chosen, {e.key: e.u for e in orientable})
+    on_v = collapsed_lifts(chosen, {e.key: e.v for e in orientable})
+    n = len(g.vertices)
+    qid = {q: i for i, q in enumerate(quarter_vertices(g))}
+    # lift j = 2i + c is the one that tail c of orientable[i] collapses;
+    # mask[r], r a root: the pairs to keep apart with an end in r's class,
+    # bit i for the two lifts of vertex i and bit n + j for lift j's ends
+    mask = [1 << (q % n) for q in range(2 * n)]
+    flat = []
+    for j, (a, b) in enumerate(chain(*zip(on_u.values(), on_v.values()))):
+        mask[qid[a]] |= 1 << (n + j)
+        mask[qid[b]] |= 1 << (n + j)
+        flat.append((qid[a], qid[b], ~(1 << (n + j))))
+    # options[i][c]: lift 2i + c's ends, and a mask that clears its pair bit
+    options = list(zip(flat[::2], flat[1::2]))
+    parent = list(range(2 * n))
+    size = [1] * (2 * n)
+    tails: list[Optional[int]] = [None] * len(orientable)
+    # per join: (edge index, root ra joined under root rb, rb, rb's old mask)
+    trail: list[tuple[int, int, int, int]] = []
 
-    def lift_for(e: DefiningEdge, tail: str) -> Lift:
-        ((lid, ends),) = collapsed_lifts([by_key[e.key]], {e.key: tail}).items()
-        return lid, ends
+    def root(q: int) -> int:
+        while parent[q] != q:
+            q = parent[q]
+        return q
 
-    # options[i][c]: the lift that tail (u, v)[c] of orientable[i] collapses
-    options = [(lift_for(e, e.u), lift_for(e, e.v)) for e in orientable]
-    quarter = quarter_vertices(g)
-    # mask[root]: the pairs to keep apart that have an end in root's class
-    mask = dict.fromkeys(quarter, 0)
-    for i, v in enumerate(g.vertices):
-        mask[plus(v)] |= 1 << i
-        mask[minus(v)] |= 1 << i
-    pair_bit: dict[str, int] = {}
-    for lid, (a, b) in (lift for pair in options for lift in pair):
-        pair_bit[lid] = bit = 1 << (len(g.vertices) + len(pair_bit))
-        mask[a] |= bit
-        mask[b] |= bit
-
-    classes = UnionFind(quarter)
-    find = classes.find
-    tails: list[Optional[str]] = [None] * len(orientable)
-    # per assigned tail: (edge index, surviving root, its mask before)
-    trail: list[tuple[int, str, int]] = []
-
-    def joinable(lift: Lift) -> bool:
-        lid, (a, b) = lift
-        ra, rb = find(a), find(b)
-        return ra != rb and not mask[ra] & mask[rb] & ~pair_bit.get(lid, 0)
-
-    def join(lift: Lift) -> tuple[str, int]:
-        """Join the lift's ends; the surviving root and its mask before."""
-        _, (a, b) = lift
-        ra, rb = find(a), find(b)
-        classes.union(ra, rb)
-        root = find(ra)
-        before = mask[root]
-        mask[root] = mask[ra] | mask[rb]
-        return root, before
+    def join(i: int, ra: int, rb: int) -> None:
+        if size[ra] > size[rb]:
+            ra, rb = rb, ra
+        parent[ra] = rb
+        size[rb] += size[ra]
+        trail.append((i, ra, rb, mask[rb]))
+        mask[rb] |= mask[ra]
 
     def assign(i: int, c: int) -> None:
-        trail.append((i, *join(options[i][c])))
-        tails[i] = (orientable[i].u, orientable[i].v)[c]
+        a, b, _ = options[i][c]
+        join(i, root(a), root(b))
+        tails[i] = c
 
     def undo_to(mark: int) -> None:
         while len(trail) > mark:
-            i, root, before = trail.pop()
-            classes.undo()
-            mask[root] = before
+            i, ra, rb, before = trail.pop()
+            parent[ra] = ra
+            size[rb] -= size[ra]
+            mask[rb] = before
             tails[i] = None
 
     def propagate() -> bool:
@@ -510,26 +509,41 @@ def find_admissible_orientation(
             for i, t in enumerate(tails):
                 if t is not None:
                     continue
-                open_tails = [c for c in (0, 1) if joinable(options[i][c])]
-                if not open_tails:
-                    return False
-                if len(open_tails) == 1:
-                    assign(i, open_tails[0])
+                (a, b, ka), (c, d, kc) = options[i]
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                while parent[c] != c:
+                    c = parent[c]
+                while parent[d] != d:
+                    d = parent[d]
+                if a != b and not mask[a] & mask[b] & ka:
+                    if c == d or mask[c] & mask[d] & kc:
+                        join(i, a, b)
+                        tails[i] = 0
+                        forced = True
+                elif c != d and not mask[c] & mask[d] & kc:
+                    join(i, c, d)
+                    tails[i] = 1
                     forced = True
+                else:
+                    return False
         return True
 
     # the label-2 lifts stay collapsed, so their joins are never undone
-    for lift in collapsed_lifts(lifts, {}).items():
-        if not joinable(lift):
+    for a, b in collapsed_lifts(lifts, {}).values():
+        ra, rb = root(qid[a]), root(qid[b])
+        if ra == rb or mask[ra] & mask[rb]:
             return None
-        join(lift)
+        join(-1, ra, rb)
     # open decisions: (edge index, trail length before its tail u)
     decisions: list[tuple[int, int]] = []
     alive = propagate()
     while True:
         if alive:
             if None not in tails:
-                return {e.key: t for e, t in zip(orientable, tails)}
+                return {e.key: (e.u, e.v)[c] for e, c in zip(orientable, tails)}
             i = tails.index(None)
             decisions.append((i, len(trail)))
             assign(i, 0)

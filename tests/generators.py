@@ -58,10 +58,12 @@ def with_random_orientation(rng: random.Random, g: DefiningGraph) -> DefiningGra
     return DefiningGraph.build(g.vertices, rows)
 
 
-def glued_cycle_blocks(rng: random.Random) -> DefiningGraph:
+def glued_cycle_blocks(
+    rng: random.Random, labels: tuple[int, ...] = LABELS
+) -> DefiningGraph:
     """2 to 4 cycles of 3 to 5 vertices, some with a chord, each after the
     first glued at one vertex to an earlier cycle, sometimes with a pendant
-    bridge; no orientation."""
+    bridge; labels drawn from `labels`, no orientation."""
     vertices: list[str] = []
     pairs: list[tuple[str, str]] = []
     for _ in range(rng.randint(2, 4)):
@@ -77,7 +79,27 @@ def glued_cycle_blocks(rng: random.Random) -> DefiningGraph:
         pairs.append((rng.choice(vertices), f"v{len(vertices)}"))
         vertices.append(pairs[-1][1])
     return DefiningGraph.build(
-        vertices, [(u, v, rng.choice(LABELS), None) for u, v in pairs]
+        vertices, [(u, v, rng.choice(labels), None) for u, v in pairs]
+    )
+
+
+def square_chain(labels: list[int]) -> DefiningGraph:
+    """4-cycles in a row, each joined by a bridge to the next one and the
+    last to a K4; no orientation.  `labels` labels the edges in order,
+    each square's four and then its bridge, then the K4's six, so 5k + 6
+    labels give k squares."""
+    squares, rest = divmod(len(labels) - 6, 5)
+    if rest or squares < 0:
+        raise ValueError("a square chain takes 5k + 6 labels")
+    pairs = []
+    for s in range(squares):
+        a, b, c, d, nxt = (f"v{4 * s + i}" for i in range(5))
+        pairs += [(a, b), (b, c), (c, d), (d, a), (c, nxt)]
+    k4 = [f"v{4 * squares + i}" for i in range(4)]
+    pairs += [(u, v) for i, u in enumerate(k4) for v in k4[i + 1:]]
+    return DefiningGraph.build(
+        sorted({v for p in pairs for v in p}),
+        [(u, v, label, None) for (u, v), label in zip(pairs, labels)],
     )
 
 

@@ -19,6 +19,7 @@ from artinsplit import (
     HorizontalFamily,
     StructureError,
     Walk,
+    blocks,
     connected_components,
     free_rank,
     is_admissible,
@@ -468,6 +469,35 @@ def first_admissible_orientation(g: DefiningGraph):
         if is_admissible(g.with_orientation(iota)).admissible:
             return iota
     return None
+
+
+def first_admissible_orientation_by_blocks(g: DefiningGraph):
+    """`first_admissible_orientation` for graphs too wide to try all 2^k
+    orientations at once: that oracle on each block of g alone, joined back
+    in search order, or None.
+
+    Every simple cycle lies in one block (`multigraph.blocks`), so an
+    orientation is admissible exactly when its restriction to each block
+    is.  The admissible orientations are then the products of each block's,
+    and the first product in search order restricts to each block's first.
+    """
+    cg = ColoredGraph(
+        g.vertices, [Edge(e.color, e.u, e.v, e.color) for e in g.edges]
+    )
+    iota = {}
+    for block in blocks(cg):
+        edges = [e for e in g.edges if e.color in block]
+        first = first_admissible_orientation(DefiningGraph.build(
+            sorted({v for e in edges for v in e.key}),
+            [(e.u, e.v, e.label, None) for e in edges],
+        ))
+        if first is None:
+            return None
+        iota.update(first)
+    orientable = sorted(
+        (e for e in g.edges if e.label >= 3), key=lambda e: (e.label, e.key)
+    )
+    return {e.key: iota[e.key] for e in orientable}
 
 
 def out_edges(g: ColoredGraph, v: str) -> tuple[Edge, ...]:

@@ -18,7 +18,7 @@ from artinsplit import (
     is_degree_n_cover,
     is_immersion,
 )
-from artinsplit.multigraph import UnionFind, bfs_path, bfs_tree, shortest_path
+from artinsplit.multigraph import bfs_path, bfs_tree, shortest_path
 from generators import random_colored_graph
 from oracles import (
     all_simple_cycles,
@@ -206,29 +206,6 @@ class TestComponentsAndRank:
             assert sum(len(c.edges) for c in comps) == len(g.edges)
             total = sum(free_rank(c) for c in comps)
             assert total == len(g.edges) - len(g.vertices) + len(comps)
-
-
-def test_union_find_undo_restores_earlier_classes():
-    # undoing joins in reverse order returns to the classes before them,
-    # whichever way union by size linked the roots
-    rng = random.Random(3)
-    items = list(range(12))
-    uf = UnionFind(items)
-    history = []
-    for _ in range(30):
-        history.append([uf.find(x) for x in items])
-        if not uf.union(rng.choice(items), rng.choice(items)):
-            history.pop()
-    while history:
-        before = history.pop()
-        uf.undo()
-        now = [uf.find(x) for x in items]
-        assert all(
-            (before[i] == before[j]) == (now[i] == now[j])
-            for i in items
-            for j in items
-        )
-    assert len({uf.find(x) for x in items}) == len(items)
 
 
 class TestBlocks:

@@ -25,11 +25,16 @@ from artinsplit.orientation import (
     edge_lifts,
 )
 from generators import (
+    LABELS,
     glued_cycle_blocks,
     random_defining_graph,
+    square_chain,
     with_random_orientation,
 )
-from oracles import first_admissible_orientation
+from oracles import (
+    first_admissible_orientation,
+    first_admissible_orientation_by_blocks,
+)
 
 
 def triangle(labels=(3, 3, 3), tails=("a", "b", "c")):
@@ -368,6 +373,66 @@ class TestFindOrientation:
                 assert list(found) == list(expected)
         assert widest == 10
         assert 0 < exhausted < checked
+
+    def test_search_returns_the_first_admissible_orientation_on_glued_blocks(
+        self,
+    ):
+        # blocks sharing cut vertices, up to k = 10; every third graph draws
+        # half its labels as 2, so that some have a cycle of label-2 edges,
+        # whose lifts close a collapsed cycle and are refused at the root
+        rng = random.Random(31)
+        checked = exhausted = label_2_cycles = 0
+        while checked < 30:
+            labels = (2, 2, 2, 3, 4, 5) if checked % 3 == 0 else LABELS
+            g = glued_cycle_blocks(rng, labels)
+            if sum(1 for e in g.edges if e.label >= 3) > 10:
+                continue
+            checked += 1
+            expected = first_admissible_orientation(g)
+            found = find_admissible_orientation(g)
+            assert found == expected
+            assert first_admissible_orientation_by_blocks(g) == expected
+            _, forest = collapse_classes(g, collapsed_lifts(edge_lifts(g), {}))
+            if not forest:
+                label_2_cycles += 1
+                assert found is None
+            if found is None:
+                exhausted += 1
+            else:
+                assert list(found) == list(expected)
+        assert label_2_cycles
+        assert 0 < exhausted < checked
+
+    def test_search_returns_the_first_admissible_orientation_on_wide_graphs(
+        self,
+    ):
+        # 11 to 24 orientable edges, too many to try every orientation at
+        # once, checked block by block.  The chain of three label-4 squares
+        # and a label-9 K4 has 21, and only the K4 refutes it; so does every
+        # chain here, labelled 3 to 8, whichever edges of it come first
+        rng = random.Random(41)
+        chain = square_chain([4] * 15 + [9] * 6)
+        assert find_admissible_orientation(chain) is None
+        graphs = [chain]
+        graphs += [
+            square_chain([rng.choice(LABELS[1:]) for _ in range(21)])
+            for _ in range(10)
+        ]
+        while len(graphs) < 60:
+            g = glued_cycle_blocks(rng)
+            if sum(1 for e in g.edges if e.label >= 3) >= 11:
+                graphs.append(g)
+        exhausted = 0
+        for g in graphs:
+            assert 11 <= sum(1 for e in g.edges if e.label >= 3) <= 24
+            expected = first_admissible_orientation_by_blocks(g)
+            found = find_admissible_orientation(g)
+            assert found == expected
+            if found is None:
+                exhausted += 1
+            else:
+                assert list(found) == list(expected)
+        assert 0 < exhausted < len(graphs)
 
     def test_search_space_guard(self):
         names = [f"v{i}" for i in range(8)]
