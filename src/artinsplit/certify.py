@@ -38,7 +38,6 @@ from .orientation import (
 RESIDUALLY_FINITE = "ResiduallyFinite"
 SPLITS_ONLY = "SplitsOnly"
 UNKNOWN = "Unknown"
-NOT_APPLICABLE = "NotApplicable"
 
 _CITATIONS = {
     "R1": "Artin groups over forest defining graphs are virtually special, "
@@ -85,9 +84,9 @@ _CAVEAT_ALL_ODD = (
 class RFCertificate:
     """Verdict plus the machinery that produced it.
 
-    verdict is one of ResiduallyFinite, SplitsOnly, Unknown, NotApplicable;
-    rule is the deciding rule's short name; splitting and monochrome hold
-    the computed evidence when the deciding path needed them.
+    verdict is one of ResiduallyFinite, SplitsOnly, Unknown; rule is the
+    deciding rule's short name; splitting and monochrome hold the computed
+    evidence when the deciding path needed them.
     """
 
     verdict: str

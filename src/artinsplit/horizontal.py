@@ -39,9 +39,7 @@ from .multigraph import (
 )
 from .orientation import (
     AdmissibilityVerdict,
-    collapse_classes,
-    collapsed_lifts,
-    edge_lifts,
+    _collapse,
     is_admissible,
     minus,
     plus,
@@ -141,14 +139,12 @@ def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
     decides; an inadmissible orientation may still give an immersion.
     """
     require_valid(g, oriented=True)
-    classes, _ = collapse_classes(
-        g, collapsed_lifts(edge_lifts(g), g.orientation())
-    )
+    root = _collapse(g)[2]
 
     # each vertex class is named by its sorted members
-    members: dict[str, list[str]] = {}
-    for q in quarter_vertices(g):
-        members.setdefault(classes.find(q), []).append(q)
+    members: dict[int, list[str]] = {}
+    for q, name in enumerate(quarter_vertices(g)):
+        members.setdefault(root[q], []).append(name)
     old_class = {}
     for qs in members.values():
         name = "/".join(sorted(qs))

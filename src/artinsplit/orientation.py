@@ -12,15 +12,19 @@ is collapsed when iota = t, or when the label is 2 (then both lifts are
 collapsed); `collapsed_lifts` is the one place that rule is written.
 Misdirected paths correspond exactly to paths inside the collapsed
 subgraph, which reduces admissibility to a forest test plus connectivity
-patterns.  A bounded search over explicit closed walks,
+patterns.  The cover's vertices are numbered once, v+ as i and v- as
+n + i, and one list-based union-find over those quarter ids, `_root` and
+`_join`, holds the collapse classes for `is_admissible`, for
+`horizontal.build_collapsed` (through `_collapse`) and for the search.
+Quarter names and lift ids are spelled out only for a witness and for
+Xbar's vertex names.  A bounded search over explicit closed walks,
 `oracle_almost_misdirected`, provides an independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .defining_graph import (
     DefiningEdge,
@@ -28,7 +32,7 @@ from .defining_graph import (
     enumerate_cycles,
     require_valid,
 )
-from .multigraph import ColoredGraph, Edge, UnionFind, Walk, shortest_path
+from .multigraph import ColoredGraph, Edge, Walk, shortest_path
 
 
 def plus(v: str) -> str:
@@ -44,22 +48,20 @@ def quarter_vertices(g: DefiningGraph) -> list[str]:
     return [plus(v) for v in g.vertices] + [minus(v) for v in g.vertices]
 
 
-Lift = tuple[str, tuple[str, str]]  # (lift id, (end, end))
-EdgeLifts = tuple[DefiningEdge, Lift, Lift]
+EdgeLifts = tuple[DefiningEdge, tuple[int, int], tuple[int, int]]
 
 
 def edge_lifts(g: DefiningGraph) -> tuple[EdgeLifts, ...]:
-    """Every edge with its two lifts to the sign double cover.
+    """Every edge with the ends of its two lifts to the sign double cover.
 
-    In sorted edge order; "dc:<color>:p" joins u+ to v-, "dc:<color>:m"
-    joins u- to v+.
+    In sorted edge order; the ends are quarter ids, numbered as
+    `quarter_vertices` lists them: v+ is i and v- is n + i for the i-th of
+    the n vertices.  The p lift joins u+ to v-, the m lift u- to v+.
     """
+    n = len(g.vertices)
+    at = {v: i for i, v in enumerate(g.vertices)}
     return tuple(
-        (
-            e,
-            (f"dc:{e.color}:p", (plus(e.u), minus(e.v))),
-            (f"dc:{e.color}:m", (minus(e.u), plus(e.v))),
-        )
+        (e, (at[e.u], n + at[e.v]), (n + at[e.u], at[e.v]))
         for e in g.sorted_edges
     )
 
@@ -67,56 +69,63 @@ def edge_lifts(g: DefiningGraph) -> tuple[EdgeLifts, ...]:
 def collapsed_lifts(
     lifts: Iterable[EdgeLifts],
     iota: Mapping[tuple[str, str], Optional[str]],
-) -> dict[str, tuple[str, str]]:
-    """The collapsed lifts under a partial orientation, as {lift id: ends}.
+) -> dict[int, tuple[int, int]]:
+    """The collapsed lifts under a partial orientation, as {lift: ends}.
 
-    Both lifts of a label-2 edge collapse.  An orientable edge collapses the
-    lift whose positive end lies over its tail `iota[key]`: the p lift for
-    tail u, the m lift for tail v.  An edge that `iota` leaves without a
-    tail collapses nothing yet.
+    Lift 2k is the p lift of the k-th edge of `lifts`, lift 2k + 1 its m
+    lift.  Both lifts of a label-2 edge collapse.  An orientable edge
+    collapses the lift whose positive end lies over its tail `iota[key]`:
+    the p lift for tail u, the m lift for tail v.  An edge that `iota`
+    leaves without a tail collapses nothing yet.
     """
-    out: dict[str, tuple[str, str]] = {}
-    for e, (pid, p_ends), (mid, m_ends) in lifts:
+    out: dict[int, tuple[int, int]] = {}
+    for k, (e, p_ends, m_ends) in enumerate(lifts):
         tail = iota.get(e.key)
         if e.label == 2 or tail == e.u:
-            out[pid] = p_ends
+            out[2 * k] = p_ends
         if e.label == 2 or tail == e.v:
-            out[mid] = m_ends
+            out[2 * k + 1] = m_ends
     return out
 
 
-def collapse_classes(
-    g: DefiningGraph, collapsed: Mapping[str, tuple[str, str]]
-) -> tuple[UnionFind, bool]:
-    """Classes of the double cover's vertices joined by the collapsed lifts,
-    and whether those lifts form a forest."""
-    classes = UnionFind(quarter_vertices(g))
+def _root(parent: list[int], q: int) -> int:
+    """The root of quarter id q's collapse class."""
+    while parent[q] != q:
+        q = parent[q]
+    return q
+
+
+def _join(
+    parent: list[int], size: list[int], ra: int, rb: int
+) -> tuple[int, int]:
+    """Join the classes of the distinct roots ra and rb, the smaller under
+    the larger, which keeps every root walk logarithmic; returns the
+    joined root and the surviving one."""
+    if size[ra] > size[rb]:
+        ra, rb = rb, ra
+    parent[ra] = rb
+    size[rb] += size[ra]
+    return ra, rb
+
+
+def _collapse(
+    g: DefiningGraph,
+) -> tuple[tuple[EdgeLifts, ...], dict[int, tuple[int, int]], list[int], bool]:
+    """The lifts of g, those its orientation collapses, the root of each
+    quarter id's collapse class, and whether those lifts form a forest."""
+    lifts = edge_lifts(g)
+    collapsed = collapsed_lifts(lifts, g.orientation())
+    parent = list(range(2 * len(g.vertices)))
+    size = [1] * len(parent)
     forest = True
     for a, b in collapsed.values():
-        if not classes.union(a, b):
+        ra, rb = _root(parent, a), _root(parent, b)
+        if ra == rb:
             forest = False
-    return classes, forest
-
-
-def _failing_patterns(
-    g: DefiningGraph,
-    lifts: Iterable[EdgeLifts],
-    collapsed: Mapping[str, tuple[str, str]],
-    classes: UnionFind,
-) -> Iterator[tuple[int, str, str, str]]:
-    """Pairs a collapse class must keep apart but joins, as (kind, key, a, b).
-
-    Kind 0: the two lifts v- and v+ of a vertex.  Kind 1: the two ends of
-    an uncollapsed lift.
-    """
-    find = classes.find
-    for v in sorted(g.vertices):
-        if find(minus(v)) == find(plus(v)):
-            yield (0, v, minus(v), plus(v))
-    for e, p, m in lifts:
-        for lid, (a, b) in (p, m):
-            if lid not in collapsed and find(a) == find(b):
-                yield (1, e.color, a, b)
+        else:
+            _join(parent, size, ra, rb)
+    root = [_root(parent, q) for q in range(len(parent))]
+    return lifts, collapsed, root, forest
 
 
 @dataclass(frozen=True)
@@ -235,53 +244,49 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
     are the endpoints of its uncollapsed lift connected.
     """
     require_valid(g, oriented=True)
-    lifts = edge_lifts(g)
-    collapsed = collapsed_lifts(lifts, g.orientation())
-    classes, forest = collapse_classes(g, collapsed)
-    return _verdict(g, lifts, collapsed, classes, forest)
-
-
-def _verdict(
-    g: DefiningGraph,
-    lifts: tuple[EdgeLifts, ...],
-    collapsed: Mapping[str, tuple[str, str]],
-    classes: UnionFind,
-    forest: bool,
-) -> AdmissibilityVerdict:
+    lifts, collapsed, root, forest = _collapse(g)
+    n = len(g.vertices)
+    names = quarter_vertices(g)
+    # pairs a collapse class must keep apart but joins, as (kind, key, a, b):
+    # kind 0 the two lifts v- and v+ of a vertex, kind 1 the two ends of an
+    # uncollapsed lift
+    candidates = [
+        (0, v, names[n + i], names[i])
+        for i, v in enumerate(g.vertices)
+        if root[i] == root[n + i]
+    ]
+    candidates += [
+        (1, e.color, names[a], names[b])
+        for k, (e, p, m) in enumerate(lifts)
+        for j, (a, b) in ((2 * k, p), (2 * k + 1, m))
+        if j not in collapsed and root[a] == root[b]
+    ]
+    if forest and not candidates:
+        return AdmissibilityVerdict(admissible=True)
+    # the collapsed lifts alone, as a graph on the names of their ends
+    sub = ColoredGraph(
+        (names[q] for ends in collapsed.values() for q in ends),
+        (
+            Edge(f"dc:{lifts[j // 2][0].color}:{'pm'[j % 2]}",
+                 names[a], names[b], lifts[j // 2][0].color)
+            for j, (a, b) in collapsed.items()
+        ),
+    )
     if not forest:
         return AdmissibilityVerdict(
             admissible=False,
-            witness=_witness_from_collapsed_cycle(
-                _collapsed_graph(lifts, collapsed)
-            ),
+            witness=_witness_from_collapsed_cycle(sub),
             reason="collapsed lifts contain a cycle",
         )
-    candidates = list(_failing_patterns(g, lifts, collapsed, classes))
-    if not candidates:
-        return AdmissibilityVerdict(admissible=True)
-    witness = _witness_from_patterns(
-        g, _collapsed_graph(lifts, collapsed), candidates
-    )
     reason = (
         "two lifts of one vertex are joined by collapsed lifts"
         if candidates[0][0] == 0
         else "an uncollapsed lift closes a collapsed path"
     )
-    return AdmissibilityVerdict(admissible=False, witness=witness, reason=reason)
-
-
-def _collapsed_graph(
-    lifts: Iterable[EdgeLifts], collapsed: Mapping[str, tuple[str, str]]
-) -> ColoredGraph:
-    """The collapsed lifts alone, as a graph on their ends."""
-    return ColoredGraph(
-        (q for ends in collapsed.values() for q in ends),
-        (
-            Edge(lid, a, b, e.color)
-            for e, p, m in lifts
-            for lid, (a, b) in (p, m)
-            if lid in collapsed
-        ),
+    return AdmissibilityVerdict(
+        admissible=False,
+        witness=_witness_from_patterns(g, sub, candidates),
+        reason=reason,
     )
 
 
@@ -423,17 +428,17 @@ def find_admissible_orientation(
     edges in that order.
 
     Choosing a tail collapses the one lift `collapsed_lifts` picks for it.
-    The search keeps the collapse classes in lists over the quarter ids (v+
-    is i, v- is n + i, as `quarter_vertices` lists them), joining that
-    lift's ends on the way down and undoing the join from its log on
-    backtracking; the label-2 lifts are joined once, at the root.  A join
-    is refused when its ends are already in one class (a collapsed cycle)
-    or when some pair that must stay apart would cross the two classes it
-    merges: the two lifts v+ and v- of a vertex, or the ends of any other
-    orientable lift that is not collapsed.  Each class carries a bit mask
-    of the pairs its members belong to, so that test is one AND of two
-    masks.  A refused join marks a partial orientation that no completion
-    makes admissible, since collapsed subgraphs only grow.
+    The search joins that lift's ends with `_join`, the union-find over
+    quarter ids that `is_admissible` uses, on the way down, and undoes the
+    join from its own log on backtracking; the label-2 lifts are joined
+    once, at the root.  A join is refused when its ends are already in one
+    class (a collapsed cycle) or when some pair that must stay apart would
+    cross the two classes it merges: the two lifts v+ and v- of a vertex,
+    or the ends of any other orientable lift that is not collapsed.  Each
+    class carries a bit mask of the pairs its members belong to, so that
+    test is one AND of two masks.  A refused join marks a partial
+    orientation that no completion makes admissible, since collapsed
+    subgraphs only grow.
 
     After every step each unassigned edge is checked: when neither tail
     can join, the search backtracks; when exactly one can, that tail is
@@ -454,19 +459,18 @@ def find_admissible_orientation(
     lifts = edge_lifts(g)
     by_key = {el[0].key: el for el in lifts}
     chosen = [by_key[e.key] for e in orientable]
-    on_u = collapsed_lifts(chosen, {e.key: e.u for e in orientable})
-    on_v = collapsed_lifts(chosen, {e.key: e.v for e in orientable})
+    # lift j = 2i + c is the one that tail c of orientable[i] collapses
+    lift = collapsed_lifts(chosen, {e.key: e.u for e in orientable})
+    lift |= collapsed_lifts(chosen, {e.key: e.v for e in orientable})
     n = len(g.vertices)
-    qid = {q: i for i, q in enumerate(quarter_vertices(g))}
-    # lift j = 2i + c is the one that tail c of orientable[i] collapses;
     # mask[r], r a root: the pairs to keep apart with an end in r's class,
     # bit i for the two lifts of vertex i and bit n + j for lift j's ends
     mask = [1 << (q % n) for q in range(2 * n)]
     flat = []
-    for j, (a, b) in enumerate(chain(*zip(on_u.values(), on_v.values()))):
-        mask[qid[a]] |= 1 << (n + j)
-        mask[qid[b]] |= 1 << (n + j)
-        flat.append((qid[a], qid[b], ~(1 << (n + j))))
+    for j, (a, b) in sorted(lift.items()):
+        mask[a] |= 1 << (n + j)
+        mask[b] |= 1 << (n + j)
+        flat.append((a, b, ~(1 << (n + j))))
     # options[i][c]: lift 2i + c's ends, and a mask that clears its pair bit
     options = list(zip(flat[::2], flat[1::2]))
     parent = list(range(2 * n))
@@ -475,22 +479,14 @@ def find_admissible_orientation(
     # per join: (edge index, root ra joined under root rb, rb, rb's old mask)
     trail: list[tuple[int, int, int, int]] = []
 
-    def root(q: int) -> int:
-        while parent[q] != q:
-            q = parent[q]
-        return q
-
     def join(i: int, ra: int, rb: int) -> None:
-        if size[ra] > size[rb]:
-            ra, rb = rb, ra
-        parent[ra] = rb
-        size[rb] += size[ra]
+        ra, rb = _join(parent, size, ra, rb)
         trail.append((i, ra, rb, mask[rb]))
         mask[rb] |= mask[ra]
 
     def assign(i: int, c: int) -> None:
         a, b, _ = options[i][c]
-        join(i, root(a), root(b))
+        join(i, _root(parent, a), _root(parent, b))
         tails[i] = c
 
     def undo_to(mark: int) -> None:
@@ -533,7 +529,7 @@ def find_admissible_orientation(
 
     # the label-2 lifts stay collapsed, so their joins are never undone
     for a, b in collapsed_lifts(lifts, {}).values():
-        ra, rb = root(qid[a]), root(qid[b])
+        ra, rb = _root(parent, a), _root(parent, b)
         if ra == rb or mask[ra] & mask[rb]:
             return None
         join(-1, ra, rb)

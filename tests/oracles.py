@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Collection, Optional, Sequence
 
 from artinsplit import (
+    AdmissibilityVerdict,
     ColoredGraph,
     DefiningGraph,
     DisconnectedError,
@@ -22,9 +23,12 @@ from artinsplit import (
     blocks,
     connected_components,
     free_rank,
-    is_admissible,
 )
 from artinsplit.multigraph import UnionFind
+from artinsplit.orientation import (
+    _witness_from_collapsed_cycle,
+    _witness_from_patterns,
+)
 
 
 def is_simple_path(w: Walk) -> bool:
@@ -454,19 +458,113 @@ def run_lengths(xbar: ColoredGraph, color: str) -> tuple[int, ...]:
     return tuple(sorted(runs.values()))
 
 
+def sign_cover_lifts(g: DefiningGraph) -> list[tuple]:
+    """Every edge with its two lifts to the sign double cover, by name.
+
+    In sorted edge order, as (edge, p lift, m lift), each lift an
+    (id, (end, end)) pair: "dc:<color>:p" joins u+ to v-, "dc:<color>:m"
+    joins u- to v+.
+    """
+    return [
+        (e, (f"dc:{e.color}:p", (e.u + "+", e.v + "-")),
+         (f"dc:{e.color}:m", (e.u + "-", e.v + "+")))
+        for e in g.sorted_edges
+    ]
+
+
+def sign_cover_collapse(g: DefiningGraph, lifts: list[tuple], iota):
+    """Reference for the collapse classes of the sign double cover, on
+    quarter names and the dict-based `UnionFind`.
+
+    Returns the collapsed lifts as {lift id: ends} (both lifts of a label-2
+    edge, and the lift whose positive end lies over an orientable edge's
+    tail in `iota`), their classes, and whether they form a forest.
+    """
+    collapsed = {}
+    for e, (pid, p_ends), (mid, m_ends) in lifts:
+        tail = iota.get(e.key)
+        if e.label == 2 or tail == e.u:
+            collapsed[pid] = p_ends
+        if e.label == 2 or tail == e.v:
+            collapsed[mid] = m_ends
+    classes = UnionFind(v + s for s in "+-" for v in g.vertices)
+    forest = True
+    for a, b in collapsed.values():
+        if not classes.union(a, b):
+            forest = False
+    return collapsed, classes, forest
+
+
+def sign_cover_candidates(g, lifts, collapsed, classes) -> list[tuple]:
+    """The pairs a collapse class must keep apart but joins, as (kind, key,
+    a, b): kind 0 the two lifts v- and v+ of a vertex, kind 1 the two ends
+    of an uncollapsed lift."""
+    find = classes.find
+    out = [(0, v, v + "-", v + "+") for v in sorted(g.vertices)
+           if find(v + "-") == find(v + "+")]
+    for e, p, m in lifts:
+        for lid, (a, b) in (p, m):
+            if lid not in collapsed and find(a) == find(b):
+                out.append((1, e.color, a, b))
+    return out
+
+
+def sign_cover_admissible(g: DefiningGraph, lifts: list[tuple], iota) -> bool:
+    """The criterion on the reference classes: the collapsed lifts form a
+    forest that joins no pair it must keep apart."""
+    collapsed, classes, forest = sign_cover_collapse(g, lifts, iota)
+    return forest and not sign_cover_candidates(g, lifts, collapsed, classes)
+
+
+def collapsed_lift_graph(lifts: list[tuple], collapsed) -> ColoredGraph:
+    """The reference's collapsed lifts alone, as a graph on their ends."""
+    return ColoredGraph(
+        (q for ends in collapsed.values() for q in ends),
+        (Edge(lid, a, b, e.color) for e, p, m in lifts
+         for lid, (a, b) in (p, m) if lid in collapsed),
+    )
+
+
+def sign_cover_verdict(g: DefiningGraph) -> AdmissibilityVerdict:
+    """Reference for is_admissible: the verdict on the reference classes,
+    its witness built by the library's witness builders from the
+    reference's own collapsed-lift graph and candidates."""
+    lifts = sign_cover_lifts(g)
+    collapsed, classes, forest = sign_cover_collapse(g, lifts, g.orientation())
+    candidates = sign_cover_candidates(g, lifts, collapsed, classes)
+    sub = collapsed_lift_graph(lifts, collapsed)
+    if not forest:
+        return AdmissibilityVerdict(
+            False, _witness_from_collapsed_cycle(sub),
+            "collapsed lifts contain a cycle",
+        )
+    if not candidates:
+        return AdmissibilityVerdict(True)
+    reason = (
+        "two lifts of one vertex are joined by collapsed lifts"
+        if candidates[0][0] == 0
+        else "an uncollapsed lift closes a collapsed path"
+    )
+    return AdmissibilityVerdict(
+        False, _witness_from_patterns(g, sub, candidates), reason
+    )
+
+
 def first_admissible_orientation(g: DefiningGraph):
     """Reference for find_admissible_orientation: the first admissible
     orientation in search order, or None.
 
     Every orientation of the label >= 3 edges, sorted by (label, endpoints),
-    is tried in `itertools.product` order with tail u before tail v.
+    is tried in `itertools.product` order with tail u before tail v, and
+    decided by `sign_cover_admissible`.
     """
     orientable = sorted(
         (e for e in g.edges if e.label >= 3), key=lambda e: (e.label, e.key)
     )
+    lifts = sign_cover_lifts(g)
     for tails in itertools.product(*((e.u, e.v) for e in orientable)):
         iota = {e.key: t for e, t in zip(orientable, tails)}
-        if is_admissible(g.with_orientation(iota)).admissible:
+        if sign_cover_admissible(g, lifts, iota):
             return iota
     return None
 

@@ -430,7 +430,8 @@ def test_library_has_no_assert_statements():
 
 
 def test_every_private_helper_is_used():
-    # a module-level private function or class that nothing else in the
+    # a module-level private function or class, or a module-level name
+    # assigned outside `artinsplit.__all__`, that nothing else in the
     # library refers to is dead code
     package = Path(artinsplit.__file__).resolve().parent
     trees = {
@@ -449,13 +450,26 @@ def test_every_private_helper_is_used():
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(
+            if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ) or not node.name.startswith("_"):
+            ):
+                names = [node.name] if node.name.startswith("_") else []
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+                names = [
+                    t.id for t in targets if isinstance(t, ast.Name)
+                    and t.id not in artinsplit.__all__
+                    and not t.id.startswith("__")
+                ]
+            else:
                 continue
             inside = {id(n) for n in ast.walk(node)}
-            if all(id(n) in inside for n in uses.get(node.name, [])):
-                unused.append(f"{module}:{node.name}")
+            for name in names:
+                if all(id(n) in inside for n in uses.get(name, [])):
+                    unused.append(f"{module}:{name}")
     assert unused == []
 
 

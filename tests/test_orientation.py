@@ -18,11 +18,15 @@ from artinsplit import (
     is_admissible,
     oracle_almost_misdirected,
 )
+from artinsplit import multigraph
+from artinsplit.defining_graph import is_forest
+from artinsplit.horizontal import build_collapsed
 from artinsplit.orientation import (
     MAX_ORIENTABLE_EDGES,
-    collapse_classes,
+    _collapse,
     collapsed_lifts,
     edge_lifts,
+    quarter_vertices,
 )
 from generators import (
     LABELS,
@@ -34,6 +38,7 @@ from generators import (
 from oracles import (
     first_admissible_orientation,
     first_admissible_orientation_by_blocks,
+    sign_cover_verdict,
 )
 
 
@@ -71,30 +76,38 @@ def collapsed_of(g):
 
 class TestDoubleCover:
     def test_shape_and_ids(self):
-        lifts = edge_lifts(CYCLIC)
-        ends = {q for _, p, m in lifts for _, pair in (p, m) for q in pair}
-        assert ends == {"a+", "a-", "b+", "b-", "c+", "c-"}
-        ids = {lid for _, p, m in lifts for lid, _ in (p, m)}
-        assert len(ids) == 6
-        e, p, m = next(lift for lift in lifts if lift[0].key == ("a", "b"))
-        assert p == ("dc:a-b:p", ("a+", "b-"))
-        assert m == ("dc:a-b:m", ("a-", "b+"))
+        # quarter ids follow the vertex list, unsorted: v+ is i, v- is n + i;
+        # the p lift of edge {u, v} joins u+ to v-, the m lift u- to v+
+        g = DefiningGraph.build(
+            ["c", "a", "b", "d"],
+            [("a", "b", 3, "a"), ("c", "b", 2, None), ("a", "c", 4, "c"),
+             ("c", "d", 5, "d")],
+        )
+        n = len(g.vertices)
+        at = {v: i for i, v in enumerate(g.vertices)}
+        names = quarter_vertices(g)
+        assert names == ["c+", "a+", "b+", "d+", "c-", "a-", "b-", "d-"]
+        lifts = edge_lifts(g)
+        assert [e for e, _, _ in lifts] == list(g.sorted_edges)
+        for e, p, m in lifts:
+            assert p == (at[e.u], n + at[e.v])
+            assert m == (n + at[e.u], at[e.v])
+            assert [names[q] for q in p + m] == [
+                e.u + "+", e.v + "-", e.u + "-", e.v + "+"
+            ]
 
     def test_collapsed_lift_follows_iota(self):
-        collapsed = collapsed_of(CYCLIC)
-        # iota a on edge a-b collapses the lift through a+ and b-
-        assert len(collapsed) == 3
-        assert collapsed["dc:a-b:p"] == ("a+", "b-")
-        assert "dc:a-b:m" not in collapsed
+        # sorted edges a-b, a-c, b-c with tails a, c, b: a-b collapses its
+        # p lift 0 (a+ to b-), a-c its m lift 3 (a- to c+), b-c its p
+        # lift 4 (b+ to c-)
+        assert collapsed_of(CYCLIC) == {0: (0, 4), 3: (3, 2), 4: (1, 5)}
 
     def test_label_two_collapses_both_lifts(self):
-        assert len(collapsed_of(ALL_TWOS)) == 6
+        assert sorted(collapsed_of(ALL_TWOS)) == list(range(6))
 
     def test_collapsed_cycle_detection(self):
-        _, forest = collapse_classes(ALL_TWOS, collapsed_of(ALL_TWOS))
-        assert not forest
-        _, forest = collapse_classes(CYCLIC, collapsed_of(CYCLIC))
-        assert forest
+        assert not _collapse(ALL_TWOS)[3]
+        assert _collapse(CYCLIC)[3]
 
 
 class TestIsAdmissible:
@@ -221,6 +234,48 @@ class TestIsAdmissible:
         assert (verdict.witness.vertices, verdict.witness.tails, verdict.reason) == (
             vertices, tails, reason
         )
+
+    def test_verdict_matches_the_string_reference(self):
+        # admissible, reason and witness against the reference criterion on
+        # quarter names and the dict-based union-find; every other graph
+        # takes the search's admissible orientation, when there is one,
+        # with one tail flipped, which reaches the rarest reason, an
+        # uncollapsed lift, more often (34 times here)
+        rng = random.Random(37)
+        reasons = {}
+        for i in range(800):
+            g = random_defining_graph(rng, max_vertices=7)
+            found = find_admissible_orientation(g) if i % 2 else None
+            if found:
+                key = rng.choice(sorted(found))
+                found[key] = g.edge_between(*key).other(found[key])
+                g = g.with_orientation(found)
+            else:
+                g = with_random_orientation(rng, g)
+            verdict = is_admissible(g)
+            assert verdict == sign_cover_verdict(g)
+            reasons[verdict.reason] = reasons.get(verdict.reason, 0) + 1
+        assert len(reasons) == 4 and min(reasons.values()) >= 20
+
+    def test_no_dict_union_find_is_built(self, monkeypatch):
+        # the collapse classes live in orientation's lists over quarter ids
+        built = []
+        init = multigraph.UnionFind.__init__
+
+        def counting_init(self, items=()):
+            built.append(self)
+            init(self, items)
+
+        monkeypatch.setattr(multigraph.UnionFind, "__init__", counting_init)
+        rng = random.Random(43)
+        for _ in range(30):
+            g = random_defining_graph(rng, max_vertices=7)
+            find_admissible_orientation(g)
+            oriented = with_random_orientation(rng, g)
+            is_admissible(oriented)
+            build_collapsed(oriented)
+        assert built == []
+        assert is_forest(CYCLIC) is False and len(built) == 1
 
     def test_verdict_is_deterministic(self):
         v1 = is_admissible(CLASHING)
@@ -382,7 +437,7 @@ class TestFindOrientation:
         # whose lifts close a collapsed cycle and are refused at the root
         rng = random.Random(31)
         checked = exhausted = label_2_cycles = 0
-        while checked < 30:
+        while checked < 100:
             labels = (2, 2, 2, 3, 4, 5) if checked % 3 == 0 else LABELS
             g = glued_cycle_blocks(rng, labels)
             if sum(1 for e in g.edges if e.label >= 3) > 10:
@@ -392,8 +447,10 @@ class TestFindOrientation:
             found = find_admissible_orientation(g)
             assert found == expected
             assert first_admissible_orientation_by_blocks(g) == expected
-            _, forest = collapse_classes(g, collapsed_lifts(edge_lifts(g), {}))
-            if not forest:
+            # both lifts of a label-2 edge collapse, and a sign cover is a
+            # forest exactly when its base is
+            twos = [(e.u, e.v, 2) for e in g.edges if e.label == 2]
+            if not is_forest(DefiningGraph.build(g.vertices, twos)):
                 label_2_cycles += 1
                 assert found is None
             if found is None:
