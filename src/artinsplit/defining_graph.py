@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .multigraph import UnionFind, bfs_forest
+from .multigraph import bfs_forest, named_classes
 
 
 class InvalidDefiningGraph(ValueError):
@@ -218,15 +218,16 @@ def require_valid(
 
 
 def is_connected(g: DefiningGraph) -> bool:
-    uf = UnionFind(g.vertices)
-    for e in g.edges:
-        uf.union(e.u, e.v)
-    return len({uf.find(v) for v in g.vertices}) == 1
+    of = named_classes(g.vertices, ((e.u, e.v) for e in g.edges))[0]
+    return len(set(of.values())) == 1
 
 
 def is_forest(g: DefiningGraph) -> bool:
-    uf = UnionFind(g.vertices)
-    return all(uf.union(e.u, e.v) for e in g.edges)
+    """No edge closes a cycle.  A forest on n > 0 vertices has fewer than
+    n edges, which decides most other graphs without the union-find."""
+    if len(g.edges) >= len(g.vertices) > 0:
+        return False
+    return not named_classes(g.vertices, ((e.u, e.v) for e in g.edges))[1]
 
 
 def is_bipartite(g: DefiningGraph) -> bool:

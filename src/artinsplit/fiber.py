@@ -29,6 +29,8 @@ from .multigraph import (
     bfs_tree,
     blocks,
     is_immersion,
+    join,
+    root,
     shortest_path,
 )
 
@@ -260,8 +262,9 @@ def fiber_product(Y: ColoredGraph) -> FiberProduct:
     vertex); edges are pairs of edges of one color.  The pairs are
     counted by the runs of Y (see `_runs`), with no string built:
 
-    * a pair with a branch coordinate is a node of one list-based
-      union-find over integer pair indices;
+    * a pair with a branch coordinate is a node of the library's
+      union-find (`multigraph.root` and `join`) over integer pair
+      indices, each class sized by the pairs it holds;
     * a pair of interior vertices of one color c has one edge in and one
       out, both of color c, so it lies inside one diagonal segment
       (r1[i + t], r2[j + t]) of two runs of color c, which leads from a
@@ -295,23 +298,15 @@ def fiber_product(Y: ColoredGraph) -> FiberProduct:
     edges = [0] * len(index)
     low = index[:]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     def segment(rows: list[int], mins: list, cols: list[int], i: int,
                 j: int, length: int) -> None:
         """Join the nodes at the ends of the segment of `length` edges that
         leaves (r1[i], r2[j]), given r1's rows and range minima and r2's
         columns, and count its inner pairs (r1[i + t], r2[j + t])."""
-        a = find(node[rows[i] + cols[j]])
-        b = find(node[rows[i + length] + cols[j + length]])
+        a = root(parent, node[rows[i] + cols[j]])
+        b = root(parent, node[rows[i + length] + cols[j + length]])
         if a != b:
-            if vertices[a] < vertices[b]:
-                a, b = b, a
-            parent[b] = a
-            vertices[a] += vertices[b]
+            b, a = join(parent, vertices, a, b)
             edges[a] += edges[b]
             if low[b] < low[a]:
                 low[a] = low[b]
@@ -367,7 +362,7 @@ def fiber_product(Y: ColoredGraph) -> FiberProduct:
             p = rows[i - t] + cols[j - t]
         else:
             p = row[u] + col[v]
-        k = number.get(find(node[p]))
+        k = number.get(root(parent, node[p]))
         return bisect_left(smallest, p) if k is None else k
 
     vertex_counts = [1] * count

@@ -5,9 +5,12 @@ walks may traverse them either way; loops and parallel edges are allowed.
 Each edge carries a color naming the relation edge it came from.  All
 operations are pure: graphs are never mutated after construction, and every
 listing (components, blocks, cycles) comes back in a deterministic order.
-The graph algorithms the other modules share live here: the union-find
-and the one breadth-first search, `bfs_tree`, on which paths, blocks and
-the bipartite test run.
+The graph algorithms the other modules share live here.  The one
+union-find, `root`, `join` and `classes` over integer ids (`named_classes`
+numbers hashable names for it), counts components, free ranks, blocks,
+the collapse classes of the sign double cover and the fiber product's
+components.  The one breadth-first search, `bfs_tree`, runs paths, blocks
+and the bipartite test.
 """
 
 from __future__ import annotations
@@ -171,55 +174,67 @@ def is_degree_n_cover(m: GraphMap, n: int) -> bool:
     return True
 
 
-class UnionFind:
-    """Disjoint classes of hashable items, joined by `union`, the smaller
-    class under the larger, which keeps every `find` path logarithmic."""
+def root(parent: list[int], x: int) -> int:
+    """The root of id x's class.  The path is never compressed, so a join
+    is undone by resetting the two entries `join` changed."""
+    while parent[x] != x:
+        x = parent[x]
+    return x
 
-    __slots__ = ("parent", "size")
 
-    def __init__(self, items: Iterable = ()):
-        self.parent = {x: x for x in items}
-        self.size = dict.fromkeys(self.parent, 1)
+def join(
+    parent: list[int], size: list[int], ra: int, rb: int
+) -> tuple[int, int]:
+    """Join the classes of the distinct roots ra and rb, the smaller under
+    the larger, which keeps every root walk logarithmic; returns the
+    joined root and the surviving one."""
+    if size[ra] > size[rb]:
+        ra, rb = rb, ra
+    parent[ra] = rb
+    size[rb] += size[ra]
+    return ra, rb
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            x = p[x]
-        return x
 
-    def union(self, a, b) -> bool:
-        """Join the classes of a and b; False when already joined."""
-        ra, rb = self.find(a), self.find(b)
+def classes(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """The root of each id 0..n-1 once every pair is joined, and the number
+    of closing pairs, those whose ends earlier pairs already joined."""
+    parent = list(range(n))
+    size = [1] * n
+    closing = 0
+    for a, b in pairs:
+        ra, rb = root(parent, a), root(parent, b)
         if ra == rb:
-            return False
-        size = self.size
-        if size[ra] > size[rb]:
-            ra, rb = rb, ra
-        self.parent[ra] = rb
-        size[rb] += size[ra]
-        return True
+            closing += 1
+        else:
+            join(parent, size, ra, rb)
+    return [root(parent, x) for x in range(n)], closing
+
+
+def named_classes(names: Iterable, pairs: Iterable[tuple]) -> tuple[dict, int]:
+    """`classes` over hashable names, numbered in order of first
+    appearance: each name's root and the number of closing pairs."""
+    at = {x: i for i, x in enumerate(dict.fromkeys(names))}
+    roots, closing = classes(len(at), ((at[a], at[b]) for a, b in pairs))
+    return dict(zip(at, roots)), closing
 
 
 def connected_components(g: ColoredGraph) -> list[ColoredGraph]:
     """Components as graphs, ordered by their smallest vertex id."""
-    uf = UnionFind(g.vertices)
-    for e in g.edges:
-        uf.union(e.tail, e.head)
+    of = named_classes(g.vertices, ((e.tail, e.head) for e in g.edges))[0]
     # g.vertices is sorted, so classes appear in order of their least vertex
-    members: dict[str, list[str]] = {}
+    members: dict[int, list[str]] = {}
     for v in g.vertices:
-        members.setdefault(uf.find(v), []).append(v)
-    edges: dict[str, list[Edge]] = {root: [] for root in members}
+        members.setdefault(of[v], []).append(v)
+    edges: dict[int, list[Edge]] = {r: [] for r in members}
     for e in g.edges:
-        edges[uf.find(e.tail)].append(e)
-    return [ColoredGraph(vs, edges[root]) for root, vs in members.items()]
+        edges[of[e.tail]].append(e)
+    return [ColoredGraph(vs, edges[r]) for r, vs in members.items()]
 
 
 def free_rank(g: ColoredGraph) -> int:
     """First Betti number |E| - |V| + 1 of a connected graph: the edges
     whose ends earlier edges already joined, counted on one union-find."""
-    uf = UnionFind(g.vertices)
-    closing = sum(not uf.union(e.tail, e.head) for e in g.edges)
+    closing = named_classes(g.vertices, ((e.tail, e.head) for e in g.edges))[1]
     if len(g.edges) - closing != len(g.vertices) - 1:
         raise DisconnectedError(
             "free_rank requires a connected graph; split with "
@@ -248,9 +263,9 @@ def bfs_forest(roots: Iterable, step) -> tuple[dict, dict]:
     """One `bfs_tree` from each root not yet reached, merged, and the depth
     of each node, read off the discovery order."""
     tree: dict = {}
-    for root in roots:
-        if root not in tree:
-            tree.update(bfs_tree(root, step))
+    for start in roots:
+        if start not in tree:
+            tree.update(bfs_tree(start, step))
     depth: dict = {}
     for node, link in tree.items():
         depth[node] = 0 if link is None else depth[link[0]] + 1
@@ -294,7 +309,7 @@ def blocks(g: ColoredGraph) -> list[frozenset[str]]:
 
     tree, depth = bfs_forest(g.vertices, step)
     forest = {link[1] for link in tree.values() if link is not None}
-    classes = UnionFind(e.id for e in g.edges)
+    pairs = []
     for e in g.edges:
         if e.id in forest:
             continue
@@ -303,11 +318,12 @@ def blocks(g: ColoredGraph) -> list[frozenset[str]]:
             if depth[a] < depth[b]:
                 a, b = b, a
             a, tree_edge = tree[a]
-            classes.union(e.id, tree_edge)
+            pairs.append((e.id, tree_edge))
+    of = named_classes((e.id for e in g.edges), pairs)[0]
     # g.edges is sorted, so classes appear in order of their least edge id
-    members: dict[str, list[str]] = {}
+    members: dict[int, list[str]] = {}
     for e in g.edges:
-        members.setdefault(classes.find(e.id), []).append(e.id)
+        members.setdefault(of[e.id], []).append(e.id)
     return [frozenset(ids) for ids in members.values()]
 
 

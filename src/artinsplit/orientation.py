@@ -13,9 +13,10 @@ collapsed); `collapsed_lifts` is the one place that rule is written.
 Misdirected paths correspond exactly to paths inside the collapsed
 subgraph, which reduces admissibility to a forest test plus connectivity
 patterns.  The cover's vertices are numbered once, v+ as i and v- as
-n + i, and one list-based union-find over those quarter ids, `_root` and
-`_join`, holds the collapse classes for `is_admissible`, for
-`horizontal.build_collapsed` (through `_collapse`) and for the search.
+n + i, and the library's one union-find, `multigraph.classes` over those
+quarter ids, holds the collapse classes for `is_admissible` and
+`horizontal.build_collapsed` (through `_collapse`); the search joins and
+undoes them with `multigraph.root` and `join`.
 Quarter names and lift ids are spelled out only for a witness and for
 Xbar's vertex names.  A bounded search over explicit closed walks,
 `oracle_almost_misdirected`, provides an independent check.
@@ -32,7 +33,15 @@ from .defining_graph import (
     enumerate_cycles,
     require_valid,
 )
-from .multigraph import ColoredGraph, Edge, Walk, shortest_path
+from .multigraph import (
+    ColoredGraph,
+    Edge,
+    Walk,
+    classes,
+    join,
+    root,
+    shortest_path,
+)
 
 
 def plus(v: str) -> str:
@@ -88,26 +97,6 @@ def collapsed_lifts(
     return out
 
 
-def _root(parent: list[int], q: int) -> int:
-    """The root of quarter id q's collapse class."""
-    while parent[q] != q:
-        q = parent[q]
-    return q
-
-
-def _join(
-    parent: list[int], size: list[int], ra: int, rb: int
-) -> tuple[int, int]:
-    """Join the classes of the distinct roots ra and rb, the smaller under
-    the larger, which keeps every root walk logarithmic; returns the
-    joined root and the surviving one."""
-    if size[ra] > size[rb]:
-        ra, rb = rb, ra
-    parent[ra] = rb
-    size[rb] += size[ra]
-    return ra, rb
-
-
 def _collapse(
     g: DefiningGraph,
 ) -> tuple[tuple[EdgeLifts, ...], dict[int, tuple[int, int]], list[int], bool]:
@@ -115,17 +104,8 @@ def _collapse(
     quarter id's collapse class, and whether those lifts form a forest."""
     lifts = edge_lifts(g)
     collapsed = collapsed_lifts(lifts, g.orientation())
-    parent = list(range(2 * len(g.vertices)))
-    size = [1] * len(parent)
-    forest = True
-    for a, b in collapsed.values():
-        ra, rb = _root(parent, a), _root(parent, b)
-        if ra == rb:
-            forest = False
-        else:
-            _join(parent, size, ra, rb)
-    root = [_root(parent, q) for q in range(len(parent))]
-    return lifts, collapsed, root, forest
+    roots, closing = classes(2 * len(g.vertices), collapsed.values())
+    return lifts, collapsed, roots, not closing
 
 
 @dataclass(frozen=True)
@@ -244,7 +224,7 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
     are the endpoints of its uncollapsed lift connected.
     """
     require_valid(g, oriented=True)
-    lifts, collapsed, root, forest = _collapse(g)
+    lifts, collapsed, roots, forest = _collapse(g)
     n = len(g.vertices)
     names = quarter_vertices(g)
     # pairs a collapse class must keep apart but joins, as (kind, key, a, b):
@@ -253,13 +233,13 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
     candidates = [
         (0, v, names[n + i], names[i])
         for i, v in enumerate(g.vertices)
-        if root[i] == root[n + i]
+        if roots[i] == roots[n + i]
     ]
     candidates += [
         (1, e.color, names[a], names[b])
         for k, (e, p, m) in enumerate(lifts)
         for j, (a, b) in ((2 * k, p), (2 * k + 1, m))
-        if j not in collapsed and root[a] == root[b]
+        if j not in collapsed and roots[a] == roots[b]
     ]
     if forest and not candidates:
         return AdmissibilityVerdict(admissible=True)
@@ -374,12 +354,12 @@ def _witness_from_collapsed_cycle(sub: ColoredGraph) -> WitnessCycle:
 def _find_collapsed_cycle(sub: ColoredGraph) -> tuple[str, ...]:
     """Vertices of some simple cycle inside the collapsed lifts `sub`."""
     seen: set[str] = set()
-    for root in sub.vertices:
-        if root in seen:
+    for start in sub.vertices:
+        if start in seen:
             continue
-        parent_edge: dict[str, Optional[str]] = {root: None}
-        parent: dict[str, Optional[str]] = {root: None}
-        stack = [root]
+        parent_edge: dict[str, Optional[str]] = {start: None}
+        parent: dict[str, Optional[str]] = {start: None}
+        stack = [start]
         while stack:
             v = stack.pop()
             if v in seen:
@@ -428,17 +408,18 @@ def find_admissible_orientation(
     edges in that order.
 
     Choosing a tail collapses the one lift `collapsed_lifts` picks for it.
-    The search joins that lift's ends with `_join`, the union-find over
-    quarter ids that `is_admissible` uses, on the way down, and undoes the
-    join from its own log on backtracking; the label-2 lifts are joined
-    once, at the root.  A join is refused when its ends are already in one
-    class (a collapsed cycle) or when some pair that must stay apart would
-    cross the two classes it merges: the two lifts v+ and v- of a vertex,
-    or the ends of any other orientable lift that is not collapsed.  Each
-    class carries a bit mask of the pairs its members belong to, so that
-    test is one AND of two masks.  A refused join marks a partial
-    orientation that no completion makes admissible, since collapsed
-    subgraphs only grow.
+    The search joins that lift's ends with `multigraph.join` over quarter
+    ids on the way down, and undoes the join from its own log on
+    backtracking, which `multigraph.root` allows because it never
+    compresses a path; `propagate` inlines the root walks.  The label-2
+    lifts are joined once, before the first decision.  A join is refused
+    when its ends are already in one class (a collapsed cycle) or when
+    some pair that must stay apart would cross the two classes it merges:
+    the two lifts v+ and v- of a vertex, or the ends of any other
+    orientable lift that is not collapsed.  Each class carries a bit mask
+    of the pairs its members belong to, so that test is one AND of two
+    masks.  A refused join marks a partial orientation that no completion
+    makes admissible, since collapsed subgraphs only grow.
 
     After every step each unassigned edge is checked: when neither tail
     can join, the search backtracks; when exactly one can, that tail is
@@ -479,14 +460,14 @@ def find_admissible_orientation(
     # per join: (edge index, root ra joined under root rb, rb, rb's old mask)
     trail: list[tuple[int, int, int, int]] = []
 
-    def join(i: int, ra: int, rb: int) -> None:
-        ra, rb = _join(parent, size, ra, rb)
+    def merge(i: int, ra: int, rb: int) -> None:
+        ra, rb = join(parent, size, ra, rb)
         trail.append((i, ra, rb, mask[rb]))
         mask[rb] |= mask[ra]
 
     def assign(i: int, c: int) -> None:
         a, b, _ = options[i][c]
-        join(i, _root(parent, a), _root(parent, b))
+        merge(i, root(parent, a), root(parent, b))
         tails[i] = c
 
     def undo_to(mark: int) -> None:
@@ -516,11 +497,11 @@ def find_admissible_orientation(
                     d = parent[d]
                 if a != b and not mask[a] & mask[b] & ka:
                     if c == d or mask[c] & mask[d] & kc:
-                        join(i, a, b)
+                        merge(i, a, b)
                         tails[i] = 0
                         forced = True
                 elif c != d and not mask[c] & mask[d] & kc:
-                    join(i, c, d)
+                    merge(i, c, d)
                     tails[i] = 1
                     forced = True
                 else:
@@ -529,10 +510,10 @@ def find_admissible_orientation(
 
     # the label-2 lifts stay collapsed, so their joins are never undone
     for a, b in collapsed_lifts(lifts, {}).values():
-        ra, rb = _root(parent, a), _root(parent, b)
+        ra, rb = root(parent, a), root(parent, b)
         if ra == rb or mask[ra] & mask[rb]:
             return None
-        join(-1, ra, rb)
+        merge(-1, ra, rb)
     # open decisions: (edge index, trail length before its tail u)
     decisions: list[tuple[int, int]] = []
     alive = propagate()

@@ -24,11 +24,40 @@ from artinsplit import (
     connected_components,
     free_rank,
 )
-from artinsplit.multigraph import UnionFind
 from artinsplit.orientation import (
     _witness_from_collapsed_cycle,
     _witness_from_patterns,
 )
+
+
+class UnionFind:
+    """Reference for the library's union-find: disjoint classes of
+    hashable items held in dicts, joined by `union`, the smaller class
+    under the larger, which keeps every `find` path logarithmic."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, items=()):
+        self.parent = {x: x for x in items}
+        self.size = dict.fromkeys(self.parent, 1)
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            x = p[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Join the classes of a and b; False when already joined."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        size = self.size
+        if size[ra] > size[rb]:
+            ra, rb = rb, ra
+        self.parent[ra] = rb
+        size[rb] += size[ra]
+        return True
 
 
 def is_simple_path(w: Walk) -> bool:

@@ -1,11 +1,15 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import artinsplit
 from artinsplit import (
     ColoredGraph,
+    DefiningGraph,
     DisconnectedError,
     Edge,
     GraphMap,
@@ -18,9 +22,17 @@ from artinsplit import (
     is_degree_n_cover,
     is_immersion,
 )
-from artinsplit.multigraph import bfs_path, bfs_tree, shortest_path
-from generators import random_colored_graph
+from artinsplit.defining_graph import is_connected, is_forest
+from artinsplit.multigraph import (
+    bfs_path,
+    bfs_tree,
+    join,
+    root,
+    shortest_path,
+)
+from generators import random_colored_graph, random_defining_graph
 from oracles import (
+    UnionFind,
     all_simple_cycles,
     in_edges,
     is_simple_path,
@@ -206,6 +218,107 @@ class TestComponentsAndRank:
             assert sum(len(c.edges) for c in comps) == len(g.edges)
             total = sum(free_rank(c) for c in comps)
             assert total == len(g.edges) - len(g.vertices) + len(comps)
+
+
+def reference_components(g: ColoredGraph) -> list[tuple[tuple, tuple]]:
+    """(vertices, edges) of each component on the reference union-find,
+    ordered by least vertex."""
+    uf = UnionFind(g.vertices)
+    for e in g.edges:
+        uf.union(e.tail, e.head)
+    members: dict = {}
+    for v in g.vertices:
+        members.setdefault(uf.find(v), []).append(v)
+    return [
+        (tuple(vs), tuple(e for e in g.edges if uf.find(e.tail) == r))
+        for r, vs in members.items()
+    ]
+
+
+class TestUnionFind:
+    def test_only_multigraph_writes_a_union_find(self):
+        # one union-find for the library: multigraph's root, join and
+        # classes; no UnionFind class and no private copy elsewhere
+        names = {"root", "join", "classes", "_root", "_join", "find"}
+        found = []
+        for path in sorted(Path(artinsplit.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef) and node.name == "UnionFind":
+                    found.append((path.stem, node.name))
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name in names
+                    and path.stem != "multigraph"
+                ):
+                    found.append((path.stem, node.name))
+        assert found == []
+
+    def test_graph_counts_match_the_reference(self):
+        # loops, parallel edges and isolated vertices, and the empty graph
+        rng = random.Random(13)
+        graphs = [ColoredGraph([], [])] + [
+            random_colored_graph(rng, max_vertices=8, max_edges=10,
+                                 connected=False)
+            for _ in range(300)
+        ]
+        kinds = set()
+        for g in graphs:
+            ends = [tuple(sorted((e.tail, e.head))) for e in g.edges]
+            if any(a == b for a, b in ends):
+                kinds.add("loop")
+            if len(set(ends)) < len(ends):
+                kinds.add("parallel")
+            if any(not g.valence(v) for v in g.vertices):
+                kinds.add("isolated")
+            ref = reference_components(g)
+            assert [
+                (c.vertices, c.edges) for c in connected_components(g)
+            ] == ref
+            if len(ref) == 1:
+                assert free_rank(g) == len(g.edges) - len(g.vertices) + 1
+            else:
+                with pytest.raises(DisconnectedError):
+                    free_rank(g)
+        assert kinds == {"loop", "parallel", "isolated"}
+
+    def test_defining_graph_tests_match_the_reference(self):
+        rng = random.Random(17)
+        graphs = [
+            DefiningGraph.build([], []),
+            DefiningGraph.build(["a"], []),
+        ] + [
+            random_defining_graph(rng, max_vertices=7, connected=False)
+            for _ in range(300)
+        ]
+        seen = set()
+        for g in graphs:
+            uf = UnionFind(g.vertices)
+            forest = all([uf.union(e.u, e.v) for e in g.edges])
+            connected = len({uf.find(v) for v in g.vertices}) == 1
+            assert (is_forest(g), is_connected(g)) == (forest, connected)
+            seen.add((forest, connected))
+        assert len(seen) == 4
+
+    def test_join_is_undone_by_resetting_two_entries(self):
+        # the orientation search's undo: after join, resetting the joined
+        # root's parent and the survivor's size restores every root
+        rng = random.Random(19)
+        for _ in range(100):
+            n = rng.randint(1, 16)
+            parent, size = list(range(n)), [1] * n
+            log = []
+            for _ in range(rng.randint(0, 2 * n)):
+                before = ([root(parent, x) for x in range(n)], size[:])
+                ra = root(parent, rng.randrange(n))
+                rb = root(parent, rng.randrange(n))
+                if ra != rb:
+                    log.append((before, join(parent, size, ra, rb)))
+            while log:
+                (roots, sizes), (ra, rb) = log.pop()
+                parent[ra] = ra
+                size[rb] -= size[ra]
+                assert [root(parent, x) for x in range(n)] == roots
+                assert size == sizes
 
 
 class TestBlocks:

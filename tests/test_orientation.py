@@ -18,9 +18,7 @@ from artinsplit import (
     is_admissible,
     oracle_almost_misdirected,
 )
-from artinsplit import multigraph
 from artinsplit.defining_graph import is_forest
-from artinsplit.horizontal import build_collapsed
 from artinsplit.orientation import (
     MAX_ORIENTABLE_EDGES,
     _collapse,
@@ -256,26 +254,6 @@ class TestIsAdmissible:
             assert verdict == sign_cover_verdict(g)
             reasons[verdict.reason] = reasons.get(verdict.reason, 0) + 1
         assert len(reasons) == 4 and min(reasons.values()) >= 20
-
-    def test_no_dict_union_find_is_built(self, monkeypatch):
-        # the collapse classes live in orientation's lists over quarter ids
-        built = []
-        init = multigraph.UnionFind.__init__
-
-        def counting_init(self, items=()):
-            built.append(self)
-            init(self, items)
-
-        monkeypatch.setattr(multigraph.UnionFind, "__init__", counting_init)
-        rng = random.Random(43)
-        for _ in range(30):
-            g = random_defining_graph(rng, max_vertices=7)
-            find_admissible_orientation(g)
-            oriented = with_random_orientation(rng, g)
-            is_admissible(oriented)
-            build_collapsed(oriented)
-        assert built == []
-        assert is_forest(CYCLIC) is False and len(built) == 1
 
     def test_verdict_is_deterministic(self):
         v1 = is_admissible(CLASHING)
