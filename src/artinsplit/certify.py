@@ -29,6 +29,7 @@ from .defining_graph import (
 from .fiber import MonochromeVerdict, fiber_product, monochrome_check
 from .horizontal import SplittingCertificate, build_collapsed, compute_splitting
 from .orientation import (
+    AdmissibilityVerdict,
     SearchSpaceError,
     WitnessCycle,
     find_admissible_orientation,
@@ -195,12 +196,14 @@ def witness_json(w: Optional[WitnessCycle]) -> Optional[dict]:
 
 def _resolve_orientation(
     g: DefiningGraph, report: OrientationReport
-) -> tuple[Optional[DefiningGraph], dict]:
+) -> tuple[Optional[DefiningGraph], Optional[AdmissibilityVerdict], dict]:
     """Find an admissible total orientation to analyze, preferring the
     provided one.  `report` is g's validation report.  Returns (oriented
-    graph or None, evidence record).  Every orientation returned has been
-    checked by `is_admissible`, the searched one too, also under
-    `python -O`."""
+    graph or None, its verdict or None, evidence record).  Every
+    orientation returned has been checked by `is_admissible`, the searched
+    one too, also under `python -O`; the verdict of that check goes on to
+    `compute_splitting` and `build_collapsed`, so neither decides it or
+    joins its collapse classes again."""
     info: dict = {
         "provided_total": report.iota_total,
         "orientable_edges": ["-".join(k) for k in report.orientable_edges],
@@ -210,7 +213,7 @@ def _resolve_orientation(
         info["provided_admissible"] = verdict.admissible
         if verdict.admissible:
             info["used"] = "provided"
-            return g, info
+            return g, verdict, info
         info["provided_witness"] = witness_json(verdict.witness)
         info["note"] = (
             "provided orientation is inadmissible; residual finiteness is a "
@@ -220,21 +223,26 @@ def _resolve_orientation(
         assignment = find_admissible_orientation(g)
     except SearchSpaceError as exc:
         info["search"] = f"refused: {exc}"
-        return None, info
+        return None, None, info
     if assignment is None:
         info["search"] = "exhausted: no admissible orientation exists"
-        return None, info
+        return None, None, info
     g_star = g.with_orientation(assignment)
-    if not is_admissible(g_star).admissible:
+    verdict = is_admissible(g_star)
+    if not verdict.admissible:
         raise AssertionError("the search returned an inadmissible orientation")
     info["search"] = "found"
     info["used"] = "searched"
     info["iota"] = {"-".join(k): t for k, t in sorted(assignment.items())}
-    return g_star, info
+    return g_star, verdict, info
 
 
-def _monochrome_evidence(g_star: DefiningGraph) -> MonochromeVerdict:
-    return monochrome_check(fiber_product(build_collapsed(g_star).graph))
+def _monochrome_evidence(
+    g_star: DefiningGraph, verdict: Optional[AdmissibilityVerdict] = None
+) -> MonochromeVerdict:
+    return monochrome_check(
+        fiber_product(build_collapsed(g_star, verdict).graph)
+    )
 
 
 def certify(g: DefiningGraph) -> RFCertificate:
@@ -285,11 +293,11 @@ def certify(g: DefiningGraph) -> RFCertificate:
         rule's prediction is compared with the monochrome verdict."""
         probe: dict = {"evaluated": False}
         evidence["consistency_probe"] = probe
-        g_star, orient_info = _resolve_orientation(g, report)
+        g_star, verdict, orient_info = _resolve_orientation(g, report)
         probe["orientation"] = orient_info
         if g_star is None:
             return
-        mono = _monochrome_evidence(g_star)
+        mono = _monochrome_evidence(g_star, verdict)
         probe["evaluated"] = True
         probe["all_monochrome"] = mono.all_monochrome
         if judged:
@@ -321,12 +329,12 @@ def certify(g: DefiningGraph) -> RFCertificate:
                 caveats=(_CAVEAT_TILING, _CAVEAT_QUOTIENT),
             )
 
-    g_star, orient_info = _resolve_orientation(g, report)
+    g_star, verdict, orient_info = _resolve_orientation(g, report)
     evidence["orientation"] = orient_info
     if g_star is None:
         return cert(UNKNOWN, "R8")
 
-    splitting = compute_splitting(g_star)
+    splitting = compute_splitting(g_star, verdict)
 
     if all(e.label % 2 == 0 and e.label >= 6 for e in g.edges):
         return cert(
@@ -336,7 +344,7 @@ def certify(g: DefiningGraph) -> RFCertificate:
             splitting=splitting,
         )
 
-    mono = _monochrome_evidence(g_star)
+    mono = _monochrome_evidence(g_star, verdict)
     if mono.all_monochrome:
         caveats = [_CAVEAT_QUOTIENT, _CAVEAT_TILING]
         if all(l % 2 == 1 for l in labels):

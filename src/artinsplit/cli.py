@@ -318,10 +318,11 @@ def _collapsed_or_refuse(args, g: DefiningGraph):
     None (after reporting) when `is_admissible` finds the orientation
     inadmissible.  The refusal's wording, that Xbar does not immerse, is
     kept for byte-identical output, though an inadmissible orientation's
-    Xbar may immerse."""
+    Xbar may immerse.  The verdict goes on to `build_collapsed`, so the
+    collapse classes are joined once."""
     verdict = is_admissible(g)
     if verdict.admissible:
-        return build_collapsed(g)
+        return build_collapsed(g, verdict)
     _report(args, {
         "refused": "orientation is not admissible; the collapsed "
                    "quarter graph does not immerse",

@@ -12,19 +12,26 @@ height function; its level sets at heights 0, 1/2 and 1/4 are graphs:
   repeats at a vertex: the coloring is its immersion onto x0.
 
 The fundamental groups of these graphs are the vertex and edge groups of
-the splitting certified by `compute_splitting`.
+the splitting certified by `compute_splitting`.  x_half and x_quarter are
+written once, by `_level_edges`, as integer edge lists over the vertex ids
+and the quarter ids of `orientation.edge_lifts`; the splitting's
+cross-checks count on those lists, and `build_family` only spells them out
+as named graphs.  A caller that has decided admissibility hands the
+verdict, with the collapse classes it was decided on, to
+`compute_splitting` and `build_collapsed`, which then neither decide it
+nor join those classes again.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .defining_graph import (
     DefiningGraph,
     all_labels_even,
     is_bipartite,
-    is_connected,
     require_valid,
 )
 from .multigraph import (
@@ -33,13 +40,15 @@ from .multigraph import (
     Edge,
     GraphMap,
     bouquet,
-    connected_components,
-    free_rank,
-    is_degree_n_cover,
+    classes,
+    closing_pairs,
+    is_cover,
 )
 from .orientation import (
     AdmissibilityVerdict,
+    EdgeLifts,
     _collapse,
+    edge_lifts,
     is_admissible,
     minus,
     plus,
@@ -65,47 +74,68 @@ class HorizontalFamily:
     cover: GraphMap
 
 
+_QUARTER_SIDES = ("p+", "p-", "d+", "d-")
+
+
+def _level_edges(
+    g: DefiningGraph, lifts: Sequence[EdgeLifts]
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """x_half and x_quarter as (tail, head) lists over vertex and quarter
+    ids: v is i and, in x_quarter, v+ is i and v- is n + i.
+
+    Per edge k {u, v}, x_half edges 2k (p) and 2k + 1 (d) both run u to v,
+    and x_quarter edges 4k + s, s indexing `_QUARTER_SIDES`, are the p
+    lift (p+, u+ to v-), the m lift (p-, u- to v+) and the d pair.  Only
+    the label's parity matters: an even d pair repeats the p and m lifts,
+    an odd one joins u+ to v+ and u- to v-.  So x_quarter edge j covers
+    x_half edge j // 2, and quarter id q covers vertex q mod n.
+    """
+    n = len(g.vertices)
+    half: list[tuple[int, int]] = []
+    quarter: list[tuple[int, int]] = []
+    for e, p, m in lifts:
+        u, v = p[0], m[1]
+        half += [(u, v), (u, v)]
+        quarter += [p, m] + ([p, m] if e.label % 2 == 0
+                             else [(u, v), (n + u, n + v)])
+    return half, quarter
+
+
 def build_family(g: DefiningGraph) -> HorizontalFamily:
     """Construct x0, x_half, x_quarter and the degree-2 cover between them.
 
-    Only the parities of the labels matter here: an even edge lifts to two
-    parallel families joining a+ to b- and a- to b+, an odd edge to the
-    crossing family joining a+ to b+ and a- to b-.
+    The graphs spell out `_level_edges`, the lists `compute_splitting`
+    checks: x_half edge 2k + c is xh:<color>:p or :d for c = 0 or 1, and
+    x_quarter edge 4k + s is xq:<color>:<side>, side p+, p-, d+ or d-.
     """
     require_valid(g, oriented=False)
-    colors = [e.color for e in g.sorted_edges]
-    x0 = bouquet(colors)
-
-    half_vertices = list(g.vertices)
-    half_edges = []
-    q_vertices = quarter_vertices(g)
-    q_edges = []
-    vmap: dict[str, str] = {}
-    emap: dict[str, str] = {}
-    for v in g.vertices:
-        vmap[plus(v)] = v
-        vmap[minus(v)] = v
-    for e in g.sorted_edges:
-        c = e.color
-        half_edges.append(Edge(f"xh:{c}:p", e.u, e.v, c))
-        half_edges.append(Edge(f"xh:{c}:d", e.u, e.v, c))
-        q_edges.append(Edge(f"xq:{c}:p+", plus(e.u), minus(e.v), c))
-        q_edges.append(Edge(f"xq:{c}:p-", minus(e.u), plus(e.v), c))
-        if e.label % 2 == 0:
-            q_edges.append(Edge(f"xq:{c}:d+", plus(e.u), minus(e.v), c))
-            q_edges.append(Edge(f"xq:{c}:d-", minus(e.u), plus(e.v), c))
-        else:
-            q_edges.append(Edge(f"xq:{c}:d+", plus(e.u), plus(e.v), c))
-            q_edges.append(Edge(f"xq:{c}:d-", minus(e.u), minus(e.v), c))
-        emap[f"xq:{c}:p+"] = f"xh:{c}:p"
-        emap[f"xq:{c}:p-"] = f"xh:{c}:p"
-        emap[f"xq:{c}:d+"] = f"xh:{c}:d"
-        emap[f"xq:{c}:d-"] = f"xh:{c}:d"
-    x_half = ColoredGraph(half_vertices, half_edges)
-    x_quarter = ColoredGraph(q_vertices, q_edges)
-    cover = GraphMap(x_quarter, x_half, vmap, emap)
+    lifts = edge_lifts(g)
+    half, quarter = _level_edges(g, lifts)
+    colors = [e.color for e, _, _ in lifts]
+    names = g.vertices
+    q_names = quarter_vertices(g)
+    half_ids = [f"xh:{colors[j // 2]}:{'pd'[j % 2]}" for j in range(len(half))]
+    q_ids = [
+        f"xq:{colors[j // 4]}:{_QUARTER_SIDES[j % 4]}"
+        for j in range(len(quarter))
+    ]
+    x_half = ColoredGraph(names, (
+        Edge(half_ids[j], names[a], names[b], colors[j // 2])
+        for j, (a, b) in enumerate(half)
+    ))
+    x_quarter = ColoredGraph(q_names, (
+        Edge(q_ids[j], q_names[a], q_names[b], colors[j // 4])
+        for j, (a, b) in enumerate(quarter)
+    ))
+    n = len(names)
+    cover = GraphMap(
+        x_quarter,
+        x_half,
+        {q: names[i % n] for i, q in enumerate(q_names)},
+        {q_ids[j]: half_ids[j // 2] for j in range(len(quarter))},
+    )
     return HorizontalFamily(
-        x0=x0, x_half=x_half, x_quarter=x_quarter, cover=cover
+        x0=bouquet(colors), x_half=x_half, x_quarter=x_quarter, cover=cover
     )
 
 
@@ -120,7 +150,9 @@ class CollapsedQuarter:
     old_class: dict[str, str]
 
 
-def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
+def build_collapsed(
+    g: DefiningGraph, verdict: Optional[AdmissibilityVerdict] = None
+) -> CollapsedQuarter:
     """Collapse-and-subdivide x_quarter into the graph immersing over x0.
 
     Per edge {a, b} with label M and tail t = iota (h the head): the
@@ -137,9 +169,12 @@ def build_collapsed(g: DefiningGraph) -> CollapsedQuarter:
     The construction is performed for any valid orientation.  The map
     immerses when the orientation is admissible, which `is_admissible`
     decides; an inadmissible orientation may still give an immersion.
+    `verdict`, when given, is `is_admissible(g)`, whose collapse classes
+    are used instead of joining them again.
     """
     require_valid(g, oriented=True)
-    root = _collapse(g)[2]
+    handed = verdict.collapse if verdict is not None else None
+    root = (handed or _collapse(g))[2]
 
     # each vertex class is named by its sorted members
     members: dict[int, list[str]] = {}
@@ -222,38 +257,58 @@ def _require(holds: bool, identity: str) -> None:
         raise AssertionError(f"splitting cross-check failed: {identity}")
 
 
-def compute_splitting(g: DefiningGraph) -> SplittingCertificate:
+def compute_splitting(
+    g: DefiningGraph, verdict: Optional[AdmissibilityVerdict] = None
+) -> SplittingCertificate:
     """Derive the splitting with exact ranks; cross-checked on the graphs.
 
     Amalgam case (some odd label, or non-bipartite graph): ranks |E|,
     1 - |V| + 2|E| and 1 - 2|V| + 4|E|.  HNN case (bipartite, all labels
     even): base of rank |E| with a rank 1 - |V| + 2|E| edge group attached
     along its two embeddings.
+
+    The cross-checks run on `_level_edges`, the integer edge lists that
+    `build_family` spells out, on the one union-find: x_quarter has two
+    classes exactly in the HNN case, x0, x_half and x_quarter (or each of
+    its halves) have the ranks above, and x_quarter covers x_half with
+    degree 2.  `verdict`, when given, is `is_admissible(g)`, which is then
+    not decided again.
     """
     require_valid(g, oriented=True)
-    if not is_connected(g):
+    handed = verdict.collapse if verdict is not None else None
+    lifts = handed[0] if handed else edge_lifts(g)
+    half, quarter = _level_edges(g, lifts)
+    nv, ne = len(g.vertices), len(g.edges)
+    # x_half is g with every edge doubled, so connected exactly when g is
+    half_rank = closing_pairs(nv, half)
+    if len(half) - half_rank != nv - 1:
         raise DisconnectedError(
             "the splitting requires a connected defining graph; analyze "
             "connected components separately"
         )
-    verdict = is_admissible(g)
+    if verdict is None:
+        verdict = is_admissible(g)
     if not verdict.admissible:
         raise InadmissibleOrientation(verdict)
-    family = build_family(g)
-    nv, ne = len(g.vertices), len(g.edges)
     rank_a = ne
     rank_b = 1 - nv + 2 * ne
-    comps = connected_components(family.x_quarter)
+    quarter_rank = closing_pairs(2 * nv, quarter)
+    # x_quarter's classes: its vertices less the edges that join two
+    parts = 2 * nv - len(quarter) + quarter_rank
     hnn = is_bipartite(g) and all_labels_even(g)
-    _require((len(comps) == 2) == hnn, "x_quarter components")
-    _require(free_rank(family.x0) == rank_a, "rank of x0")
-    _require(free_rank(family.x_half) == rank_b, "rank of x_half")
+    _require((parts == 2) == hnn, "x_quarter components")
+    _require(closing_pairs(1, [(0, 0)] * ne) == rank_a, "rank of x0")
+    _require(half_rank == rank_b, "rank of x_half")
     _require(
-        is_degree_n_cover(family.cover, 2), "x_quarter -> x_half double cover"
+        is_cover(quarter, (nv, half), [q % nv for q in range(2 * nv)],
+                 [j // 2 for j in range(len(quarter))], 2),
+        "x_quarter -> x_half double cover",
     )
     if hnn:
-        for comp in comps:
-            _require(free_rank(comp) == rank_b, "rank of an x_quarter half")
+        roots = classes(2 * nv, quarter)[0]
+        edges = Counter(roots[a] for a, _ in quarter)
+        for r, size in Counter(roots).items():
+            _require(edges[r] - size + 1 == rank_b, "rank of an x_quarter half")
         return SplittingCertificate(
             kind="hnn",
             rank_a=rank_a,
@@ -262,7 +317,7 @@ def compute_splitting(g: DefiningGraph) -> SplittingCertificate:
             index_c_in_b=None,
         )
     rank_c = 1 - 2 * nv + 4 * ne
-    _require(free_rank(family.x_quarter) == rank_c, "rank of x_quarter")
+    _require(parts == 1 and quarter_rank == rank_c, "rank of x_quarter")
     _require(rank_c == 2 * rank_b - 1, "rank_c = 2 rank_b - 1")
     return SplittingCertificate(
         kind="amalgam",

@@ -9,14 +9,16 @@ The graph algorithms the other modules share live here.  The one
 union-find, `root`, `join` and `classes` over integer ids (`named_classes`
 numbers hashable names for it), counts components, free ranks, blocks,
 the collapse classes of the sign double cover and the fiber product's
-components.  The one breadth-first search, `bfs_tree`, runs paths, blocks
-and the bipartite test.
+components; `closing_pairs` counts without reading a root.  `is_cover`
+tests a covering map over integer ids, and `is_degree_n_cover` numbers a
+`GraphMap`'s names for it.  The one breadth-first search, `bfs_tree`,
+runs paths, blocks and the bipartite test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -153,25 +155,61 @@ def is_immersion(g: ColoredGraph) -> bool:
 
 
 def is_degree_n_cover(m: GraphMap, n: int) -> bool:
-    """True when m is a covering map with every fiber of size exactly n."""
-    vertex_fibers: dict[str, int] = {v: 0 for v in m.target.vertices}
-    for v in m.source.vertices:
-        vertex_fibers[m.vertex_map[v]] += 1
-    if any(count != n for count in vertex_fibers.values()):
+    """True when m is a covering map with every fiber of size exactly n:
+    `is_cover` on the source and target numbered in their own order."""
+    sv = {v: i for i, v in enumerate(m.source.vertices)}
+    tv = {v: i for i, v in enumerate(m.target.vertices)}
+    te = {e.id: j for j, e in enumerate(m.target.edges)}
+    return is_cover(
+        [(sv[e.tail], sv[e.head]) for e in m.source.edges],
+        (len(tv), [(tv[e.tail], tv[e.head]) for e in m.target.edges]),
+        [tv[m.vertex_map[v]] for v in m.source.vertices],
+        [te[m.edge_map[e.id]] for e in m.source.edges],
+        n,
+    )
+
+
+def is_cover(
+    source: Sequence[tuple[int, int]],
+    target: tuple[int, Sequence[tuple[int, int]]],
+    vertex_map: Sequence[int],
+    edge_map: Sequence[int],
+    n: int,
+) -> bool:
+    """True when a map of graphs over integer ids is a covering map with
+    every fiber of size exactly n.
+
+    `source` lists the (tail, head) of each source edge over the source
+    vertices 0..len(vertex_map)-1; `target` is the target's vertex count
+    and edge list.  Source vertex v maps to `vertex_map[v]`, source edge j
+    to target edge `edge_map[j]`, tail to tail and head to head.
+    """
+    nt, target_edges = target
+    vertex_fibers = [0] * nt
+    for w in vertex_map:
+        vertex_fibers[w] += 1
+    edge_fibers = [0] * len(target_edges)
+    for j in edge_map:
+        edge_fibers[j] += 1
+    if any(c != n for c in vertex_fibers) or any(c != n for c in edge_fibers):
         return False
-    edge_fibers: dict[str, int] = {e.id: 0 for e in m.target.edges}
-    for e in m.source.edges:
-        edge_fibers[m.edge_map[e.id]] += 1
-    if any(count != n for count in edge_fibers.values()):
-        return False
-    # local bijectivity on stars: injective on edge images, equal star sizes
-    for v in m.source.vertices:
-        if m.source.valence(v) != m.target.valence(m.vertex_map[v]):
+    valence = [0] * nt
+    for a, b in target_edges:
+        valence[a] += 1
+        valence[b] += 1
+    star = [0] * len(vertex_map)
+    ends = set()
+    for (a, b), j in zip(source, edge_map):
+        if (vertex_map[a], vertex_map[b]) != target_edges[j]:
             return False
-        ends = m.source.incident_ends(v)
-        if len({(m.edge_map[e.id], sign) for e, sign in ends}) != len(ends):
-            return False
-    return True
+        star[a] += 1
+        star[b] += 1
+        ends.add((a, j, +1))
+        ends.add((b, j, -1))
+    # local bijectivity: each star maps injectively onto a star of its size
+    return len(ends) == 2 * len(source) and all(
+        k == valence[w] for k, w in zip(star, vertex_map)
+    )
 
 
 def root(parent: list[int], x: int) -> int:
@@ -195,9 +233,10 @@ def join(
     return ra, rb
 
 
-def classes(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """The root of each id 0..n-1 once every pair is joined, and the number
-    of closing pairs, those whose ends earlier pairs already joined."""
+def _forest(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """The union-find parents of ids 0..n-1 once every pair is joined, and
+    the number of closing pairs, those whose ends earlier pairs already
+    joined."""
     parent = list(range(n))
     size = [1] * n
     closing = 0
@@ -207,7 +246,19 @@ def classes(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
             closing += 1
         else:
             join(parent, size, ra, rb)
+    return parent, closing
+
+
+def classes(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """The root of each id 0..n-1 once every pair is joined, and the number
+    of closing pairs, those whose ends earlier pairs already joined."""
+    parent, closing = _forest(n, pairs)
     return [root(parent, x) for x in range(n)], closing
+
+
+def closing_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> int:
+    """The number of closing pairs `classes` counts, without its roots."""
+    return _forest(n, pairs)[1]
 
 
 def named_classes(names: Iterable, pairs: Iterable[tuple]) -> tuple[dict, int]:
@@ -216,6 +267,13 @@ def named_classes(names: Iterable, pairs: Iterable[tuple]) -> tuple[dict, int]:
     at = {x: i for i, x in enumerate(dict.fromkeys(names))}
     roots, closing = classes(len(at), ((at[a], at[b]) for a, b in pairs))
     return dict(zip(at, roots)), closing
+
+
+def named_closing_pairs(names: Iterable, pairs: Iterable[tuple]) -> int:
+    """`closing_pairs` over hashable names, numbered as `named_classes`
+    numbers them."""
+    at = {x: i for i, x in enumerate(dict.fromkeys(names))}
+    return closing_pairs(len(at), ((at[a], at[b]) for a, b in pairs))
 
 
 def connected_components(g: ColoredGraph) -> list[ColoredGraph]:
@@ -234,7 +292,9 @@ def connected_components(g: ColoredGraph) -> list[ColoredGraph]:
 def free_rank(g: ColoredGraph) -> int:
     """First Betti number |E| - |V| + 1 of a connected graph: the edges
     whose ends earlier edges already joined, counted on one union-find."""
-    closing = named_classes(g.vertices, ((e.tail, e.head) for e in g.edges))[1]
+    closing = named_closing_pairs(
+        g.vertices, ((e.tail, e.head) for e in g.edges)
+    )
     if len(g.edges) - closing != len(g.vertices) - 1:
         raise DisconnectedError(
             "free_rank requires a connected graph; split with "

@@ -14,8 +14,9 @@ Misdirected paths correspond exactly to paths inside the collapsed
 subgraph, which reduces admissibility to a forest test plus connectivity
 patterns.  The cover's vertices are numbered once, v+ as i and v- as
 n + i, and the library's one union-find, `multigraph.classes` over those
-quarter ids, holds the collapse classes for `is_admissible` and
-`horizontal.build_collapsed` (through `_collapse`); the search joins and
+quarter ids, holds the collapse classes `_collapse` joins for
+`is_admissible`, whose verdict carries them on to
+`horizontal.build_collapsed` and `compute_splitting`; the search joins and
 undoes them with `multigraph.root` and `join`.
 Quarter names and lift ids are spelled out only for a witness and for
 Xbar's vertex names.  A bounded search over explicit closed walks,
@@ -24,7 +25,7 @@ Xbar's vertex names.  A bounded search over explicit closed walks,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .defining_graph import (
@@ -97,9 +98,12 @@ def collapsed_lifts(
     return out
 
 
-def _collapse(
-    g: DefiningGraph,
-) -> tuple[tuple[EdgeLifts, ...], dict[int, tuple[int, int]], list[int], bool]:
+Collapse = tuple[
+    tuple[EdgeLifts, ...], dict[int, tuple[int, int]], list[int], bool
+]
+
+
+def _collapse(g: DefiningGraph) -> Collapse:
     """The lifts of g, those its orientation collapses, the root of each
     quarter id's collapse class, and whether those lifts form a forest."""
     lifts = edge_lifts(g)
@@ -210,9 +214,17 @@ def oracle_almost_misdirected(
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
+    """`is_admissible`'s answer for one oriented graph.  `collapse` holds
+    the `_collapse` it was decided on, so that the splitting and Xbar of
+    the same graph reuse its lifts and classes instead of joining them
+    again; it takes no part in comparisons."""
+
     admissible: bool
     witness: Optional[WitnessCycle] = None
     reason: Optional[str] = None
+    collapse: Optional[Collapse] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
@@ -224,7 +236,8 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
     are the endpoints of its uncollapsed lift connected.
     """
     require_valid(g, oriented=True)
-    lifts, collapsed, roots, forest = _collapse(g)
+    collapse = _collapse(g)
+    lifts, collapsed, roots, forest = collapse
     n = len(g.vertices)
     names = quarter_vertices(g)
     # pairs a collapse class must keep apart but joins, as (kind, key, a, b):
@@ -242,7 +255,7 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
         if j not in collapsed and roots[a] == roots[b]
     ]
     if forest and not candidates:
-        return AdmissibilityVerdict(admissible=True)
+        return AdmissibilityVerdict(admissible=True, collapse=collapse)
     # the collapsed lifts alone, as a graph on the names of their ends
     sub = ColoredGraph(
         (names[q] for ends in collapsed.values() for q in ends),
@@ -257,6 +270,7 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
             admissible=False,
             witness=_witness_from_collapsed_cycle(sub),
             reason="collapsed lifts contain a cycle",
+            collapse=collapse,
         )
     reason = (
         "two lifts of one vertex are joined by collapsed lifts"
@@ -267,6 +281,7 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
         admissible=False,
         witness=_witness_from_patterns(g, sub, candidates),
         reason=reason,
+        collapse=collapse,
     )
 
 

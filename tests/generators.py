@@ -23,8 +23,10 @@ def random_defining_graph(
     max_vertices: int = 7,
     max_extra_edges: int = 4,
     connected: bool = True,
+    labels: tuple[int, ...] = LABELS,
 ) -> DefiningGraph:
-    """A random simple labelled graph without orientation.
+    """A random simple labelled graph without orientation, its labels
+    drawn from `labels`.
 
     Connected variants get a random spanning tree plus a few extra edges,
     which keeps the cycle count low enough for the exhaustive oracles.
@@ -46,7 +48,7 @@ def random_defining_graph(
     ]
     rng.shuffle(pool)
     chosen.extend(pool[: rng.randint(0, max_extra_edges)])
-    rows = [(u, v, rng.choice(LABELS), None) for u, v in chosen]
+    rows = [(u, v, rng.choice(labels), None) for u, v in chosen]
     return DefiningGraph.build(names, rows)
 
 

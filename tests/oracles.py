@@ -18,12 +18,16 @@ from artinsplit import (
     Edge,
     GraphMap,
     HorizontalFamily,
+    SplittingCertificate,
     StructureError,
     Walk,
     blocks,
+    build_family,
     connected_components,
     free_rank,
+    is_degree_n_cover,
 )
+from artinsplit.defining_graph import all_labels_even, is_bipartite
 from artinsplit.orientation import (
     _witness_from_collapsed_cycle,
     _witness_from_patterns,
@@ -742,6 +746,37 @@ def deck_involution_on_quarter(family: HorizontalFamily) -> GraphMap:
         q,
         {v: _swap_sign(v) for v in q.vertices},
         {e.id: _swap_sign(e.id) for e in q.edges},
+    )
+
+
+def splitting_on_named_graphs(g: DefiningGraph) -> SplittingCertificate:
+    """The splitting of a connected admissible g, cross-checked on the
+    string graphs of `build_family`: components, free ranks and the
+    degree-2 cover counted by `connected_components`, `free_rank` and
+    `is_degree_n_cover`."""
+    family = build_family(g)
+    nv, ne = len(g.vertices), len(g.edges)
+    rank_a, rank_b = ne, 1 - nv + 2 * ne
+    comps = connected_components(family.x_quarter)
+    hnn = is_bipartite(g) and all_labels_even(g)
+    checks = {
+        "x_quarter components": (len(comps) == 2) == hnn,
+        "rank of x0": free_rank(family.x0) == rank_a,
+        "rank of x_half": free_rank(family.x_half) == rank_b,
+        "double cover": is_degree_n_cover(family.cover, 2),
+    }
+    if hnn:
+        checks["halves"] = all(free_rank(c) == rank_b for c in comps)
+        rank_c = index = None
+    else:
+        rank_c, index = 1 - 2 * nv + 4 * ne, 2
+        checks["rank of x_quarter"] = free_rank(family.x_quarter) == rank_c
+    failed = [name for name, holds in checks.items() if not holds]
+    if failed:
+        raise AssertionError(f"reference cross-checks failed: {failed}")
+    return SplittingCertificate(
+        kind="hnn" if hnn else "amalgam", rank_a=rank_a, rank_b=rank_b,
+        rank_c=rank_c, index_c_in_b=index,
     )
 
 

@@ -350,7 +350,7 @@ def test_immersion_check_survives_python_O():
             ["a", "b", "c"],
             [("a", "b", 3, "a"), ("b", "c", 3, "b"), ("a", "c", 3, "a")],
         )
-        c.build_collapsed = lambda g: real(clashing)
+        c.build_collapsed = lambda g, verdict=None: real(clashing)
         g = DefiningGraph.build(
             ["a", "b", "c"],
             [("a", "b", 5, "a"), ("b", "c", 5, "b"), ("a", "c", 5, "c")],
@@ -414,6 +414,50 @@ def test_search_check_survives_python_O(vertices, rows):
     assert proc.stdout == "inadmissible True\n"
     assert ("AssertionError: the search returned an inadmissible orientation"
             in proc.stderr)
+
+
+@pytest.mark.parametrize("rows, mutation, identity", [
+    # an odd label given the d pair of an even one: x_quarter of a path
+    # falls apart as though the splitting were an HNN extension
+    ([("a", "b", 3, "a"), ("b", "c", 4, "b")],
+     "for k, (e, p, m) in enumerate(lifts):\n"
+     "    if e.label % 2:\n"
+     "        quarter[4 * k + 2:4 * k + 4] = [p, m]",
+     "x_quarter components"),
+    # one copy of an edge dropped from x_half
+    ([("a", "b", 3, "a"), ("b", "c", 3, "b"), ("a", "c", 3, "c")],
+     "half.pop()",
+     "rank of x_half"),
+    # the m lift of an edge laid over its p lift: two ends of the star at
+    # a+ map onto one end of x_half
+    ([("a", "b", 3, "a"), ("b", "c", 3, "b"), ("a", "c", 3, "c")],
+     "quarter[1] = quarter[0]",
+     "x_quarter -> x_half double cover"),
+], ids=["odd-as-even", "half-copy-dropped", "star-not-injective"])
+def test_splitting_cross_checks_survive_python_O(rows, mutation, identity):
+    # compute_splitting's cross-checks on the level graphs still fire when
+    # a mutated lift rule builds the wrong graphs, also under -O
+    body = f"""
+        from artinsplit import compute_splitting
+        h = importlib.import_module("artinsplit.horizontal")
+        real = h._level_edges
+
+        def mutated(g, lifts):
+            half, quarter = real(g, lifts)
+{textwrap.indent(mutation, " " * 12)}
+            return half, quarter
+
+        g = DefiningGraph.build(["a", "b", "c"], {rows!r})
+        print(compute_splitting(g).kind)
+        h._level_edges = mutated
+        compute_splitting(g)
+        print("check did not fire")
+    """
+    proc = run_optimized(body)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout == "amalgam\n"
+    assert proc.stderr.rstrip().endswith(
+        f"AssertionError: splitting cross-check failed: {identity}")
 
 
 def test_library_has_no_assert_statements():
@@ -496,6 +540,35 @@ def test_benchmark_certificates_are_byte_identical(monkeypatch):
                               expected[workload], need_digest=True)
             assert outcome.problem is None, (workload, op.key, outcome.problem)
     assert replayed == {"labels": 83, "search": 256, "cli": 220}
+
+
+def test_traced_search_pass_decides_each_orientation_once(monkeypatch):
+    # one default-seed pass of the benchmark's search workload under its
+    # tracer: every orientation found is decided admissible once, and that
+    # verdict serves both the splitting and Xbar; the splitting's checks
+    # build no named level graphs
+    import artinsplit.cli as cli
+
+    bench = Path(__file__).resolve().parents[1] / "benchmark"
+    monkeypatch.syspath_prepend(str(bench))
+    from operations import execute, prepare
+    from tracer import Tracer
+    from workloads import DEFAULT_SEED, WORKLOADS
+
+    expected = json.loads((bench / "expected.json").read_text())["search"]
+    tracer = Tracer()
+    for op in WORKLOADS["search"](DEFAULT_SEED):
+        prepared = prepare(artinsplit, op)
+        with tracer:
+            outcome = execute(artinsplit, cli, op, prepared, expected,
+                              need_digest=True, tracer=tracer)
+        assert outcome.problem is None, (op.key, outcome.problem)
+    calls = {name: n for name, (n, _) in tracer.layer_totals().items()}
+    assert tracer.counters["search_found"] == 105
+    assert (calls["orientation.is_admissible"]
+            == calls["horizontal.compute_splitting"]
+            == calls["horizontal.build_collapsed"] == 105)
+    assert calls["horizontal.build_family"] == calls["multigraph.free_rank"] == 0
 
 
 def test_long_run_triangle_certifies_with_a_witness():

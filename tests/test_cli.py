@@ -604,7 +604,7 @@ def count_calls(monkeypatch, names):
     modules = [m for name, m in sorted(sys.modules.items())
                if m is not None and name.split(".")[0] == "artinsplit"]
     for name in names:
-        real = getattr(artinsplit, name)
+        real = next(vars(m)[name] for m in modules if name in vars(m))
 
         def counting(*args, _name=name, _real=real):
             calls[_name] += 1
@@ -623,9 +623,15 @@ def used_orientation(g):
     return evidence.get("consistency_probe", evidence)["orientation"]["used"]
 
 
+R6_SQUARE = (["a", "b", "c", "d"], [
+    ("a", "b", 3, "a"), ("b", "c", 3, "b"), ("c", "d", 4, "c"),
+    ("a", "d", 5, "d")])
+
+
 @pytest.mark.parametrize("run, expected", [
     # certify: the R4 consistency probe, a provided R7 orientation and a
-    # searched R7 one; then the two CLI commands that build the product
+    # searched R7 one, and a provided and a searched R6 one; then the two
+    # CLI commands that build the product
     (lambda write: used_orientation(DefiningGraph.build(["a", "b", "c"], [
         ("a", "b", 5, None), ("b", "c", 4, None), ("a", "c", 6, None)])),
      "searched"),
@@ -636,20 +642,28 @@ def used_orientation(g):
         ("a", "b", 5, None), ("b", "c", 5, None), ("c", "d", 5, None),
         ("a", "d", 5, None)])),
      "searched"),
+    (lambda write: used_orientation(DefiningGraph.build(*R6_SQUARE)),
+     "provided"),
+    (lambda write: used_orientation(DefiningGraph.build(R6_SQUARE[0], [
+        (u, v, label, None) for u, v, label, _ in R6_SQUARE[1]])),
+     "searched"),
     (lambda write: main(["fiber", "--input", write(TRIANGLE)]), 0),
     (lambda write: main(["export", "--graph", "fiber", "--input",
                          write(TRIANGLE)]), 0),
-], ids=["certify-probe", "certify-provided", "certify-searched", "fiber",
+], ids=["certify-probe", "certify-provided", "certify-searched",
+        "certify-R6-provided", "certify-R6-searched", "fiber",
         "export-fiber"])
 def test_xbar_its_product_and_the_immersion_check_run_once(
         run, expected, write, monkeypatch, capsys):
     # admissibility is decided by `is_admissible` before Xbar is built, and
-    # Xbar's immersion is checked once, at the entry of `fiber_product`
-    calls = count_calls(
-        monkeypatch, ("build_collapsed", "fiber_product", "is_immersion"))
+    # Xbar's immersion is checked once, at the entry of `fiber_product`;
+    # the verdict's collapse classes go on to the splitting and to Xbar, so
+    # the classes of the sign double cover are joined once
+    calls = count_calls(monkeypatch, (
+        "build_collapsed", "fiber_product", "is_immersion", "_collapse"))
     assert run(write) == expected
     assert calls == {"build_collapsed": 1, "fiber_product": 1,
-                     "is_immersion": 1}
+                     "is_immersion": 1, "_collapse": 1}
 
 
 def test_benchmark_outputs_are_byte_identical(monkeypatch):

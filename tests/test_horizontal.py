@@ -17,11 +17,16 @@ from artinsplit import (
     is_immersion,
 )
 from generators import (
+    LABELS,
     random_admissible_graph,
     random_defining_graph,
     with_random_orientation,
 )
-from oracles import deck_involution_on_quarter, run_lengths
+from oracles import (
+    deck_involution_on_quarter,
+    run_lengths,
+    splitting_on_named_graphs,
+)
 
 
 def single_edge(label, iota="a"):
@@ -93,6 +98,37 @@ class TestFamily:
             ["a", "b", "c"], [("a", "b", 4, "a"), ("b", "c", 5, "b")]
         )
         assert len(connected_components(build_family(path).x_quarter)) == 1
+
+    def test_edge_lists_of_a_mixed_triangle(self):
+        # a-b and a-c odd: the d pair keeps signs; b-c even: it repeats
+        # the p pair
+        fam = build_family(triangle((3, 4, 5)))
+
+        def ends(graph):
+            return [(e.id, e.tail, e.head, e.color) for e in graph.edges]
+
+        assert ends(fam.x0) == [
+            ("x0:a-b", "*", "*", "a-b"), ("x0:a-c", "*", "*", "a-c"),
+            ("x0:b-c", "*", "*", "b-c"),
+        ]
+        assert ends(fam.x_half) == [
+            (f"xh:{c}:{s}", c[0], c[2], c)
+            for c in ("a-b", "a-c", "b-c") for s in "dp"
+        ]
+        assert ends(fam.x_quarter) == [
+            ("xq:a-b:d+", "a+", "b+", "a-b"), ("xq:a-b:d-", "a-", "b-", "a-b"),
+            ("xq:a-b:p+", "a+", "b-", "a-b"), ("xq:a-b:p-", "a-", "b+", "a-b"),
+            ("xq:a-c:d+", "a+", "c+", "a-c"), ("xq:a-c:d-", "a-", "c-", "a-c"),
+            ("xq:a-c:p+", "a+", "c-", "a-c"), ("xq:a-c:p-", "a-", "c+", "a-c"),
+            ("xq:b-c:d+", "b+", "c-", "b-c"), ("xq:b-c:d-", "b-", "c+", "b-c"),
+            ("xq:b-c:p+", "b+", "c-", "b-c"), ("xq:b-c:p-", "b-", "c+", "b-c"),
+        ]
+        assert fam.cover.vertex_map == {
+            f"{v}{s}": v for v in "abc" for s in "+-"}
+        assert fam.cover.edge_map == {
+            f"xq:{c}:{f}{s}": f"xh:{c}:{f}"
+            for c in ("a-b", "a-c", "b-c") for f in "pd" for s in "+-"
+        }
 
     def test_partial_orientation_is_enough(self):
         bare = DefiningGraph.build(["a", "b"], [("a", "b", 5, None)])
@@ -258,6 +294,36 @@ class TestSplitting:
             else:
                 assert cert.rank_c is None
         # x_quarter rank checks run inside compute_splitting as asserts
+
+    def test_matches_the_string_graph_reference(self):
+        # the integer cross-checks agree with the ones on build_family's
+        # named graphs, with and without the admissibility verdict handed
+        # in; every third graph has only even labels, for HNN cases
+        rng = random.Random(23)
+        kinds = Counter()
+        for i in range(320):
+            labels = (2, 4, 6, 8) if i % 3 == 0 else LABELS
+            g = random_admissible_graph(
+                rng, max_vertices=7, max_extra_edges=3, labels=labels)
+            cert = compute_splitting(g)
+            assert cert == splitting_on_named_graphs(g), g
+            assert compute_splitting(g, is_admissible(g)) == cert
+            kinds[cert.kind] += 1
+        assert kinds["hnn"] >= 50 and kinds["amalgam"] >= 200
+
+    def test_a_handed_verdict_still_refuses(self):
+        bad = DefiningGraph.build(
+            ["a", "b", "c"],
+            [("a", "b", 3, "a"), ("b", "c", 3, "b"), ("a", "c", 3, "a")],
+        )
+        verdict = is_admissible(bad)
+        with pytest.raises(InadmissibleOrientation) as e:
+            compute_splitting(bad, verdict)
+        assert e.value.verdict is verdict
+        split = DefiningGraph.build(
+            ["a", "b", "c", "d"], [("a", "b", 3, "a"), ("c", "d", 3, "c")])
+        with pytest.raises(DisconnectedError):
+            compute_splitting(split, is_admissible(split))
 
 
 def test_collapsed_rank_matches_quarter_rank():
