@@ -17,7 +17,6 @@ from .multigraph import (
     bouquet,
     connected_components,
     free_rank,
-    is_degree_n_cover,
     is_immersion,
 )
 from .defining_graph import (
@@ -94,7 +93,6 @@ __all__ = [
     "find_admissible_orientation",
     "free_rank",
     "is_admissible",
-    "is_degree_n_cover",
     "is_immersion",
     "monochrome_check",
     "oppressive_set",

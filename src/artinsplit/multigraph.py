@@ -10,9 +10,8 @@ union-find, `root`, `join` and `classes` over integer ids (`named_classes`
 numbers hashable names for it), counts components, free ranks, blocks,
 the collapse classes of the sign double cover and the fiber product's
 components; `closing_pairs` counts without reading a root.  `is_cover`
-tests a covering map over integer ids, and `is_degree_n_cover` numbers a
-`GraphMap`'s names for it.  The one breadth-first search, `bfs_tree`,
-runs paths, blocks and the bipartite test.
+tests a covering map over integer ids.  The one breadth-first search,
+`bfs_tree`, runs paths, blocks and the bipartite test.
 """
 
 from __future__ import annotations
@@ -151,21 +150,6 @@ def is_immersion(g: ColoredGraph) -> bool:
     return all(
         len({(e.color, sign) for e, sign in g.incident_ends(v)}) == g.valence(v)
         for v in g.vertices
-    )
-
-
-def is_degree_n_cover(m: GraphMap, n: int) -> bool:
-    """True when m is a covering map with every fiber of size exactly n:
-    `is_cover` on the source and target numbered in their own order."""
-    sv = {v: i for i, v in enumerate(m.source.vertices)}
-    tv = {v: i for i, v in enumerate(m.target.vertices)}
-    te = {e.id: j for j, e in enumerate(m.target.edges)}
-    return is_cover(
-        [(sv[e.tail], sv[e.head]) for e in m.source.edges],
-        (len(tv), [(tv[e.tail], tv[e.head]) for e in m.target.edges]),
-        [tv[m.vertex_map[v]] for v in m.source.vertices],
-        [te[m.edge_map[e.id]] for e in m.source.edges],
-        n,
     )
 
 

@@ -17,10 +17,12 @@ n + i, and the library's one union-find, `multigraph.classes` over those
 quarter ids, holds the collapse classes `_collapse` joins for
 `is_admissible`, whose verdict carries them on to
 `horizontal.build_collapsed` and `compute_splitting`; the search joins and
-undoes them with `multigraph.root` and `join`.
-Quarter names and lift ids are spelled out only for a witness and for
-Xbar's vertex names.  A bounded search over explicit closed walks,
-`oracle_almost_misdirected`, provides an independent check.
+undoes them with `multigraph.root` and `join`.  An inadmissible verdict's
+witness is found on the same quarter ids, from the stars of the collapsed
+lifts, taken in the order of the quarter names.  Names are spelled out
+only in a returned `WitnessCycle` and in Xbar.  A bounded search over
+explicit closed walks, `oracle_almost_misdirected`, provides an
+independent check.
 """
 
 from __future__ import annotations
@@ -34,15 +36,7 @@ from .defining_graph import (
     enumerate_cycles,
     require_valid,
 )
-from .multigraph import (
-    ColoredGraph,
-    Edge,
-    Walk,
-    classes,
-    join,
-    root,
-    shortest_path,
-)
+from .multigraph import bfs_path, classes, join, root
 
 
 def plus(v: str) -> str:
@@ -239,169 +233,156 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
     collapse = _collapse(g)
     lifts, collapsed, roots, forest = collapse
     n = len(g.vertices)
-    names = quarter_vertices(g)
-    # pairs a collapse class must keep apart but joins, as (kind, key, a, b):
-    # kind 0 the two lifts v- and v+ of a vertex, kind 1 the two ends of an
-    # uncollapsed lift
-    candidates = [
-        (0, v, names[n + i], names[i])
-        for i, v in enumerate(g.vertices)
-        if roots[i] == roots[n + i]
-    ]
-    candidates += [
-        (1, e.color, names[a], names[b])
+    # pairs a collapse class must keep apart but joins: the two lifts of a
+    # vertex, and the two ends of an uncollapsed lift
+    twins = [i for i in range(n) if roots[i] == roots[n + i]]
+    closed = [
+        ends
         for k, (e, p, m) in enumerate(lifts)
-        for j, (a, b) in ((2 * k, p), (2 * k + 1, m))
-        if j not in collapsed and roots[a] == roots[b]
+        for j, ends in ((2 * k, p), (2 * k + 1, m))
+        if j not in collapsed and roots[ends[0]] == roots[ends[1]]
     ]
-    if forest and not candidates:
+    if forest and not twins and not closed:
         return AdmissibilityVerdict(admissible=True, collapse=collapse)
-    # the collapsed lifts alone, as a graph on the names of their ends
-    sub = ColoredGraph(
-        (names[q] for ends in collapsed.values() for q in ends),
-        (
-            Edge(f"dc:{lifts[j // 2][0].color}:{'pm'[j % 2]}",
-                 names[a], names[b], lifts[j // 2][0].color)
-            for j, (a, b) in collapsed.items()
-        ),
-    )
+    # quarter ids sort as their names do: a vertex name's characters all
+    # sort above + and -, so by vertex name, then v+ before v-
+    def by_name(q: int) -> tuple[str, bool]:
+        return g.vertices[q % n], q >= n
+
+    # the collapsed lifts at each quarter id, by the name of their other end
+    star: list[list[int]] = [[] for _ in range(2 * n)]
+    for a, b in collapsed.values():
+        star[a].append(b)
+        star[b].append(a)
+    for ends in star:
+        ends.sort(key=by_name)
     if not forest:
+        order = sorted(range(2 * n), key=by_name)
         return AdmissibilityVerdict(
             admissible=False,
-            witness=_witness_from_collapsed_cycle(sub),
+            witness=_witness_from_collapsed_cycle(g, star, order),
             reason="collapsed lifts contain a cycle",
             collapse=collapse,
         )
-    reason = (
-        "two lifts of one vertex are joined by collapsed lifts"
-        if candidates[0][0] == 0
-        else "an uncollapsed lift closes a collapsed path"
-    )
+    # as (kind, a, b): kind 0 runs v- to v+, by vertex name, and kind 1
+    # joins the ends of a lift, in lift order, which is their colors' order
+    twins.sort(key=g.vertices.__getitem__)
+    candidates = [(0, n + i, i) for i in twins]
+    candidates += [(1, a, b) for a, b in closed]
     return AdmissibilityVerdict(
         admissible=False,
-        witness=_witness_from_patterns(g, sub, candidates),
-        reason=reason,
+        witness=_witness_from_patterns(g, star, candidates),
+        reason=(
+            "two lifts of one vertex are joined by collapsed lifts"
+            if twins
+            else "an uncollapsed lift closes a collapsed path"
+        ),
         collapse=collapse,
     )
 
 
-def _project(quarter: str) -> tuple[str, int]:
-    """Split a double-cover vertex name into (base name, sign)."""
-    return quarter[:-1], +1 if quarter.endswith("+") else -1
-
-
-def _tails_from_lift_path(path: list[str]) -> list[str]:
-    """Direction extension read off a path of collapsed lifts.
-
-    Traversing a collapsed lift, the endpoint with positive sign is the
-    tail of the projected edge.
-    """
-    tails = []
-    for a, b in zip(path, path[1:]):
-        na, sa = _project(a)
-        nb, _ = _project(b)
-        tails.append(na if sa == +1 else nb)
-    return tails
+def _project(
+    g: DefiningGraph, path: list[int]
+) -> tuple[list[str], list[str]]:
+    """The vertices a path of quarter ids along collapsed lifts passes
+    over, and the tail of each lift's edge: the vertex under its positive
+    end, the one whose id is below n."""
+    n = len(g.vertices)
+    names = [g.vertices[q % n] for q in path]
+    tails = [names[i] if path[i] < n else names[i + 1]
+             for i in range(len(path) - 1)]
+    return names, tails
 
 
 def _witness_from_patterns(
     g: DefiningGraph,
-    sub: ColoredGraph,
-    candidates: list[tuple[int, str, str, str]],
+    star: list[list[int]],
+    candidates: list[tuple[int, int, int]],
 ) -> WitnessCycle:
+    """The first shortest collapsed path between a candidate's ends, which
+    the collapsed forest makes unique; a vertex's two lifts come first, so
+    they win a tie."""
     paths = []
-    for kind, _, src, dst in sorted(candidates):
-        steps = shortest_path(sub, src, dst)
+    for kind, a, b in candidates:
+        steps = bfs_path(a, b, lambda q: ((w, w) for w in star[q]))
         if steps is None:
             raise AssertionError("failing pattern has no collapsed path")
-        paths.append((kind, list(Walk(sub, src, tuple(steps)).vertices())))
-    # the first shortest path, preferring a vertex's two lifts on a tie
-    kind, path = min(paths, key=lambda kp: (len(kp[1]), kp[0]))
+        paths.append((kind, [a] + steps))
+    kind, path = min(paths, key=lambda kp: len(kp[1]))
+    names, tails = _project(g, path)
     if kind == 0:
         # unlike a collapsed cycle's arc below, this path never wraps: one
         # whose first and last lifts project to one edge passes through both
         # lifts of an inner vertex, whose own kind-0 path is shorter
-        vertices = tuple(_project(q)[0] for q in path[:-1])
-        tails = _tails_from_lift_path(path)
-        # last path edge closes the cycle; its tail entry is already there
-        return WitnessCycle(vertices=vertices, tails=tuple(tails))
-    vertices = tuple(_project(q)[0] for q in path)
-    tails = _tails_from_lift_path(path)
-    closing = g.edge_between(vertices[-1], vertices[0])
+        return WitnessCycle(vertices=tuple(names[:-1]), tails=tuple(tails))
+    closing = g.edge_between(names[-1], names[0])
     if closing is None:
         raise AssertionError("witness path does not close in the graph")
-    tails.append(closing.iota)
-    return WitnessCycle(vertices=vertices, tails=tuple(tails))
+    return WitnessCycle(vertices=tuple(names), tails=(*tails, closing.iota))
 
 
-def _witness_from_collapsed_cycle(sub: ColoredGraph) -> WitnessCycle:
-    cycle = _find_collapsed_cycle(sub)
-    by_name: dict[str, list[int]] = {}
+def _witness_from_collapsed_cycle(
+    g: DefiningGraph, star: list[list[int]], order: list[int]
+) -> WitnessCycle:
+    cycle = _find_collapsed_cycle(star, order)
+    n = len(g.vertices)
+    at: dict[int, list[int]] = {}
     for i, q in enumerate(cycle):
-        by_name.setdefault(_project(q)[0], []).append(i)
-    split = None
-    for name in sorted(by_name):
-        if len(by_name[name]) == 2:
-            i, j = by_name[name]
-            if {_project(cycle[i])[1], _project(cycle[j])[1]} == {+1, -1}:
-                split = (i, j)
-                break
-    if split is not None:
-        i, j = split
-        arc1 = cycle[i : j + 1]
-        arc2 = cycle[j:] + cycle[: i + 1]
-        path = list(arc1 if len(arc1) <= len(arc2) else arc2)
-        # while the projection re-uses its first edge as its last, peel
-        # both ends, which exposes the same situation one vertex further in
-        while len(path) >= 5 and _project(path[1])[0] == _project(path[-2])[0]:
-            path = path[1:-1]
-        vertices = tuple(_project(q)[0] for q in path[:-1])
-        return WitnessCycle(
-            vertices=vertices, tails=tuple(_tails_from_lift_path(path))
-        )
-    # no vertex meets the cycle in both signs: the projection is a genuine
-    # even misdirected cycle
-    vertices = tuple(_project(q)[0] for q in cycle)
-    tails = _tails_from_lift_path(list(cycle) + [cycle[0]])
-    return WitnessCycle(vertices=vertices, tails=tuple(tails))
+        at.setdefault(q % n, []).append(i)
+    # the cycle closed, or split at the first vertex by name it meets in
+    # both signs; order[::2] lists the v+, whose ids are the vertex ids
+    path = cycle + cycle[:1]
+    for v in order[::2]:
+        if len(at.get(v, ())) == 2:
+            i, j = at[v]
+            arc1 = cycle[i : j + 1]
+            arc2 = cycle[j:] + cycle[: i + 1]
+            path = arc1 if len(arc1) <= len(arc2) else arc2
+            # while the projection re-uses its first edge as its last, peel
+            # both ends, which exposes the same situation one vertex further
+            while len(path) >= 5 and path[1] % n == path[-2] % n:
+                path = path[1:-1]
+            break
+    # with no split, the projection is a genuine even misdirected cycle
+    names, tails = _project(g, path)
+    return WitnessCycle(vertices=tuple(names[:-1]), tails=tuple(tails))
 
 
-def _find_collapsed_cycle(sub: ColoredGraph) -> tuple[str, ...]:
-    """Vertices of some simple cycle inside the collapsed lifts `sub`."""
-    seen: set[str] = set()
-    for start in sub.vertices:
+def _find_collapsed_cycle(
+    star: list[list[int]], order: list[int]
+) -> list[int]:
+    """Quarter ids of some simple cycle along the collapsed lifts `star`,
+    by a depth-first search from each id of `order` not yet reached.  No
+    two collapsed lifts join the same two ids, so the lift back to a
+    vertex's parent is the one to its parent id."""
+    seen: set[int] = set()
+    for start in order:
         if start in seen:
             continue
-        parent_edge: dict[str, Optional[str]] = {start: None}
-        parent: dict[str, Optional[str]] = {start: None}
+        parent: dict[int, Optional[int]] = {start: None}
         stack = [start]
         while stack:
             v = stack.pop()
             if v in seen:
                 continue
             seen.add(v)
-            # by neighbour, then edge id
-            for w, eid in sorted(
-                (e.head if sign == +1 else e.tail, e.id)
-                for e, sign in sub.incident_ends(v)
-            ):
-                if eid == parent_edge[v]:
+            for w in star[v]:
+                if w == parent[v]:
                     continue
                 if w in seen:
                     # back edge: walk tree paths to the common ancestor
-                    pa: list[str] = [v]
+                    pa = [v]
                     while parent[pa[-1]] is not None:
                         pa.append(parent[pa[-1]])  # type: ignore[arg-type]
-                    pb: list[str] = [w]
+                    pb = [w]
                     while parent[pb[-1]] is not None:
                         pb.append(parent[pb[-1]])  # type: ignore[arg-type]
                     sb = set(pb)
                     meet = next(x for x in pa if x in sb)
                     ca = pa[: pa.index(meet) + 1]
                     cb = pb[: pb.index(meet) + 1]
-                    return tuple(ca + list(reversed(cb))[1:-1])
+                    return ca + cb[::-1][1:-1]
                 parent[w] = v
-                parent_edge[w] = eid
                 stack.append(w)
     raise AssertionError("no cycle in collapsed subgraph")
 

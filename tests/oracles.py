@@ -21,17 +21,14 @@ from artinsplit import (
     SplittingCertificate,
     StructureError,
     Walk,
+    WitnessCycle,
     blocks,
     build_family,
     connected_components,
     free_rank,
-    is_degree_n_cover,
 )
 from artinsplit.defining_graph import all_labels_even, is_bipartite
-from artinsplit.orientation import (
-    _witness_from_collapsed_cycle,
-    _witness_from_patterns,
-)
+from artinsplit.multigraph import is_cover, shortest_path
 
 
 class UnionFind:
@@ -560,8 +557,8 @@ def collapsed_lift_graph(lifts: list[tuple], collapsed) -> ColoredGraph:
 
 def sign_cover_verdict(g: DefiningGraph) -> AdmissibilityVerdict:
     """Reference for is_admissible: the verdict on the reference classes,
-    its witness built by the library's witness builders from the
-    reference's own collapsed-lift graph and candidates."""
+    its witness built from the reference's own collapsed-lift graph and
+    candidates by the named witness builders below."""
     lifts = sign_cover_lifts(g)
     collapsed, classes, forest = sign_cover_collapse(g, lifts, g.orientation())
     candidates = sign_cover_candidates(g, lifts, collapsed, classes)
@@ -581,6 +578,127 @@ def sign_cover_verdict(g: DefiningGraph) -> AdmissibilityVerdict:
     return AdmissibilityVerdict(
         False, _witness_from_patterns(g, sub, candidates), reason
     )
+
+
+def _project(quarter: str) -> tuple[str, int]:
+    """Split a double-cover vertex name into (base name, sign)."""
+    return quarter[:-1], +1 if quarter.endswith("+") else -1
+
+
+def _tails_from_lift_path(path: list[str]) -> list[str]:
+    """Direction extension read off a path of collapsed lifts.
+
+    Traversing a collapsed lift, the endpoint with positive sign is the
+    tail of the projected edge.
+    """
+    tails = []
+    for a, b in zip(path, path[1:]):
+        na, sa = _project(a)
+        nb, _ = _project(b)
+        tails.append(na if sa == +1 else nb)
+    return tails
+
+
+def _witness_from_patterns(
+    g: DefiningGraph,
+    sub: ColoredGraph,
+    candidates: list[tuple[int, str, str, str]],
+) -> WitnessCycle:
+    paths = []
+    for kind, _, src, dst in sorted(candidates):
+        steps = shortest_path(sub, src, dst)
+        if steps is None:
+            raise AssertionError("failing pattern has no collapsed path")
+        paths.append((kind, list(Walk(sub, src, tuple(steps)).vertices())))
+    # the first shortest path, preferring a vertex's two lifts on a tie
+    kind, path = min(paths, key=lambda kp: (len(kp[1]), kp[0]))
+    if kind == 0:
+        # unlike a collapsed cycle's arc below, this path never wraps: one
+        # whose first and last lifts project to one edge passes through both
+        # lifts of an inner vertex, whose own kind-0 path is shorter
+        vertices = tuple(_project(q)[0] for q in path[:-1])
+        tails = _tails_from_lift_path(path)
+        # last path edge closes the cycle; its tail entry is already there
+        return WitnessCycle(vertices=vertices, tails=tuple(tails))
+    vertices = tuple(_project(q)[0] for q in path)
+    tails = _tails_from_lift_path(path)
+    closing = g.edge_between(vertices[-1], vertices[0])
+    if closing is None:
+        raise AssertionError("witness path does not close in the graph")
+    tails.append(closing.iota)
+    return WitnessCycle(vertices=vertices, tails=tuple(tails))
+
+
+def _witness_from_collapsed_cycle(sub: ColoredGraph) -> WitnessCycle:
+    cycle = _find_collapsed_cycle(sub)
+    by_name: dict[str, list[int]] = {}
+    for i, q in enumerate(cycle):
+        by_name.setdefault(_project(q)[0], []).append(i)
+    split = None
+    for name in sorted(by_name):
+        if len(by_name[name]) == 2:
+            i, j = by_name[name]
+            if {_project(cycle[i])[1], _project(cycle[j])[1]} == {+1, -1}:
+                split = (i, j)
+                break
+    if split is not None:
+        i, j = split
+        arc1 = cycle[i : j + 1]
+        arc2 = cycle[j:] + cycle[: i + 1]
+        path = list(arc1 if len(arc1) <= len(arc2) else arc2)
+        # while the projection re-uses its first edge as its last, peel
+        # both ends, which exposes the same situation one vertex further in
+        while len(path) >= 5 and _project(path[1])[0] == _project(path[-2])[0]:
+            path = path[1:-1]
+        vertices = tuple(_project(q)[0] for q in path[:-1])
+        return WitnessCycle(
+            vertices=vertices, tails=tuple(_tails_from_lift_path(path))
+        )
+    # no vertex meets the cycle in both signs: the projection is a genuine
+    # even misdirected cycle
+    vertices = tuple(_project(q)[0] for q in cycle)
+    tails = _tails_from_lift_path(list(cycle) + [cycle[0]])
+    return WitnessCycle(vertices=vertices, tails=tuple(tails))
+
+
+def _find_collapsed_cycle(sub: ColoredGraph) -> tuple[str, ...]:
+    """Vertices of some simple cycle inside the collapsed lifts `sub`."""
+    seen: set[str] = set()
+    for start in sub.vertices:
+        if start in seen:
+            continue
+        parent_edge: dict[str, Optional[str]] = {start: None}
+        parent: dict[str, Optional[str]] = {start: None}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            # by neighbour, then edge id
+            for w, eid in sorted(
+                (e.head if sign == +1 else e.tail, e.id)
+                for e, sign in sub.incident_ends(v)
+            ):
+                if eid == parent_edge[v]:
+                    continue
+                if w in seen:
+                    # back edge: walk tree paths to the common ancestor
+                    pa: list[str] = [v]
+                    while parent[pa[-1]] is not None:
+                        pa.append(parent[pa[-1]])  # type: ignore[arg-type]
+                    pb: list[str] = [w]
+                    while parent[pb[-1]] is not None:
+                        pb.append(parent[pb[-1]])  # type: ignore[arg-type]
+                    sb = set(pb)
+                    meet = next(x for x in pa if x in sb)
+                    ca = pa[: pa.index(meet) + 1]
+                    cb = pb[: pb.index(meet) + 1]
+                    return tuple(ca + list(reversed(cb))[1:-1])
+                parent[w] = v
+                parent_edge[w] = eid
+                stack.append(w)
+    raise AssertionError("no cycle in collapsed subgraph")
 
 
 def first_admissible_orientation(g: DefiningGraph):
@@ -746,6 +864,22 @@ def deck_involution_on_quarter(family: HorizontalFamily) -> GraphMap:
         q,
         {v: _swap_sign(v) for v in q.vertices},
         {e.id: _swap_sign(e.id) for e in q.edges},
+    )
+
+
+def is_degree_n_cover(m: GraphMap, n: int) -> bool:
+    """True when m is a covering map with every fiber of size exactly n:
+    `multigraph.is_cover` on the source and target numbered in their own
+    order."""
+    sv = {v: i for i, v in enumerate(m.source.vertices)}
+    tv = {v: i for i, v in enumerate(m.target.vertices)}
+    te = {e.id: j for j, e in enumerate(m.target.edges)}
+    return is_cover(
+        [(sv[e.tail], sv[e.head]) for e in m.source.edges],
+        (len(tv), [(tv[e.tail], tv[e.head]) for e in m.target.edges]),
+        [tv[m.vertex_map[v]] for v in m.source.vertices],
+        [te[m.edge_map[e.id]] for e in m.source.edges],
+        n,
     )
 
 

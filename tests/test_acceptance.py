@@ -23,7 +23,6 @@ from artinsplit import (
     fiber_product,
     free_rank,
     is_admissible,
-    is_degree_n_cover,
     is_immersion,
     monochrome_check,
     oppressive_set,
@@ -37,7 +36,7 @@ from generators import (
     random_defining_graph,
     with_random_orientation,
 )
-from oracles import run_lengths, traces_word
+from oracles import is_degree_n_cover, run_lengths, traces_word
 
 
 def triangle(labels):

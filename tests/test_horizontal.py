@@ -13,7 +13,6 @@ from artinsplit import (
     connected_components,
     free_rank,
     is_admissible,
-    is_degree_n_cover,
     is_immersion,
 )
 from generators import (
@@ -24,6 +23,7 @@ from generators import (
 )
 from oracles import (
     deck_involution_on_quarter,
+    is_degree_n_cover,
     run_lengths,
     splitting_on_named_graphs,
 )

@@ -19,7 +19,6 @@ from artinsplit import (
     bouquet,
     connected_components,
     free_rank,
-    is_degree_n_cover,
     is_immersion,
 )
 from artinsplit.defining_graph import is_connected, is_forest
@@ -35,6 +34,7 @@ from oracles import (
     UnionFind,
     all_simple_cycles,
     in_edges,
+    is_degree_n_cover,
     is_simple_path,
     lowpoint_blocks,
     on_common_simple_cycle,
