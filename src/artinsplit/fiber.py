@@ -8,6 +8,12 @@ equally-colored edges matched tail-to-tail.  Its connected components away
 from the diagonal describe intersections of conjugates of the subgroup the
 immersion represents; downstream certification asks whether every simple
 cycle in those components is monochrome.
+
+A pair of vertices or of edges of the factor is one integer, whose order
+is that of its id "u|v" or "e1|e2" (`_pair_axes`).  The product is counted
+on the runs of the factor, and a mixed witness cycle is found in the one
+component grown over those integers; names are spelled out only in the
+returned witness and in the graphs `FiberProduct.component` and `graph`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from functools import cached_property
 from itertools import chain
 from math import gcd
 from operator import eq
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .multigraph import (
     ColoredGraph,
@@ -27,11 +33,10 @@ from .multigraph import (
     Walk,
     bfs_path,
     bfs_tree,
-    blocks,
+    edge_blocks,
     is_immersion,
     join,
     root,
-    shortest_path,
 )
 
 
@@ -44,26 +49,25 @@ def _pair(u: str, v: str) -> str:
     return f"{u}|{v}"
 
 
-def _pair_axes(Y: ColoredGraph) -> tuple[dict, dict, Callable[[int], str]]:
-    """The integer pair index: (row, col, name).
+def _pair_axes(ids: Sequence[str]) -> tuple[dict, dict, Callable[[int], str]]:
+    """The integer pair index over sorted ids: (row, col, name).
 
-    The pair (u, v) has index row[u] + col[v], and name(index) is its id
-    "u|v".  col[v] is the place of v among the vertices, and row[u] is n
-    times the place of u + "|" among the strings w + "|".  No vertex id
-    contains "|", so u1 + "|" and u2 + "|" first differ at a place inside
-    both, where the ids "u1|v1" and "u2|v2" first differ too.  Pair indices
-    therefore run in the order of the pair ids.  Ordering by the names u
-    alone would not: "a1|b" sorts before "a|b".
+    The pair (x, y) has index row[x] + col[y], and name(index) is its id
+    "x|y".  col[y] is the place of y among the ids, and row[x] is n times
+    the place of x + "|" among the strings w + "|".  No id contains "|",
+    so x1 + "|" and x2 + "|" first differ at a place inside both, where the
+    ids "x1|y1" and "x2|y2" first differ too.  Pair indices therefore run
+    in the order of the pair ids.  Ordering by the ids x alone would not:
+    "a1|b" sorts before "a|b".
     """
-    cols = Y.vertices
-    n = len(cols)
-    rows = sorted(cols, key=lambda v: v + "|")
+    n = len(ids)
+    rows = sorted(ids, key=lambda v: v + "|")
     row = {v: i * n for i, v in enumerate(rows)}
-    col = {v: i for i, v in enumerate(cols)}
+    col = {v: i for i, v in enumerate(ids)}
 
     def name(index: int) -> str:
         i, j = divmod(index, n)
-        return _pair(rows[i], cols[j])
+        return _pair(rows[i], ids[j])
 
     return row, col, name
 
@@ -191,7 +195,8 @@ class FiberProduct:
         # more
         Y = self.factor
         row, col, _ = self._axes
-        high = {v: set(self._ends[v]) for v in Y.vertices if Y.valence(v) >= 3}
+        ends = self._stars[1]
+        high = {v: ends[col[v]].keys() for v in Y.vertices if Y.valence(v) >= 3}
         out: dict[int, list[str]] = {}
         for _, u, v in sorted((row[u] + col[v], u, v) for u in high
                               for v in high if len(high[u] & high[v]) >= 3):
@@ -200,15 +205,33 @@ class FiberProduct:
 
     @cached_property
     def _axes(self) -> tuple[dict, dict, Callable[[int], str]]:
-        return _pair_axes(self.factor)
+        return _pair_axes(self.factor.vertices)
 
     @cached_property
-    def _ends(self) -> dict[str, dict[tuple[str, int], Edge]]:
+    def _edge_axes(self) -> tuple[dict, dict, Callable[[int], str]]:
+        return _pair_axes([e.id for e in self.factor.edges])
+
+    @cached_property
+    def _stars(self) -> tuple[list[dict], list[dict]]:
         """Each vertex's edge-ends by (color, sign), which the immersion
-        makes unique."""
+        makes unique, as (edge row, far end's row) by the vertex's row
+        place and as (edge column, far end's column) by its column place:
+        a pair's ends are the keys its coordinates share."""
         Y = self.factor
-        return {v: {(e.color, sign): e for e, sign in Y.incident_ends(v)}
-                for v in Y.vertices}
+        n = len(Y.vertices)
+        row, col, _ = self._axes
+        erow, ecol, _ = self._edge_axes
+        by_row: list = [None] * n
+        by_col: list = [None] * n
+        for v in Y.vertices:
+            rs, cs = {}, {}
+            for e, sign in Y.incident_ends(v):
+                far = e.head if sign > 0 else e.tail
+                rs[e.color, sign] = (erow[e.id], row[far])
+                cs[e.color, sign] = (ecol[e.id], col[far])
+            by_row[row[v] // n] = rs
+            by_col[col[v]] = cs
+        return by_row, by_col
 
     @cached_property
     def graph(self) -> ColoredGraph:
@@ -230,29 +253,40 @@ class FiberProduct:
         return tuple(map(self.component, range(len(self.classification))))
 
     def component(self, index: int) -> ColoredGraph:
-        """The given component as a graph, grown by a search from its
-        smallest pair; each pair found lists its edges out."""
-        ends = self._ends
-        out_edges: list[tuple] = []
+        """The given component as a graph: the pairs and edges of `_grow`,
+        the growth `monochrome_check` runs too, spelled out."""
+        return self._graph(*self._grow(index))
 
-        def step(pair: tuple[str, str]) -> list:
-            mine, other = ends[pair[0]], ends[pair[1]]
+    def _graph(self, pairs: Iterable[int], edges: list[tuple]) -> ColoredGraph:
+        """Pair indices and edges as `_grow` lists them, as a graph with
+        the ids "u|v" and "e1|e2"."""
+        name, edge_name = self._axes[2], self._edge_axes[2]
+        return ColoredGraph(map(name, pairs), [
+            Edge(edge_name(e), name(tail), name(head), color)
+            for e, tail, head, color in edges
+        ])
+
+    def _grow(self, index: int) -> tuple[list[int], list[tuple]]:
+        """The given component over integer indices, grown by a search from
+        its smallest pair: its pair indices in discovery order, and each
+        edge as (edge index, tail pair, head pair, color), listed out from
+        its tail pair when that is found."""
+        n = len(self.factor.vertices)
+        by_row, by_col = self._stars
+        edges: list[tuple] = []
+
+        def step(p: int) -> list:
+            mine, other = by_row[p // n], by_col[p % n]
             out = []
-            for key in mine.keys() & other.keys():
-                e1, e2 = mine[key], other[key]
-                if key[1] > 0:
-                    out.append(((e1.head, e2.head), None))
-                    out_edges.append((e1, e2, pair, out[-1][0]))
-                else:
-                    out.append(((e1.tail, e2.tail), None))
+            for key, (e1, r) in mine.items():
+                if key in other:
+                    e2, c = other[key]
+                    out.append((r + c, None))
+                    if key[1] > 0:
+                        edges.append((e1 + e2, p, r + c, key[0]))
             return out
 
-        start = tuple(self._axes[2](self.smallest[index]).split("|"))
-        name = {p: _pair(*p) for p in bfs_tree(start, step)}
-        return ColoredGraph(name.values(), [
-            Edge(_pair(e1.id, e2.id), name[tail], name[head], e1.color)
-            for e1, e2, tail, head in out_edges
-        ])
+        return list(bfs_tree(self.smallest[index], step)), edges
 
 
 def fiber_product(Y: ColoredGraph) -> FiberProduct:
@@ -284,7 +318,7 @@ def fiber_product(Y: ColoredGraph) -> FiberProduct:
         raise FiberInputError('pair ids join factor ids with "|", so no '
                               'vertex or edge id may contain it')
 
-    row, col, _ = _pair_axes(Y)
+    row, col, _ = _pair_axes(Y.vertices)
     n = len(Y.vertices)
     place, branches, by_color = _runs(Y, row, col)
     index: list[int] = []
@@ -403,7 +437,8 @@ class MonochromeVerdict:
     """Whether every simple cycle off the diagonal uses a single color.
 
     When not, `witness` is a simple cycle using at least two colors, a walk
-    on the graph of the fiber product's component `witness_component`.
+    on the graph of its own edges, whose vertices lie in the fiber
+    product's component `witness_component`.
     """
 
     all_monochrome: bool
@@ -421,24 +456,35 @@ def monochrome_check(fp: FiberProduct) -> MonochromeVerdict:
 
     A component holds a mixed simple cycle exactly when it fails that
     count (see there), so every component that passes is skipped, and
-    only the first one that fails is built as a graph.  In it, two
-    distinct edges lie on a common simple cycle exactly when they share a
-    biconnected block, so some block carries two colors; it yields an
-    explicit witness cycle through two differently colored edges.
+    only the first one that fails is grown, over pair indices, numbered in
+    their order, which is that of the ids.  Two distinct edges lie on a
+    common simple cycle exactly when they share a biconnected block, so
+    some block carries two colors; its least edge and its least edge of
+    another color lie on a witness cycle, spelled out on its own edges.
     """
     for idx in fp.nontrivial_components():
         if fp.fill_rank_ok[idx]:
             continue
-        comp = fp.component(idx)
-        for block in blocks(comp):
-            cols = {comp.edge(eid).color for eid in block}
-            if len(cols) < 2:
+        pairs, edges = fp._grow(idx)
+        pairs.sort()
+        edges.sort()
+        at = {p: k for k, p in enumerate(pairs)}
+        ends = [(at[tail], at[head]) for _, tail, head, _ in edges]
+        for block in edge_blocks(len(pairs), ends):
+            first = edges[block[0]][3]
+            others = [j for j in block if edges[j][3] != first]
+            if not others:
                 continue
-            e1 = comp.edge(min(block))
-            e2 = comp.edge(
-                min(eid for eid in block if comp.edge(eid).color != e1.color)
+            start, steps = _cycle_through(len(pairs), ends, block,
+                                          block[0], others[0])
+            cycle = [edges[j] for j, _ in steps]
+            edge_name = fp._edge_axes[2]
+            witness = Walk(
+                fp._graph([p for _, tail, head, _ in cycle
+                           for p in (tail, head)], cycle),
+                fp._axes[2](pairs[start]),
+                tuple((edge_name(edges[j][0]), sign) for j, sign in steps),
             )
-            witness = _cycle_through(comp, block, e1, e2)
             if not witness.is_simple_cycle():
                 raise AssertionError("monochrome witness is not a simple cycle")
             return MonochromeVerdict(
@@ -450,93 +496,90 @@ def monochrome_check(fp: FiberProduct) -> MonochromeVerdict:
     return MonochromeVerdict(all_monochrome=True)
 
 
-def _step(e: Edge, from_vertex: str) -> tuple[str, int]:
-    """The step traversing e away from one of its endpoints."""
-    if e.tail == from_vertex:
-        return (e.id, +1)
-    if e.head == from_vertex:
-        return (e.id, -1)
-    raise StructureError(f"edge {e.id!r} not incident to {from_vertex!r}")
-
-
 def _cycle_through(
-    g: ColoredGraph, block: frozenset[str], e1: Edge, e2: Edge
-) -> Walk:
-    """A simple cycle of the block through both of the given edges.
+    n: int, ends: Sequence[tuple[int, int]], block: list[int], e1: int,
+    e2: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """A simple cycle of the block through both of the given edges, neither
+    a loop, over vertex ids 0..n-1 and edges (tail, head) = ends[j]: its
+    start and its (edge, +1 or -1) steps.
 
     One exists because any two edges of a biconnected block lie on a common
     simple cycle.  Two shapes: the edges share an endpoint v (e1's tail when
     they are parallel, so the path between their other ends is empty), or
     they are disjoint and joined by two vertex-disjoint paths.
     """
-    sub = g.restricted(block)
-    ends1 = {e1.tail, e1.head}
-    ends2 = {e2.tail, e2.head}
-    if ends1 & ends2:
-        v = e1.tail if e1.tail in ends2 else e1.head
-        x = (ends1 - {v}).pop()
-        y = (ends2 - {v}).pop()
-        mid = shortest_path(sub, x, y, {v}, {e1.id, e2.id})
+    t1, h1 = ends[e1]
+    t2, h2 = ends[e2]
+    usable = [j for j in block if j != e1 and j != e2]
+    if t1 in (t2, h2) or h1 in (t2, h2):
+        v = t1 if t1 in (t2, h2) else h1
+        x = h1 if v == t1 else t1
+        y = h2 if v == t2 else t2
+        star: dict[int, list] = {}
+        for j in usable:
+            a, b = ends[j]
+            star.setdefault(a, []).append((b, (j, +1)))
+            star.setdefault(b, []).append((a, (j, -1)))
+        mid = bfs_path(x, y, lambda w: [s for s in star.get(w, ()) if s[0] != v])
         if mid is None:
             raise AssertionError("block not biconnected")
-        steps = [_step(e1, v)] + mid + [_step(e2, y)]
-        return Walk(g, v, tuple(steps))
-    paths = _two_disjoint_paths(
-        sub, (e1.tail, e1.head), (e2.tail, e2.head), {e1.id, e2.id}
-    )
+        return v, [(e1, +1 if v == t1 else -1), *mid,
+                   (e2, +1 if y == t2 else -1)]
+    paths = _two_disjoint_paths(n, ends, usable, (t1, h1), (t2, h2))
     if paths is None:
         raise AssertionError("block not biconnected")
-    sink_from_head, steps_from_head = paths[e1.head]
-    _, steps_from_tail = paths[e1.tail]
-    steps = (
-        [(e1.id, +1)]
-        + steps_from_head
-        + [_step(e2, sink_from_head)]
-        + [(eid, -sign) for eid, sign in reversed(steps_from_tail)]
-    )
-    return Walk(g, e1.tail, tuple(steps))
+    sink, from_head = paths[h1]
+    _, from_tail = paths[t1]
+    return t1, [(e1, +1), *from_head, (e2, +1 if sink == t2 else -1),
+                *[(j, -sign) for j, sign in reversed(from_tail)]]
 
 
 def _two_disjoint_paths(
-    g: ColoredGraph,
-    sources: tuple[str, str],
-    sinks: tuple[str, str],
-    banned_edges: set[str],
-) -> Optional[dict[str, tuple[str, list[tuple[str, int]]]]]:
-    """Two vertex-disjoint paths joining the sources to the sinks, one each.
+    n: int,
+    ends: Sequence[tuple[int, int]],
+    usable: Sequence[int],
+    sources: tuple[int, int],
+    sinks: tuple[int, int],
+) -> Optional[dict[int, tuple[int, list[tuple[int, int]]]]]:
+    """Two vertex-disjoint paths joining the sources to the sinks, one each,
+    over vertex ids 0..n-1 and the usable edges j, (tail, head) = ends[j].
 
     Unit-capacity max flow on the split digraph: every vertex and every
-    usable edge becomes a capacity-one arc, edges usable in either
-    direction.  Returns {source: (sink, steps)} or None when no two such
-    paths exist.  Sources and sinks are assumed pairwise distinct vertices.
+    usable edge becomes a capacity-one arc, i(v) -> o(v) and en(j) ->
+    ex(j), edges usable in either direction.  Returns {source: (sink,
+    steps)}, the steps as (edge, +1 or -1), or None when no two such paths
+    exist.  Sources and sinks are assumed pairwise distinct vertices.
 
+    The nodes are numbered S, T, then en, ex, i and o in blocks, each
+    block in id order, so sorted neighbours are tried in the order of the
+    node names (S, T, en j, ex j, i v, o v) under name order of the ids.
     Every node but S and T has a single arc entering it or a single arc
     leaving it, so it carries at most one unit of flow, and the flow is
     the set of arcs it uses: a residual arc is an unused arc, or a used
     one reversed.  Each path is read out by following from its source the
     one used arc that leaves each node.
     """
-    S, T = ("S", ""), ("T", "")
-    arcs = [(("i", v), ("o", v)) for v in g.vertices]
-    for e in g.edges:
-        if e.id in banned_edges or e.tail == e.head:
-            continue
-        enter, leave = ("en", e.id), ("ex", e.id)
-        arcs += [(enter, leave), (("o", e.tail), enter), (("o", e.head), enter),
-                 (leave, ("i", e.tail)), (leave, ("i", e.head))]
-    arcs += [(S, ("i", s)) for s in sources]
-    arcs += [(("o", t), T) for t in sinks]
+    m = len(ends)
+    S, T, EN, EX, I, O = 0, 1, 2, 2 + m, 2 + 2 * m, 2 + 2 * m + n
+    arcs = [(I + v, O + v) for v in range(n)]
+    for j in usable:
+        a, b = ends[j]
+        if a != b:
+            arcs += [(EN + j, EX + j), (O + a, EN + j), (O + b, EN + j),
+                     (EX + j, I + a), (EX + j, I + b)]
+    arcs += [(S, I + s) for s in sources] + [(O + t, T) for t in sinks]
 
-    neighbours: dict[tuple, list[tuple]] = {}
+    neighbours: dict[int, list[int]] = {}
     for a, b in arcs:
         neighbours.setdefault(a, []).append(b)
         neighbours.setdefault(b, []).append(a)
     for nbrs in neighbours.values():
         nbrs.sort()
     original = set(arcs)
-    used: set[tuple] = set()
+    used: set[tuple[int, int]] = set()
 
-    def residual(a: tuple):
+    def residual(a: int):
         for b in neighbours[a]:
             if (b, a) in used or (a, b) in original and (a, b) not in used:
                 yield b, b
@@ -552,15 +595,17 @@ def _two_disjoint_paths(
                 used.add((a, b))
 
     after = dict(used)
-    out: dict[str, tuple[str, list[tuple[str, int]]]] = {}
+    out = {}
     for source in sources:
-        trail = [("o", source)]
+        trail = [O + source]
         while trail[-1] != T:
             trail.append(after[trail[-1]])
-        # trail: (o, source), then (en, e), (ex, e), (i, v), (o, v) per edge
-        steps = [_step(g.edge(eid), at)
-                 for (_, at), (_, eid) in zip(trail[::4], trail[1:-1:4])]
-        out[source] = (trail[-2][1], steps)
+        # trail: o(source), then en(j), ex(j), i(v), o(v) per edge
+        steps = []
+        for o, en in zip(trail[::4], trail[1:-1:4]):
+            j = en - EN
+            steps.append((j, +1 if ends[j][0] == o - O else -1))
+        out[source] = (trail[-2] - O, steps)
     return out
 
 

@@ -11,13 +11,15 @@ numbers hashable names for it), counts components, free ranks, blocks,
 the collapse classes of the sign double cover and the fiber product's
 components; `closing_pairs` counts without reading a root.  `is_cover`
 tests a covering map over integer ids.  The one breadth-first search,
-`bfs_tree`, runs paths, blocks and the bipartite test.
+`bfs_tree`, runs paths, blocks and the bipartite test.  The one blocks
+routine, `edge_blocks`, runs over integer ids; `blocks` numbers a graph's
+names for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -330,64 +332,53 @@ def bfs_path(start, goal, step) -> Optional[list]:
     return labels[::-1]
 
 
-def blocks(g: ColoredGraph) -> list[frozenset[str]]:
-    """Biconnected blocks as edge-id sets, ordered by smallest edge id.
+def edge_blocks(n: int, ends: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Biconnected blocks of the graph on vertex ids 0..n-1 whose edge j
+    runs ends[j] = (tail, head), as ascending lists of edge ids, ordered by
+    smallest edge id.
 
-    Each edge outside a `bfs_forest` (roots in vertex order) is joined, on
-    one union-find, with the forest edges its fundamental cycle passes,
-    found by walking the deeper end up until the ends meet.  Fundamental
-    cycles are simple, so each class lies in one block.  Conversely, in a
-    block of two or more edges every edge lies on a simple cycle, a sum of
-    fundamental cycles, so on one of them.  If the classes split the block
-    into parts X and Y, each simple cycle of it is a sum of fundamental
-    cycles each inside X or Y, and since a proper nonempty edge set of a
-    simple cycle has vertices of degree one, the cycle lies wholly in X or
-    in Y; yet any two edges of a block share a simple cycle.  A loop is
-    never a forest edge and a bridge is on no fundamental cycle, so each
-    is its own block.  Parallel edges share a block.
+    Each edge outside a `bfs_forest` (roots in id order, each star read in
+    edge order) is joined, by `classes`, with the forest edges its
+    fundamental cycle passes, found by walking the deeper end up until the
+    ends meet.  Fundamental cycles are simple, so each class lies in one
+    block.  Conversely, in a block of two or more edges every edge lies on
+    a simple cycle, a sum of fundamental cycles, so on one of them.  If the
+    classes split the block into parts X and Y, each simple cycle of it is
+    a sum of fundamental cycles each inside X or Y, and since a proper
+    nonempty edge set of a simple cycle has vertices of degree one, the
+    cycle lies wholly in X or in Y; yet any two edges of a block share a
+    simple cycle.  A loop is never a forest edge and a bridge is on no
+    fundamental cycle, so each is its own block.  Parallel edges share a
+    block.
     """
-
-    def step(v: str):
-        for e, sign in g.incident_ends(v):
-            yield (e.head if sign == +1 else e.tail), e.id
-
-    tree, depth = bfs_forest(g.vertices, step)
+    star: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, (a, b) in enumerate(ends):
+        star[a].append((b, j))
+        star[b].append((a, j))
+    tree, depth = bfs_forest(range(n), star.__getitem__)
     forest = {link[1] for link in tree.values() if link is not None}
     pairs = []
-    for e in g.edges:
-        if e.id in forest:
+    for j, (a, b) in enumerate(ends):
+        if j in forest:
             continue
-        a, b = e.tail, e.head
         while a != b:
             if depth[a] < depth[b]:
                 a, b = b, a
             a, tree_edge = tree[a]
-            pairs.append((e.id, tree_edge))
-    of = named_classes((e.id for e in g.edges), pairs)[0]
-    # g.edges is sorted, so classes appear in order of their least edge id
-    members: dict[int, list[str]] = {}
-    for e in g.edges:
-        members.setdefault(of[e.id], []).append(e.id)
-    return [frozenset(ids) for ids in members.values()]
+            pairs.append((j, tree_edge))
+    members: dict[int, list[int]] = {}
+    for j, r in enumerate(classes(len(ends), pairs)[0]):
+        members.setdefault(r, []).append(j)
+    return list(members.values())
 
 
-def shortest_path(
-    g: ColoredGraph,
-    src: str,
-    dst: str,
-    banned_vertices: Collection[str] = (),
-    banned_edges: Collection[str] = (),
-) -> Optional[list[tuple[str, int]]]:
-    """Steps of a shortest path src -> dst avoiding the banned items, or
-    None: `bfs_path` over each vertex's star, in its order."""
-
-    def step(v: str):
-        for e, sign in g.incident_ends(v):
-            w = e.head if sign == +1 else e.tail
-            if e.id not in banned_edges and w not in banned_vertices:
-                yield w, (e.id, sign)
-
-    return bfs_path(src, dst, step)
+def blocks(g: ColoredGraph) -> list[frozenset[str]]:
+    """`edge_blocks` over g's names, numbered in their order: edge-id sets
+    ordered by smallest edge id."""
+    at = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(at[e.tail], at[e.head]) for e in g.edges]
+    return [frozenset(g.edges[j].id for j in block)
+            for block in edge_blocks(len(at), ends)]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from artinsplit import (
     free_rank,
 )
 from artinsplit.defining_graph import all_labels_even, is_bipartite
-from artinsplit.multigraph import is_cover, shortest_path
+from artinsplit.multigraph import bfs_path, is_cover
 
 
 class UnionFind:
@@ -97,6 +97,25 @@ def all_simple_cycles(g: ColoredGraph) -> list[Walk]:
     return [found[k] for k in sorted(found, key=sorted)]
 
 
+def shortest_path(
+    g: ColoredGraph,
+    src: str,
+    dst: str,
+    banned_vertices: Collection[str] = (),
+    banned_edges: Collection[str] = (),
+) -> Optional[list[tuple[str, int]]]:
+    """Steps of a shortest path src -> dst avoiding the banned items, or
+    None: `multigraph.bfs_path` over each vertex's star, in its order."""
+
+    def step(v: str):
+        for e, sign in g.incident_ends(v):
+            w = e.head if sign == +1 else e.tail
+            if e.id not in banned_edges and w not in banned_vertices:
+                yield w, (e.id, sign)
+
+    return bfs_path(src, dst, step)
+
+
 def shortest_path_by_levels(
     g: ColoredGraph,
     src: str,
@@ -104,7 +123,7 @@ def shortest_path_by_levels(
     banned_vertices: Collection[str] = (),
     banned_edges: Collection[str] = (),
 ) -> Optional[list[tuple[str, int]]]:
-    """Reference for multigraph.shortest_path: steps of a shortest path
+    """Reference for `shortest_path`: steps of a shortest path
     src -> dst avoiding the banned items, or None.
 
     Breadth-first, trying the edges at each vertex in id order, so the

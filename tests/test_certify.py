@@ -388,6 +388,43 @@ def test_immersion_check_survives_python_O():
     )
 
 
+def test_witness_checks_survive_python_O():
+    # the monochrome witness is found on integer ids by a two-paths flow;
+    # with one step of it broken, its checks must still fire under -O: a
+    # flow whose augmenting search finds nothing reports the block, and
+    # one that loses the path back to e1's tail leaves an open walk
+    prelude = """
+        g = DefiningGraph.build(
+            ["a", "b", "c"],
+            [("a", "b", 5, "a"), ("b", "c", 5, "b"), ("a", "c", 5, "c")],
+        )
+        fp = f.fiber_product(build_collapsed(g).graph)
+    """
+    no_path = prelude + """
+        f.bfs_path = lambda start, goal, step: None
+        f.monochrome_check(fp)
+        print("check did not fire")
+    """
+    no_way_back = prelude + """
+        real = f._two_disjoint_paths
+
+        def lossy(n, ends, usable, sources, sinks):
+            paths = real(n, ends, usable, sources, sinks)
+            paths[sources[0]] = (paths[sources[0]][0], [])
+            return paths
+
+        f._two_disjoint_paths = lossy
+        f.monochrome_check(fp)
+        print("check did not fire")
+    """
+    for body, message in ((no_path, "block not biconnected"),
+                          (no_way_back, "monochrome witness is not a simple "
+                                        "cycle")):
+        proc = run_optimized(body)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert f"AssertionError: {message}" in proc.stderr
+
+
 @pytest.mark.parametrize("vertices, rows", [
     # R3, where the orientation feeds only the consistency probe
     ("abc", [("a", "b", 3, None), ("b", "c", 3, None), ("a", "c", 3, None)]),
@@ -477,18 +514,29 @@ def test_every_private_helper_is_used():
     # a module-level function, class or assigned name outside
     # `artinsplit.__all__` that nothing else in the library refers to is
     # dead code, public or private: a helper only tests call belongs in
-    # tests/oracles.py
+    # tests/oracles.py.  A use is a bare name, an imported name, or
+    # `module.name` on an imported library module; any other attribute,
+    # such as `", ".join`, is a method and uses no library name
     package = Path(artinsplit.__file__).resolve().parent
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(package.glob("*.py"))
     }
+    library = {name[:-3] for name in trees}
     uses: dict[str, list[ast.AST]] = {}
     for tree in trees.values():
+        # `from . import fiber [as f]` binds a library module
+        modules = {
+            a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module is None
+            for a in node.names if a.name in library
+        }
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses.setdefault(node.id, []).append(node)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(
+                    node.value, ast.Name) and node.value.id in modules:
                 uses.setdefault(node.attr, []).append(node)
             elif isinstance(node, ast.alias):
                 uses.setdefault(node.name, []).append(node)
@@ -585,8 +633,9 @@ def test_long_run_triangle_certifies_with_a_witness():
 
 def test_certify_builds_only_the_witness_component_as_a_graph(monkeypatch):
     # the self fiber product of Xbar has |Xbar|^2 vertices; certify counts
-    # its components on pair indices and builds only the witness's one as
-    # a graph
+    # its components on pair indices, finds the witness on the integer
+    # indices of its component, and builds only the witness cycle's own
+    # edges as a graph
     from artinsplit import ColoredGraph, build_collapsed
     from oracles import explicit_fiber_product
 
@@ -606,11 +655,9 @@ def test_certify_builds_only_the_witness_component_as_a_graph(monkeypatch):
     monkeypatch.undo()
     assert cert.evidence["orientation"]["used"] == "provided"
     idx = cert.monochrome.witness_component
-    product = explicit_fiber_product(build_collapsed(g).graph)
-    witness = product.components[idx].vertices
-    assert len(witness) < len(product.graph.vertices) // 10
-    assert max(map(len, built)) == len(witness)
+    cycle = cert.monochrome.witness.vertices()[:-1]
+    component = explicit_fiber_product(build_collapsed(g).graph).components[idx]
+    assert set(cycle) <= set(component.vertices)
+    assert len(cycle) < len(component.vertices)
     products = [vs for vs in built if any("|" in v for v in vs)]
-    assert witness in products
-    # the rest are the witness block and other subgraphs of its component
-    assert all(set(vs) <= set(witness) for vs in products)
+    assert products == [tuple(sorted(cycle))]

@@ -131,17 +131,19 @@ class TestMonochrome:
             assert verdict.all_monochrome == (not mixed)
 
     def test_matches_exhaustive_search_on_random_graphs(self, monkeypatch):
-        # blocks runs only on the one component that fails the rank count
-        block_calls = []
-        real_blocks = fiber.blocks
+        # only the one component that fails the rank count is grown
+        grown = []
+        real_grow = fiber.FiberProduct._grow
         monkeypatch.setattr(
-            fiber, "blocks", lambda g: block_calls.append(g) or real_blocks(g)
+            fiber.FiberProduct, "_grow",
+            lambda fp, i: grown.append(i) or real_grow(fp, i),
         )
 
         def check(fp):
-            del block_calls[:]
+            del grown[:]
             verdict = monochrome_check(fp)
-            assert len(block_calls) <= 1
+            assert grown == ([] if verdict.all_monochrome
+                             else [verdict.witness_component])
             mixed = []
             for i in fp.nontrivial_components():
                 comp = fp.components[i]
@@ -163,11 +165,31 @@ class TestMonochrome:
             check(fiber_product(random_bouquet_immersion(rng, max_vertices=4)))
 
 
+def library_two_disjoint_paths(g, sources, sinks, banned_edges):
+    """`fiber._two_disjoint_paths` with g's vertices and edges numbered in
+    their order, and its answer read back in names."""
+    at = {v: i for i, v in enumerate(g.vertices)}
+    found = _two_disjoint_paths(
+        len(at),
+        [(at[e.tail], at[e.head]) for e in g.edges],
+        [j for j, e in enumerate(g.edges) if e.id not in banned_edges],
+        tuple(at[v] for v in sources),
+        tuple(at[v] for v in sinks),
+    )
+    if found is None:
+        return None
+    return {
+        g.vertices[s]: (g.vertices[t], [(g.edges[j].id, sign)
+                                        for j, sign in steps])
+        for s, (t, steps) in found.items()
+    }
+
+
 def test_disjoint_paths_match_the_capacity_flow():
-    # the flow kept as a set of used arcs against the reference that keeps
-    # capacities, for every pair of disjoint edges, within each block (as
-    # monochrome_check asks) and across the whole graph (where the paths
-    # may not exist)
+    # the flow on integer ids, kept as a set of used arcs, against the
+    # reference that keeps capacities on names, for every pair of disjoint
+    # edges, within each block (as monochrome_check asks) and across the
+    # whole graph (where the paths may not exist)
     rng = random.Random(2024)
     compared = missing = 0
     for _ in range(300):
@@ -180,7 +202,7 @@ def test_disjoint_paths_match_the_capacity_flow():
                         continue
                     args = (sub, (e1.tail, e1.head), (e2.tail, e2.head),
                             {e1.id, e2.id})
-                    found = _two_disjoint_paths(*args)
+                    found = library_two_disjoint_paths(*args)
                     assert found == two_disjoint_paths(*args)
                     compared += 1
                     missing += found is None
@@ -364,6 +386,32 @@ class TestAgainstExplicitProduct:
             long_runs += any(v.endswith(":10") for v in Y.vertices)
             verdicts.add(self.assert_same_product(Y))
         assert long_runs >= 10 and verdicts == {True, False}
+
+
+def test_witness_matches_the_explicit_product_under_prefix_ids():
+    # the witness found on integer pair indices against the one the
+    # string-keyed product gives, on bouquet immersions whose vertex ids
+    # (a, a1, a10) and edge ids (e1, e10) are prefixes of one another:
+    # "e10|x" sorts before "e1|x", so edge rows must follow the order of
+    # id + "|", not of the ids
+    rng = random.Random(79)
+    mixed = 0
+    for _ in range(300):
+        Y = random_bouquet_immersion(rng)
+        name = dict(zip(Y.vertices, rng.sample(PREFIX_NAMES, len(Y.vertices))))
+        ids = rng.sample([f"e{k}" for k in range(1, 25)], len(Y.edges))
+        Y = ColoredGraph(name.values(), [
+            Edge(i, name[e.tail], name[e.head], e.color)
+            for i, e in zip(ids, Y.edges)
+        ])
+        verdict = monochrome_check(fiber_product(Y))
+        expected = explicit_monochrome_witness(explicit_fiber_product(Y))
+        assert verdict.all_monochrome == (expected is None)
+        if expected is not None:
+            w = verdict.witness
+            assert (verdict.witness_component, w.start, w.steps) == expected
+            mixed += 1
+    assert mixed >= 100
 
 
 def test_long_run_product_holds_no_pair_table():

@@ -27,7 +27,6 @@ from artinsplit.multigraph import (
     bfs_tree,
     join,
     root,
-    shortest_path,
 )
 from generators import random_colored_graph, random_defining_graph
 from oracles import (
@@ -39,6 +38,7 @@ from oracles import (
     lowpoint_blocks,
     on_common_simple_cycle,
     out_edges,
+    shortest_path,
     shortest_path_by_levels,
 )
 
