@@ -10,7 +10,6 @@ from .multigraph import (
     ColoredGraph,
     DisconnectedError,
     Edge,
-    GraphMap,
     StructureError,
     Walk,
     blocks,
@@ -67,7 +66,6 @@ __all__ = [
     "Edge",
     "FiberInputError",
     "FiberProduct",
-    "GraphMap",
     "HorizontalFamily",
     "InadmissibleOrientation",
     "InvalidDefiningGraph",

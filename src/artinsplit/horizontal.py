@@ -16,8 +16,8 @@ the splitting certified by `compute_splitting`.  x_half and x_quarter are
 written once, by `_level_edges`, as integer edge lists over the vertex ids
 and the quarter ids of `orientation.edge_lifts`; the splitting's
 cross-checks count on those lists, and `build_family` only spells them out
-as named graphs.  A caller that has decided admissibility hands the
-verdict, with the collapse classes it was decided on, to
+as named graphs, for `export`.  A caller that has decided admissibility
+hands the verdict, with the collapse classes it was decided on, to
 `compute_splitting` and `build_collapsed`, which then neither decide it
 nor join those classes again.
 """
@@ -38,7 +38,6 @@ from .multigraph import (
     ColoredGraph,
     DisconnectedError,
     Edge,
-    GraphMap,
     bouquet,
     classes,
     closing_pairs,
@@ -66,12 +65,11 @@ class InadmissibleOrientation(ValueError):
 
 @dataclass(frozen=True)
 class HorizontalFamily:
-    """The three level graphs and the covering map between the upper two."""
+    """The level graphs x0, x_half and x_quarter, spelled out by name."""
 
     x0: ColoredGraph
     x_half: ColoredGraph
     x_quarter: ColoredGraph
-    cover: GraphMap
 
 
 _QUARTER_SIDES = ("p+", "p-", "d+", "d-")
@@ -102,7 +100,7 @@ def _level_edges(
 
 
 def build_family(g: DefiningGraph) -> HorizontalFamily:
-    """Construct x0, x_half, x_quarter and the degree-2 cover between them.
+    """Construct x0, x_half and x_quarter as named graphs.
 
     The graphs spell out `_level_edges`, the lists `compute_splitting`
     checks: x_half edge 2k + c is xh:<color>:p or :d for c = 0 or 1, and
@@ -127,15 +125,8 @@ def build_family(g: DefiningGraph) -> HorizontalFamily:
         Edge(q_ids[j], q_names[a], q_names[b], colors[j // 4])
         for j, (a, b) in enumerate(quarter)
     ))
-    n = len(names)
-    cover = GraphMap(
-        x_quarter,
-        x_half,
-        {q: names[i % n] for i, q in enumerate(q_names)},
-        {q_ids[j]: half_ids[j // 2] for j in range(len(quarter))},
-    )
     return HorizontalFamily(
-        x0=bouquet(colors), x_half=x_half, x_quarter=x_quarter, cover=cover
+        x0=bouquet(colors), x_half=x_half, x_quarter=x_quarter
     )
 
 

@@ -1,25 +1,24 @@
-"""Finite colored multigraphs and combinatorial maps between them.
+"""Finite colored multigraphs and the graph algorithms shared on them.
 
 Edges are directed at the data level (every edge has a tail and a head) but
 walks may traverse them either way; loops and parallel edges are allowed.
 Each edge carries a color naming the relation edge it came from.  All
 operations are pure: graphs are never mutated after construction, and every
 listing (components, blocks, cycles) comes back in a deterministic order.
-The graph algorithms the other modules share live here.  The one
-union-find, `root`, `join` and `classes` over integer ids (`named_classes`
-numbers hashable names for it), counts components, free ranks, blocks,
-the collapse classes of the sign double cover and the fiber product's
-components; `closing_pairs` counts without reading a root.  `is_cover`
-tests a covering map over integer ids.  The one breadth-first search,
-`bfs_tree`, runs paths, blocks and the bipartite test.  The one blocks
-routine, `edge_blocks`, runs over integer ids; `blocks` numbers a graph's
-names for it.
+The one union-find, `root`, `join` and `classes` over integer ids
+(`named_classes` numbers hashable names for it), counts components, free
+ranks, blocks, the collapse classes of the sign double cover and the
+fiber product's components; `closing_pairs` counts without reading a
+root.  `is_cover` tests a covering map over integer ids.  The one
+breadth-first search, `bfs_tree`, runs paths, blocks and the bipartite
+test.  The one blocks routine, `edge_blocks`, runs over integer ids;
+`blocks` numbers a graph's names for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -90,13 +89,6 @@ class ColoredGraph:
         # loops count twice, once per end
         return len(self._star[v])
 
-    def restricted(self, edge_ids: Iterable[str]) -> "ColoredGraph":
-        """Subgraph spanned by the given edges (only their endpoints kept)."""
-        keep = set(edge_ids)
-        es = [e for e in self.edges if e.id in keep]
-        vs = {e.tail for e in es} | {e.head for e in es}
-        return ColoredGraph(vs, es)
-
     def __repr__(self) -> str:
         return (
             f"ColoredGraph({len(self.vertices)} vertices, "
@@ -110,38 +102,6 @@ def bouquet(colors: Iterable[str]) -> ColoredGraph:
     return ColoredGraph(
         ["*"], [Edge(f"x0:{c}", "*", "*", c) for c in sorted(set(colors))]
     )
-
-
-@dataclass(frozen=True)
-class GraphMap:
-    """A combinatorial map: vertices to vertices, edges to edges.
-
-    Edge images preserve the stored direction (tail goes to tail) and the
-    color.  Construction raises StructureError unless the map is well formed.
-    """
-
-    source: ColoredGraph
-    target: ColoredGraph
-    vertex_map: Mapping[str, str]
-    edge_map: Mapping[str, str]
-
-    def __post_init__(self):
-        tvs = set(self.target.vertices)
-        for v in self.source.vertices:
-            if v not in self.vertex_map:
-                raise StructureError(f"vertex {v!r} has no image")
-            if self.vertex_map[v] not in tvs:
-                raise StructureError(f"image of vertex {v!r} is dangling")
-        for e in self.source.edges:
-            if e.id not in self.edge_map:
-                raise StructureError(f"edge {e.id!r} has no image")
-            img = self.target.edge(self.edge_map[e.id])
-            if self.vertex_map[e.tail] != img.tail:
-                raise StructureError(f"edge {e.id!r}: tail not preserved")
-            if self.vertex_map[e.head] != img.head:
-                raise StructureError(f"edge {e.id!r}: head not preserved")
-            if e.color != img.color:
-                raise StructureError(f"edge {e.id!r}: color not preserved")
 
 
 def is_immersion(g: ColoredGraph) -> bool:

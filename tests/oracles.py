@@ -8,7 +8,7 @@ points at the library.
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from artinsplit import (
     AdmissibilityVerdict,
@@ -16,7 +16,6 @@ from artinsplit import (
     DefiningGraph,
     DisconnectedError,
     Edge,
-    GraphMap,
     HorizontalFamily,
     SplittingCertificate,
     StructureError,
@@ -861,6 +860,59 @@ def oppressive_pairs(
     return out
 
 
+def restricted(g: ColoredGraph, edge_ids: Iterable[str]) -> ColoredGraph:
+    """Subgraph of g spanned by the given edges (only their endpoints kept)."""
+    keep = set(edge_ids)
+    es = [e for e in g.edges if e.id in keep]
+    vs = {e.tail for e in es} | {e.head for e in es}
+    return ColoredGraph(vs, es)
+
+
+@dataclass(frozen=True)
+class GraphMap:
+    """A combinatorial map: vertices to vertices, edges to edges.
+
+    Edge images preserve the stored direction (tail goes to tail) and the
+    color.  Construction raises StructureError unless the map is well formed.
+    """
+
+    source: ColoredGraph
+    target: ColoredGraph
+    vertex_map: Mapping[str, str]
+    edge_map: Mapping[str, str]
+
+    def __post_init__(self):
+        tvs = set(self.target.vertices)
+        for v in self.source.vertices:
+            if v not in self.vertex_map:
+                raise StructureError(f"vertex {v!r} has no image")
+            if self.vertex_map[v] not in tvs:
+                raise StructureError(f"image of vertex {v!r} is dangling")
+        for e in self.source.edges:
+            if e.id not in self.edge_map:
+                raise StructureError(f"edge {e.id!r} has no image")
+            img = self.target.edge(self.edge_map[e.id])
+            if self.vertex_map[e.tail] != img.tail:
+                raise StructureError(f"edge {e.id!r}: tail not preserved")
+            if self.vertex_map[e.head] != img.head:
+                raise StructureError(f"edge {e.id!r}: head not preserved")
+            if e.color != img.color:
+                raise StructureError(f"edge {e.id!r}: color not preserved")
+
+
+def named_cover(family: HorizontalFamily) -> GraphMap:
+    """The covering map x_quarter -> x_half, read off `build_family`'s
+    names: v+ and v- go to v, and xq:<color>:p+ and :p- (or :d+ and :d-)
+    to xh:<color>:p (or :d)."""
+    q = family.x_quarter
+    return GraphMap(
+        q,
+        family.x_half,
+        {v: v[:-1] for v in q.vertices},
+        {e.id: "xh" + e.id[2:-1] for e in q.edges},
+    )
+
+
 def _swap_sign(name: str) -> str:
     return name[:-1] + ("-" if name.endswith("+") else "+")
 
@@ -916,7 +968,7 @@ def splitting_on_named_graphs(g: DefiningGraph) -> SplittingCertificate:
         "x_quarter components": (len(comps) == 2) == hnn,
         "rank of x0": free_rank(family.x0) == rank_a,
         "rank of x_half": free_rank(family.x_half) == rank_b,
-        "double cover": is_degree_n_cover(family.cover, 2),
+        "double cover": is_degree_n_cover(named_cover(family), 2),
     }
     if hnn:
         checks["halves"] = all(free_rank(c) == rank_b for c in comps)

@@ -13,7 +13,6 @@ import pytest
 
 from artinsplit import (
     DefiningGraph,
-    GraphMap,
     bouquet,
     build_collapsed,
     build_family,
@@ -36,7 +35,13 @@ from generators import (
     random_defining_graph,
     with_random_orientation,
 )
-from oracles import is_degree_n_cover, run_lengths, traces_word
+from oracles import (
+    GraphMap,
+    is_degree_n_cover,
+    named_cover,
+    run_lengths,
+    traces_word,
+)
 
 
 def triangle(labels):
@@ -110,7 +115,7 @@ def test_criterion_02_rank_formulas():
 @pytest.mark.acceptance(label="03 degree-2 cover and the two-component dichotomy")
 def test_criterion_03_cover_and_components():
     for g, fam in zip(admissible_suite(), suite_families()):
-        assert is_degree_n_cover(fam.cover, 2)
+        assert is_degree_n_cover(named_cover(fam), 2)
         splits_in_two = len(connected_components(fam.x_quarter)) == 2
         assert splits_in_two == (is_bipartite(g) and all_labels_even(g))
 

@@ -12,7 +12,14 @@ from pathlib import Path
 
 import artinsplit
 import pytest
-from artinsplit import DefiningGraph, certify
+from artinsplit import (
+    DefiningGraph,
+    build_collapsed,
+    certify,
+    fiber_product,
+    is_admissible,
+    monochrome_check,
+)
 from artinsplit.certify import (
     RESIDUALLY_FINITE,
     SPLITS_ONLY,
@@ -196,6 +203,31 @@ class TestConsistencyProbe:
                 assert probe["agrees"] is True, labels
                 agreed += 1
         assert (agreed, split_only) == (349, 30)
+
+    def test_exception_holds_over_every_admissible_orientation(self):
+        # certify tests one orientation; the triangle statement is about
+        # the group, so the exception (2m+1, 4, 4) must hold for each of
+        # its admissible orientations, and (4, 4, 4) and (4, 4, 6) must be
+        # monochrome for each of theirs
+        def monochrome_by_orientation(labels):
+            rows = [("a", "b"), ("b", "c"), ("a", "c")]
+            out = []
+            for tails in itertools.product(*rows):
+                g = graph(["a", "b", "c"], [
+                    (u, v, label, t)
+                    for (u, v), label, t in zip(rows, labels, tails)
+                ])
+                verdict = is_admissible(g)
+                if verdict.admissible:
+                    fp = fiber_product(build_collapsed(g, verdict).graph)
+                    out.append(monochrome_check(fp).all_monochrome)
+            return out
+
+        for m in range(1, 30):
+            assert monochrome_by_orientation((2 * m + 1, 4, 4)) == [
+                False, False], m
+        for labels in ((4, 4, 4), (4, 4, 6)):
+            assert monochrome_by_orientation(labels) == [True, True], labels
 
     def test_probe_records_without_judging_all_odd(self):
         probe = certify(tri(5, 5, 5)).evidence["consistency_probe"]
@@ -565,6 +597,65 @@ def test_every_private_helper_is_used():
             for name in names:
                 if all(id(n) in inside for n in uses.get(name, [])):
                     unused.append(f"{module}:{name}")
+    assert unused == []
+
+
+def test_every_class_member_is_read():
+    # a method, property or dataclass field of a library class is dead
+    # when no attribute read reaches it: none outside its class body, and
+    # none inside a member that is itself reached, dunder methods being
+    # reached implicitly.  A read counts by attribute name, whatever the
+    # object, in the library and in the benchmark's own modules, which
+    # read some members (`FiberProduct.components`) the library does not
+    package = Path(artinsplit.__file__).resolve().parent
+    bench = package.parents[1] / "benchmark"
+    paths = sorted(package.glob("*.py")) + [
+        path for path in sorted(bench.glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in paths}
+    reads: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            members = {
+                node.name: node for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+            }
+            members.update(
+                (node.target.id, node) for node in cls.body
+                if isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+            )
+            spans = {name: {id(n) for n in ast.walk(node)}
+                     for name, node in members.items()}
+            inside = {id(n) for n in ast.walk(cls)}
+            reached = {name for name in members if name.startswith("__")}
+            reached |= {
+                name for name in members
+                if any(id(n) not in inside for n in reads.get(name, []))
+            }
+            grown = True
+            while grown:
+                more = {
+                    name for name in members.keys() - reached
+                    if any(id(n) in spans[r]
+                           for r in reached for n in reads.get(name, []))
+                }
+                reached |= more
+                grown = bool(more)
+            unused += [f"{path.stem}:{cls.name}.{name}"
+                       for name in members if name not in reached]
     assert unused == []
 
 

@@ -35,6 +35,7 @@ from oracles import (
     monochrome_cycles_fill,
     oppressive_pairs,
     rank_count_fills,
+    restricted,
     traces_word,
     two_disjoint_paths,
 )
@@ -194,7 +195,7 @@ def test_disjoint_paths_match_the_capacity_flow():
     compared = missing = 0
     for _ in range(300):
         g = random_colored_graph(rng, max_vertices=8, max_edges=14)
-        for sub in [g] + [g.restricted(block) for block in blocks(g)]:
+        for sub in [g] + [restricted(g, block) for block in blocks(g)]:
             edges = [e for e in sub.edges if e.tail != e.head]
             for i, e1 in enumerate(edges):
                 for e2 in edges[i + 1:]:

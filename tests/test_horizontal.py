@@ -24,6 +24,7 @@ from generators import (
 from oracles import (
     deck_involution_on_quarter,
     is_degree_n_cover,
+    named_cover,
     run_lengths,
     splitting_on_named_graphs,
 )
@@ -77,18 +78,18 @@ class TestFamily:
 
     def test_cover_is_degree_two(self):
         for g in (triangle(), SQUARE_EVEN, single_edge(2)):
-            fam = build_family(g)
-            assert is_degree_n_cover(fam.cover, 2)
+            assert is_degree_n_cover(named_cover(build_family(g)), 2)
 
     def test_deck_involution_is_an_automorphism_over_the_cover(self):
         fam = build_family(triangle((4, 5, 6)))
         deck = deck_involution_on_quarter(fam)
+        cover = named_cover(fam)
         assert is_degree_n_cover(deck, 1)  # bijective on stars
         for v in fam.x_quarter.vertices:
             assert deck.vertex_map[deck.vertex_map[v]] == v
-            assert fam.cover.vertex_map[deck.vertex_map[v]] == fam.cover.vertex_map[v]
+            assert cover.vertex_map[deck.vertex_map[v]] == cover.vertex_map[v]
         for e in fam.x_quarter.edges:
-            assert fam.cover.edge_map[deck.edge_map[e.id]] == fam.cover.edge_map[e.id]
+            assert cover.edge_map[deck.edge_map[e.id]] == cover.edge_map[e.id]
 
     def test_component_dichotomy(self):
         assert len(connected_components(build_family(SQUARE_EVEN).x_quarter)) == 2
@@ -123,9 +124,10 @@ class TestFamily:
             ("xq:b-c:d+", "b+", "c-", "b-c"), ("xq:b-c:d-", "b-", "c+", "b-c"),
             ("xq:b-c:p+", "b+", "c-", "b-c"), ("xq:b-c:p-", "b-", "c+", "b-c"),
         ]
-        assert fam.cover.vertex_map == {
+        cover = named_cover(fam)
+        assert cover.vertex_map == {
             f"{v}{s}": v for v in "abc" for s in "+-"}
-        assert fam.cover.edge_map == {
+        assert cover.edge_map == {
             f"xq:{c}:{f}{s}": f"xh:{c}:{f}"
             for c in ("a-b", "a-c", "b-c") for f in "pd" for s in "+-"
         }

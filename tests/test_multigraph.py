@@ -12,7 +12,6 @@ from artinsplit import (
     DefiningGraph,
     DisconnectedError,
     Edge,
-    GraphMap,
     StructureError,
     Walk,
     blocks,
@@ -30,6 +29,7 @@ from artinsplit.multigraph import (
 )
 from generators import random_colored_graph, random_defining_graph
 from oracles import (
+    GraphMap,
     UnionFind,
     all_simple_cycles,
     in_edges,
@@ -38,6 +38,7 @@ from oracles import (
     lowpoint_blocks,
     on_common_simple_cycle,
     out_edges,
+    restricted,
     shortest_path,
     shortest_path_by_levels,
 )
@@ -99,7 +100,7 @@ class TestColoredGraph:
 
     def test_restricted_keeps_only_endpoint_vertices(self):
         g = path_graph(4)
-        sub = g.restricted(["e0"])
+        sub = restricted(g, ["e0"])
         assert sub.vertices == ("v0", "v1")
         assert [e.id for e in sub.edges] == ["e0"]
 
