@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .multigraph import bfs_forest, named_closing_pairs
+from .multigraph import bfs_forest, named_classes
 
 
 class InvalidDefiningGraph(ValueError):
@@ -220,7 +220,7 @@ def require_valid(
 def is_connected(g: DefiningGraph) -> bool:
     """Every edge but the closing ones joins two classes, and a connected
     graph on n vertices needs exactly n - 1 such joins."""
-    closing = named_closing_pairs(g.vertices, ((e.u, e.v) for e in g.edges))
+    closing = named_classes(g.vertices, ((e.u, e.v) for e in g.edges))[1]
     return len(g.edges) - closing == len(g.vertices) - 1
 
 
@@ -229,7 +229,7 @@ def is_forest(g: DefiningGraph) -> bool:
     n edges, which decides most other graphs without the union-find."""
     if len(g.edges) >= len(g.vertices) > 0:
         return False
-    return not named_closing_pairs(g.vertices, ((e.u, e.v) for e in g.edges))
+    return not named_classes(g.vertices, ((e.u, e.v) for e in g.edges))[1]
 
 
 def is_bipartite(g: DefiningGraph) -> bool:

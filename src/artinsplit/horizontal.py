@@ -40,7 +40,6 @@ from .multigraph import (
     Edge,
     bouquet,
     classes,
-    closing_pairs,
     is_cover,
 )
 from .orientation import (
@@ -164,8 +163,7 @@ def build_collapsed(
     are used instead of joining them again.
     """
     require_valid(g, oriented=True)
-    handed = verdict.collapse if verdict is not None else None
-    root = (handed or _collapse(g))[2]
+    root = (verdict and verdict.collapse or _collapse(g))[2]
 
     # each vertex class is named by its sorted members
     members: dict[int, list[str]] = {}
@@ -263,28 +261,27 @@ def compute_splitting(
     classes exactly in the HNN case, x_half and x_quarter (or each of its
     halves) have the ranks above, and x_quarter covers x_half with degree
     2.  x0, a bouquet of |E| loops, has rank |E| by construction.
-    `verdict`, when given, is `is_admissible(g)`, which is then not
-    decided again.
+    `verdict`, when given, is `is_admissible(g)`; when it is missing it
+    is decided first, and the lifts are always the ones it was decided
+    on.  A disconnected graph is refused before an inadmissible one.
     """
     require_valid(g, oriented=True)
-    handed = verdict.collapse if verdict is not None else None
-    lifts = handed[0] if handed else edge_lifts(g)
-    half, quarter = _level_edges(g, lifts)
+    if verdict is None:
+        verdict = is_admissible(g)
+    half, quarter = _level_edges(g, verdict.collapse[0])
     nv, ne = len(g.vertices), len(g.edges)
     # x_half is g with every edge doubled, so connected exactly when g is
-    half_rank = closing_pairs(nv, half)
+    half_rank = classes(nv, half)[1]
     if len(half) - half_rank != nv - 1:
         raise DisconnectedError(
             "the splitting requires a connected defining graph; analyze "
             "connected components separately"
         )
-    if verdict is None:
-        verdict = is_admissible(g)
     if not verdict.admissible:
         raise InadmissibleOrientation(verdict)
     rank_a = ne
     rank_b = 1 - nv + 2 * ne
-    quarter_rank = closing_pairs(2 * nv, quarter)
+    roots, quarter_rank = classes(2 * nv, quarter)
     # x_quarter's classes: its vertices less the edges that join two
     parts = 2 * nv - len(quarter) + quarter_rank
     hnn = is_bipartite(g) and all_labels_even(g)
@@ -296,7 +293,6 @@ def compute_splitting(
         "x_quarter -> x_half double cover",
     )
     if hnn:
-        roots = classes(2 * nv, quarter)[0]
         edges = Counter(roots[a] for a, _ in quarter)
         for r, size in Counter(roots).items():
             _require(edges[r] - size + 1 == rank_b, "rank of an x_quarter half")

@@ -8,11 +8,10 @@ listing (components, blocks, cycles) comes back in a deterministic order.
 The one union-find, `root`, `join` and `classes` over integer ids
 (`named_classes` numbers hashable names for it), counts components, free
 ranks, blocks, the collapse classes of the sign double cover and the
-fiber product's components; `closing_pairs` counts without reading a
-root.  `is_cover` tests a covering map over integer ids.  The one
-breadth-first search, `bfs_tree`, runs paths, blocks and the bipartite
-test.  The one blocks routine, `edge_blocks`, runs over integer ids;
-`blocks` numbers a graph's names for it.
+fiber product's components.  `is_cover` tests a covering map over
+integer ids.  The one breadth-first search, `bfs_tree`, runs paths,
+blocks and the bipartite test.  The one blocks routine, `edge_blocks`,
+runs over integer ids; `blocks` numbers a graph's names for it.
 """
 
 from __future__ import annotations
@@ -179,10 +178,9 @@ def join(
     return ra, rb
 
 
-def _forest(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """The union-find parents of ids 0..n-1 once every pair is joined, and
-    the number of closing pairs, those whose ends earlier pairs already
-    joined."""
+def classes(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """The root of each id 0..n-1 once every pair is joined, and the number
+    of closing pairs, those whose ends earlier pairs already joined."""
     parent = list(range(n))
     size = [1] * n
     closing = 0
@@ -192,19 +190,7 @@ def _forest(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
             closing += 1
         else:
             join(parent, size, ra, rb)
-    return parent, closing
-
-
-def classes(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """The root of each id 0..n-1 once every pair is joined, and the number
-    of closing pairs, those whose ends earlier pairs already joined."""
-    parent, closing = _forest(n, pairs)
     return [root(parent, x) for x in range(n)], closing
-
-
-def closing_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> int:
-    """The number of closing pairs `classes` counts, without its roots."""
-    return _forest(n, pairs)[1]
 
 
 def named_classes(names: Iterable, pairs: Iterable[tuple]) -> tuple[dict, int]:
@@ -213,13 +199,6 @@ def named_classes(names: Iterable, pairs: Iterable[tuple]) -> tuple[dict, int]:
     at = {x: i for i, x in enumerate(dict.fromkeys(names))}
     roots, closing = classes(len(at), ((at[a], at[b]) for a, b in pairs))
     return dict(zip(at, roots)), closing
-
-
-def named_closing_pairs(names: Iterable, pairs: Iterable[tuple]) -> int:
-    """`closing_pairs` over hashable names, numbered as `named_classes`
-    numbers them."""
-    at = {x: i for i, x in enumerate(dict.fromkeys(names))}
-    return closing_pairs(len(at), ((at[a], at[b]) for a, b in pairs))
 
 
 def connected_components(g: ColoredGraph) -> list[ColoredGraph]:
@@ -238,9 +217,9 @@ def connected_components(g: ColoredGraph) -> list[ColoredGraph]:
 def free_rank(g: ColoredGraph) -> int:
     """First Betti number |E| - |V| + 1 of a connected graph: the edges
     whose ends earlier edges already joined, counted on one union-find."""
-    closing = named_closing_pairs(
+    closing = named_classes(
         g.vertices, ((e.tail, e.head) for e in g.edges)
-    )
+    )[1]
     if len(g.edges) - closing != len(g.vertices) - 1:
         raise DisconnectedError(
             "free_rank requires a connected graph; split with "

@@ -155,6 +155,19 @@ class TestExitCodes:
     def test_split_refuses_inadmissible(self, write):
         assert main(["split", "--input", write(CLASHING)]) == 1
 
+    def test_split_refuses_disconnected_before_inadmissible(
+        self, write, capsys
+    ):
+        data = {
+            "vertices": CLASHING["vertices"] + ["d", "e"],
+            "edges": CLASHING["edges"]
+            + [{"u": "d", "v": "e", "label": 3, "iota": "d"}],
+        }
+        argv = ["split", "--format", "json", "--input", write(data)]
+        assert main(argv) == 1
+        refused = json.loads(capsys.readouterr().out)["refused"]
+        assert refused.startswith("the splitting requires a connected")
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("argv", [["split"], ["fiber", "--oppressive"]])
     def test_empty_graph_is_refused(self, write, capsys, argv, fmt):

@@ -1,5 +1,6 @@
 import ast
 import re
+import sys
 from pathlib import Path
 
 import artinsplit
@@ -38,3 +39,19 @@ def test_every_public_name_is_used_or_documented():
         and not re.search(rf"\b{name}\b", readme)
     ]
     assert unused == []
+
+
+def test_the_library_imports_only_the_standard_library():
+    # stdlib-only: every absolute import names a standard-library module
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            outside += [(path.stem, m) for m in modules
+                        if m.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

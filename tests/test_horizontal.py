@@ -327,6 +327,20 @@ class TestSplitting:
         with pytest.raises(DisconnectedError):
             compute_splitting(split, is_admissible(split))
 
+    def test_disconnected_is_refused_before_inadmissible(self):
+        # the inadmissible triangle beside a separate oriented edge: the
+        # connectivity refusal wins, with or without the verdict handed in
+        g = DefiningGraph.build(
+            ["a", "b", "c", "d", "e"],
+            [("a", "b", 3, "a"), ("b", "c", 3, "b"), ("a", "c", 3, "a"),
+             ("d", "e", 3, "d")],
+        )
+        assert not is_admissible(g).admissible
+        with pytest.raises(DisconnectedError):
+            compute_splitting(g)
+        with pytest.raises(DisconnectedError):
+            compute_splitting(g, is_admissible(g))
+
 
 def test_collapsed_rank_matches_quarter_rank():
     # collapsing a forest of quarter edges and subdividing preserves pi_1

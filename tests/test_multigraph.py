@@ -238,21 +238,31 @@ def reference_components(g: ColoredGraph) -> list[tuple[tuple, tuple]]:
 
 class TestUnionFind:
     def test_only_multigraph_writes_a_union_find(self):
-        # one union-find for the library: multigraph's root, join and
-        # classes; no UnionFind class and no private copy elsewhere
+        # one union-find for the library: multigraph's root, join, classes
+        # and named_classes, which return the roots and the closing count
+        # together; no UnionFind class, no private copy elsewhere and no
+        # count-only twin
         names = {"root", "join", "classes", "_root", "_join", "find"}
-        found = []
+        found, forms = [], set()
         for path in sorted(Path(artinsplit.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.ClassDef) and node.name == "UnionFind":
                     found.append((path.stem, node.name))
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
                 if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name in names
-                    and path.stem != "multigraph"
+                    (node.name in names and path.stem != "multigraph")
+                    or node.name == "_forest"
+                    or node.name.endswith("closing_pairs")
                 ):
                     found.append((path.stem, node.name))
+                # the union-find's functions take a parent list or the
+                # pairs to join
+                args = {a.arg for a in node.args.args}
+                if path.stem == "multigraph" and args & {"parent", "pairs"}:
+                    forms.add(node.name)
         assert found == []
+        assert forms == {"root", "join", "classes", "named_classes"}
 
     def test_graph_counts_match_the_reference(self):
         # loops, parallel edges and isolated vertices, and the empty graph
