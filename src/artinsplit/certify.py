@@ -238,7 +238,7 @@ def _resolve_orientation(
 
 
 def _monochrome_evidence(
-    g_star: DefiningGraph, verdict: Optional[AdmissibilityVerdict] = None
+    g_star: DefiningGraph, verdict: AdmissibilityVerdict
 ) -> MonochromeVerdict:
     return monochrome_check(
         fiber_product(build_collapsed(g_star, verdict).graph)

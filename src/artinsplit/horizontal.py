@@ -14,12 +14,15 @@ height function; its level sets at heights 0, 1/2 and 1/4 are graphs:
 The fundamental groups of these graphs are the vertex and edge groups of
 the splitting certified by `compute_splitting`.  x_half and x_quarter are
 written once, by `_level_edges`, as integer edge lists over the vertex ids
-and the quarter ids of `orientation.edge_lifts`; the splitting's
-cross-checks count on those lists, and `build_family` only spells them out
-as named graphs, for `export`.  A caller that has decided admissibility
-hands the verdict, with the collapse classes it was decided on, to
-`compute_splitting` and `build_collapsed`, which then neither decide it
-nor join those classes again.
+and the quarter ids of `orientation.edge_lifts`.  Three readers share
+them: the splitting's cross-checks count on those lists, `build_family`
+spells them out as named graphs, for `export`, and `build_collapsed`
+reads Xbar off the x_quarter list and the lifts that
+`orientation.collapsed_lifts` collapses, the one place that rule is
+written.  A caller that has decided admissibility hands the verdict, with
+the collapse classes it was decided on, to `compute_splitting` and
+`build_collapsed`, which then neither decide it nor join those classes
+again.
 """
 
 from __future__ import annotations
@@ -45,11 +48,8 @@ from .multigraph import (
 from .orientation import (
     AdmissibilityVerdict,
     EdgeLifts,
-    _collapse,
     edge_lifts,
     is_admissible,
-    minus,
-    plus,
     quarter_vertices,
 )
 
@@ -145,72 +145,70 @@ def build_collapsed(
 ) -> CollapsedQuarter:
     """Collapse-and-subdivide x_quarter into the graph immersing over x0.
 
-    Per edge {a, b} with label M and tail t = iota (h the head): the
-    parallel copy through t+ and h- collapses; for M = 2 both parallel
-    copies collapse.  The doubled copies subdivide into:
+    x_quarter edge 4k + s, side `_QUARTER_SIDES[s]`, shadows lift
+    2k + s % 2 of edge k, and the lifts `collapsed_lifts` picks collapse
+    into their classes.  A p side (p+ or p-) whose lift collapses is
+    dropped; otherwise it stays one edge.  A d side (d+ or d-) of label M
+    subdivides into a run of M // 2 edges, one fewer when M is even and
+    its lift is not collapsed.  The run flows from the class of the quarter
+    edge's head to that of its tail when iota is u for a d side, or v for a
+    p side, and from tail to head otherwise.  So per edge with label M:
 
-    * M = 2m + 1: two runs of m edges (h+ to t+ and h- to t-), plus the
-      surviving length-1 copy t- to h+; one (2m+1)-cycle in total.
+    * M = 2m + 1: two runs of m edges plus one surviving p side; one
+      (2m+1)-cycle in total.
     * M = 2: two length-1 loops, one at each collapsed class.
     * M = 2m >= 4: a closed run of m edges at the collapsed class and a
-      run of m - 1 edges h+ to t-, closing through the surviving copy into
-      an m-cycle; two m-cycles in total.
+      run of m - 1 edges closing through the surviving p side; two
+      m-cycles in total.
 
     The construction is performed for any valid orientation.  The map
     immerses when the orientation is admissible, which `is_admissible`
     decides; an inadmissible orientation may still give an immersion.
-    `verdict`, when given, is `is_admissible(g)`, whose collapse classes
-    are used instead of joining them again.
+    `verdict`, when given, is `is_admissible(g)`; when it is missing it
+    is decided first, and its lifts, collapsed lifts and classes are used.
     """
     require_valid(g, oriented=True)
-    root = (verdict and verdict.collapse or _collapse(g))[2]
+    if verdict is None:
+        verdict = is_admissible(g)
+    lifts, collapsed, root, _ = verdict.collapse
 
     # each vertex class is named by its sorted members
+    names = quarter_vertices(g)
     members: dict[int, list[str]] = {}
-    for q, name in enumerate(quarter_vertices(g)):
+    for q, name in enumerate(names):
         members.setdefault(root[q], []).append(name)
-    old_class = {}
-    for qs in members.values():
-        name = "/".join(sorted(qs))
-        for q in qs:
-            old_class[q] = name
+    named = {r: "/".join(sorted(qs)) for r, qs in members.items()}
+    cls = [named[r] for r in root]
 
-    vertices: set[str] = set(old_class.values())
+    vertices: set[str] = set(cls)
     edges: list[Edge] = []
-
-    def add_run(color: str, side: str, u: str, w: str, k: int) -> None:
-        """k edges xb:<color>:<side>:e1..ek from u to w along the flow,
-        subdividing the quarter edge xq:<color>:<side>."""
-        chain = [u] + [f"xb:{color}:{side}:{i}" for i in range(1, k)] + [w]
-        vertices.update(chain[1:-1])
-        for i in range(k):
-            eid = f"xb:{color}:{side}:e{i + 1}"
-            edges.append(Edge(eid, chain[i], chain[i + 1], color))
-
-    for e in g.sorted_edges:
-        c = e.color
-        if e.label == 2:
-            add_run(c, "d+", old_class[plus(e.u)], old_class[plus(e.u)], 1)
-            add_run(c, "d-", old_class[minus(e.u)], old_class[minus(e.u)], 1)
-            continue
-        t = e.iota
-        if t is None:
-            raise AssertionError(f"edge {e.color!r} has no tail")
-        h = e.other(t)
-        m = e.label // 2
-        add_run(c, "p-" if t == e.u else "p+",
-                old_class[minus(t)], old_class[plus(h)], 1)
-        if e.label % 2 == 1:
-            add_run(c, "d+", old_class[plus(h)], old_class[plus(t)], m)
-            add_run(c, "d-", old_class[minus(h)], old_class[minus(t)], m)
+    _, quarter = _level_edges(g, lifts)
+    colors = [e.color for e, _, _ in lifts]
+    for j, (a, b) in enumerate(quarter):
+        k, s = divmod(j, 4)
+        e = lifts[k][0]
+        kept = 2 * k + s % 2 not in collapsed
+        if s < 2:
+            if not kept:
+                continue
+            size = 1
+            if e.iota == e.v:
+                a, b = b, a
         else:
-            add_run(c, "d+" if t == e.u else "d-",
-                    old_class[minus(h)], old_class[plus(t)], m)
-            add_run(c, "d-" if t == e.u else "d+",
-                    old_class[plus(h)], old_class[minus(t)], m - 1)
+            size = e.label // 2 - (kept and e.label % 2 == 0)
+            if e.iota == e.u:
+                a, b = b, a
+        # size edges xb:<color>:<side>:e1..e<size> along the flow
+        prefix = f"xb:{colors[k]}:{_QUARTER_SIDES[s]}:"
+        inner = [prefix + str(i) for i in range(1, size)]
+        vertices.update(inner)
+        chain = [cls[a], *inner, cls[b]]
+        for i in range(size):
+            edges.append(
+                Edge(f"{prefix}e{i + 1}", chain[i], chain[i + 1], colors[k]))
 
     return CollapsedQuarter(
-        graph=ColoredGraph(vertices, edges), old_class=old_class
+        graph=ColoredGraph(vertices, edges), old_class=dict(zip(names, cls))
     )
 
 

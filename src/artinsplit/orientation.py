@@ -211,14 +211,13 @@ class AdmissibilityVerdict:
     """`is_admissible`'s answer for one oriented graph.  `collapse` holds
     the `_collapse` it was decided on, so that the splitting and Xbar of
     the same graph reuse its lifts and classes instead of joining them
-    again; it takes no part in comparisons."""
+    again; every verdict carries one, and it takes no part in
+    comparisons."""
 
     admissible: bool
     witness: Optional[WitnessCycle] = None
     reason: Optional[str] = None
-    collapse: Optional[Collapse] = field(
-        default=None, compare=False, repr=False
-    )
+    collapse: Collapse = field(compare=False, repr=False, kw_only=True)
 
 
 def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:

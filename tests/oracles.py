@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from artinsplit import (
-    AdmissibilityVerdict,
+    CollapsedQuarter,
     ColoredGraph,
     DefiningGraph,
     DisconnectedError,
@@ -26,8 +26,13 @@ from artinsplit import (
     connected_components,
     free_rank,
 )
-from artinsplit.defining_graph import all_labels_even, is_bipartite
+from artinsplit.defining_graph import (
+    all_labels_even,
+    is_bipartite,
+    require_valid,
+)
 from artinsplit.multigraph import bfs_path, is_cover
+from artinsplit.orientation import _collapse, minus, plus, quarter_vertices
 
 
 class UnionFind:
@@ -506,6 +511,73 @@ def run_lengths(xbar: ColoredGraph, color: str) -> tuple[int, ...]:
     return tuple(sorted(runs.values()))
 
 
+def collapsed_by_tails(g: DefiningGraph) -> CollapsedQuarter:
+    """Reference for `build_collapsed`: Xbar built per edge from its tail t
+    and head h by name, rather than read off x_quarter's sides.
+
+    Per edge {a, b} with label M and tail t = iota (h the head): the
+    parallel copy through t+ and h- collapses; for M = 2 both parallel
+    copies collapse.  The doubled copies subdivide into:
+
+    * M = 2m + 1: two runs of m edges (h+ to t+ and h- to t-), plus the
+      surviving length-1 copy t- to h+; one (2m+1)-cycle in total.
+    * M = 2: two length-1 loops, one at each collapsed class.
+    * M = 2m >= 4: a closed run of m edges at the collapsed class and a
+      run of m - 1 edges h+ to t-, closing through the surviving copy into
+      an m-cycle; two m-cycles in total.
+    """
+    require_valid(g, oriented=True)
+    root = _collapse(g)[2]
+
+    # each vertex class is named by its sorted members
+    members: dict[int, list[str]] = {}
+    for q, name in enumerate(quarter_vertices(g)):
+        members.setdefault(root[q], []).append(name)
+    old_class = {}
+    for qs in members.values():
+        name = "/".join(sorted(qs))
+        for q in qs:
+            old_class[q] = name
+
+    vertices: set[str] = set(old_class.values())
+    edges: list[Edge] = []
+
+    def add_run(color: str, side: str, u: str, w: str, k: int) -> None:
+        """k edges xb:<color>:<side>:e1..ek from u to w along the flow,
+        subdividing the quarter edge xq:<color>:<side>."""
+        chain = [u] + [f"xb:{color}:{side}:{i}" for i in range(1, k)] + [w]
+        vertices.update(chain[1:-1])
+        for i in range(k):
+            eid = f"xb:{color}:{side}:e{i + 1}"
+            edges.append(Edge(eid, chain[i], chain[i + 1], color))
+
+    for e in g.sorted_edges:
+        c = e.color
+        if e.label == 2:
+            add_run(c, "d+", old_class[plus(e.u)], old_class[plus(e.u)], 1)
+            add_run(c, "d-", old_class[minus(e.u)], old_class[minus(e.u)], 1)
+            continue
+        t = e.iota
+        if t is None:
+            raise AssertionError(f"edge {e.color!r} has no tail")
+        h = e.other(t)
+        m = e.label // 2
+        add_run(c, "p-" if t == e.u else "p+",
+                old_class[minus(t)], old_class[plus(h)], 1)
+        if e.label % 2 == 1:
+            add_run(c, "d+", old_class[plus(h)], old_class[plus(t)], m)
+            add_run(c, "d-", old_class[minus(h)], old_class[minus(t)], m)
+        else:
+            add_run(c, "d+" if t == e.u else "d-",
+                    old_class[minus(h)], old_class[plus(t)], m)
+            add_run(c, "d-" if t == e.u else "d+",
+                    old_class[plus(h)], old_class[minus(t)], m - 1)
+
+    return CollapsedQuarter(
+        graph=ColoredGraph(vertices, edges), old_class=old_class
+    )
+
+
 def sign_cover_lifts(g: DefiningGraph) -> list[tuple]:
     """Every edge with its two lifts to the sign double cover, by name.
 
@@ -573,29 +645,26 @@ def collapsed_lift_graph(lifts: list[tuple], collapsed) -> ColoredGraph:
     )
 
 
-def sign_cover_verdict(g: DefiningGraph) -> AdmissibilityVerdict:
+def sign_cover_verdict(g: DefiningGraph) -> tuple:
     """Reference for is_admissible: the verdict on the reference classes,
-    its witness built from the reference's own collapsed-lift graph and
-    candidates by the named witness builders below."""
+    as (admissible, witness, reason), its witness built from the
+    reference's own collapsed-lift graph and candidates by the named
+    witness builders below."""
     lifts = sign_cover_lifts(g)
     collapsed, classes, forest = sign_cover_collapse(g, lifts, g.orientation())
     candidates = sign_cover_candidates(g, lifts, collapsed, classes)
     sub = collapsed_lift_graph(lifts, collapsed)
     if not forest:
-        return AdmissibilityVerdict(
-            False, _witness_from_collapsed_cycle(sub),
-            "collapsed lifts contain a cycle",
-        )
+        return (False, _witness_from_collapsed_cycle(sub),
+                "collapsed lifts contain a cycle")
     if not candidates:
-        return AdmissibilityVerdict(True)
+        return True, None, None
     reason = (
         "two lifts of one vertex are joined by collapsed lifts"
         if candidates[0][0] == 0
         else "an uncollapsed lift closes a collapsed path"
     )
-    return AdmissibilityVerdict(
-        False, _witness_from_patterns(g, sub, candidates), reason
-    )
+    return False, _witness_from_patterns(g, sub, candidates), reason
 
 
 def _project(quarter: str) -> tuple[str, int]:

@@ -17,6 +17,7 @@ from artinsplit import (
     build_collapsed,
     certify,
     fiber_product,
+    find_admissible_orientation,
     is_admissible,
     monochrome_check,
 )
@@ -140,6 +141,28 @@ class TestRules:
     def test_spherical_triangle_not_decided(self):
         cert = certify(tri(2, 3, 3))
         assert cert.verdict == UNKNOWN
+
+        # a triangle with 1/a + 1/b + 1/c > 1 has no admissible orientation,
+        # alone or inside a K4, so no rule that needs one decides it
+        def spherical(labels):
+            return sum(1 / m for m in labels) > 1
+
+        triples = [t for t in itertools.product(range(2, 8), repeat=3)
+                   if spherical(t)]
+        assert len(triples) == 31
+        assert len({tuple(sorted(t)) for t in triples}) == 9
+        graphs = [tri(*t) for t in triples]
+        rng = random.Random(53)
+        pairs = list(itertools.combinations("abcd", 2))
+        while len(graphs) < 31 + 1000:
+            label = {p: rng.choice((2, 3, 4, 5)) for p in pairs}
+            if any(spherical([label[p] for p in itertools.combinations(t, 2)])
+                   for t in itertools.combinations("abcd", 3)):
+                graphs.append(graph(list("abcd"), [
+                    (u, v, m, None) for (u, v), m in label.items()]))
+        for g in graphs:
+            assert find_admissible_orientation(g) is None
+            assert certify(g).rule not in ("R5", "R6", "R7"), g
 
 
 class TestOrientationHandling:
@@ -387,7 +410,7 @@ def test_immersion_check_survives_python_O():
             ["a", "b", "c"],
             [("a", "b", 5, "a"), ("b", "c", 5, "b"), ("a", "c", 5, "c")],
         )
-        c._monochrome_evidence(g)
+        c._monochrome_evidence(g, c.is_admissible(g))
         print("check did not fire")
     """
     conservation = """

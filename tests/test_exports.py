@@ -55,3 +55,16 @@ def test_the_library_imports_only_the_standard_library():
             outside += [(path.stem, m) for m in modules
                         if m.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name with a leading underscore stays inside its own module
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "artinsplit"):
+                private += [(path.stem, node.module, alias.name)
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 from artinsplit import (
+    AdmissibilityVerdict,
     DefiningGraph,
     DisconnectedError,
     InadmissibleOrientation,
@@ -22,12 +23,21 @@ from generators import (
     with_random_orientation,
 )
 from oracles import (
+    collapsed_by_tails,
     deck_involution_on_quarter,
     is_degree_n_cover,
     named_cover,
     run_lengths,
     splitting_on_named_graphs,
 )
+from test_orientation import MIXED_NAMES
+
+
+def xbar_rows(col):
+    """Xbar's vertices, its edges as (id, tail, head, color), and the
+    class of each x_quarter vertex."""
+    edges = [(e.id, e.tail, e.head, e.color) for e in col.graph.edges]
+    return col.graph.vertices, edges, col.old_class
 
 
 def single_edge(label, iota="a"):
@@ -228,6 +238,28 @@ class TestCollapsed:
             for e in g.edges:
                 assert sides[e.color] == (2 if e.label == 2 else 3)
 
+    def test_matches_the_reference_built_from_tails(self):
+        # Xbar read off x_quarter's sides agrees with the reference that
+        # builds it per edge from its tail and head; the vertices are
+        # renamed so that their sorted order differs from their input order
+        rng = random.Random(47)
+        admissible = Counter()
+        for _ in range(3000):
+            g = with_random_orientation(
+                rng, random_defining_graph(rng, max_vertices=8))
+            names = rng.sample(MIXED_NAMES, len(g.vertices))
+            name = dict(zip(g.vertices, names))
+            rng.shuffle(names)
+            g = DefiningGraph.build(names, [
+                (name[e.u], name[e.v], e.label, e.iota and name[e.iota])
+                for e in g.edges
+            ])
+            verdict = is_admissible(g)
+            col = build_collapsed(g, verdict)
+            assert xbar_rows(col) == xbar_rows(collapsed_by_tails(g)), g
+            admissible[verdict.admissible] += 1
+        assert min(admissible[True], admissible[False]) >= 500
+
 
 class TestSplitting:
     def test_triangle_ranks(self):
@@ -310,8 +342,15 @@ class TestSplitting:
             cert = compute_splitting(g)
             assert cert == splitting_on_named_graphs(g), g
             assert compute_splitting(g, is_admissible(g)) == cert
+            assert (xbar_rows(build_collapsed(g, is_admissible(g)))
+                    == xbar_rows(build_collapsed(g)))
             kinds[cert.kind] += 1
         assert kinds["hnn"] >= 50 and kinds["amalgam"] >= 200
+
+    def test_a_verdict_carries_its_collapse(self):
+        # a verdict without the collapse it was decided on cannot be built
+        with pytest.raises(TypeError):
+            AdmissibilityVerdict(True)
 
     def test_a_handed_verdict_still_refuses(self):
         bad = DefiningGraph.build(

@@ -257,7 +257,8 @@ class TestIsAdmissible:
             else:
                 g = with_random_orientation(rng, g)
             verdict = is_admissible(g)
-            assert verdict == sign_cover_verdict(g)
+            assert (verdict.admissible, verdict.witness,
+                    verdict.reason) == sign_cover_verdict(g)
             reasons[verdict.reason] = reasons.get(verdict.reason, 0) + 1
         assert len(reasons) == 4 and min(reasons.values()) >= 20
 
@@ -288,7 +289,8 @@ class TestIsAdmissible:
                 for e in g.edges
             ])
             verdict = is_admissible(g)
-            assert verdict == sign_cover_verdict(g)
+            assert (verdict.admissible, verdict.witness,
+                    verdict.reason) == sign_cover_verdict(g)
             reasons[verdict.reason] = reasons.get(verdict.reason, 0) + 1
         assert len(reasons) == 4 and min(reasons.values()) >= 100
 
