@@ -19,7 +19,7 @@ returned witness and in the graphs `FiberProduct.component` and `graph`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import gcd
@@ -155,7 +155,8 @@ class FiberProduct:
     full components isomorphic to Y, since an edge leaving (v, v) pairs two
     edges of one color leaving v, which the immersion makes equal;
     `diagonal_components` lists them.  `fill_rank_ok` holds the verdicts
-    of `fill_rank_check`.
+    of `fill_rank_check`, and `_axes` the factor's vertex pair axes, which
+    `fiber_product` computed.
 
     Nothing else is held per pair: `component_of` looks a pair up through
     its runs (see `fiber_product`).  The string-keyed graphs `graph` and
@@ -171,6 +172,8 @@ class FiberProduct:
     vertex_counts: tuple[int, ...]
     edge_counts: tuple[int, ...]
     fill_rank_ok: tuple[bool, ...]
+    _axes: tuple[dict, dict, Callable[[int], str]] = field(
+        compare=False, repr=False)
 
     def nontrivial_components(self) -> tuple[int, ...]:
         """Indices of off-diagonal components containing at least one cycle."""
@@ -202,10 +205,6 @@ class FiberProduct:
                               for v in high if len(high[u] & high[v]) >= 3):
             out.setdefault(self.component_of(u, v), []).append(_pair(u, v))
         return {i: tuple(vs) for i, vs in out.items()}
-
-    @cached_property
-    def _axes(self) -> tuple[dict, dict, Callable[[int], str]]:
-        return _pair_axes(self.factor.vertices)
 
     @cached_property
     def _edge_axes(self) -> tuple[dict, dict, Callable[[int], str]]:
@@ -318,7 +317,8 @@ def fiber_product(Y: ColoredGraph) -> FiberProduct:
         raise FiberInputError('pair ids join factor ids with "|", so no '
                               'vertex or edge id may contain it')
 
-    row, col, _ = _pair_axes(Y.vertices)
+    axes = _pair_axes(Y.vertices)
+    row, col, _ = axes
     n = len(Y.vertices)
     place, branches, by_color = _runs(Y, row, col)
     index: list[int] = []
@@ -429,6 +429,7 @@ def fiber_product(Y: ColoredGraph) -> FiberProduct:
         vertex_counts=tuple(vertex_counts),
         edge_counts=tuple(edge_counts),
         fill_rank_ok=fill_rank_check(Y, component_of, ranks),
+        _axes=axes,
     )
 
 

@@ -14,15 +14,15 @@ Misdirected paths correspond exactly to paths inside the collapsed
 subgraph, which reduces admissibility to a forest test plus connectivity
 patterns.  The cover's vertices are numbered once, v+ as i and v- as
 n + i, and the library's one union-find, `multigraph.classes` over those
-quarter ids, holds the collapse classes `_collapse` joins for
-`is_admissible`, whose verdict carries them on to
-`horizontal.build_collapsed` and `compute_splitting`; the search joins and
-undoes them with `multigraph.root` and `join`.  An inadmissible verdict's
-witness is found on the same quarter ids, from the stars of the collapsed
-lifts, taken in the order of the quarter names.  Names are spelled out
-only in a returned `WitnessCycle` and in Xbar.  A bounded search over
-explicit closed walks, `oracle_almost_misdirected`, provides an
-independent check.
+quarter ids, holds the collapse classes `is_admissible` joins.  Its
+verdict names them `roots`, beside the `lifts` and the `collapsed` lifts,
+and carries all three on to `horizontal.build_collapsed` and
+`compute_splitting`; the search joins and undoes them with
+`multigraph.root` and `join`.  An inadmissible verdict's witness is found
+on the same quarter ids, from the stars of the collapsed lifts, taken in
+the order of the quarter names.  Names are spelled out only in a returned
+`WitnessCycle` and in Xbar.  A bounded search over explicit closed walks,
+`oracle_almost_misdirected`, provides an independent check.
 """
 
 from __future__ import annotations
@@ -92,20 +92,6 @@ def collapsed_lifts(
     return out
 
 
-Collapse = tuple[
-    tuple[EdgeLifts, ...], dict[int, tuple[int, int]], list[int], bool
-]
-
-
-def _collapse(g: DefiningGraph) -> Collapse:
-    """The lifts of g, those its orientation collapses, the root of each
-    quarter id's collapse class, and whether those lifts form a forest."""
-    lifts = edge_lifts(g)
-    collapsed = collapsed_lifts(lifts, g.orientation())
-    roots, closing = classes(2 * len(g.vertices), collapsed.values())
-    return lifts, collapsed, roots, not closing
-
-
 @dataclass(frozen=True)
 class WitnessCycle:
     """A closed walk of the defining graph with a direction extension.
@@ -166,33 +152,16 @@ def _alternating_tails(
     return tails
 
 
-def _expression_misdirects(
-    g: DefiningGraph, seq: tuple[str, ...]
-) -> Optional[tuple[Optional[str], ...]]:
-    """Tails making the path (seq[0], ..., seq[-1]) alternate, if any.
-
-    Checks the fixed expression only; callers rotate.  Returns a full tails
-    tuple including the closing edge's own iota.
-    """
-    if not _is_cycle_expression(g, seq):
-        return None
-    for first_forward in (True, False):
-        tails = _alternating_tails(g, seq, first_forward)
-        if tails is not None:
-            closing = g.edge_between(seq[-1], seq[0])
-            if closing is None:
-                raise AssertionError("cycle expression does not close")
-            return (*tails, closing.iota)
-    return None
-
-
 def oracle_almost_misdirected(
     g: DefiningGraph, max_len: int = 10
 ) -> Optional[WitnessCycle]:
     """Search closed walks up to max_len for an almost misdirected one.
 
     Exhaustive within the length bound, and independent of the double-cover
-    criterion.  Returns the first witness in a deterministic order, or None.
+    criterion.  Returns the first witness in a deterministic order, or None:
+    per walk, direction and rotation, the first edge forward, then back.
+    The walks of `enumerate_cycles` close and never backtrack, so no
+    rotation is checked again as a cycle expression.
     """
     require_valid(g, oriented=True)
     for cyc in enumerate_cycles(g, max_len):
@@ -200,24 +169,32 @@ def oracle_almost_misdirected(
         for direction in (cyc, tuple(reversed(cyc))):
             for shift in range(n):
                 expr = direction[shift:] + direction[:shift]
-                tails = _expression_misdirects(g, expr)
-                if tails is not None:
-                    return WitnessCycle(vertices=expr, tails=tails)
+                for first_forward in (True, False):
+                    tails = _alternating_tails(g, expr, first_forward)
+                    if tails is not None:
+                        iota = g.edge_between(expr[-1], expr[0]).iota
+                        return WitnessCycle(expr, (*tails, iota))
     return None
 
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
-    """`is_admissible`'s answer for one oriented graph.  `collapse` holds
-    the `_collapse` it was decided on, so that the splitting and Xbar of
-    the same graph reuse its lifts and classes instead of joining them
-    again; every verdict carries one, and it takes no part in
-    comparisons."""
+    """`is_admissible`'s answer for one oriented graph, with the collapse
+    it was decided on: `lifts`, the graph's `edge_lifts`; `collapsed`,
+    those its orientation collapses, as `collapsed_lifts` gives them; and
+    `roots`, the root of each quarter id's collapse class.  The splitting
+    and Xbar of the same graph reuse them instead of joining the classes
+    again.  Every verdict carries all three, and they take no part in
+    comparisons or the repr."""
 
     admissible: bool
     witness: Optional[WitnessCycle] = None
     reason: Optional[str] = None
-    collapse: Collapse = field(compare=False, repr=False, kw_only=True)
+    lifts: tuple[EdgeLifts, ...] = field(
+        compare=False, repr=False, kw_only=True)
+    collapsed: dict[int, tuple[int, int]] = field(
+        compare=False, repr=False, kw_only=True)
+    roots: list[int] = field(compare=False, repr=False, kw_only=True)
 
 
 def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
@@ -229,9 +206,10 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
     are the endpoints of its uncollapsed lift connected.
     """
     require_valid(g, oriented=True)
-    collapse = _collapse(g)
-    lifts, collapsed, roots, forest = collapse
+    lifts = edge_lifts(g)
+    collapsed = collapsed_lifts(lifts, g.orientation())
     n = len(g.vertices)
+    roots, closing = classes(2 * n, collapsed.values())
     # pairs a collapse class must keep apart but joins: the two lifts of a
     # vertex, and the two ends of an uncollapsed lift
     twins = [i for i in range(n) if roots[i] == roots[n + i]]
@@ -241,8 +219,9 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
         for j, ends in ((2 * k, p), (2 * k + 1, m))
         if j not in collapsed and roots[ends[0]] == roots[ends[1]]
     ]
-    if forest and not twins and not closed:
-        return AdmissibilityVerdict(admissible=True, collapse=collapse)
+    if not closing and not twins and not closed:
+        return AdmissibilityVerdict(
+            admissible=True, lifts=lifts, collapsed=collapsed, roots=roots)
     # quarter ids sort as their names do: a vertex name's characters all
     # sort above + and -, so by vertex name, then v+ before v-
     def by_name(q: int) -> tuple[str, bool]:
@@ -255,13 +234,13 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
         star[b].append(a)
     for ends in star:
         ends.sort(key=by_name)
-    if not forest:
+    if closing:
         order = sorted(range(2 * n), key=by_name)
         return AdmissibilityVerdict(
             admissible=False,
             witness=_witness_from_collapsed_cycle(g, star, order),
             reason="collapsed lifts contain a cycle",
-            collapse=collapse,
+            lifts=lifts, collapsed=collapsed, roots=roots,
         )
     # as (kind, a, b): kind 0 runs v- to v+, by vertex name, and kind 1
     # joins the ends of a lift, in lift order, which is their colors' order
@@ -276,7 +255,7 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
             if twins
             else "an uncollapsed lift closes a collapsed path"
         ),
-        collapse=collapse,
+        lifts=lifts, collapsed=collapsed, roots=roots,
     )
 
 

@@ -24,7 +24,9 @@ from artinsplit import (
     blocks,
     build_family,
     connected_components,
+    enumerate_cycles,
     free_rank,
+    is_admissible,
 )
 from artinsplit.defining_graph import (
     all_labels_even,
@@ -32,7 +34,13 @@ from artinsplit.defining_graph import (
     require_valid,
 )
 from artinsplit.multigraph import bfs_path, is_cover
-from artinsplit.orientation import _collapse, minus, plus, quarter_vertices
+from artinsplit.orientation import (
+    _alternating_tails,
+    _is_cycle_expression,
+    minus,
+    plus,
+    quarter_vertices,
+)
 
 
 class UnionFind:
@@ -527,7 +535,7 @@ def collapsed_by_tails(g: DefiningGraph) -> CollapsedQuarter:
       an m-cycle; two m-cycles in total.
     """
     require_valid(g, oriented=True)
-    root = _collapse(g)[2]
+    root = is_admissible(g).roots
 
     # each vertex class is named by its sorted members
     members: dict[int, list[str]] = {}
@@ -786,6 +794,43 @@ def _find_collapsed_cycle(sub: ColoredGraph) -> tuple[str, ...]:
                 parent_edge[w] = eid
                 stack.append(w)
     raise AssertionError("no cycle in collapsed subgraph")
+
+
+def _expression_misdirects(
+    g: DefiningGraph, seq: tuple[str, ...]
+) -> Optional[tuple[Optional[str], ...]]:
+    """Tails making the path (seq[0], ..., seq[-1]) alternate, if any.
+
+    Checks the fixed expression only; callers rotate.  Returns a full tails
+    tuple including the closing edge's own iota.
+    """
+    if not _is_cycle_expression(g, seq):
+        return None
+    for first_forward in (True, False):
+        tails = _alternating_tails(g, seq, first_forward)
+        if tails is not None:
+            closing = g.edge_between(seq[-1], seq[0])
+            if closing is None:
+                raise AssertionError("cycle expression does not close")
+            return (*tails, closing.iota)
+    return None
+
+
+def oracle_by_expressions(
+    g: DefiningGraph, max_len: int = 10
+) -> Optional[WitnessCycle]:
+    """Reference for `oracle_almost_misdirected`: every rotation of every
+    walk re-checked as a cycle expression before its tails are tried."""
+    require_valid(g, oriented=True)
+    for cyc in enumerate_cycles(g, max_len):
+        n = len(cyc)
+        for direction in (cyc, tuple(reversed(cyc))):
+            for shift in range(n):
+                expr = direction[shift:] + direction[:shift]
+                tails = _expression_misdirects(g, expr)
+                if tails is not None:
+                    return WitnessCycle(vertices=expr, tails=tails)
+    return None
 
 
 def first_admissible_orientation(g: DefiningGraph):

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from enum import IntEnum
 from pathlib import Path
 
@@ -16,17 +16,20 @@ from artinsplit import (
     DefiningGraph,
     build_collapsed,
     certify,
+    compute_splitting,
     fiber_product,
     find_admissible_orientation,
     is_admissible,
     monochrome_check,
 )
+from artinsplit import horizontal
 from artinsplit.certify import (
     RESIDUALLY_FINITE,
     SPLITS_ONLY,
     UNKNOWN,
     canonical_json,
 )
+from generators import LABELS, random_admissible_graph
 from oracles import canonical_json_reference
 
 
@@ -550,6 +553,61 @@ def test_splitting_cross_checks_survive_python_O(rows, mutation, identity):
     assert proc.stdout == "amalgam\n"
     assert proc.stderr.rstrip().endswith(
         f"AssertionError: splitting cross-check failed: {identity}")
+
+
+def test_every_splitting_cross_check_can_fire(monkeypatch):
+    # a cross-check that no broken level graph reaches re-decides what the
+    # others fix; every identity `compute_splitting` declares must fire on
+    # some mutation of `_level_edges`, here every change of one end of one
+    # x_quarter edge and one copy of an edge dropped from x_half, and every
+    # such mutation must be caught
+    tree = ast.parse(Path(horizontal.__file__).read_text(encoding="utf-8"))
+    declared = {
+        node.args[1].value for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_require"
+    }
+    real = horizontal._level_edges
+    change = [None]
+
+    def mutated(g, lifts):
+        half, quarter = real(g, lifts)
+        if change[0] == "pop":
+            half.pop()
+        elif change[0] is not None:
+            j, end, q = change[0]
+            quarter[j] = (q, quarter[j][1]) if end == 0 else (quarter[j][0], q)
+        return half, quarter
+
+    monkeypatch.setattr(horizontal, "_level_edges", mutated)
+    prefix = "splitting cross-check failed: "
+    rng = random.Random(71)
+    fired, kinds, survived = Counter(), Counter(), []
+    for labels in (LABELS, (2, 4, 6)):
+        for _ in range(15):
+            g = random_admissible_graph(
+                rng, max_vertices=5, max_extra_edges=2, labels=labels)
+            verdict = is_admissible(g)
+            change[0] = None
+            kinds[compute_splitting(g, verdict).kind] += 1
+            _, quarter = real(g, verdict.lifts)
+            changes = ["pop"] + [
+                (j, end, q) for j, ends in enumerate(quarter)
+                for end in (0, 1) for q in range(2 * len(g.vertices))
+                if q != ends[end]
+            ]
+            for c in changes:
+                change[0] = c
+                try:
+                    compute_splitting(g, verdict)
+                except AssertionError as e:
+                    assert str(e).startswith(prefix), e
+                    fired[str(e).removeprefix(prefix)] += 1
+                else:
+                    survived.append((g, c))
+    assert survived == []
+    assert kinds["amalgam"] >= 5 and kinds["hnn"] >= 5, kinds
+    assert set(fired) == declared, fired
 
 
 def test_library_has_no_assert_statements():

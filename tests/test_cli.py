@@ -668,15 +668,15 @@ R6_SQUARE = (["a", "b", "c", "d"], [
         "export-fiber"])
 def test_xbar_its_product_and_the_immersion_check_run_once(
         run, expected, write, monkeypatch, capsys):
-    # admissibility is decided by `is_admissible` before Xbar is built, and
-    # Xbar's immersion is checked once, at the entry of `fiber_product`;
-    # the verdict's collapse classes go on to the splitting and to Xbar, so
-    # the classes of the sign double cover are joined once
+    # admissibility is decided once, by `is_admissible`, before Xbar is
+    # built, and the verdict's collapse classes go on to the splitting and
+    # to Xbar, so the classes of the sign double cover are joined once;
+    # Xbar's immersion is checked once, at the entry of `fiber_product`
     calls = count_calls(monkeypatch, (
-        "build_collapsed", "fiber_product", "is_immersion", "_collapse"))
+        "build_collapsed", "fiber_product", "is_immersion", "is_admissible"))
     assert run(write) == expected
     assert calls == {"build_collapsed": 1, "fiber_product": 1,
-                     "is_immersion": 1, "_collapse": 1}
+                     "is_immersion": 1, "is_admissible": 1}
 
 
 def test_benchmark_outputs_are_byte_identical(monkeypatch):

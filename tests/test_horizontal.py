@@ -394,3 +394,26 @@ def test_collapsed_rank_matches_quarter_rank():
         assert sorted(free_rank(c) for c in quarter_comps) == sorted(
             free_rank(c) for c in col_comps
         )
+
+
+def test_xbar_counts_the_ranks_of_x_quarter_and_its_halves():
+    # an independent count in place of the two rank checks the splitting
+    # dropped, "rank of x_quarter" and "rank of an x_quarter half": Xbar
+    # is x_quarter with a forest collapsed and edges subdivided, so it has
+    # x_quarter's components and their ranks, one of rank rank_c for an
+    # amalgam and two of rank rank_b for an HNN extension
+    rng = random.Random(61)
+    kinds = Counter()
+    for labels in ((3, 4, 5, 6, 7), (4, 6, 8), (2, 4, 6)):
+        for _ in range(100):
+            g = random_admissible_graph(
+                rng, max_vertices=7, max_extra_edges=3, labels=labels)
+            cert = compute_splitting(g)
+            xbar = build_collapsed(g).graph
+            ranks = [free_rank(c) for c in connected_components(xbar)]
+            if cert.kind == "amalgam":
+                assert ranks == [cert.rank_c], g
+            else:
+                assert ranks == [cert.rank_b] * 2, g
+            kinds[cert.kind] += 1
+    assert kinds["hnn"] >= 100 and kinds["amalgam"] >= 100, kinds

@@ -19,9 +19,10 @@ from artinsplit import (
     oracle_almost_misdirected,
 )
 from artinsplit.defining_graph import is_forest
+from artinsplit.multigraph import classes
 from artinsplit.orientation import (
     MAX_ORIENTABLE_EDGES,
-    _collapse,
+    _is_cycle_expression,
     collapsed_lifts,
     edge_lifts,
     quarter_vertices,
@@ -36,6 +37,7 @@ from generators import (
 from oracles import (
     first_admissible_orientation,
     first_admissible_orientation_by_blocks,
+    oracle_by_expressions,
     sign_cover_verdict,
 )
 
@@ -110,8 +112,13 @@ class TestDoubleCover:
         assert sorted(collapsed_of(ALL_TWOS)) == list(range(6))
 
     def test_collapsed_cycle_detection(self):
-        assert not _collapse(ALL_TWOS)[3]
-        assert _collapse(CYCLIC)[3]
+        # the lifts that close a cycle among the verdict's collapsed lifts
+        def closing(g):
+            collapsed = is_admissible(g).collapsed
+            return classes(2 * len(g.vertices), collapsed.values())[1]
+
+        assert closing(ALL_TWOS)
+        assert not closing(CYCLIC)
 
 
 class TestIsAdmissible:
@@ -375,6 +382,36 @@ class TestOracle:
     def test_bound_is_respected(self):
         # the offending cycle has length 3, so bound 2 must miss it
         assert oracle_almost_misdirected(CLASHING, max_len=2) is None
+
+    def test_matches_the_expression_checking_reference(self):
+        # the oracle tries each rotation's tails without re-checking it as a
+        # cycle expression, since `enumerate_cycles` only makes those; the
+        # reference re-checks every rotation first, and the two must return
+        # the same witness, first edge forward before backward; a third of
+        # the graphs take names whose sorted order differs from their input
+        # order, which reorders the walks
+        rng = random.Random(53)
+        found = 0
+        for i in range(1000):
+            g = with_random_orientation(rng, random_defining_graph(
+                rng, max_vertices=6, max_extra_edges=3))
+            if i % 3 == 0:
+                names = rng.sample(MIXED_NAMES, len(g.vertices))
+                name = dict(zip(g.vertices, names))
+                g = DefiningGraph.build(names, [
+                    (name[e.u], name[e.v], e.label, e.iota and name[e.iota])
+                    for e in g.edges
+                ])
+            for max_len in (6, 10):
+                witness = oracle_almost_misdirected(g, max_len)
+                assert witness == oracle_by_expressions(g, max_len), g
+                found += witness is not None
+            for cyc in enumerate_cycles(g, 10):
+                for direction in (cyc, cyc[::-1]):
+                    for shift in range(len(cyc)):
+                        assert _is_cycle_expression(
+                            g, direction[shift:] + direction[:shift])
+        assert found >= 1000
 
 
 class TestFindOrientation:
