@@ -128,10 +128,13 @@ def canonical_json(payload: dict) -> str:
     written in another layout.
     """
     # The text of each leaf tuple, one whose items are all exactly str or
-    # int (a word's steps, which repeat thousands of times), kept for the
-    # length of the call and keyed by (tuple, indent).  A tuple holding a
-    # bool is never a leaf: it compares equal to the one holding 1 or 0.
-    leaf_texts: dict[tuple, str] = {}
+    # int (a word's steps, one object shared by thousands of words), kept
+    # per indent for the length of the call and keyed by the tuple's id.
+    # The payload keeps every object alive for the whole call, so an id
+    # names one object.  A tuple holding True or 1.0 is another object than
+    # an equal (1,), so it gets its own check, and still raises or writes
+    # true exactly as it would alone.
+    leaf_texts: dict[str, dict[int, str]] = {}
 
     def encode(o, indent: str) -> str:
         t = type(o)
@@ -141,16 +144,20 @@ def canonical_json(payload: dict) -> str:
             if not o:
                 return "[]"
             inner = indent + "  "
-            if t is tuple and all(map(_LEAF_ITEM_TYPES.__contains__, map(type, o))):
-                key = (o, inner)
-                text = leaf_texts.get(key)
-                if text is None:
-                    text = leaf_texts[key] = "[" + inner + ("," + inner).join(
-                        [encode_basestring_ascii(x) if type(x) is str
-                         else int.__repr__(x) for x in o]) + indent + "]"
-                return text
-            return "[" + inner + ("," + inner).join(
-                [encode(x, inner) for x in o]) + indent + "]"
+            if type(o[0]) is not tuple:
+                parts = [encode(x, inner) for x in o]
+            else:
+                texts = leaf_texts.setdefault(inner, {})
+                parts = []
+                for x in o:
+                    text = texts.get(id(x))
+                    if text is None:
+                        text = encode(x, inner)
+                        if type(x) is tuple and all(map(
+                                _LEAF_ITEM_TYPES.__contains__, map(type, x))):
+                            texts[id(x)] = text
+                    parts.append(text)
+            return "[" + inner + ("," + inner).join(parts) + indent + "]"
         if t is dict:
             if not o:
                 return "{}"

@@ -361,10 +361,12 @@ def _fiber_text(p: dict) -> list[str]:
 
 
 def cmd_fiber(args, g: DefiningGraph) -> int:
+    if args.basepoint is not None and not args.oppressive:
+        raise SchemaError("--basepoint is read only with --oppressive")
     collapsed = _collapsed_or_refuse(args, g)
     if collapsed is None:
         return 1
-    if (args.oppressive and args.basepoint is not None
+    if (args.basepoint is not None
             and args.basepoint not in collapsed.graph.vertices):
         raise SchemaError(f"basepoint {args.basepoint!r} is not a vertex of "
                           "the collapsed graph")

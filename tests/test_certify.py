@@ -21,6 +21,7 @@ from artinsplit import (
     find_admissible_orientation,
     is_admissible,
     monochrome_check,
+    oppressive_set,
 )
 from artinsplit import horizontal
 from artinsplit.certify import (
@@ -304,9 +305,25 @@ JSON_STRINGS = ("", "a", "v0-v1", "café", "☃", "\U0001f600", "\x00",
 JSON_INTS = (0, 1, -1, 2, -7, 4300, 2**63, -2**64, 10**40)
 
 
-def random_json_payload(rng, depth=0):
+def random_leaf_tuple(rng):
+    """str and int items, or the bool that equals an int."""
+    return tuple(rng.choice(("x", "v1", 0, 1, -1, True, False))
+                 for _ in range(rng.randrange(3)))
+
+
+def random_json_payload(rng, depth=0, pool=None):
     """A value of the kinds canonical_json writes: nested dicts with str
-    keys, lists and tuples, often empty, over str, int, bool and None."""
+    keys, lists and tuples, often empty, over str, int, bool and None.
+
+    Half its leaf tuples are drawn from a small pool made per payload, so
+    one tuple object recurs at several places and indents.  The pool holds
+    each tuple beside an equal one, a different object, with every 0 and 1
+    swapped for the bool that equals it, or the other way round."""
+    if pool is None:
+        pool = [random_leaf_tuple(rng) for _ in range(3)]
+        pool += [tuple(int(x) if type(x) is bool else
+                       bool(x) if x in (0, 1) else x for x in leaf)
+                 for leaf in pool]
     kind = rng.randrange(7 if depth < 4 else 4)
     if kind == 0:
         return rng.choice(JSON_STRINGS)
@@ -315,15 +332,16 @@ def random_json_payload(rng, depth=0):
     if kind == 2:
         return rng.choice((True, False, None))
     if kind == 3:
-        # a leaf tuple: str and int items, or the bool that equals an int
-        return tuple(rng.choice(("x", "v1", 0, 1, -1, True, False))
-                     for _ in range(rng.randrange(3)))
-    items = [random_json_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
-    if kind == 4:
-        return items
-    if kind == 5:
-        return tuple(items)
-    return {rng.choice(JSON_STRINGS): item for item in items}
+        return rng.choice(pool) if rng.randrange(2) else random_leaf_tuple(rng)
+    items = [random_json_payload(rng, depth + 1, pool)
+             for _ in range(rng.randrange(4))]
+    if kind == 6:
+        return {rng.choice(JSON_STRINGS): item for item in items}
+    # half the lists and tuples lead with a pool tuple, so canonical_json
+    # looks their items up by object
+    if rng.randrange(2):
+        items.insert(0, rng.choice(pool))
+    return items if kind == 4 else tuple(items)
 
 
 class TestCanonicalJson:
@@ -358,7 +376,11 @@ class TestCanonicalJson:
         class Small(IntEnum):
             ONE = 1
 
+        # one object at several places of a container, beside an equal
+        # leaf: only a checked leaf tuple's text is ever kept for reuse
+        bad = ("x", 1.0)
         unsupported = [
+            [bad, bad], [("x", 1), bad, bad], [(bad,), (bad,)],
             1.0, 0.5, float("nan"), float("inf"), {"a": [1, 2.5]},
             [(1,), (1.0,)], [("x", 1), ("x", 1.0)], (1.0,),
             {1: "a"}, {None: 1}, {True: 1}, {(1, 2): "b"}, {"a": 1, 2: "b"},
@@ -373,6 +395,25 @@ class TestCanonicalJson:
                 continue
             # written only in exactly the reference's bytes
             assert out == canonical_json_reference(payload), payload
+
+    def test_matches_the_reference_on_oppressive_words(self):
+        # real word lists, whose (color, sign) steps are tuple objects shared
+        # across words, each at two depths of one payload
+        for labels in ((5, 5, 5), (5, 4, 4)):
+            g = graph(["a", "b", "c"],
+                      [("a", "b", labels[0], "a"), ("b", "c", labels[1], "b"),
+                       ("a", "c", labels[2], "c")])
+            Y = build_collapsed(g).graph
+            for y0 in Y.vertices:
+                words = oppressive_set(Y, y0)
+                assert words
+                for payload in ({"words": words, "deeper": [[list(words)]]},
+                                [{"count": len(words), "words": words}]):
+                    # compared outside the assert: pytest's diff of two
+                    # megabyte strings would take minutes
+                    same = (canonical_json(payload)
+                            == canonical_json_reference(payload))
+                    assert same, (labels, y0)
 
 
 _OPTIMIZED_PRELUDE = """

@@ -412,6 +412,19 @@ class TestFiber:
         assert captured.err.startswith("input error: basepoint 'nope'")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("basepoint", ["nope", "a+/b-"])
+    def test_basepoint_without_oppressive_is_exit_two(self, write, capsys,
+                                                      basepoint):
+        # a basepoint is an input error without --oppressive, whether or
+        # not it names a vertex of the collapsed graph
+        assert main(
+            ["fiber", "--input", write(TRIANGLE), "--basepoint", basepoint]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("input error: --basepoint is read only with "
+                                "--oppressive\n")
+        assert captured.out == ""
+
     def test_benchmark_outputs_are_byte_identical(self, monkeypatch):
         # every default-seed fiber command of the benchmark's cli workload,
         # replayed and checked against its recorded output digest
