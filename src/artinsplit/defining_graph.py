@@ -147,8 +147,11 @@ def validate(g: DefiningGraph) -> OrientationReport:
     iota must be present on exactly the edges with label >= 3 and must name
     one of the edge's endpoints.
     """
-    problems: list[str] = []
     names = list(g.vertices)
+    problems = [f"vertex name {n!r}: expected a string"
+                for n in names if not isinstance(n, str)]
+    if problems:  # the checks below hash, sort and scan the names
+        return OrientationReport(tuple(problems), (), False)
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         problems.append(f"duplicate vertex names: {', '.join(dupes)}")

@@ -1,4 +1,8 @@
+import io
+
 import pytest
+
+from artinsplit.cli import main
 
 _acceptance: dict[str, bool] = {}
 
@@ -8,6 +12,23 @@ def pytest_configure(config):
         "markers",
         "acceptance(label): end-to-end acceptance criterion, summarized at exit",
     )
+
+
+@pytest.fixture
+def run_cli(monkeypatch):
+    """main(argv) with `text` on stdin: (exit code, stdout, stderr)."""
+    def run(argv, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr("sys.stdout", out)
+        monkeypatch.setattr("sys.stderr", err)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag with exit 2
+            code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    return run
 
 
 @pytest.hookimpl(hookwrapper=True)

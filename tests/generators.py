@@ -1,5 +1,6 @@
 """Seeded random instance generators shared across the test-suite."""
 
+import json
 import random
 
 from artinsplit import (
@@ -16,6 +17,22 @@ from artinsplit import (
 VERTEX_POOL = tuple("abcdefghijkl")
 
 LABELS = (2, 3, 3, 4, 4, 5, 6, 7, 8)  # small labels slightly favoured
+
+
+def ring(labels, tails=None) -> DefiningGraph:
+    """The cycle a-b, b-c, ..., a-z on one vertex per label, z the last;
+    by default the i-th edge has the i-th vertex as its tail, which
+    directs the cycle a -> b -> ... -> z -> a."""
+    names = VERTEX_POOL[: len(labels)]
+    pairs = list(zip(names, names[1:])) + [(names[0], names[-1])]
+    return DefiningGraph.build(names, [
+        (u, v, label, tail)
+        for (u, v), label, tail in zip(pairs, labels, tails or names)])
+
+
+def triangle(labels=(3, 3, 3), tails=("a", "b", "c")) -> DefiningGraph:
+    """The triangle a-b, b-c, a-c, by default directed a -> b -> c -> a."""
+    return ring(labels, tails)
 
 
 def random_defining_graph(
@@ -83,6 +100,27 @@ def glued_cycle_blocks(
     return DefiningGraph.build(
         vertices, [(u, v, rng.choice(labels), None) for u, v in pairs]
     )
+
+
+def directed_cactus(rng: random.Random) -> DefiningGraph:
+    """1 to 6 cycles of 3 to 6 vertices, each directed and glued at one
+    vertex to what came before, and 0 to 3 pendant bridges oriented either
+    way; labels 3 to 9."""
+    vertices: list[str] = []
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        glue = [rng.choice(vertices)] if vertices else []
+        cycle = glue + [
+            f"v{len(vertices) + i}" for i in range(rng.randint(3, 6) - len(glue))
+        ]
+        vertices += cycle[len(glue):]
+        rows += [(u, v, rng.randint(3, 9), u)
+                 for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.choice(vertices), f"v{len(vertices)}"
+        vertices.append(v)
+        rows.append((u, v, rng.randint(3, 9), rng.choice((u, v))))
+    return DefiningGraph.build(vertices, rows)
 
 
 def square_chain(labels: list[int]) -> DefiningGraph:
@@ -203,3 +241,62 @@ def random_colored_graph(
         comps = connected_components(g)
         g = comps[rng.randrange(len(comps))]
     return g
+
+
+FUZZ_COMMANDS = [["check"], ["orient"], ["split"], ["fiber"], ["certify"]] + [
+    ["export", "--graph", graph]
+    for graph in ("input", "X0", "Xhalf", "Xquarter", "Xbar", "fiber")
+]
+ODD_VALUES = (None, True, 0, 1, -4, 2.5, "", "v0", "zz", [], {}, ["v0"])
+
+
+def fuzz_graph(rng, top_label=9):
+    """A random defining graph on up to 5 vertices, labels 2 to top_label,
+    with some of the edges of label 3 or more left unoriented, as the JSON
+    object the CLI reads."""
+    names = [f"v{i}" for i in range(rng.randint(0, 5))]
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    edges = []
+    for u, v in rng.sample(pairs, rng.randint(0, min(len(pairs), 7))):
+        edge = {"u": u, "v": v, "label": rng.randint(2, top_label)}
+        if edge["label"] >= 3 and rng.random() < 0.9:
+            edge["iota"] = rng.choice((u, v))
+        edges.append(edge)
+    return {"vertices": names, "edges": edges}
+
+
+def malformed(rng, graph):
+    """The graph's JSON truncated, with one character changed, or with one
+    field removed, added or given a value of the wrong kind."""
+    text = json.dumps(graph)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[: rng.randrange(len(text))]
+    if kind == 1:
+        i = rng.randrange(len(text))
+        return text[:i] + rng.choice('{}[],:"x0- ') + text[i + 1:]
+    target = rng.choice([graph] + graph["edges"])
+    key = rng.choice(list(target) + ["extra"])
+    if rng.random() < 0.3:
+        target.pop(key, None)
+    else:
+        target[key] = rng.choice(ODD_VALUES)
+    return json.dumps(graph)
+
+
+def fuzz_rounds(rng, top_label=9):
+    """150 rounds of CLI fuzz: (round, texts, argvs).  The texts are a
+    `fuzz_graph` and a `malformed` one; the argvs run every subcommand and
+    export graph in every format, and `fiber --oppressive` on graphs of up
+    to 3 vertices, since it enumerates every simple path of Xbar."""
+    for round_ in range(150):
+        graph = fuzz_graph(rng, top_label)
+        texts = [json.dumps(graph), malformed(rng, fuzz_graph(rng, top_label))]
+        commands = FUZZ_COMMANDS[:]
+        if len(graph["vertices"]) <= 3:
+            commands.append(["fiber", "--oppressive"])
+            commands.append(["fiber", "--oppressive", "--basepoint",
+                             rng.choice(("v0+", "v0+/v1-", "zz"))])
+        yield round_, texts, [
+            command + ["--format", fmt] for command in commands
+            for fmt in ["json", "text"] + (["dot"] if command[0] == "export" else [])]

@@ -33,6 +33,8 @@ from generators import (
     random_admissible_graph,
     random_bouquet_immersion,
     random_defining_graph,
+    ring,
+    triangle,
     with_random_orientation,
 )
 from oracles import (
@@ -42,29 +44,6 @@ from oracles import (
     run_lengths,
     traces_word,
 )
-
-
-def triangle(labels):
-    return DefiningGraph.build(
-        ["a", "b", "c"],
-        [
-            ("a", "b", labels[0], "a"),
-            ("b", "c", labels[1], "b"),
-            ("a", "c", labels[2], "c"),
-        ],
-    )
-
-
-def square(labels):
-    return DefiningGraph.build(
-        ["a", "b", "c", "d"],
-        [
-            ("a", "b", labels[0], "a"),
-            ("b", "c", labels[1], "b"),
-            ("c", "d", labels[2], "c"),
-            ("a", "d", labels[3], "d"),
-        ],
-    )
 
 
 # Criteria 2, 3 and 5 all run over the same random suite, so it is built
@@ -302,8 +281,8 @@ def test_criterion_10_certifier_table():
         (triangle((5, 5, 5)), "ResiduallyFinite", "R4", "(2m+1, 4, 4)"),
         (triangle((3, 3, 3)), "ResiduallyFinite", "R3", "affine"),
         (triangle((5, 4, 4)), "SplitsOnly", "R7", "amalgam"),
-        (square((4, 4, 4, 4)), "SplitsOnly", "R7", "amalgam"),
-        (square((6, 6, 6, 6)), "ResiduallyFinite", "R5", "even"),
+        (ring((4, 4, 4, 4)), "SplitsOnly", "R7", "amalgam"),
+        (ring((6, 6, 6, 6)), "ResiduallyFinite", "R5", "even"),
     ]
     for g, verdict, rule, fragment in cases:
         cert = certify(g)

@@ -1,15 +1,12 @@
-import hashlib
 import io
 import json
 import random
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import artinsplit
-from artinsplit import DefiningGraph, SchemaError, certify, cli, defining_graph
+from artinsplit import SchemaError, certify, cli, defining_graph
 from artinsplit.cli import (
     defining_graph_dot,
     defining_graph_json_dict,
@@ -17,6 +14,8 @@ from artinsplit.cli import (
     main,
     parse_defining_graph,
 )
+from generators import fuzz_rounds, ring
+from test_pins import check_benchmark_outputs
 
 TRIANGLE = {
     "vertices": ["a", "b", "c"],
@@ -65,9 +64,6 @@ INVALID = {
 LONG_INTEGER = '{"vertices": [], "edges": [], "n": ' + "7" * 5000 + "}"
 DEEP_ARRAYS = "[" * (10 * sys.getrecursionlimit())
 NOT_UTF8 = b'{"vertices": ["\xff"], "edges": []}'
-
-# sha256 of every output of test_outputs_are_byte_identical
-PINNED_OUTPUTS = "181cb9d9586f59661e90d620badb2761f539f9f0fb28aa68d0116ea11bf5b955"
 
 INVALID_LINES = [
     "input error: edge a-b: label must be an integer >= 2",
@@ -428,18 +424,9 @@ class TestFiber:
     def test_benchmark_outputs_are_byte_identical(self, monkeypatch):
         # every default-seed fiber command of the benchmark's cli workload,
         # replayed and checked against its recorded output digest
-        bench = Path(__file__).resolve().parents[1] / "benchmark"
-        monkeypatch.syspath_prepend(str(bench))
-        from operations import execute, prepare
-        from workloads import DEFAULT_SEED, cli_ops
-
-        expected = json.loads((bench / "expected.json").read_text())["cli"]
-        ops = [op for op in cli_ops(DEFAULT_SEED) if op.argv[0] == "fiber"]
+        ops = check_benchmark_outputs(monkeypatch, "cli",
+                                      lambda op: op.argv[0] == "fiber")
         assert any("--oppressive" in op.argv for op in ops)
-        for op in ops:
-            outcome = execute(artinsplit, cli, op, prepare(artinsplit, op),
-                              expected, need_digest=True)
-            assert outcome.problem is None, (op.argv, outcome.problem)
 
 
 class TestCertify:
@@ -541,88 +528,6 @@ def test_parser_is_built_once_per_process(write, monkeypatch, capsys):
     assert added == []
 
 
-FUZZ_COMMANDS = [["check"], ["orient"], ["split"], ["fiber"], ["certify"]] + [
-    ["export", "--graph", graph]
-    for graph in ("input", "X0", "Xhalf", "Xquarter", "Xbar", "fiber")
-]
-ODD_VALUES = (None, True, 0, 1, -4, 2.5, "", "v0", "zz", [], {}, ["v0"])
-
-
-def fuzz_graph(rng, top_label=9):
-    """A random defining graph on up to 5 vertices, labels 2 to top_label,
-    with some of the edges of label 3 or more left unoriented."""
-    names = [f"v{i}" for i in range(rng.randint(0, 5))]
-    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
-    edges = []
-    for u, v in rng.sample(pairs, rng.randint(0, min(len(pairs), 7))):
-        edge = {"u": u, "v": v, "label": rng.randint(2, top_label)}
-        if edge["label"] >= 3 and rng.random() < 0.9:
-            edge["iota"] = rng.choice((u, v))
-        edges.append(edge)
-    return {"vertices": names, "edges": edges}
-
-
-def malformed(rng, graph):
-    """The graph's JSON truncated, with one character changed, or with one
-    field removed, added or given a value of the wrong kind."""
-    text = json.dumps(graph)
-    kind = rng.randrange(3)
-    if kind == 0:
-        return text[: rng.randrange(len(text))]
-    if kind == 1:
-        i = rng.randrange(len(text))
-        return text[:i] + rng.choice('{}[],:"x0- ') + text[i + 1:]
-    target = rng.choice([graph] + graph["edges"])
-    key = rng.choice(list(target) + ["extra"])
-    if rng.random() < 0.3:
-        target.pop(key, None)
-    else:
-        target[key] = rng.choice(ODD_VALUES)
-    return json.dumps(graph)
-
-
-def run_captured(monkeypatch, argv, text):
-    """main(argv) with `text` on stdin: (exit code, stdout, stderr)."""
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    out, err = io.StringIO(), io.StringIO()
-    monkeypatch.setattr("sys.stdout", out)
-    monkeypatch.setattr("sys.stderr", err)
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse refuses a flag with exit 2
-        code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def test_outputs_are_byte_identical(monkeypatch):
-    # Every subcommand and export graph in every format on 150 seeded
-    # graphs (up to 5 vertices, labels 2 to 7, partial orientations) and
-    # one malformed graph per round: one digest over every exit code,
-    # stdout and stderr.  Record a new digest only for an intended change
-    # of output.
-    rng = random.Random(10)
-    h = hashlib.sha256()
-    runs = 0
-    for _ in range(150):
-        graph = fuzz_graph(rng, top_label=7)
-        texts = [json.dumps(graph), malformed(rng, fuzz_graph(rng, top_label=7))]
-        commands = FUZZ_COMMANDS[:]
-        if len(graph["vertices"]) <= 3:
-            commands.append(["fiber", "--oppressive"])
-            commands.append(["fiber", "--oppressive", "--basepoint",
-                             rng.choice(("v0+", "v0+/v1-", "zz"))])
-        for command in commands:
-            formats = ["json", "text"] + (["dot"] if command[0] == "export" else [])
-            for fmt in formats:
-                for text in texts:
-                    code, out, err = run_captured(
-                        monkeypatch, command + ["--format", fmt], text)
-                    h.update(f"{code}\0{out}\0{err}\0".encode())
-                    runs += 1
-    assert runs > 3000
-    assert h.hexdigest() == PINNED_OUTPUTS
-
-
 def count_calls(monkeypatch, names):
     """Count the calls of the named library functions through every binding
     the package's modules hold of them."""
@@ -649,30 +554,15 @@ def used_orientation(g):
     return evidence.get("consistency_probe", evidence)["orientation"]["used"]
 
 
-R6_SQUARE = (["a", "b", "c", "d"], [
-    ("a", "b", 3, "a"), ("b", "c", 3, "b"), ("c", "d", 4, "c"),
-    ("a", "d", 5, "d")])
-
-
 @pytest.mark.parametrize("run, expected", [
     # certify: the R4 consistency probe, a provided R7 orientation and a
     # searched R7 one, and a provided and a searched R6 one; then the two
     # CLI commands that build the product
-    (lambda write: used_orientation(DefiningGraph.build(["a", "b", "c"], [
-        ("a", "b", 5, None), ("b", "c", 4, None), ("a", "c", 6, None)])),
-     "searched"),
-    (lambda write: used_orientation(DefiningGraph.build(["a", "b", "c"], [
-        ("a", "b", 41, "a"), ("b", "c", 4, "b"), ("a", "c", 4, "c")])),
-     "provided"),
-    (lambda write: used_orientation(DefiningGraph.build(["a", "b", "c", "d"], [
-        ("a", "b", 5, None), ("b", "c", 5, None), ("c", "d", 5, None),
-        ("a", "d", 5, None)])),
-     "searched"),
-    (lambda write: used_orientation(DefiningGraph.build(*R6_SQUARE)),
-     "provided"),
-    (lambda write: used_orientation(DefiningGraph.build(R6_SQUARE[0], [
-        (u, v, label, None) for u, v, label, _ in R6_SQUARE[1]])),
-     "searched"),
+    (lambda write: used_orientation(ring((5, 4, 6), (None,) * 3)), "searched"),
+    (lambda write: used_orientation(ring((41, 4, 4))), "provided"),
+    (lambda write: used_orientation(ring((5, 5, 5, 5), (None,) * 4)), "searched"),
+    (lambda write: used_orientation(ring((3, 3, 4, 5))), "provided"),
+    (lambda write: used_orientation(ring((3, 3, 4, 5), (None,) * 4)), "searched"),
     (lambda write: main(["fiber", "--input", write(TRIANGLE)]), 0),
     (lambda write: main(["export", "--graph", "fiber", "--input",
                          write(TRIANGLE)]), 0),
@@ -693,31 +583,20 @@ def test_xbar_its_product_and_the_immersion_check_run_once(
 
 
 def test_benchmark_outputs_are_byte_identical(monkeypatch):
-    # every default-seed command of the benchmark's cli workload that
-    # neither TestFiber's replay of `fiber` nor test_certify's replay of
-    # `certify` covers (`check`, `split` and `export`), replayed and checked
-    # against its recorded output digest; the three replays together cover
-    # every operation of all three workloads
-    bench = Path(__file__).resolve().parents[1] / "benchmark"
-    monkeypatch.syspath_prepend(str(bench))
-    from operations import execute, prepare
-    from workloads import DEFAULT_SEED, WORKLOADS
-
-    expected = json.loads((bench / "expected.json").read_text())
+    # every default-seed `check`, `split` and `export` command of the
+    # benchmark, replayed and checked against its recorded output digest;
+    # only the cli workload runs them
     replayed = {}
-    for workload, make in WORKLOADS.items():
-        ops = [op for op in make(DEFAULT_SEED)
-               if op.kind == "cli" and op.argv[0] not in ("fiber", "certify")]
+    for workload in ("labels", "search", "cli"):
+        ops = check_benchmark_outputs(
+            monkeypatch, workload,
+            lambda op: op.kind == "cli"
+            and op.argv[0] not in ("fiber", "certify"))
         replayed[workload] = Counter(op.argv[0] for op in ops)
-        for op in ops:
-            outcome = execute(artinsplit, cli, op, prepare(artinsplit, op),
-                              expected[workload], need_digest=True)
-            assert outcome.problem is None, (workload, op.key, outcome.problem)
     assert replayed == {"labels": {}, "search": {},
                         "cli": {"check": 220, "split": 220, "export": 220}}
 
-
-def test_seeded_fuzz_every_input_ends_in_exit_0_1_or_2(tmp_path, monkeypatch):
+def test_seeded_fuzz_every_input_ends_in_exit_0_1_or_2(tmp_path, run_cli):
     # Every subcommand and export graph in every format, on random valid
     # graphs, malformed JSON and the three inputs json fails on in other
     # ways.  Input sizes stay small: very large labels still run without
@@ -732,15 +611,15 @@ def test_seeded_fuzz_every_input_ends_in_exit_0_1_or_2(tmp_path, monkeypatch):
                   str(tmp_path / "missing" / "out.txt"))
 
     def run(argv, text):
-        code, out, err = run_captured(monkeypatch, argv, text)
+        code, out, err = run_cli(argv, text)
         assert code in (0, 1, 2), (argv, text)
         codes.add(code)
         if code == 2:
             assert err.startswith(("input error: ", "usage: "))
         if pick.random() < 0.1:
             out_file.unlink(missing_ok=True)
-            again, nothing, again_err = run_captured(
-                monkeypatch, argv + ["--output", str(out_file)], text)
+            again, nothing, again_err = run_cli(
+                argv + ["--output", str(out_file)], text)
             written = out_file.read_text() if out_file.exists() else ""
             assert (again, nothing, again_err, written) == (code, "", err, out)
             redirected.append(code)
@@ -749,31 +628,19 @@ def test_seeded_fuzz_every_input_ends_in_exit_0_1_or_2(tmp_path, monkeypatch):
     redirected = []
     pick = random.Random(10)
     rng = random.Random(9)
-    for round_ in range(150):
-        graph = fuzz_graph(rng)
-        texts = [json.dumps(graph), malformed(rng, fuzz_graph(rng))]
+    for round_, texts, argvs in fuzz_rounds(rng):
         if round_ < 3:
             texts += [LONG_INTEGER, DEEP_ARRAYS]
-        commands = FUZZ_COMMANDS[:]
-        if len(graph["vertices"]) <= 3:
-            # oppressive_set enumerates every simple path of Xbar
-            commands.append(["fiber", "--oppressive"])
-            commands.append(["fiber", "--oppressive", "--basepoint",
-                             rng.choice(("v0+", "v0+/v1-", "zz"))])
-        commands.append(["check", "--max-cycle-len",
-                         rng.choice(("2", "3", "5", "12", "13", "x"))])
-        for command in commands:
-            formats = ["json", "text"] + (["dot"] if command[0] == "export" else [])
-            for fmt in formats:
-                argv = command + ["--format", fmt]
-                for text in texts:
-                    run(argv, text)
-                if round_ < 3:
-                    run(argv + ["--input", str(bad_bytes)], "")
-                    for path in unopenable:
-                        code, out, err = run_captured(
-                            monkeypatch, argv + ["--output", path], texts[0])
-                        assert code == 2 and out == "", (argv, path)
-                        assert err.startswith(("input error: ", "usage: "))
+        check = ["check", "--max-cycle-len",
+                 rng.choice(("2", "3", "5", "12", "13", "x")), "--format"]
+        for argv in argvs + [check + ["json"], check + ["text"]]:
+            for text in texts:
+                run(argv, text)
+            if round_ < 3:
+                run(argv + ["--input", str(bad_bytes)], "")
+                for path in unopenable:
+                    code, out, err = run_cli(argv + ["--output", path], texts[0])
+                    assert code == 2 and out == "", (argv, path)
+                    assert err.startswith(("input error: ", "usage: "))
     assert codes == {0, 1, 2}
     assert set(redirected) == {0, 1, 2}

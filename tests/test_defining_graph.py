@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinsplit import DefiningGraph, InvalidDefiningGraph, require_valid, validate
+from artinsplit import (DefiningGraph, InvalidDefiningGraph, certify,
+                        require_valid, validate)
 from artinsplit.defining_graph import (
     MAX_CYCLE_LEN,
     all_labels_even,
@@ -15,19 +16,8 @@ from artinsplit.defining_graph import (
     is_connected,
     is_forest,
 )
-from generators import random_defining_graph
+from generators import random_defining_graph, ring, triangle
 from oracles import neighbours_by_edge_scan
-
-
-def triangle(l1=3, l2=3, l3=3, tails=("a", "b", "c")):
-    return DefiningGraph.build(
-        ["a", "b", "c"],
-        [
-            ("a", "b", l1, tails[0]),
-            ("b", "c", l2, tails[1]),
-            ("a", "c", l3, tails[2]),
-        ],
-    )
 
 
 class TestBuild:
@@ -46,7 +36,7 @@ class TestBuild:
         assert g.vertices == ("z", "a")
 
     def test_labels_sorted(self):
-        assert triangle(5, 3, 4).labels() == (3, 4, 5)
+        assert triangle((5, 3, 4)).labels() == (3, 4, 5)
 
     def test_neighbours(self):
         g = triangle()
@@ -133,6 +123,19 @@ class TestValidate:
         ok = DefiningGraph.build(["x_1", "y.2"], [("x_1", "y.2", 2, None)])
         assert validate(ok).ok
 
+    def test_vertex_name_that_is_not_a_string(self):
+        # reported before the names are hashed or sorted, so an unhashable
+        # name is a problem too, and certify refuses the graph
+        rep = validate(DefiningGraph.build([1, 2], [(1, 2, 3, 1)]))
+        assert rep.problems == ("vertex name 1: expected a string",
+                                "vertex name 2: expected a string")
+        for name in (1, None, ["a"]):
+            g = DefiningGraph.build([name, "b"], [])
+            assert validate(g).problems == (
+                f"vertex name {name!r}: expected a string",)
+            with pytest.raises(InvalidDefiningGraph, match="expected a string"):
+                certify(g)
+
     def test_require_valid_oriented(self):
         g = DefiningGraph.build(["a", "b"], [("a", "b", 3, None)])
         require_valid(g, oriented=False)
@@ -158,16 +161,7 @@ class TestPredicates:
 
     def test_bipartite(self):
         assert not is_bipartite(triangle())
-        sq = DefiningGraph.build(
-            ["a", "b", "c", "d"],
-            [
-                ("a", "b", 4, None),
-                ("b", "c", 4, None),
-                ("c", "d", 4, None),
-                ("a", "d", 4, None),
-            ],
-        )
-        assert is_bipartite(sq)
+        assert is_bipartite(ring((4, 4, 4, 4), tails=(None,) * 4))
 
     def test_bipartite_matches_brute_force_two_colouring(self):
         rng = random.Random(31)

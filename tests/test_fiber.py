@@ -26,6 +26,7 @@ from generators import (
     random_bouquet_immersion,
     random_colored_graph,
     subdivided_bouquet_immersion,
+    triangle,
 )
 from oracles import (
     explicit_fiber_product,
@@ -39,17 +40,6 @@ from oracles import (
     traces_word,
     two_disjoint_paths,
 )
-
-
-def triangle(labels, tails=("a", "b", "c")):
-    return DefiningGraph.build(
-        ["a", "b", "c"],
-        [
-            ("a", "b", labels[0], tails[0]),
-            ("b", "c", labels[1], tails[1]),
-            ("a", "c", labels[2], tails[2]),
-        ],
-    )
 
 
 def self_fiber(g):

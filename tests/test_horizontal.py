@@ -20,6 +20,8 @@ from generators import (
     LABELS,
     random_admissible_graph,
     random_defining_graph,
+    ring,
+    triangle,
     with_random_orientation,
 )
 from oracles import (
@@ -46,26 +48,7 @@ def single_edge(label, iota="a"):
     return DefiningGraph.build(["a", "b"], [("a", "b", label, iota)])
 
 
-def triangle(labels=(3, 3, 3)):
-    return DefiningGraph.build(
-        ["a", "b", "c"],
-        [
-            ("a", "b", labels[0], "a"),
-            ("b", "c", labels[1], "b"),
-            ("a", "c", labels[2], "c"),
-        ],
-    )
-
-
-SQUARE_EVEN = DefiningGraph.build(
-    ["a", "b", "c", "d"],
-    [
-        ("a", "b", 4, "a"),
-        ("b", "c", 4, "b"),
-        ("c", "d", 4, "c"),
-        ("a", "d", 6, "d"),
-    ],
-)
+SQUARE_EVEN = ring((4, 4, 4, 6))
 
 
 class TestFamily:
@@ -187,10 +170,7 @@ class TestCollapsed:
         assert is_immersion(build_collapsed(g).graph)
 
     def test_rho_fails_to_immerse_when_inadmissible(self):
-        bad = DefiningGraph.build(
-            ["a", "b", "c"],
-            [("a", "b", 3, "a"), ("b", "c", 3, "b"), ("a", "c", 3, "a")],
-        )
+        bad = triangle(tails=("a", "b", "a"))
         verdict = is_admissible(bad)
         assert not verdict.admissible
         assert verdict.witness is not None
@@ -285,10 +265,7 @@ class TestSplitting:
         )
 
     def test_inadmissible_orientation_refused(self):
-        bad = DefiningGraph.build(
-            ["a", "b", "c"],
-            [("a", "b", 3, "a"), ("b", "c", 3, "b"), ("a", "c", 3, "a")],
-        )
+        bad = triangle(tails=("a", "b", "a"))
         with pytest.raises(InadmissibleOrientation) as e:
             compute_splitting(bad)
         assert e.value.verdict.witness is not None
@@ -353,10 +330,7 @@ class TestSplitting:
             AdmissibilityVerdict(True)
 
     def test_a_handed_verdict_still_refuses(self):
-        bad = DefiningGraph.build(
-            ["a", "b", "c"],
-            [("a", "b", 3, "a"), ("b", "c", 3, "b"), ("a", "c", 3, "a")],
-        )
+        bad = triangle(tails=("a", "b", "a"))
         verdict = is_admissible(bad)
         with pytest.raises(InadmissibleOrientation) as e:
             compute_splitting(bad, verdict)

@@ -12,6 +12,7 @@ from artinsplit import (
     SearchSpaceError,
     WitnessCycle,
     check_witness,
+    compute_splitting,
     enumerate_cycles,
     blocks,
     find_admissible_orientation,
@@ -29,9 +30,11 @@ from artinsplit.orientation import (
 )
 from generators import (
     LABELS,
+    directed_cactus,
     glued_cycle_blocks,
     random_defining_graph,
     square_chain,
+    triangle,
     with_random_orientation,
 )
 from oracles import (
@@ -40,17 +43,6 @@ from oracles import (
     oracle_by_expressions,
     sign_cover_verdict,
 )
-
-
-def triangle(labels=(3, 3, 3), tails=("a", "b", "c")):
-    return DefiningGraph.build(
-        ["a", "b", "c"],
-        [
-            ("a", "b", labels[0], tails[0]),
-            ("b", "c", labels[1], tails[1]),
-            ("a", "c", labels[2], tails[2]),
-        ],
-    )
 
 
 def is_directed(cycle, iota):
@@ -64,10 +56,7 @@ def is_directed(cycle, iota):
 CYCLIC = triangle()
 # two tails at the same vertex close an almost misdirected triangle
 CLASHING = triangle(tails=("a", "b", "a"))
-ALL_TWOS = DefiningGraph.build(
-    ["a", "b", "c"],
-    [("a", "b", 2, None), ("b", "c", 2, None), ("a", "c", 2, None)],
-)
+ALL_TWOS = triangle((2, 2, 2), tails=(None,) * 3)
 
 
 # vertex names whose sorted order is neither their order here nor the order
@@ -170,6 +159,24 @@ class TestIsAdmissible:
                     directed += 1
                     assert is_admissible(g.with_orientation(iota)).admissible
         assert directed
+
+    def test_large_type_cacti_with_every_cycle_directed_split(self):
+        # the abstract's large-type sentence, on cacti (only they can have
+        # every simple cycle directed); flipping every other edge makes most
+        # of the same cacti inadmissible, so the check can fail
+        rng = random.Random(14)
+        flipped_inadmissible = 0
+        for _ in range(2000):
+            g = directed_cactus(rng)
+            verdict = is_admissible(g)
+            assert verdict.admissible
+            splitting = compute_splitting(g, verdict)
+            assert (splitting.rank_a, splitting.rank_b) == (
+                len(g.edges), 1 - len(g.vertices) + 2 * len(g.edges))
+            flipped = g.with_orientation(
+                {e.key: e.other(e.iota) for e in g.edges[1::2]})
+            flipped_inadmissible += not is_admissible(flipped).admissible
+        assert flipped_inadmissible > 1500
 
     def test_admissibility_is_block_local(self):
         # every simple cycle lies in one biconnected block, so the graph is

@@ -1,0 +1,103 @@
+"""The one place where recorded outputs are pinned, each test failing once
+with every moved key grouped by command.
+
+* Every default-seed benchmark operation has its digest in
+  `benchmark/expected.json`; re-record with `benchmark/run.py --record`.
+* Every run of a seeded CLI fuzz has its digest in the ledger
+  `pinned_outputs.json`; re-record by copying the fresh ledger that the
+  failing test names over it.
+"""
+
+import hashlib
+import json
+import random
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+import artinsplit
+from artinsplit import cli
+from generators import fuzz_rounds
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmark"
+LEDGER = Path(__file__).with_name("pinned_outputs.json")
+
+
+def moved(recorded, fresh, command):
+    """The keys whose fresh value differs from the recorded one, or that
+    only one side holds, grouped by `command(key)`."""
+    groups = defaultdict(list)
+    for key in sorted(recorded.keys() | fresh.keys()):
+        if recorded.get(key) != fresh.get(key):
+            groups[command(key)].append(key)
+    return groups
+
+
+def listing(groups):
+    return "".join(f"\n{command}: {len(keys)}\n    " + "\n    ".join(keys)
+                   for command, keys in sorted(groups.items()))
+
+
+def check_benchmark_outputs(monkeypatch, workload, keep=None):
+    """Replay each default-seed op of `workload` that `keep(op)` accepts
+    (every op without `keep`) once: its output digest, then the benchmark's
+    own re-checks of what it claims.  Fail once, listing every moved key and
+    every failed check; return the ops replayed."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from operations import execute, prepare
+    from workloads import DEFAULT_SEED, WORKLOADS
+
+    recorded = json.loads((BENCH / "expected.json").read_text())[workload]
+    ops = [op for op in WORKLOADS[workload](DEFAULT_SEED)
+           if keep is None or keep(op)]
+    fresh, commands, failed = {}, {}, defaultdict(list)
+    for op in ops:
+        outcome = execute(artinsplit, cli, op, prepare(artinsplit, op),
+                          recorded, need_digest=True)
+        fresh[op.key] = outcome.digest
+        commands[op.key] = " ".join(op.argv) or op.kind
+        if outcome.problem and outcome.digest == recorded.get(op.key):
+            failed[commands[op.key]].append(f"{op.key}: {outcome.problem}")
+    assert len(ops) == len(fresh)
+    if keep is not None:
+        recorded = {key: recorded[key] for key in fresh if key in recorded}
+    groups = moved(recorded, fresh, lambda key: commands.get(key, "no op"))
+    if groups or failed:
+        pytest.fail(f"{sum(map(len, groups.values()))} of {len(ops)} "
+                    f"{workload} outputs moved:{listing(groups)}\n"
+                    f"failed their checks:{listing(failed)}", pytrace=False)
+    return ops
+
+
+@pytest.mark.parametrize("workload, count", [
+    ("labels", 83), ("search", 256), ("cli", 1170)])
+def test_benchmark_outputs_match_their_recorded_digests(
+        workload, count, monkeypatch):
+    # every default-seed op of the workload; this pins R7's witness cycles
+    # to the byte
+    assert len(check_benchmark_outputs(monkeypatch, workload)) == count
+
+
+def test_fuzz_outputs_match_the_ledger(run_cli, tmp_path):
+    # exit code, stdout and stderr of every command in every format on
+    # each text of 150 seeded rounds, one 12-hex sha256 prefix per run
+    # under `<round> <input kind> <format> <argv>`
+    fresh = {}
+    for round_, texts, argvs in fuzz_rounds(random.Random(10), top_label=7):
+        for argv in argvs:
+            for kind, text in zip(("graph", "malformed"), texts):
+                code, out, err = run_cli(argv, text)
+                key = f"{round_:03d} {kind} {argv[-1]} {' '.join(argv[:-2])}"
+                assert key not in fresh, key
+                fresh[key] = hashlib.sha256(
+                    f"{code}\0{out}\0{err}\0".encode()).hexdigest()[:12]
+    assert len(fresh) > 3000
+    groups = moved(json.loads(LEDGER.read_text()), fresh,
+                   lambda key: key.split(" ", 3)[3])
+    if groups:
+        written = tmp_path / LEDGER.name
+        written.write_text(json.dumps(fresh, indent=0, sort_keys=True) + "\n")
+        pytest.fail(f"{sum(map(len, groups.values()))} of {len(fresh)} runs "
+                    f"moved; copy {written} over {LEDGER} to re-record. "
+                    f"Moved:{listing(groups)}", pytrace=False)
