@@ -49,7 +49,7 @@ class DefiningEdge:
 
 
 def _canonical_edge(u: str, v: str, label: int, iota: Optional[str]) -> DefiningEdge:
-    if v < u:
+    if isinstance(u, str) and isinstance(v, str) and v < u:
         u, v = v, u
     return DefiningEdge(u, v, label, iota)
 
@@ -167,6 +167,9 @@ def validate(g: DefiningGraph) -> OrientationReport:
     iota_total = True
     for e in g.edges:
         where = f"edge {e.u}-{e.v}"
+        if not (isinstance(e.u, str) and isinstance(e.v, str)):
+            problems.append(f"{where}: endpoints must be strings")
+            continue
         if e.u not in vset or e.v not in vset:
             problems.append(f"{where}: endpoint not a listed vertex")
         if e.u == e.v:

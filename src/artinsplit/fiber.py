@@ -159,9 +159,8 @@ class FiberProduct:
     `fiber_product` computed.
 
     Nothing else is held per pair: `component_of` looks a pair up through
-    its runs (see `fiber_product`).  The string-keyed graphs `graph` and
-    `components`, which hold every pair, and `component(i)` are built when
-    read.
+    its runs (see `fiber_product`).  `graph`, `components`, `component(i)`
+    and the R7 witness are built when read, from the pairs' `_ends`.
     """
 
     factor: ColoredGraph
@@ -232,19 +231,26 @@ class FiberProduct:
             by_col[col[v]] = cs
         return by_row, by_col
 
+    def _ends(self, p: int) -> tuple[list, list]:
+        """Pair index p's edge-ends, one per key its coordinates share in
+        `_stars`: its neighbours as `bfs_tree` steps, and the edges it is
+        the tail of as (edge pair, p, head pair, color)."""
+        by_row, by_col = self._stars
+        other = by_col[p % len(by_col)]
+        steps, tails = [], []
+        for key, (e1, r) in by_row[p // len(by_row)].items():
+            if key in other:
+                e2, c = other[key]
+                steps.append((r + c, None))
+                if key[1] > 0:
+                    tails.append((e1 + e2, p, r + c, key[0]))
+        return steps, tails
+
     @cached_property
     def graph(self) -> ColoredGraph:
-        """The whole product as one graph."""
-        Y = self.factor
-        same: dict[str, list[Edge]] = {}
-        for e in Y.edges:
-            same.setdefault(e.color, []).append(e)
-        return ColoredGraph(
-            [_pair(u, v) for u in Y.vertices for v in Y.vertices],
-            [Edge(_pair(e1.id, e2.id), _pair(e1.tail, e2.tail),
-                  _pair(e1.head, e2.head), e1.color)
-             for e1 in Y.edges for e2 in same[e1.color]],
-        )
+        """The whole product as one graph, each edge read at its tail pair."""
+        pairs = range(len(self.factor.vertices) ** 2)
+        return self._graph(pairs, [e for p in pairs for e in self._ends(p)[1]])
 
     @cached_property
     def components(self) -> tuple[ColoredGraph, ...]:
@@ -270,20 +276,12 @@ class FiberProduct:
         its smallest pair: its pair indices in discovery order, and each
         edge as (edge index, tail pair, head pair, color), listed out from
         its tail pair when that is found."""
-        n = len(self.factor.vertices)
-        by_row, by_col = self._stars
         edges: list[tuple] = []
 
         def step(p: int) -> list:
-            mine, other = by_row[p // n], by_col[p % n]
-            out = []
-            for key, (e1, r) in mine.items():
-                if key in other:
-                    e2, c = other[key]
-                    out.append((r + c, None))
-                    if key[1] > 0:
-                        edges.append((e1 + e2, p, r + c, key[0]))
-            return out
+            steps, tails = self._ends(p)
+            edges.extend(tails)
+            return steps
 
         return list(bfs_tree(self.smallest[index], step)), edges
 
@@ -506,34 +504,21 @@ def _cycle_through(
     start and its (edge, +1 or -1) steps.
 
     One exists because any two edges of a biconnected block lie on a common
-    simple cycle.  Two shapes: the edges share an endpoint v (e1's tail when
-    they are parallel, so the path between their other ends is empty), or
-    they are disjoint and joined by two vertex-disjoint paths.
+    simple cycle.  From v, the end of e1 that e2 shares (its tail if both
+    or neither are), it runs e1, one path of a two-paths flow to an end of
+    e2, e2, and the other path back to v, v alone when v is an end of e2.
     """
     t1, h1 = ends[e1]
     t2, h2 = ends[e2]
+    v, x = (h1, t1) if h1 in (t2, h2) and t1 not in (t2, h2) else (t1, h1)
     usable = [j for j in block if j != e1 and j != e2]
-    if t1 in (t2, h2) or h1 in (t2, h2):
-        v = t1 if t1 in (t2, h2) else h1
-        x = h1 if v == t1 else t1
-        y = h2 if v == t2 else t2
-        star: dict[int, list] = {}
-        for j in usable:
-            a, b = ends[j]
-            star.setdefault(a, []).append((b, (j, +1)))
-            star.setdefault(b, []).append((a, (j, -1)))
-        mid = bfs_path(x, y, lambda w: [s for s in star.get(w, ()) if s[0] != v])
-        if mid is None:
-            raise AssertionError("block not biconnected")
-        return v, [(e1, +1 if v == t1 else -1), *mid,
-                   (e2, +1 if y == t2 else -1)]
-    paths = _two_disjoint_paths(n, ends, usable, (t1, h1), (t2, h2))
+    paths = _two_disjoint_paths(n, ends, usable, (v, x), (t2, h2))
     if paths is None:
         raise AssertionError("block not biconnected")
-    sink, from_head = paths[h1]
-    _, from_tail = paths[t1]
-    return t1, [(e1, +1), *from_head, (e2, +1 if sink == t2 else -1),
-                *[(j, -sign) for j, sign in reversed(from_tail)]]
+    sink, path = paths[x]
+    return v, [(e1, +1 if v == t1 else -1), *path,
+               (e2, +1 if sink == t2 else -1),
+               *[(j, -sign) for j, sign in reversed(paths[v][1])]]
 
 
 def _two_disjoint_paths(
@@ -550,7 +535,9 @@ def _two_disjoint_paths(
     usable edge becomes a capacity-one arc, i(v) -> o(v) and en(j) ->
     ex(j), edges usable in either direction.  Returns {source: (sink,
     steps)}, the steps as (edge, +1 or -1), or None when no two such paths
-    exist.  Sources and sinks are assumed pairwise distinct vertices.
+    exist.  Sources are distinct, and so are sinks.  A vertex v among both
+    is its own path: S, i(v), o(v), T is a shortest augmenting path, after
+    which i(v) leads only back to S and no residual arc enters o(v).
 
     The nodes are numbered S, T, then en, ex, i and o in blocks, each
     block in id order, so sorted neighbours are tried in the order of the

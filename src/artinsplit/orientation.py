@@ -332,34 +332,28 @@ def _find_collapsed_cycle(
     """Quarter ids of some simple cycle along the collapsed lifts `star`,
     by a depth-first search from each id of `order` not yet reached.  No
     two collapsed lifts join the same two ids, so the lift back to a
-    vertex's parent is the one to its parent id."""
+    vertex's parent is the one to its parent id.  A seen neighbour w of a
+    popped v, not its parent, closes the cycle up the tree: w pushed v, and
+    v's parent, its last pusher, came after w, so below it.  An id pushed
+    twice has two seen neighbours, so it closes a cycle at its first pop,
+    and none is popped twice."""
     seen: set[int] = set()
     for start in order:
         if start in seen:
             continue
-        parent: dict[int, Optional[int]] = {start: None}
+        parent = {start: -1}
         stack = [start]
         while stack:
             v = stack.pop()
-            if v in seen:
-                continue
             seen.add(v)
             for w in star[v]:
                 if w == parent[v]:
                     continue
                 if w in seen:
-                    # back edge: walk tree paths to the common ancestor
-                    pa = [v]
-                    while parent[pa[-1]] is not None:
-                        pa.append(parent[pa[-1]])  # type: ignore[arg-type]
-                    pb = [w]
-                    while parent[pb[-1]] is not None:
-                        pb.append(parent[pb[-1]])  # type: ignore[arg-type]
-                    sb = set(pb)
-                    meet = next(x for x in pa if x in sb)
-                    ca = pa[: pa.index(meet) + 1]
-                    cb = pb[: pb.index(meet) + 1]
-                    return ca + cb[::-1][1:-1]
+                    cycle = [v]
+                    while cycle[-1] != w:
+                        cycle.append(parent[cycle[-1]])
+                    return cycle
                 parent[w] = v
                 stack.append(w)
     raise AssertionError("no cycle in collapsed subgraph")

@@ -183,9 +183,10 @@ def two_disjoint_paths(
     Unit-capacity max flow on the split digraph: every vertex and every
     usable edge becomes a capacity-one arc, edges usable in either
     direction.  Returns {source: (sink, steps)} or None when no two such
-    paths exist.  Sources and sinks are assumed pairwise distinct vertices.
-    The flow is kept as capacities and read out one unit per arc, so no
-    argument about how much flow a node can carry is needed.
+    paths exist.  The two sources are distinct, and so are the two sinks;
+    a vertex among both is its own path.  The flow is kept as capacities
+    and read out one unit per arc, so no argument about how much flow a
+    node can carry is needed.
     """
     S = ("S", "")
     T = ("T", "")

@@ -136,6 +136,16 @@ class TestValidate:
             with pytest.raises(InvalidDefiningGraph, match="expected a string"):
                 certify(g)
 
+    def test_edge_endpoint_that_is_not_a_string(self):
+        # build keeps such an edge unsorted, and validate reports it before
+        # the endpoint is looked up, hashed in a key or sorted
+        for end in (1, ["b"]):
+            g = DefiningGraph.build(["a", "b"], [("a", end, 3, "a")])
+            assert validate(g).problems == (
+                f"edge a-{end!r}: endpoints must be strings",)
+            with pytest.raises(InvalidDefiningGraph, match="must be strings"):
+                certify(g)
+
     def test_require_valid_oriented(self):
         g = DefiningGraph.build(["a", "b"], [("a", "b", 3, None)])
         require_valid(g, oriented=False)

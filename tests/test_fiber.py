@@ -37,6 +37,7 @@ from oracles import (
     oppressive_pairs,
     rank_count_fills,
     restricted,
+    shortest_path_by_levels,
     traces_word,
     two_disjoint_paths,
 )
@@ -178,26 +179,42 @@ def library_two_disjoint_paths(g, sources, sinks, banned_edges):
 
 def test_disjoint_paths_match_the_capacity_flow():
     # the flow on integer ids, kept as a set of used arcs, against the
-    # reference that keeps capacities on names, for every pair of disjoint
-    # edges, within each block (as monochrome_check asks) and across the
-    # whole graph (where the paths may not exist)
+    # reference that keeps capacities on names, for every pair of edges
+    # that are disjoint or share one end, within each block (as
+    # monochrome_check asks) and across the whole graph (where the paths
+    # may not exist)
     rng = random.Random(2024)
-    compared = missing = 0
+    compared = missing = shared = shared_found = 0
     for _ in range(300):
         g = random_colored_graph(rng, max_vertices=8, max_edges=14)
         for sub in [g] + [restricted(g, block) for block in blocks(g)]:
             edges = [e for e in sub.edges if e.tail != e.head]
             for i, e1 in enumerate(edges):
                 for e2 in edges[i + 1:]:
-                    if {e1.tail, e1.head} & {e2.tail, e2.head}:
+                    common = {e1.tail, e1.head} & {e2.tail, e2.head}
+                    if len(common) > 1:
                         continue
                     args = (sub, (e1.tail, e1.head), (e2.tail, e2.head),
                             {e1.id, e2.id})
                     found = library_two_disjoint_paths(*args)
                     assert found == two_disjoint_paths(*args)
-                    compared += 1
-                    missing += found is None
+                    if not common:
+                        compared += 1
+                        missing += found is None
+                        continue
+                    # a shared end v is its own path, and the other path is
+                    # the shortest one between the other ends that avoids v
+                    (v,) = common
+                    x = e1.head if e1.tail == v else e1.tail
+                    y = e2.head if e2.tail == v else e2.tail
+                    mid = shortest_path_by_levels(sub, x, y, {v}, args[3])
+                    assert (found is None) == (mid is None)
+                    if found is not None:
+                        assert found[v] == (v, []) and found[x] == (y, mid)
+                    shared += 1
+                    shared_found += found is not None
     assert compared > 1000 and 0 < missing < compared
+    assert shared > 3000 and 0 < shared_found < shared
 
 
 class TestFillRank:
