@@ -50,6 +50,7 @@ from .fiber import (
     FiberInputError,
     FiberProduct,
     MonochromeVerdict,
+    OppressiveWords,
     fiber_product,
     monochrome_check,
     oppressive_set,
@@ -70,6 +71,7 @@ __all__ = [
     "InadmissibleOrientation",
     "InvalidDefiningGraph",
     "MonochromeVerdict",
+    "OppressiveWords",
     "OrientationReport",
     "RFCertificate",
     "SchemaError",

@@ -26,7 +26,12 @@ from .defining_graph import (
     is_forest,
     require_valid,
 )
-from .fiber import MonochromeVerdict, fiber_product, monochrome_check
+from .fiber import (
+    MonochromeVerdict,
+    OppressiveWords,
+    fiber_product,
+    monochrome_check,
+)
 from .horizontal import SplittingCertificate, build_collapsed, compute_splitting
 from .orientation import (
     AdmissibilityVerdict,
@@ -114,27 +119,29 @@ class RFCertificate:
         return canonical_json(self.to_json_dict())
 
 
-_LEAF_ITEM_TYPES = frozenset((str, int))
-
-
 def canonical_json(payload: dict) -> str:
     """The one JSON layout of every certificate and CLI report: exactly the
     bytes of `json.dumps(payload, indent=2, sort_keys=True)`, that is sorted
     keys, a two-space indent and ASCII escapes.
 
     Only `dict` with `str` keys, `list`, `tuple`, `str`, `int`, `bool` and
-    None are written.  Any other value, such as a float, a non-`str` key or
+    None are written, and one more value: `OppressiveWords`, written as the
+    list of its words.  Any other value, such as a float, a non-`str` key or
     a subclass of one of these types, raises TypeError, so nothing is ever
     written in another layout.
     """
-    # The text of each leaf tuple, one whose items are all exactly str or
-    # int (a word's steps, one object shared by thousands of words), kept
-    # per indent for the length of the call and keyed by the tuple's id.
-    # The payload keeps every object alive for the whole call, so an id
-    # names one object.  A tuple holding True or 1.0 is another object than
-    # an equal (1,), so it gets its own check, and still raises or writes
-    # true exactly as it would alone.
-    leaf_texts: dict[str, dict[int, str]] = {}
+
+    # outside encode, whose every call would make these comprehensions' cells
+    def words(o: OppressiveWords, indent: str) -> str:
+        if not o.keys:
+            return "[]"
+        inner = indent + "  "
+        deeper = inner + "  "
+        # each step's text once; a word drops its first letter's comma
+        table = ["," + deeper + encode(step, deeper) for step in o.steps]
+        return "[" + inner + ("," + inner).join(
+            ["[" + key.translate(table)[1:] + inner + "]"
+             for key in o.keys]) + indent + "]"
 
     def encode(o, indent: str) -> str:
         t = type(o)
@@ -144,20 +151,8 @@ def canonical_json(payload: dict) -> str:
             if not o:
                 return "[]"
             inner = indent + "  "
-            if type(o[0]) is not tuple:
-                parts = [encode(x, inner) for x in o]
-            else:
-                texts = leaf_texts.setdefault(inner, {})
-                parts = []
-                for x in o:
-                    text = texts.get(id(x))
-                    if text is None:
-                        text = encode(x, inner)
-                        if type(x) is tuple and all(map(
-                                _LEAF_ITEM_TYPES.__contains__, map(type, x))):
-                            texts[id(x)] = text
-                    parts.append(text)
-            return "[" + inner + ("," + inner).join(parts) + indent + "]"
+            return "[" + inner + ("," + inner).join(
+                [encode(x, inner) for x in o]) + indent + "]"
         if t is dict:
             if not o:
                 return "{}"
@@ -174,6 +169,8 @@ def canonical_json(payload: dict) -> str:
             return "null"
         if t is bool:
             return "true" if o else "false"
+        if t is OppressiveWords:
+            return words(o, indent)
         raise TypeError(f"{t.__name__} is not written as canonical JSON")
 
     return encode(payload, "\n")

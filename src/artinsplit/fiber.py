@@ -664,9 +664,27 @@ def _cycles(step: dict[str, str]) -> list[list[str]]:
 Word = tuple[tuple[str, int], ...]
 
 
-def oppressive_set(Y: ColoredGraph, y0: str) -> tuple[Word, ...]:
+@dataclass(frozen=True)
+class OppressiveWords(Sequence[Word]):
+    """A read-only sequence of words, each kept as a string over the sorted
+    step alphabet `steps`: chr(k) stands for `steps[k]`, so keys sort as
+    their words do, and `self[i]` decodes the i-th key into its word.
+    Every key is nonempty and spells only steps of the alphabet."""
+
+    steps: tuple[tuple[str, int], ...]
+    keys: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int) -> Word:  # type: ignore[override]
+        return tuple([self.steps[ord(c)] for c in self.keys[i]])
+
+
+def oppressive_set(Y: ColoredGraph, y0: str) -> OppressiveWords:
     """The oppressive words of an immersion at a basepoint, sorted by
-    length and then by letters.
+    length and then by letters, as `OppressiveWords` over the steps
+    (color, -1) and (color, +1) of every color of Y.
 
     A word is the color sequence of mu1 followed by mu2, where mu1 is a
     nontrivial simple path from y0 ending at some y1 != y0, and mu2 is
@@ -683,28 +701,26 @@ def oppressive_set(Y: ColoredGraph, y0: str) -> tuple[Word, ...]:
     """
     if not is_immersion(Y):
         raise FiberInputError("oppressive sets require an immersion")
-    if y0 not in set(Y.vertices):
+    if y0 not in Y.vertices:
         raise StructureError(f"basepoint {y0!r} not in the graph")
 
-    paths = list(_simple_paths_from(Y, y0))
-    inverses: dict[str, list[Word]] = {}
-    for end, word in paths:
+    steps = tuple((c, sign) for c in sorted({e.color for e in Y.edges})
+                  for sign in (-1, 1))
+    letter = {step: chr(k) for k, step in enumerate(steps)}
+    paths = []
+    inverses: dict[str, list[str]] = {}
+    for end, word in _simple_paths_from(Y, y0):
+        paths.append((end, "".join([letter[step] for step in word])))
         inverses.setdefault(end, []).append(
-            tuple((c, -sign) for c, sign in reversed(word))
-        )
-    words = set()
-    for y1, word in paths:
-        words.add(word)
+            "".join([letter[c, -sign] for c, sign in reversed(word)]))
+    keys = set()
+    for y1, key in paths:
+        keys.add(key)
         for y2, tails in inverses.items():
             if y2 != y1:
-                words.update(word + tail for tail in tails)
-    # sorting each length apart needs no (length, word) key per word
-    by_length: dict[int, list[Word]] = {}
-    for word in words:
-        by_length.setdefault(len(word), []).append(word)
-    return tuple(chain.from_iterable(
-        sorted(by_length[n]) for n in sorted(by_length)
-    ))
+                keys.update([key + tail for tail in tails])
+    # sorted by letters, then stably by length
+    return OppressiveWords(steps, tuple(sorted(sorted(keys), key=len)))
 
 
 def _simple_paths_from(

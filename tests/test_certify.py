@@ -13,7 +13,10 @@ from pathlib import Path
 import artinsplit
 import pytest
 from artinsplit import (
+    ColoredGraph,
     DefiningGraph,
+    Edge,
+    OppressiveWords,
     build_collapsed,
     certify,
     compute_splitting,
@@ -30,7 +33,12 @@ from artinsplit.certify import (
     UNKNOWN,
     canonical_json,
 )
-from generators import LABELS, random_admissible_graph, ring
+from generators import (
+    LABELS,
+    random_admissible_graph,
+    random_bouquet_immersion,
+    ring,
+)
 from oracles import canonical_json_reference
 
 
@@ -326,11 +334,53 @@ def random_json_payload(rng, depth=0, pool=None):
              for _ in range(rng.randrange(4))]
     if kind == 6:
         return {rng.choice(JSON_STRINGS): item for item in items}
-    # half the lists and tuples lead with a pool tuple, so canonical_json
-    # looks their items up by object
+    # half the lists and tuples lead with a pool tuple
     if rng.randrange(2):
         items.insert(0, rng.choice(pool))
     return items if kind == 4 else tuple(items)
+
+
+def oppressive_words_pool(rng):
+    """OppressiveWords values: the empty set, a one-step alphabet, and real
+    sets over colors that need escaping."""
+    loop = ColoredGraph(["u"], [Edge("1", "u", "u", "a")])
+    pool = [oppressive_set(loop, "u"),
+            OppressiveWords((("x", 1),), ("\x00", "\x00\x00"))]
+    while len(pool) < 8:
+        Y = random_bouquet_immersion(rng, max_vertices=3,
+                                     colors=('"', "\\", "é", "\n"))
+        pool += [oppressive_set(Y, y0) for y0 in Y.vertices]
+    return pool
+
+
+def with_words(rng, o, pool):
+    """o with values from the pool put into about half its dicts, lists and
+    tuples, at random places."""
+    t = type(o)
+    if t is dict:
+        o = {k: with_words(rng, v, pool) for k, v in o.items()}
+        if rng.randrange(2):
+            o[rng.choice(JSON_STRINGS)] = rng.choice(pool)
+        return o
+    if t is list or t is tuple:
+        items = [with_words(rng, x, pool) for x in o]
+        if rng.randrange(2):
+            items.insert(rng.randrange(len(items) + 1), rng.choice(pool))
+        return t(items)
+    return o
+
+
+def plain(o):
+    """o with every OppressiveWords in it replaced by the tuple of its
+    words, which the reference encoder writes."""
+    t = type(o)
+    if t is OppressiveWords:
+        return tuple(o)
+    if t is dict:
+        return {k: plain(v) for k, v in o.items()}
+    if t is list or t is tuple:
+        return t(map(plain, o))
+    return o
 
 
 class TestCanonicalJson:
@@ -365,8 +415,7 @@ class TestCanonicalJson:
         class Small(IntEnum):
             ONE = 1
 
-        # one object at several places of a container, beside an equal
-        # leaf: only a checked leaf tuple's text is ever kept for reuse
+        # one object at several places of a container, beside an equal leaf
         bad = ("x", 1.0)
         unsupported = [
             [bad, bad], [("x", 1), bad, bad], [(bad,), (bad,)],
@@ -377,17 +426,39 @@ class TestCanonicalJson:
             OrderedDict(b=1, a=2), Items([1]), {"a": Items()},
             Small.ONE, (Small.ONE,), [(1,), (Small.ONE,)],
         ]
+        # oppressive words whose steps hold a float, a bool or a str
+        # subclass, and a subclass of OppressiveWords
+        for step in (("x", 1.0), ("x", True), (Text("x"), 1), (True, 1)):
+            words = OppressiveWords((step,), ("\x00", "\x00\x00"))
+            unsupported += [words, [words], {"w": [[words]]}]
+        unsupported.append(type("Words", (OppressiveWords,), {})(
+            (("x", 1),), ("\x00",)))
         for payload in unsupported:
             try:
                 out = canonical_json(payload)
             except TypeError:
                 continue
             # written only in exactly the reference's bytes
-            assert out == canonical_json_reference(payload), payload
+            assert out == canonical_json_reference(plain(payload)), payload
+
+    def test_matches_the_reference_with_oppressive_words(self):
+        # oppressive words at random depths of random payloads, written as
+        # the list of their words
+        rng = random.Random(28)
+        pool = oppressive_words_pool(rng)
+        assert not all(pool) and min(len(words.steps) for words in pool) == 1
+        assert {c for words in pool if words for c, _ in words.steps} == {
+            "x", '"', "\\", "é", "\n"}
+        for _ in range(1000):
+            payload = random_json_payload(rng)
+            if not rng.randrange(8):
+                payload = rng.choice(pool)
+            payload = with_words(rng, payload, pool)
+            assert canonical_json(payload) == canonical_json_reference(
+                plain(payload))
 
     def test_matches_the_reference_on_oppressive_words(self):
-        # real word lists, whose (color, sign) steps are tuple objects shared
-        # across words, each at two depths of one payload
+        # real word sets, each at two depths of one payload
         for labels in ((5, 5, 5), (5, 4, 4)):
             g = graph(["a", "b", "c"],
                       [("a", "b", labels[0], "a"), ("b", "c", labels[1], "b"),
@@ -396,12 +467,12 @@ class TestCanonicalJson:
             for y0 in Y.vertices:
                 words = oppressive_set(Y, y0)
                 assert words
-                for payload in ({"words": words, "deeper": [[list(words)]]},
+                for payload in ({"words": words, "deeper": [[words]]},
                                 [{"count": len(words), "words": words}]):
                     # compared outside the assert: pytest's diff of two
                     # megabyte strings would take minutes
                     same = (canonical_json(payload)
-                            == canonical_json_reference(payload))
+                            == canonical_json_reference(plain(payload)))
                     assert same, (labels, y0)
 
 

@@ -6,7 +6,15 @@ from collections import Counter
 
 import pytest
 
-from artinsplit import SchemaError, certify, cli, defining_graph
+from artinsplit import (
+    OppressiveWords,
+    SchemaError,
+    build_collapsed,
+    certify,
+    cli,
+    defining_graph,
+    oppressive_set,
+)
 from artinsplit.cli import (
     defining_graph_dot,
     defining_graph_json_dict,
@@ -395,6 +403,27 @@ class TestFiber:
         assert data["oppressive"]["count"] == len(data["oppressive"]["words"])
         assert data["oppressive"]["count"] > 0
         assert data["oppressive"]["basepoint"]
+
+    def test_oppressive_words_are_written_from_their_letters(
+            self, write, monkeypatch, capsys):
+        # the (5,5,5) triangle's 8,834 words are written without decoding
+        # a single word into its tuple of steps
+        Y = build_collapsed(parse_defining_graph(TRIANGLE)).graph
+        words = [[list(step) for step in word]
+                 for word in oppressive_set(Y, "a+/b-")]
+
+        def decoded(self, i):
+            raise AssertionError("a word was decoded")
+
+        monkeypatch.setattr(OppressiveWords, "__getitem__", decoded)
+        assert main(
+            ["fiber", "--input", write(TRIANGLE), "--oppressive", "--format",
+             "json"]
+        ) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["oppressive"]["basepoint"] == "a+/b-"
+        assert data["oppressive"]["count"] == len(words) == 8834
+        assert data["oppressive"]["words"] == words
 
     def test_refuses_inadmissible(self, write):
         assert main(["fiber", "--input", write(CLASHING)]) == 1

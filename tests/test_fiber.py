@@ -447,12 +447,20 @@ class TestOppressive:
 
     def test_single_edge_graph(self):
         g = ColoredGraph(["u", "v"], [Edge("1", "u", "v", "a")])
-        assert oppressive_set(g, "u") == ((("a", 1),),)
-        assert oppressive_set(g, "v") == ((("a", -1),),)
+        assert tuple(oppressive_set(g, "u")) == ((("a", 1),),)
+        assert tuple(oppressive_set(g, "v")) == ((("a", -1),),)
+
+    def test_basepoint_that_is_not_a_vertex(self):
+        # a list is unhashable and an int is no vertex name: both are a
+        # basepoint missing from the graph
+        g = ColoredGraph(["u", "v"], [Edge("1", "u", "v", "a")])
+        for basepoint in (["u"], 0):
+            with pytest.raises(StructureError, match="not in the graph"):
+                oppressive_set(g, basepoint)
 
     def test_embedded_vertex_with_loops_is_empty(self):
         g = ColoredGraph(["u"], [Edge("1", "u", "u", "a")])
-        assert oppressive_set(g, "u") == ()
+        assert tuple(oppressive_set(g, "u")) == ()
 
     def test_two_edge_path_enumeration(self):
         g = ColoredGraph(
@@ -485,12 +493,19 @@ class TestOppressive:
                 assert word == mu1.word() + mu2.word()
 
     def test_matches_the_pair_enumeration(self):
+        # seeded random immersions, and the Xbars of two triangles, whose
+        # sets hold up to 8,834 words
         rng = random.Random(67)
-        for _ in range(60):
-            Y = random_bouquet_immersion(rng, max_vertices=5)
+        graphs = [random_bouquet_immersion(rng, max_vertices=5)
+                  for _ in range(60)]
+        graphs += [build_collapsed(triangle(labels)).graph
+                   for labels in ((5, 5, 5), (5, 4, 4))]
+        for Y in graphs:
             for y0 in Y.vertices:
                 words = {w for w, _, _ in oppressive_pairs(Y, y0)}
-                assert oppressive_set(Y, y0) == tuple(
+                got = oppressive_set(Y, y0)
+                assert len(got) == len(words)
+                assert tuple(got) == tuple(
                     sorted(words, key=lambda w: (len(w), w))
                 )
 
