@@ -9,12 +9,14 @@ cited rather than recomputed.
 
 The rules are R1 and R3 to R8.  The numbering skips R2, because a
 three-vertex graph with two edges is a path, which R1 decides; rule numbers
-stay fixed because certificates name them.
+stay fixed because certificates name them.  R5 to R7 read one
+`is_admissible` verdict, which carries its graph to the splitting and Xbar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -130,50 +132,53 @@ def canonical_json(payload: dict) -> str:
     a subclass of one of these types, raises TypeError, so nothing is ever
     written in another layout.
     """
+    return _encode(payload, "\n")
 
-    # outside encode, whose every call would make these comprehensions' cells
-    def words(o: OppressiveWords, indent: str) -> str:
+
+def _encode(o, indent: str) -> str:
+    """`canonical_json`'s writer for one value at `indent`.  It has no
+    comprehension, so no local becomes a cell that every call allocates."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is tuple or t is list:
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join(
+            map(_encode, o, repeat(inner))) + indent + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        for k in o:
+            if type(k) is not str:
+                raise TypeError(f"key {k!r} is not a str")
+        inner = indent + "  "
+        parts = []
+        for k in sorted(o):
+            parts.append(
+                encode_basestring_ascii(k) + ": " + _encode(o[k], inner))
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    if t is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if t is bool:
+        return "true" if o else "false"
+    if t is OppressiveWords:
         if not o.keys:
             return "[]"
         inner = indent + "  "
         deeper = inner + "  "
         # each step's text once; a word drops its first letter's comma
-        table = ["," + deeper + encode(step, deeper) for step in o.steps]
-        return "[" + inner + ("," + inner).join(
-            ["[" + key.translate(table)[1:] + inner + "]"
-             for key in o.keys]) + indent + "]"
-
-    def encode(o, indent: str) -> str:
-        t = type(o)
-        if t is str:
-            return encode_basestring_ascii(o)
-        if t is tuple or t is list:
-            if not o:
-                return "[]"
-            inner = indent + "  "
-            return "[" + inner + ("," + inner).join(
-                [encode(x, inner) for x in o]) + indent + "]"
-        if t is dict:
-            if not o:
-                return "{}"
-            for k in o:
-                if type(k) is not str:
-                    raise TypeError(f"key {k!r} is not a str")
-            inner = indent + "  "
-            return "{" + inner + ("," + inner).join(
-                [encode_basestring_ascii(k) + ": " + encode(o[k], inner)
-                 for k in sorted(o)]) + indent + "}"
-        if t is int:
-            return int.__repr__(o)
-        if o is None:
-            return "null"
-        if t is bool:
-            return "true" if o else "false"
-        if t is OppressiveWords:
-            return words(o, indent)
-        raise TypeError(f"{t.__name__} is not written as canonical JSON")
-
-    return encode(payload, "\n")
+        table = []
+        for step in o.steps:
+            table.append("," + deeper + _encode(step, deeper))
+        parts = []
+        for key in o.keys:
+            parts.append("[" + key.translate(table)[1:] + inner + "]")
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+    raise TypeError(f"{t.__name__} is not written as canonical JSON")
 
 
 def _monochrome_json(mono: Optional[MonochromeVerdict]) -> dict:
@@ -200,14 +205,14 @@ def witness_json(w: Optional[WitnessCycle]) -> Optional[dict]:
 
 def _resolve_orientation(
     g: DefiningGraph, report: OrientationReport
-) -> tuple[Optional[DefiningGraph], Optional[AdmissibilityVerdict], dict]:
+) -> tuple[AdmissibilityVerdict | None, dict]:
     """Find an admissible total orientation to analyze, preferring the
-    provided one.  `report` is g's validation report.  Returns (oriented
-    graph or None, its verdict or None, evidence record).  Every
-    orientation returned has been checked by `is_admissible`, the searched
-    one too, also under `python -O`; the verdict of that check goes on to
-    `compute_splitting` and `build_collapsed`, so neither decides it or
-    joins its collapse classes again."""
+    provided one.  `report` is g's validation report.  Returns (the
+    admissible verdict or None, evidence record).  Every orientation
+    returned has been checked by `is_admissible`, the searched one too,
+    also under `python -O`; that verdict, which carries the oriented graph,
+    goes on to `compute_splitting` and `build_collapsed`, so neither
+    decides it or joins its collapse classes again."""
     info: dict = {
         "provided_total": report.iota_total,
         "orientable_edges": ["-".join(k) for k in report.orientable_edges],
@@ -217,7 +222,7 @@ def _resolve_orientation(
         info["provided_admissible"] = verdict.admissible
         if verdict.admissible:
             info["used"] = "provided"
-            return g, verdict, info
+            return verdict, info
         info["provided_witness"] = witness_json(verdict.witness)
         info["note"] = (
             "provided orientation is inadmissible; residual finiteness is a "
@@ -227,26 +232,21 @@ def _resolve_orientation(
         assignment = find_admissible_orientation(g)
     except SearchSpaceError as exc:
         info["search"] = f"refused: {exc}"
-        return None, None, info
+        return None, info
     if assignment is None:
         info["search"] = "exhausted: no admissible orientation exists"
-        return None, None, info
-    g_star = g.with_orientation(assignment)
-    verdict = is_admissible(g_star)
+        return None, info
+    verdict = is_admissible(g.with_orientation(assignment))
     if not verdict.admissible:
         raise AssertionError("the search returned an inadmissible orientation")
     info["search"] = "found"
     info["used"] = "searched"
     info["iota"] = {"-".join(k): t for k, t in sorted(assignment.items())}
-    return g_star, verdict, info
+    return verdict, info
 
 
-def _monochrome_evidence(
-    g_star: DefiningGraph, verdict: AdmissibilityVerdict
-) -> MonochromeVerdict:
-    return monochrome_check(
-        fiber_product(build_collapsed(g_star, verdict).graph)
-    )
+def _monochrome_evidence(verdict: AdmissibilityVerdict) -> MonochromeVerdict:
+    return monochrome_check(fiber_product(build_collapsed(verdict).graph))
 
 
 def certify(g: DefiningGraph) -> RFCertificate:
@@ -297,11 +297,11 @@ def certify(g: DefiningGraph) -> RFCertificate:
         rule's prediction is compared with the monochrome verdict."""
         probe: dict = {"evaluated": False}
         evidence["consistency_probe"] = probe
-        g_star, verdict, orient_info = _resolve_orientation(g, report)
+        used, orient_info = _resolve_orientation(g, report)
         probe["orientation"] = orient_info
-        if g_star is None:
+        if used is None:
             return
-        mono = _monochrome_evidence(g_star, verdict)
+        mono = _monochrome_evidence(used)
         probe["evaluated"] = True
         probe["all_monochrome"] = mono.all_monochrome
         if judged:
@@ -333,12 +333,12 @@ def certify(g: DefiningGraph) -> RFCertificate:
                 caveats=(_CAVEAT_TILING, _CAVEAT_QUOTIENT),
             )
 
-    g_star, verdict, orient_info = _resolve_orientation(g, report)
+    used, orient_info = _resolve_orientation(g, report)
     evidence["orientation"] = orient_info
-    if g_star is None:
+    if used is None:
         return cert(UNKNOWN, "R8")
 
-    splitting = compute_splitting(g_star, verdict)
+    splitting = compute_splitting(used)
 
     if all(e.label % 2 == 0 and e.label >= 6 for e in g.edges):
         return cert(
@@ -348,7 +348,7 @@ def certify(g: DefiningGraph) -> RFCertificate:
             splitting=splitting,
         )
 
-    mono = _monochrome_evidence(g_star, verdict)
+    mono = _monochrome_evidence(used)
     if mono.all_monochrome:
         caveats = [_CAVEAT_QUOTIENT, _CAVEAT_TILING]
         if all(l % 2 == 1 for l in labels):

@@ -301,7 +301,7 @@ def _splitting_text(ranks: dict) -> str:
 
 def cmd_split(args, g: DefiningGraph) -> int:
     try:
-        cert = compute_splitting(g)
+        cert = compute_splitting(is_admissible(g))
     except InadmissibleOrientation as exc:
         return _report(args, {
             "refused": "orientation is not admissible",
@@ -322,7 +322,7 @@ def _collapsed_or_refuse(args, g: DefiningGraph):
     collapse classes are joined once."""
     verdict = is_admissible(g)
     if verdict.admissible:
-        return build_collapsed(g, verdict)
+        return build_collapsed(verdict)
     _report(args, {
         "refused": "orientation is not admissible; the collapsed "
                    "quarter graph does not immerse",
@@ -447,7 +447,7 @@ def cmd_export(args, g: DefiningGraph) -> int:
         cg = {"X0": family.x0, "Xhalf": family.x_half,
               "Xquarter": family.x_quarter}[args.graph]
     elif args.graph == "Xbar":
-        cg = build_collapsed(g).graph
+        cg = build_collapsed(is_admissible(g)).graph
     else:  # fiber
         collapsed = _collapsed_or_refuse(args, g)
         if collapsed is None:

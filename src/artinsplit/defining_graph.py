@@ -68,9 +68,11 @@ class DefiningGraph:
     ) -> "DefiningGraph":
         """Convenience constructor from (u, v, label[, iota]) tuples."""
         out = []
-        for spec in edges:
-            u, v, label = spec[0], spec[1], spec[2]
-            iota = spec[3] if len(spec) > 3 else None
+        for i, spec in enumerate(edges):
+            if len(spec) not in (3, 4):
+                raise SchemaError(
+                    f"edges[{i}]: expected 3 or 4 items, got {len(spec)}")
+            u, v, label, iota = (*spec, None)[:4]
             out.append(_canonical_edge(u, v, label, iota))
         return DefiningGraph(tuple(vertices), tuple(out))
 

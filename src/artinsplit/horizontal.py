@@ -19,10 +19,10 @@ them: the splitting's cross-checks count on those lists, `build_family`
 spells them out as named graphs, for `export`, and `build_collapsed`
 reads Xbar off the x_quarter list and the lifts that
 `orientation.collapsed_lifts` collapses, the one place that rule is
-written.  A caller that has decided admissibility hands the verdict, with
-the `lifts`, `collapsed` lifts and class `roots` it was decided on, to
-`compute_splitting` and `build_collapsed`, which then neither decide it
-nor join those classes again.
+written.  `compute_splitting` and `build_collapsed` take one argument,
+`is_admissible`'s verdict, and read the `graph` it decided, its `lifts`,
+`collapsed` lifts and class `roots` off it: neither validates the graph,
+decides admissibility or joins those classes again.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .orientation import (
     AdmissibilityVerdict,
     EdgeLifts,
     edge_lifts,
-    is_admissible,
     quarter_vertices,
 )
 
@@ -139,9 +138,7 @@ class CollapsedQuarter:
     old_class: dict[str, str]
 
 
-def build_collapsed(
-    g: DefiningGraph, verdict: Optional[AdmissibilityVerdict] = None
-) -> CollapsedQuarter:
+def build_collapsed(verdict: AdmissibilityVerdict) -> CollapsedQuarter:
     """Collapse-and-subdivide x_quarter into the graph immersing over x0.
 
     x_quarter edge 4k + s, side `_QUARTER_SIDES[s]`, shadows lift
@@ -160,15 +157,12 @@ def build_collapsed(
       run of m - 1 edges closing through the surviving p side; two
       m-cycles in total.
 
-    The construction is performed for any valid orientation.  The map
-    immerses when the orientation is admissible, which `is_admissible`
-    decides; an inadmissible orientation may still give an immersion.
-    `verdict`, when given, is `is_admissible(g)`; when it is missing it
-    is decided first, and its `lifts`, `collapsed` and `roots` are used.
+    The construction is performed for any verdict of `is_admissible`,
+    on its `graph`, `lifts`, `collapsed` and `roots`.  The map immerses
+    when the orientation is admissible; an inadmissible orientation may
+    still give an immersion.
     """
-    require_valid(g, oriented=True)
-    if verdict is None:
-        verdict = is_admissible(g)
+    g = verdict.graph
     lifts, collapsed, roots = verdict.lifts, verdict.collapsed, verdict.roots
 
     # each vertex class is named by its sorted members
@@ -243,9 +237,7 @@ def _require(holds: bool, identity: str) -> None:
         raise AssertionError(f"splitting cross-check failed: {identity}")
 
 
-def compute_splitting(
-    g: DefiningGraph, verdict: Optional[AdmissibilityVerdict] = None
-) -> SplittingCertificate:
+def compute_splitting(verdict: AdmissibilityVerdict) -> SplittingCertificate:
     """Derive the splitting with exact ranks; cross-checked on the graphs.
 
     Amalgam case (some odd label, or non-bipartite graph): ranks |E|,
@@ -261,13 +253,10 @@ def compute_splitting(
     component or two.  Two are each a 1-sheeted cover, of the rank of
     x_half; one has 2|V| vertices and 4|E| edges, so rank 1 - 2|V| + 4|E|.
     x0, a bouquet of |E| loops, has rank |E| by construction.
-    `verdict`, when given, is `is_admissible(g)`; when it is missing it
-    is decided first, and the lifts are always the ones it was decided
-    on.  A disconnected graph is refused before an inadmissible one.
+    `verdict` is `is_admissible`'s, on the graph and lifts it decided.  A
+    disconnected graph is refused before an inadmissible one.
     """
-    require_valid(g, oriented=True)
-    if verdict is None:
-        verdict = is_admissible(g)
+    g = verdict.graph
     half, quarter = _level_edges(g, verdict.lifts)
     nv, ne = len(g.vertices), len(g.edges)
     # x_half is g with every edge doubled, so connected exactly when g is

@@ -15,14 +15,15 @@ subgraph, which reduces admissibility to a forest test plus connectivity
 patterns.  The cover's vertices are numbered once, v+ as i and v- as
 n + i, and the library's one union-find, `multigraph.classes` over those
 quarter ids, holds the collapse classes `is_admissible` joins.  Its
-verdict names them `roots`, beside the `lifts` and the `collapsed` lifts,
-and carries all three on to `horizontal.build_collapsed` and
-`compute_splitting`; the search joins and undoes them with
-`multigraph.root` and `join`.  An inadmissible verdict's witness is found
-on the same quarter ids, from the stars of the collapsed lifts, taken in
-the order of the quarter names.  Names are spelled out only in a returned
-`WitnessCycle` and in Xbar.  A bounded search over explicit closed walks,
-`oracle_almost_misdirected`, provides an independent check.
+verdict names them `roots`, beside the `graph` it decided, its `lifts`
+and the `collapsed` lifts, and is the one argument of
+`horizontal.build_collapsed` and `compute_splitting`; the search joins
+and undoes them with `multigraph.root` and `join`.  An inadmissible
+verdict's witness is found on the same quarter ids, from the stars of the
+collapsed lifts, taken in the order of the quarter names.  Names are
+spelled out only in a returned `WitnessCycle` and in Xbar.  A bounded
+search over explicit closed walks, `oracle_almost_misdirected`, provides
+an independent check.
 """
 
 from __future__ import annotations
@@ -179,17 +180,19 @@ def oracle_almost_misdirected(
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
-    """`is_admissible`'s answer for one oriented graph, with the collapse
-    it was decided on: `lifts`, the graph's `edge_lifts`; `collapsed`,
-    those its orientation collapses, as `collapsed_lifts` gives them; and
-    `roots`, the root of each quarter id's collapse class.  The splitting
-    and Xbar of the same graph reuse them instead of joining the classes
-    again.  Every verdict carries all three, and they take no part in
-    comparisons or the repr."""
+    """`is_admissible`'s answer for one oriented graph, with the graph and
+    the collapse it was decided on: `graph`, the validated oriented graph;
+    `lifts`, its `edge_lifts`; `collapsed`, those its orientation
+    collapses, as `collapsed_lifts` gives them; and `roots`, the root of
+    each quarter id's collapse class.  The splitting and Xbar read all of
+    them off the verdict instead of validating the graph or joining the
+    classes again.  Every verdict carries all four, and they take no part
+    in comparisons or the repr."""
 
     admissible: bool
     witness: Optional[WitnessCycle] = None
     reason: Optional[str] = None
+    graph: DefiningGraph = field(compare=False, repr=False, kw_only=True)
     lifts: tuple[EdgeLifts, ...] = field(
         compare=False, repr=False, kw_only=True)
     collapsed: dict[int, tuple[int, int]] = field(
@@ -210,6 +213,7 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
     collapsed = collapsed_lifts(lifts, g.orientation())
     n = len(g.vertices)
     roots, closing = classes(2 * n, collapsed.values())
+    decided = dict(graph=g, lifts=lifts, collapsed=collapsed, roots=roots)
     # pairs a collapse class must keep apart but joins: the two lifts of a
     # vertex, and the two ends of an uncollapsed lift
     twins = [i for i in range(n) if roots[i] == roots[n + i]]
@@ -220,8 +224,7 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
         if j not in collapsed and roots[ends[0]] == roots[ends[1]]
     ]
     if not closing and not twins and not closed:
-        return AdmissibilityVerdict(
-            admissible=True, lifts=lifts, collapsed=collapsed, roots=roots)
+        return AdmissibilityVerdict(admissible=True, **decided)
     # quarter ids sort as their names do: a vertex name's characters all
     # sort above + and -, so by vertex name, then v+ before v-
     def by_name(q: int) -> tuple[str, bool]:
@@ -240,7 +243,7 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
             admissible=False,
             witness=_witness_from_collapsed_cycle(g, star, order),
             reason="collapsed lifts contain a cycle",
-            lifts=lifts, collapsed=collapsed, roots=roots,
+            **decided,
         )
     # as (kind, a, b): kind 0 runs v- to v+, by vertex name, and kind 1
     # joins the ends of a lift, in lift order, which is their colors' order
@@ -255,7 +258,7 @@ def is_admissible(g: DefiningGraph) -> AdmissibilityVerdict:
             if twins
             else "an uncollapsed lift closes a collapsed path"
         ),
-        lifts=lifts, collapsed=collapsed, roots=roots,
+        **decided,
     )
 
 

@@ -1,4 +1,5 @@
 import io
+import sys
 
 import pytest
 
@@ -14,21 +15,23 @@ def pytest_configure(config):
     )
 
 
-@pytest.fixture
-def run_cli(monkeypatch):
+def run_main(argv, text):
     """main(argv) with `text` on stdin: (exit code, stdout, stderr)."""
-    def run(argv, text):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        out, err = io.StringIO(), io.StringIO()
-        monkeypatch.setattr("sys.stdout", out)
-        monkeypatch.setattr("sys.stderr", err)
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses a flag with exit 2
-            code = exc.code
-        return code, out.getvalue(), err.getvalue()
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), out, err
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag with exit 2
+        code = exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return code, out.getvalue(), err.getvalue()
 
-    return run
+
+@pytest.fixture
+def run_cli():
+    return run_main
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -69,7 +69,7 @@ def suite_families():
 def test_criterion_01_triangle_splitting_ranks():
     t0 = time.perf_counter()
     for labels in itertools.product(range(3, 10), repeat=3):
-        cert = compute_splitting(triangle(labels))
+        cert = compute_splitting(is_admissible(triangle(labels)))
         assert cert.kind == "amalgam"
         assert (cert.rank_a, cert.rank_b, cert.rank_c) == (3, 4, 7)
         assert cert.index_c_in_b == 2
@@ -119,7 +119,7 @@ def test_criterion_05_collapsed_segment_structure():
     for label in range(2, 13):
         tail = "a" if label >= 3 else None
         g = DefiningGraph.build(["a", "b"], [("a", "b", label, tail)])
-        col = build_collapsed(g)
+        col = build_collapsed(is_admissible(g))
         color = g.edges[0].color
         comps = connected_components(col.graph)
         if label == 2:
@@ -143,15 +143,17 @@ def test_criterion_05_collapsed_segment_structure():
             assert sorted(len(c.edges) for c in comps) == [m, m]
             assert all(col.graph.valence(v) == 2 for v in col.graph.vertices)
     for g in admissible_suite():
-        assert is_admissible(g).admissible
-        assert is_immersion(build_collapsed(g).graph)
+        verdict = is_admissible(g)
+        assert verdict.admissible
+        assert is_immersion(build_collapsed(verdict).graph)
 
 
 @pytest.mark.acceptance(label="06 all-threes triangle: degree-3 cover and F3 *_F7 F4")
 def test_criterion_06_all_threes_triangle():
     t0 = time.perf_counter()
     g = triangle((3, 3, 3))
-    xbar = build_collapsed(g).graph
+    verdict = is_admissible(g)
+    xbar = build_collapsed(verdict).graph
     rho = GraphMap(
         xbar,
         bouquet({e.color for e in xbar.edges}),
@@ -159,7 +161,7 @@ def test_criterion_06_all_threes_triangle():
         {e.id: f"x0:{e.color}" for e in xbar.edges},
     )
     assert is_degree_n_cover(rho, 3)
-    cert = compute_splitting(g)
+    cert = compute_splitting(verdict)
     assert cert.kind == "amalgam"
     assert (cert.rank_a, cert.rank_b, cert.rank_c) == (3, 4, 7)
     assert cert.index_c_in_b == 2
@@ -170,7 +172,7 @@ def test_criterion_06_all_threes_triangle():
 def test_criterion_07_fiber_product_shapes():
     t0 = time.perf_counter()
 
-    col = build_collapsed(triangle((5, 5, 5)))
+    col = build_collapsed(is_admissible(triangle((5, 5, 5))))
     fp = fiber_product(col.graph)
     branched = [i for i in fp.nontrivial_components() if fp.branching_vertices(i)]
     assert len(branched) == 2
@@ -178,7 +180,7 @@ def test_criterion_07_fiber_product_shapes():
         assert len(fp.branching_vertices(i)) == 3
 
     g = triangle((5, 4, 4))
-    col = build_collapsed(g)
+    col = build_collapsed(is_admissible(g))
     fp = fiber_product(col.graph)
     # The hub of a color is the class of the collapsed lift, the vertex
     # the segment decomposition fans out from.  Pairing the odd hub with
@@ -210,7 +212,7 @@ def test_criterion_07_fiber_product_shapes():
 def test_criterion_08_monochrome_dichotomy():
     t0 = time.perf_counter()
     for labels in itertools.combinations_with_replacement(range(4, 13), 3):
-        col = build_collapsed(triangle(labels))
+        col = build_collapsed(is_admissible(triangle(labels)))
         verdict = monochrome_check(fiber_product(col.graph))
         low, mid, high = sorted(labels)
         # All-odd triples always keep mixed cycles: the fiber has two
@@ -237,8 +239,9 @@ def test_criterion_08_monochrome_dichotomy():
             ("e", "f", 4, "e"),
         ],
     )
-    assert is_admissible(bridged).admissible
-    col = build_collapsed(bridged)
+    verdict = is_admissible(bridged)
+    assert verdict.admissible
+    col = build_collapsed(verdict)
     assert is_immersion(col.graph)
     fp = fiber_product(col.graph)
     verdict = monochrome_check(fp)

@@ -243,7 +243,7 @@ class TestConsistencyProbe:
                 ])
                 verdict = is_admissible(g)
                 if verdict.admissible:
-                    fp = fiber_product(build_collapsed(g, verdict).graph)
+                    fp = fiber_product(build_collapsed(verdict).graph)
                     out.append(monochrome_check(fp).all_monochrome)
             return out
 
@@ -463,7 +463,7 @@ class TestCanonicalJson:
             g = graph(["a", "b", "c"],
                       [("a", "b", labels[0], "a"), ("b", "c", labels[1], "b"),
                        ("a", "c", labels[2], "c")])
-            Y = build_collapsed(g).graph
+            Y = build_collapsed(is_admissible(g)).graph
             for y0 in Y.vertices:
                 words = oppressive_set(Y, y0)
                 assert words
@@ -478,7 +478,8 @@ class TestCanonicalJson:
 
 _OPTIMIZED_PRELUDE = """
     import importlib, sys
-    from artinsplit import DefiningGraph, build_collapsed, certify
+    from artinsplit import (
+        DefiningGraph, build_collapsed, certify, is_admissible)
     c = importlib.import_module("artinsplit.certify")
     f = importlib.import_module("artinsplit.fiber")
     if not sys.flags.optimize:
@@ -509,12 +510,12 @@ def test_immersion_check_survives_python_O():
             ["a", "b", "c"],
             [("a", "b", 3, "a"), ("b", "c", 3, "b"), ("a", "c", 3, "a")],
         )
-        c.build_collapsed = lambda g, verdict=None: real(clashing)
+        c.build_collapsed = lambda verdict: real(is_admissible(clashing))
         g = DefiningGraph.build(
             ["a", "b", "c"],
             [("a", "b", 5, "a"), ("b", "c", 5, "b"), ("a", "c", 5, "c")],
         )
-        c._monochrome_evidence(g, c.is_admissible(g))
+        c._monochrome_evidence(is_admissible(g))
         print("check did not fire")
     """
     conservation = """
@@ -522,7 +523,7 @@ def test_immersion_check_survives_python_O():
             ["a", "b", "c"],
             [("a", "b", 201, "a"), ("b", "c", 4, "b"), ("a", "c", 4, "c")],
         )
-        Y = build_collapsed(g).graph
+        Y = build_collapsed(is_admissible(g)).graph
         fp = f.fiber_product(Y)
         print("every pair", sum(fp.vertex_counts) == len(Y.vertices) ** 2)
         real = f._runs
@@ -557,7 +558,7 @@ def test_witness_checks_survive_python_O():
             ["a", "b", "c"],
             [("a", "b", 5, "a"), ("b", "c", 5, "b"), ("a", "c", 5, "c")],
         )
-        fp = f.fiber_product(build_collapsed(g).graph)
+        fp = f.fiber_product(build_collapsed(is_admissible(g)).graph)
     """
     no_path = prelude + """
         f.bfs_path = lambda start, goal, step: None
@@ -644,9 +645,9 @@ def test_splitting_cross_checks_survive_python_O(rows, mutation, identity):
             return half, quarter
 
         g = DefiningGraph.build(["a", "b", "c"], {rows!r})
-        print(compute_splitting(g).kind)
+        print(compute_splitting(is_admissible(g)).kind)
         h._level_edges = mutated
-        compute_splitting(g)
+        compute_splitting(is_admissible(g))
         print("check did not fire")
     """
     proc = run_optimized(body)
@@ -690,7 +691,7 @@ def test_every_splitting_cross_check_can_fire(monkeypatch):
                 rng, max_vertices=5, max_extra_edges=2, labels=labels)
             verdict = is_admissible(g)
             change[0] = None
-            kinds[compute_splitting(g, verdict).kind] += 1
+            kinds[compute_splitting(verdict).kind] += 1
             _, quarter = real(g, verdict.lifts)
             changes = ["pop"] + [
                 (j, end, q) for j, ends in enumerate(quarter)
@@ -700,7 +701,7 @@ def test_every_splitting_cross_check_can_fire(monkeypatch):
             for c in changes:
                 change[0] = c
                 try:
-                    compute_splitting(g, verdict)
+                    compute_splitting(verdict)
                 except AssertionError as e:
                     assert str(e).startswith(prefix), e
                     fired[str(e).removeprefix(prefix)] += 1
@@ -904,7 +905,8 @@ def test_certify_builds_only_the_witness_component_as_a_graph(monkeypatch):
     assert cert.evidence["orientation"]["used"] == "provided"
     idx = cert.monochrome.witness_component
     cycle = cert.monochrome.witness.vertices()[:-1]
-    component = explicit_fiber_product(build_collapsed(g).graph).components[idx]
+    xbar = build_collapsed(is_admissible(g)).graph
+    component = explicit_fiber_product(xbar).components[idx]
     assert set(cycle) <= set(component.vertices)
     assert len(cycle) < len(component.vertices)
     products = [vs for vs in built if any("|" in v for v in vs)]

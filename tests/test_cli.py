@@ -13,6 +13,7 @@ from artinsplit import (
     certify,
     cli,
     defining_graph,
+    is_admissible,
     oppressive_set,
 )
 from artinsplit.cli import (
@@ -408,7 +409,8 @@ class TestFiber:
             self, write, monkeypatch, capsys):
         # the (5,5,5) triangle's 8,834 words are written without decoding
         # a single word into its tuple of steps
-        Y = build_collapsed(parse_defining_graph(TRIANGLE)).graph
+        verdict = is_admissible(parse_defining_graph(TRIANGLE))
+        Y = build_collapsed(verdict).graph
         words = [[list(step) for step in word]
                  for word in oppressive_set(Y, "a+/b-")]
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinsplit import (DefiningGraph, InvalidDefiningGraph, certify,
-                        require_valid, validate)
+from artinsplit import (DefiningGraph, InvalidDefiningGraph, SchemaError,
+                        certify, require_valid, validate)
 from artinsplit.defining_graph import (
     MAX_CYCLE_LEN,
     all_labels_even,
@@ -71,6 +71,15 @@ class TestBuild:
         g2 = g.with_orientation({("a", "b"): "b"})
         assert g2.edges[0].iota == "b"
         assert g.edges[0].iota is None  # original untouched
+
+    def test_a_spec_of_another_length_is_refused(self):
+        # a 2-tuple used to raise a bare IndexError, and a 5-tuple's fifth
+        # item was silently dropped
+        for spec, count in ((("a", "b"), 2), (("a", "b", 3, "a", "x"), 5)):
+            with pytest.raises(SchemaError, match=(
+                    rf"^edges\[1\]: expected 3 or 4 items, got {count}$")):
+                DefiningGraph.build(["a", "b", "c"],
+                                    [("b", "c", 2), spec])
 
     def test_is_triangle(self):
         assert triangle().is_triangle()

@@ -44,8 +44,9 @@ from oracles import (
 
 
 def self_fiber(g):
-    assert is_admissible(g).admissible
-    col = build_collapsed(g)
+    verdict = is_admissible(g)
+    assert verdict.admissible
+    col = build_collapsed(verdict)
     assert is_immersion(col.graph)
     return col, fiber_product(col.graph)
 
@@ -149,7 +150,7 @@ class TestMonochrome:
             g = random_admissible_graph(rng, max_vertices=4, max_extra_edges=2)
             if sum(e.label for e in g.edges) > 14:
                 continue  # keep the brute-force search tractable
-            check(fiber_product(build_collapsed(g).graph))
+            check(fiber_product(build_collapsed(is_admissible(g)).graph))
             done += 1
         # bouquet immersions also have tree components and color classes
         # that are paths, which products of collapsed graphs do not
@@ -335,8 +336,9 @@ class TestAgainstExplicitProduct:
         for labels in cases:
             k = len(labels)
             g = head_to_tail(rng.sample(PREFIX_NAMES, k), labels)
-            assert is_admissible(g).admissible
-            col = build_collapsed(g)
+            verdict = is_admissible(g)
+            assert verdict.admissible
+            col = build_collapsed(verdict)
             assert is_immersion(col.graph)
             assert any(":10" in v for v in col.graph.vertices)
             verdicts.add(self.assert_same_product(col.graph))
@@ -425,7 +427,8 @@ def test_witness_matches_the_explicit_product_under_prefix_ids():
 def test_long_run_product_holds_no_pair_table():
     # tri(1601,4,5) gives |Xbar| = 1604, so 2.6 million pairs; counted by
     # runs, the product's tracemalloc peak stays a few MiB
-    Y = build_collapsed(head_to_tail(["a", "b", "c"], [1601, 4, 5])).graph
+    g = head_to_tail(["a", "b", "c"], [1601, 4, 5])
+    Y = build_collapsed(is_admissible(g)).graph
     tracemalloc.start()
     try:
         fp = fiber_product(Y)
@@ -498,7 +501,7 @@ class TestOppressive:
         rng = random.Random(67)
         graphs = [random_bouquet_immersion(rng, max_vertices=5)
                   for _ in range(60)]
-        graphs += [build_collapsed(triangle(labels)).graph
+        graphs += [build_collapsed(is_admissible(triangle(labels))).graph
                    for labels in ((5, 5, 5), (5, 4, 4))]
         for Y in graphs:
             for y0 in Y.vertices:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -16,6 +17,7 @@ from artinsplit import (
     is_admissible,
     is_immersion,
 )
+from artinsplit.defining_graph import enumerate_cycles
 from generators import (
     LABELS,
     random_admissible_graph,
@@ -25,11 +27,13 @@ from generators import (
     with_random_orientation,
 )
 from oracles import (
+    artin_h1_rank,
     collapsed_by_tails,
     deck_involution_on_quarter,
     is_degree_n_cover,
     named_cover,
     run_lengths,
+    splitting_h1,
     splitting_on_named_graphs,
 )
 from test_orientation import MIXED_NAMES
@@ -134,7 +138,7 @@ class TestFamily:
 class TestCollapsed:
     def test_odd_label_gives_one_long_cycle(self):
         for label in (3, 5, 7):
-            col = build_collapsed(single_edge(label))
+            col = build_collapsed(is_admissible(single_edge(label)))
             m = (label - 1) // 2
             assert run_lengths(col.graph, "a-b") == (1, m, m)
             comps = connected_components(col.graph)
@@ -144,7 +148,7 @@ class TestCollapsed:
 
     def test_even_label_gives_two_cycles(self):
         for label in (4, 6, 8):
-            col = build_collapsed(single_edge(label))
+            col = build_collapsed(is_admissible(single_edge(label)))
             m = label // 2
             assert run_lengths(col.graph, "a-b") == (1, m - 1, m)
             comps = connected_components(col.graph)
@@ -153,28 +157,29 @@ class TestCollapsed:
             assert all(col.graph.valence(v) == 2 for v in col.graph.vertices)
 
     def test_label_two_gives_two_loops(self):
-        col = build_collapsed(single_edge(2))
+        col = build_collapsed(is_admissible(single_edge(2)))
         assert sorted(set(col.old_class.values())) == ["a+/b-", "a-/b+"]
         assert all(e.tail == e.head for e in col.graph.edges)
         assert len(col.graph.edges) == 2
 
     def test_class_names_merge_collapsed_lift(self):
-        col = build_collapsed(single_edge(5))
+        col = build_collapsed(is_admissible(single_edge(5)))
         assert col.old_class["a+"] == "a+/b-"
         assert col.old_class["b-"] == "a+/b-"
         assert col.old_class["a-"] == "a-"
 
     def test_rho_immerses_when_admissible(self):
         g = triangle((5, 4, 4))
-        assert is_admissible(g).admissible
-        assert is_immersion(build_collapsed(g).graph)
+        verdict = is_admissible(g)
+        assert verdict.admissible
+        assert is_immersion(build_collapsed(verdict).graph)
 
     def test_rho_fails_to_immerse_when_inadmissible(self):
         bad = triangle(tails=("a", "b", "a"))
         verdict = is_admissible(bad)
         assert not verdict.admissible
         assert verdict.witness is not None
-        assert not is_immersion(build_collapsed(bad).graph)
+        assert not is_immersion(build_collapsed(verdict).graph)
 
     def test_immersion_does_not_decide_admissibility(self):
         # an admissible orientation always gives an immersion, but not
@@ -185,16 +190,18 @@ class TestCollapsed:
             [("v0", "v1", 2, None), ("v0", "v2", 5, "v2"),
              ("v1", "v3", 3, "v1"), ("v2", "v3", 4, "v2")],
         )
-        assert not is_admissible(square).admissible
-        assert is_immersion(build_collapsed(square).graph)
+        verdict = is_admissible(square)
+        assert not verdict.admissible
+        assert is_immersion(build_collapsed(verdict).graph)
         rng = random.Random(41)
         seen = Counter()
         for _ in range(1000):
             g = with_random_orientation(
                 rng, random_defining_graph(rng, max_vertices=6,
                                            max_extra_edges=3))
-            seen[is_admissible(g).admissible,
-                 is_immersion(build_collapsed(g).graph)] += 1
+            verdict = is_admissible(g)
+            seen[verdict.admissible,
+                 is_immersion(build_collapsed(verdict).graph)] += 1
         assert seen[True, False] == 0
         assert seen[False, True] > 0 and seen[True, True] > 0
 
@@ -202,7 +209,7 @@ class TestCollapsed:
         rng = random.Random(31)
         for _ in range(15):
             g = random_admissible_graph(rng, max_vertices=5, max_extra_edges=2)
-            col = build_collapsed(g)
+            col = build_collapsed(is_admissible(g))
             runs = {}
             for e in col.graph.edges:
                 _, color, side, index = e.id.split(":")
@@ -235,7 +242,7 @@ class TestCollapsed:
                 for e in g.edges
             ])
             verdict = is_admissible(g)
-            col = build_collapsed(g, verdict)
+            col = build_collapsed(verdict)
             assert xbar_rows(col) == xbar_rows(collapsed_by_tails(g)), g
             admissible[verdict.admissible] += 1
         assert min(admissible[True], admissible[False]) >= 500
@@ -243,14 +250,14 @@ class TestCollapsed:
 
 class TestSplitting:
     def test_triangle_ranks(self):
-        cert = compute_splitting(triangle())
+        cert = compute_splitting(is_admissible(triangle()))
         assert (cert.kind, cert.rank_a, cert.rank_b, cert.rank_c) == (
             "amalgam", 3, 4, 7,
         )
         assert cert.index_c_in_b == 2
 
     def test_even_square_is_hnn(self):
-        cert = compute_splitting(SQUARE_EVEN)
+        cert = compute_splitting(is_admissible(SQUARE_EVEN))
         assert cert.kind == "hnn"
         assert (cert.rank_a, cert.rank_b) == (4, 5)
         assert cert.rank_c is None and cert.index_c_in_b is None
@@ -259,7 +266,7 @@ class TestSplitting:
         path = DefiningGraph.build(
             ["a", "b", "c"], [("a", "b", 3, "a"), ("b", "c", 4, "b")]
         )
-        cert = compute_splitting(path)
+        cert = compute_splitting(is_admissible(path))
         assert (cert.kind, cert.rank_a, cert.rank_b, cert.rank_c) == (
             "amalgam", 2, 2, 3,
         )
@@ -267,7 +274,7 @@ class TestSplitting:
     def test_inadmissible_orientation_refused(self):
         bad = triangle(tails=("a", "b", "a"))
         with pytest.raises(InadmissibleOrientation) as e:
-            compute_splitting(bad)
+            compute_splitting(is_admissible(bad))
         assert e.value.verdict.witness is not None
 
     def test_disconnected_refused(self):
@@ -276,15 +283,15 @@ class TestSplitting:
             [("a", "b", 3, "a"), ("c", "d", 3, "c")],
         )
         with pytest.raises(DisconnectedError):
-            compute_splitting(g)
+            compute_splitting(is_admissible(g))
 
     def test_partial_orientation_refused(self):
         g = DefiningGraph.build(["a", "b"], [("a", "b", 3, None)])
         with pytest.raises(InvalidDefiningGraph):
-            compute_splitting(g)
+            compute_splitting(is_admissible(g))
 
     def test_json_shape(self):
-        amal = compute_splitting(triangle()).to_json_dict()
+        amal = compute_splitting(is_admissible(triangle())).to_json_dict()
         assert amal == {
             "kind": "amalgam",
             "rank_a": 3,
@@ -292,14 +299,14 @@ class TestSplitting:
             "rank_c": 7,
             "index_c_in_b": 2,
         }
-        hnn = compute_splitting(SQUARE_EVEN).to_json_dict()
+        hnn = compute_splitting(is_admissible(SQUARE_EVEN)).to_json_dict()
         assert hnn == {"kind": "hnn", "rank_a": 4, "rank_b": 5}
 
     def test_amalgam_edge_group_doubles_the_half_rank(self):
         rng = random.Random(17)
         for _ in range(20):
             g = random_admissible_graph(rng, max_vertices=6, max_extra_edges=3)
-            cert = compute_splitting(g)
+            cert = compute_splitting(is_admissible(g))
             if cert.kind == "amalgam":
                 assert cert.rank_c == 2 * cert.rank_b - 1
             else:
@@ -308,41 +315,43 @@ class TestSplitting:
 
     def test_matches_the_string_graph_reference(self):
         # the integer cross-checks agree with the ones on build_family's
-        # named graphs, with and without the admissibility verdict handed
-        # in; every third graph has only even labels, for HNN cases
+        # named graphs; every third graph has only even labels, for HNN
+        # cases
         rng = random.Random(23)
         kinds = Counter()
         for i in range(320):
             labels = (2, 4, 6, 8) if i % 3 == 0 else LABELS
             g = random_admissible_graph(
                 rng, max_vertices=7, max_extra_edges=3, labels=labels)
-            cert = compute_splitting(g)
+            cert = compute_splitting(is_admissible(g))
             assert cert == splitting_on_named_graphs(g), g
-            assert compute_splitting(g, is_admissible(g)) == cert
-            assert (xbar_rows(build_collapsed(g, is_admissible(g)))
-                    == xbar_rows(build_collapsed(g)))
             kinds[cert.kind] += 1
         assert kinds["hnn"] >= 50 and kinds["amalgam"] >= 200
 
     def test_a_verdict_carries_its_collapse(self):
-        # a verdict without the collapse it was decided on cannot be built
+        # a verdict without the graph and the collapse it was decided on
+        # cannot be built
         with pytest.raises(TypeError):
             AdmissibilityVerdict(True)
+        full = is_admissible(triangle())
+        with pytest.raises(TypeError):
+            AdmissibilityVerdict(True, lifts=full.lifts,
+                                 collapsed=full.collapsed, roots=full.roots)
 
     def test_a_handed_verdict_still_refuses(self):
         bad = triangle(tails=("a", "b", "a"))
         verdict = is_admissible(bad)
         with pytest.raises(InadmissibleOrientation) as e:
-            compute_splitting(bad, verdict)
+            compute_splitting(verdict)
         assert e.value.verdict is verdict
         split = DefiningGraph.build(
             ["a", "b", "c", "d"], [("a", "b", 3, "a"), ("c", "d", 3, "c")])
         with pytest.raises(DisconnectedError):
-            compute_splitting(split, is_admissible(split))
+            compute_splitting(is_admissible(split))
 
     def test_disconnected_is_refused_before_inadmissible(self):
         # the inadmissible triangle beside a separate oriented edge: the
-        # connectivity refusal wins, with or without the verdict handed in
+        # connectivity refusal wins
         g = DefiningGraph.build(
             ["a", "b", "c", "d", "e"],
             [("a", "b", 3, "a"), ("b", "c", 3, "b"), ("a", "c", 3, "a"),
@@ -350,9 +359,7 @@ class TestSplitting:
         )
         assert not is_admissible(g).admissible
         with pytest.raises(DisconnectedError):
-            compute_splitting(g)
-        with pytest.raises(DisconnectedError):
-            compute_splitting(g, is_admissible(g))
+            compute_splitting(is_admissible(g))
 
 
 def test_collapsed_rank_matches_quarter_rank():
@@ -361,7 +368,7 @@ def test_collapsed_rank_matches_quarter_rank():
     for _ in range(15):
         g = random_admissible_graph(rng, max_vertices=5, max_extra_edges=2)
         fam = build_family(g)
-        col = build_collapsed(g)
+        col = build_collapsed(is_admissible(g))
         quarter_comps = connected_components(fam.x_quarter)
         col_comps = connected_components(col.graph)
         assert len(quarter_comps) == len(col_comps)
@@ -382,8 +389,9 @@ def test_xbar_counts_the_ranks_of_x_quarter_and_its_halves():
         for _ in range(100):
             g = random_admissible_graph(
                 rng, max_vertices=7, max_extra_edges=3, labels=labels)
-            cert = compute_splitting(g)
-            xbar = build_collapsed(g).graph
+            verdict = is_admissible(g)
+            cert = compute_splitting(verdict)
+            xbar = build_collapsed(verdict).graph
             ranks = [free_rank(c) for c in connected_components(xbar)]
             if cert.kind == "amalgam":
                 assert ranks == [cert.rank_c], g
@@ -391,3 +399,101 @@ def test_xbar_counts_the_ranks_of_x_quarter_and_its_halves():
                 assert ranks == [cert.rank_b] * 2, g
             kinds[cert.kind] += 1
     assert kinds["hnn"] >= 100 and kinds["amalgam"] >= 100, kinds
+
+
+def has_two_and_odd_cycle(g):
+    """Whether a closed walk of g has only labels 2 and odd labels, and at
+    least one of each: ROADMAP item 11's class, read on cycles."""
+    for cycle in enumerate_cycles(g):
+        labels = {g.edge_between(a, b).label
+                  for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+        if (2 in labels and len(labels) > 1
+                and all(l == 2 or l % 2 for l in labels)):
+            return True
+    return False
+
+
+# The splitting's H1 where it is not H1(A) = Z^k, pinned as found until
+# ROADMAP item 11 decides which side is wrong.  On a cycle with labels 2,
+# 3 and 5 only, one label-2 edge gives Z + Z/2 where H1(A) is Z, and two
+# give Z^3 where it is Z^2, under every admissible orientation.  A
+# labelling is read around the cycle and is the least of its rotations
+# and reflections.
+CYCLE_H1_DISAGREEMENTS = {
+    **dict.fromkeys((
+        "23333 23335 23353 23355 23535 23553 23555 25335 25355 25555 "
+        "233333 233335 233353 233355 233533 233535 233553 233555 235335 "
+        "235353 235355 235535 235553 235555 253335 253355 253535 253555 "
+        "255355 255555").split(), (1, (2,))),
+    **dict.fromkeys((
+        "22333 22335 22353 22355 22535 22555 23233 23235 23255 23325 "
+        "23525 25255 223333 223335 223353 223355 223535 223553 223555 "
+        "225335 225355 225555 232333 232335 232353 232355 232535 232555 "
+        "233233 233235 233255 233325 233525 235235 235253 235255 235325 "
+        "235525 252535 252555 255255").split(), (3, ())),
+}
+
+# the same on the seeded random graphs below, by label set and draw; each
+# holds a 2-and-odd cycle (a-b-f-g-e and a-b-c-d-g-f)
+RANDOM_H1_DISAGREEMENTS = {(None, 380): (3, ()), (None, 455): (4, ())}
+
+
+class TestSplittingH1:
+    """H1 of the splitting's graph of spaces, `oracles.splitting_h1`,
+    against H1 of the Artin group, free abelian on the classes of the
+    odd-label edges."""
+
+    def test_single_edges(self):
+        for label in range(2, 8):
+            for iota in "ab":
+                g = single_edge(label, iota)
+                assert splitting_h1(is_admissible(g)) == (
+                    1 if label % 2 else 2, ()), g
+
+    def test_random_admissible_graphs(self):
+        rng = random.Random(101)
+        kinds, disagree = Counter(), {}
+        for labels, count in (((3, 4, 5, 6, 7), 400), ((4, 6, 8), 400),
+                              ((2, 4, 6), 400), (None, 800)):
+            for i in range(count):
+                g = random_admissible_graph(
+                    rng, **({} if labels is None else {"labels": labels}))
+                verdict = is_admissible(g)
+                h1 = splitting_h1(verdict)
+                if h1 != (artin_h1_rank(g), ()):
+                    disagree[labels, i] = h1
+                assert ((labels, i) in disagree) == has_two_and_odd_cycle(g), g
+                kinds[labels, compute_splitting(verdict).kind] += 1
+        assert disagree == RANDOM_H1_DISAGREEMENTS
+        assert [kinds[labels, "hnn"] for labels in
+                ((3, 4, 5, 6, 7), (4, 6, 8), (2, 4, 6), None)] \
+            == [37, 166, 314, 152]
+
+    def test_every_labelled_cycle(self):
+        # every labelling of a 3- to 6-cycle by 2, 3, 4 and 5, up to
+        # rotation and reflection, under each of its admissible orientations
+        seen = Counter()
+        for n in range(3, 7):
+            for labels in itertools.product((2, 3, 4, 5), repeat=n):
+                turns = [labels[i:] + labels[:i] for i in range(n)]
+                if min(turns + [t[::-1] for t in turns]) != labels:
+                    continue
+                g = ring(labels, [None] * n)
+                name = "".join(map(str, labels))
+                expected = CYCLE_H1_DISAGREEMENTS.get(
+                    name, (artin_h1_rank(g), ()))
+                orientable = [e for e in g.edges if e.label >= 3]
+                for tails in itertools.product(
+                        *((e.u, e.v) for e in orientable)):
+                    verdict = is_admissible(g.with_orientation(
+                        {e.key: t for e, t in zip(orientable, tails)}))
+                    if verdict.admissible:
+                        assert splitting_h1(verdict) == expected, (
+                            name, tails)
+                        seen[name] += 1
+        assert (len(seen), sum(seen.values())) == (504, 9492)
+        pinned = [seen[name] for name in CYCLE_H1_DISAGREEMENTS]
+        assert all(pinned) and (len(pinned), sum(pinned)) == (71, 678)
+        assert all(has_two_and_odd_cycle(ring(tuple(map(int, name)),
+                                              [None] * len(name)))
+                   == (name in CYCLE_H1_DISAGREEMENTS) for name in seen)

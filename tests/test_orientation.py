@@ -170,7 +170,7 @@ class TestIsAdmissible:
             g = directed_cactus(rng)
             verdict = is_admissible(g)
             assert verdict.admissible
-            splitting = compute_splitting(g, verdict)
+            splitting = compute_splitting(verdict)
             assert (splitting.rank_a, splitting.rank_b) == (
                 len(g.edges), 1 - len(g.vertices) + 2 * len(g.edges))
             flipped = g.with_orientation(

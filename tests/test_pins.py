@@ -4,13 +4,17 @@ with every moved key grouped by command.
 * Every default-seed benchmark operation has its digest in
   `benchmark/expected.json`; re-record with `benchmark/run.py --record`.
 * Every run of a seeded CLI fuzz has its digest in the ledger
-  `pinned_outputs.json`; re-record by copying the fresh ledger that the
-  failing test names over it.
+  `pinned_outputs.json`, rebuilt in-process and under two fixed hash
+  seeds; re-record by copying the fresh ledger that the failing test
+  names over it.
 """
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -79,10 +83,10 @@ def test_benchmark_outputs_match_their_recorded_digests(
     assert len(check_benchmark_outputs(monkeypatch, workload)) == count
 
 
-def test_fuzz_outputs_match_the_ledger(run_cli, tmp_path):
-    # exit code, stdout and stderr of every command in every format on
-    # each text of 150 seeded rounds, one 12-hex sha256 prefix per run
-    # under `<round> <input kind> <format> <argv>`
+def fuzz_ledger(run_cli):
+    """Exit code, stdout and stderr of every command in every format on
+    each text of 150 seeded rounds, one 12-hex sha256 prefix per run under
+    `<round> <input kind> <format> <argv>`."""
     fresh = {}
     for round_, texts, argvs in fuzz_rounds(random.Random(10), top_label=7):
         for argv in argvs:
@@ -92,6 +96,11 @@ def test_fuzz_outputs_match_the_ledger(run_cli, tmp_path):
                 assert key not in fresh, key
                 fresh[key] = hashlib.sha256(
                     f"{code}\0{out}\0{err}\0".encode()).hexdigest()[:12]
+    return fresh
+
+
+def check_ledger(fresh, tmp_path, where=""):
+    """Fail once, listing every run of `fresh` that moved from the ledger."""
     assert len(fresh) > 3000
     groups = moved(json.loads(LEDGER.read_text()), fresh,
                    lambda key: key.split(" ", 3)[3])
@@ -99,5 +108,36 @@ def test_fuzz_outputs_match_the_ledger(run_cli, tmp_path):
         written = tmp_path / LEDGER.name
         written.write_text(json.dumps(fresh, indent=0, sort_keys=True) + "\n")
         pytest.fail(f"{sum(map(len, groups.values()))} of {len(fresh)} runs "
-                    f"moved; copy {written} over {LEDGER} to re-record. "
-                    f"Moved:{listing(groups)}", pytrace=False)
+                    f"moved{where}; copy {written} over {LEDGER} to "
+                    f"re-record. Moved:{listing(groups)}", pytrace=False)
+
+
+def test_fuzz_outputs_match_the_ledger(run_cli, tmp_path):
+    check_ledger(fuzz_ledger(run_cli), tmp_path)
+
+
+def test_fuzz_outputs_match_the_ledger_under_fixed_hash_seeds(tmp_path):
+    # the ledger rebuilt in two fresh interpreters, under PYTHONHASHSEED 0
+    # and 1, side by side: an output that follows the order of a set of
+    # strings moves under one of them, where a run under a random seed
+    # would only make the pin flaky
+    here = Path(__file__).parent
+    src = Path(artinsplit.__file__).resolve().parents[1]
+    script = ("import json, sys; from conftest import run_main; "
+              "from test_pins import fuzz_ledger; "
+              "json.dump(fuzz_ledger(run_main), sys.stdout)")
+    procs = {
+        seed: subprocess.Popen(
+            [sys.executable, "-c", script], cwd=here, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONHASHSEED=seed,
+                     PYTHONPATH=os.pathsep.join(map(str, (src, here)))))
+        for seed in ("0", "1")
+    }
+    for seed, proc in procs.items():
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        written = tmp_path / f"hashseed{seed}"
+        written.mkdir()
+        check_ledger(json.loads(out), written,
+                     f" under PYTHONHASHSEED={seed}")
