@@ -16,7 +16,6 @@ stay fixed because certificates name them.  R5 to R7 read one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -132,53 +131,68 @@ def canonical_json(payload: dict) -> str:
     a subclass of one of these types, raises TypeError, so nothing is ever
     written in another layout.
     """
-    return _encode(payload, "\n")
+    out: list[str] = []
+    _encode(payload, "\n", out)
+    return "".join(out)
 
 
-def _encode(o, indent: str) -> str:
-    """`canonical_json`'s writer for one value at `indent`.  It has no
-    comprehension, so no local becomes a cell that every call allocates."""
+def _encode(o, indent: str, out: list[str]) -> None:
+    """`canonical_json`'s writer: appends the text of one value at `indent`
+    to `out`, which is joined once.  It has no comprehension, so no local
+    becomes a cell that every call allocates."""
     t = type(o)
     if t is str:
-        return encode_basestring_ascii(o)
-    if t is tuple or t is list:
-        if not o:
-            return "[]"
+        out.append(encode_basestring_ascii(o))
+    elif t is tuple or t is list:
         inner = indent + "  "
-        return "[" + inner + ("," + inner).join(
-            map(_encode, o, repeat(inner))) + indent + "]"
-    if t is dict:
-        if not o:
-            return "{}"
+        sep = "," + inner
+        head = "[" + inner
+        for item in o:
+            out.append(head)
+            _encode(item, inner, out)
+            head = sep
+        out.append(indent + "]" if o else "[]")
+    elif t is dict:
         for k in o:
             if type(k) is not str:
                 raise TypeError(f"key {k!r} is not a str")
         inner = indent + "  "
-        parts = []
+        sep = "," + inner
+        head = "{" + inner
         for k in sorted(o):
-            parts.append(
-                encode_basestring_ascii(k) + ": " + _encode(o[k], inner))
-        return "{" + inner + ("," + inner).join(parts) + indent + "}"
-    if t is int:
-        return int.__repr__(o)
-    if o is None:
-        return "null"
-    if t is bool:
-        return "true" if o else "false"
-    if t is OppressiveWords:
-        if not o.keys:
-            return "[]"
+            out.append(head)
+            out.append(encode_basestring_ascii(k))
+            out.append(": ")
+            _encode(o[k], inner, out)
+            head = sep
+        out.append(indent + "}" if o else "{}")
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif o is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if o else "false")
+    elif t is OppressiveWords and not o.keys:
+        out.append("[]")
+    elif t is OppressiveWords:
         inner = indent + "  "
         deeper = inner + "  "
         # each step's text once; a word drops its first letter's comma
         table = []
         for step in o.steps:
-            table.append("," + deeper + _encode(step, deeper))
-        parts = []
+            text = ["," + deeper]
+            _encode(step, deeper, text)
+            table.append("".join(text))
+        words = []
         for key in o.keys:
-            parts.append("[" + key.translate(table)[1:] + inner + "]")
-        return "[" + inner + ("," + inner).join(parts) + indent + "]"
-    raise TypeError(f"{t.__name__} is not written as canonical JSON")
+            words.append(key.translate(table)[1:])
+        # one entry of `out` for the set, not one per word, so the words'
+        # texts are freed before the final join
+        close = inner + "]"
+        out.extend(("[" + inner + "[", (close + "," + inner + "[").join(words),
+                    close + indent + "]"))
+    else:
+        raise TypeError(f"{t.__name__} is not written as canonical JSON")
 
 
 def _monochrome_json(mono: Optional[MonochromeVerdict]) -> dict:

@@ -669,10 +669,19 @@ class OppressiveWords(Sequence[Word]):
     """A read-only sequence of words, each kept as a string over the sorted
     step alphabet `steps`: chr(k) stands for `steps[k]`, so keys sort as
     their words do, and `self[i]` decodes the i-th key into its word.
-    Every key is nonempty and spells only steps of the alphabet."""
+    Every key is nonempty and spells only steps of the alphabet, or
+    ValueError is raised."""
 
     steps: tuple[tuple[str, int], ...]
     keys: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if "" in self.keys:
+            raise ValueError("an oppressive word is empty")
+        alphabet = dict.fromkeys(range(len(self.steps)))
+        if "".join(self.keys).translate(alphabet):
+            raise ValueError("an oppressive word has a letter outside its "
+                             "step alphabet")
 
     def __len__(self) -> int:
         return len(self.keys)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter, OrderedDict
 from enum import IntEnum
 from pathlib import Path
@@ -31,6 +32,7 @@ from artinsplit.certify import (
     RESIDUALLY_FINITE,
     SPLITS_ONLY,
     UNKNOWN,
+    _encode,
     canonical_json,
 )
 from generators import (
@@ -474,6 +476,30 @@ class TestCanonicalJson:
                     same = (canonical_json(payload)
                             == canonical_json_reference(plain(payload)))
                     assert same, (labels, y0)
+
+    def test_words_nested_deep_are_copied_about_once(self):
+        # the (5,5,5) set's text is built once and joined once into the
+        # payload's, not copied again at every level it is nested in
+        g = graph(["a", "b", "c"],
+                  [("a", "b", 5, "a"), ("b", "c", 5, "b"), ("a", "c", 5, "c")])
+        words = oppressive_set(build_collapsed(is_admissible(g)).graph,
+                               "a+/b-")
+        assert len(words) == 8834
+        tracemalloc.start()
+        try:
+            text = canonical_json([[words]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text), peak / len(text)
+
+    def test_the_writer_allocates_no_cell_or_closure(self):
+        # a comprehension or nested function would make a code object and
+        # cells that every recursive call allocates
+        for code in (_encode.__code__, canonical_json.__code__):
+            assert code.co_cellvars == code.co_freevars == ()
+            assert not [c for c in code.co_consts
+                        if isinstance(c, type(code))], code.co_name
 
 
 _OPTIMIZED_PRELUDE = """

@@ -8,6 +8,7 @@ from artinsplit import (
     DefiningGraph,
     Edge,
     FiberInputError,
+    OppressiveWords,
     StructureError,
     Walk,
     blocks,
@@ -476,6 +477,19 @@ class TestOppressive:
             (("a", 1), ("b", -1), ("a", -1)),
             (("a", 1), ("b", 1), ("a", -1)),
         }
+
+    def test_malformed_words_are_refused(self):
+        # an empty key, or a letter past the alphabet, would be written in
+        # another layout than json.dumps's, or as a raw control character
+        steps = (("x", 1),)
+        for keys in (("",), ("\x00", ""), ("\x01",), ("\x00\x01",)):
+            with pytest.raises(ValueError, match="oppressive word"):
+                OppressiveWords(steps, keys)
+        with pytest.raises(ValueError, match="oppressive word"):
+            OppressiveWords((), ("\x00",))
+        words = OppressiveWords(steps, ("\x00", "\x00\x00"))
+        assert tuple(words) == ((("x", 1),), (("x", 1), ("x", 1)))
+        assert tuple(OppressiveWords((), ())) == ()
 
     def test_witness_paths_recorded(self):
         # the oracle's pairs are the ones the definition asks for, and
