@@ -539,55 +539,62 @@ def _two_disjoint_paths(
     is its own path: S, i(v), o(v), T is a shortest augmenting path, after
     which i(v) leads only back to S and no residual arc enters o(v).
 
-    The nodes are numbered S, T, then en, ex, i and o in blocks, each
-    block in id order, so sorted neighbours are tried in the order of the
-    node names (S, T, en j, ex j, i v, o v) under name order of the ids.
-    Every node but S and T has a single arc entering it or a single arc
-    leaving it, so it carries at most one unit of flow, and the flow is
-    the set of arcs it uses: a residual arc is an unused arc, or a used
-    one reversed.  Each path is read out by following from its source the
-    one used arc that leaves each node.
+    The digraph is not built.  Its nodes are numbered S, T, then en, ex, i
+    and o in blocks, each in id order, and a node's arcs are read off its
+    type: en(j) and i(v) have one arc leaving, to ex(j) and o(v), and ex(j)
+    and o(v) one arc entering, from en(j) and i(v), whose arcs leaving are
+    listed in `leaving` for the block's own edges and vertices only.  So
+    every node but S and T carries at most one unit, and one entry per
+    node keeps the flow: prv[b] = a and nxt[a] = b for each used arc a ->
+    b.  A residual step runs an unused arc, or a used one backwards, and
+    each node's are tried in ascending node number.  No two arcs join the
+    same nodes in opposite directions, so a step a -> b runs a used arc
+    backwards exactly when prv[a] == b; every step of a path is judged
+    before the flow changes.  Each path is read out by following nxt from
+    o(source).
     """
     m = len(ends)
     S, T, EN, EX, I, O = 0, 1, 2, 2 + m, 2 + 2 * m, 2 + 2 * m + n
-    arcs = [(I + v, O + v) for v in range(n)]
-    for j in usable:
-        a, b = ends[j]
+    leaving = {O + v: [T] * (v in sinks) for v in (*sources, *sinks)}
+    for j in sorted(usable):
+        a, b = sorted(ends[j])
         if a != b:
-            arcs += [(EN + j, EX + j), (O + a, EN + j), (O + b, EN + j),
-                     (EX + j, I + a), (EX + j, I + b)]
-    arcs += [(S, I + s) for s in sources] + [(O + t, T) for t in sinks]
+            leaving[EX + j] = [I + a, I + b]
+            leaving.setdefault(O + a, []).append(EN + j)
+            leaving.setdefault(O + b, []).append(EN + j)
+    prv: dict[int, int] = {}
+    nxt: dict[int, int] = {}
 
-    neighbours: dict[int, list[int]] = {}
-    for a, b in arcs:
-        neighbours.setdefault(a, []).append(b)
-        neighbours.setdefault(b, []).append(a)
-    for nbrs in neighbours.values():
-        nbrs.sort()
-    original = set(arcs)
-    used: set[tuple[int, int]] = set()
-
-    def residual(a: int):
-        for b in neighbours[a]:
-            if (b, a) in used or (a, b) in original and (a, b) not in used:
-                yield b, b
+    def residual(x: int):
+        if x == S:
+            heads = [I + s for s in sorted(sources) if prv.get(I + s) != S]
+        elif x < EX or I <= x < O:  # en(j) -> ex(j), i(v) -> o(v)
+            heads = [prv[x] if x in prv else x + (m if x < EX else n)]
+        elif x not in nxt:  # ex(j) or o(v) carrying nothing: every arc out
+            heads = leaving[x]
+        else:  # the unused arcs out, and back to en(j) first or i(v) last
+            heads = [h for h in leaving[x] if h != nxt[x]]
+            heads = [x - m, *heads] if x < I else [*heads, x - n]
+        return zip(heads, heads)
 
     for _ in range(2):
         path = bfs_path(S, T, residual)
         if path is None:
             return None
-        for a, b in zip([S] + path, path):
-            if (b, a) in used:
-                used.remove((b, a))
-            else:
-                used.add((a, b))
+        hops = list(zip([S] + path, path))
+        back = [prv.get(a) == b for a, b in hops]
+        for (a, b), undo in zip(hops, back):
+            if undo:
+                del prv[a], nxt[b]
+        for (a, b), undo in zip(hops, back):
+            if not undo:
+                prv[b], nxt[a] = a, b
 
-    after = dict(used)
     out = {}
     for source in sources:
         trail = [O + source]
         while trail[-1] != T:
-            trail.append(after[trail[-1]])
+            trail.append(nxt[trail[-1]])
         # trail: o(source), then en(j), ex(j), i(v), o(v) per edge
         steps = []
         for o, en in zip(trail[::4], trail[1:-1:4]):

@@ -352,17 +352,10 @@ class Walk:
             out.append(at)
         return tuple(out)
 
-    @property
-    def end(self) -> str:
-        return self.vertices()[-1]
-
-    def is_closed(self) -> bool:
-        return self.end == self.start
-
     def is_simple_cycle(self) -> bool:
-        if not self.is_closed() or not self.steps:
+        *vs, end = self.vertices()
+        if end != self.start or not self.steps:
             return False
-        vs = self.vertices()[:-1]
         if len(set(vs)) != len(vs):
             return False
         eids = [eid for eid, _ in self.steps]

@@ -945,8 +945,9 @@ def simple_paths(g: ColoredGraph, y0: str) -> list[Walk]:
     while frontier:
         longer = []
         for w in frontier:
-            seen = set(w.vertices())
-            for e, sign in g.incident_ends(w.end):
+            vs = w.vertices()
+            seen = set(vs)
+            for e, sign in g.incident_ends(vs[-1]):
                 if (e.head if sign == +1 else e.tail) not in seen:
                     longer.append(Walk(g, y0, w.steps + ((e.id, sign),)))
         out += longer
@@ -968,8 +969,8 @@ def oppressive_pairs(
     for mu1 in outward:
         out.append((mu1.word(), mu1, None))
         for back in outward:
-            if back.end != mu1.end:
-                mu2 = Walk(Y, back.end, tuple(
+            if back.vertices()[-1] != mu1.vertices()[-1]:
+                mu2 = Walk(Y, back.vertices()[-1], tuple(
                     (eid, -sign) for eid, sign in reversed(back.steps)))
                 out.append((mu1.word() + mu2.word(), mu1, mu2))
     return out

@@ -1,8 +1,10 @@
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+import artinsplit
 from artinsplit import (
     ColoredGraph,
     DefiningGraph,
@@ -22,6 +24,7 @@ from artinsplit import (
     oppressive_set,
 )
 from artinsplit.fiber import _simple_paths_from, _two_disjoint_paths
+from artinsplit.multigraph import bfs_path
 from generators import (
     random_admissible_graph,
     random_bouquet_immersion,
@@ -42,6 +45,8 @@ from oracles import (
     traces_word,
     two_disjoint_paths,
 )
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmark"
 
 
 def self_fiber(g):
@@ -159,13 +164,17 @@ class TestMonochrome:
             check(fiber_product(random_bouquet_immersion(rng, max_vertices=4)))
 
 
-def library_two_disjoint_paths(g, sources, sinks, banned_edges):
+def library_two_disjoint_paths(g, sources, sinks, banned_edges, extra=0):
     """`fiber._two_disjoint_paths` with g's vertices and edges numbered in
-    their order, and its answer read back in names."""
+    their order, and its answer read back in names.  With `extra`, that
+    many vertex ids and edges follow g's own: each new vertex is joined to
+    one of g's by a new edge, left out of the usable ones."""
     at = {v: i for i, v in enumerate(g.vertices)}
+    n = len(at)
     found = _two_disjoint_paths(
-        len(at),
-        [(at[e.tail], at[e.head]) for e in g.edges],
+        n + extra,
+        [(at[e.tail], at[e.head]) for e in g.edges]
+        + [(n + k, k % n) for k in range(extra)],
         [j for j, e in enumerate(g.edges) if e.id not in banned_edges],
         tuple(at[v] for v in sources),
         tuple(at[v] for v in sinks),
@@ -180,11 +189,11 @@ def library_two_disjoint_paths(g, sources, sinks, banned_edges):
 
 
 def test_disjoint_paths_match_the_capacity_flow():
-    # the flow on integer ids, kept as a set of used arcs, against the
-    # reference that keeps capacities on names, for every pair of edges
-    # that are disjoint or share one end, within each block (as
-    # monochrome_check asks) and across the whole graph (where the paths
-    # may not exist)
+    # the flow on integer ids, kept per node, against the reference that
+    # keeps capacities on names, for every pair of edges that are disjoint
+    # or share one end, within each block (as monochrome_check asks) and
+    # across the whole graph (where the paths may not exist); vertices and
+    # edges outside the usable ones leave the answer as it is
     rng = random.Random(2024)
     compared = missing = shared = shared_found = 0
     for _ in range(300):
@@ -200,6 +209,7 @@ def test_disjoint_paths_match_the_capacity_flow():
                             {e1.id, e2.id})
                     found = library_two_disjoint_paths(*args)
                     assert found == two_disjoint_paths(*args)
+                    assert library_two_disjoint_paths(*args, extra=3) == found
                     if not common:
                         compared += 1
                         missing += found is None
@@ -217,6 +227,71 @@ def test_disjoint_paths_match_the_capacity_flow():
                     shared_found += found is not None
     assert compared > 1000 and 0 < missing < compared
     assert shared > 3000 and 0 < shared_found < shared
+
+
+def test_disjoint_paths_cancel_a_blocking_first_path(monkeypatch):
+    # the shortest augmenting path A x y D takes both x and y, yet B's only
+    # way out is through x and A's other way ends at y; so the second
+    # augmenting path runs back along x -> y, and the paths A p q y D and
+    # B x r s C are the only two
+    g = ColoredGraph("ABCDpqrsxy", [
+        Edge(str(j), a, b, "c") for j, (a, b) in enumerate(
+            ["Ax", "xy", "yD", "Bx", "Ap", "pq", "qy", "xr", "rs", "sC"])
+    ])
+    searched = []
+
+    def spy(start, goal, step):
+        searched.append(bfs_path(start, goal, step))
+        return searched[-1]
+
+    monkeypatch.setattr(fiber, "bfs_path", spy)
+    args = (g, ("A", "B"), ("C", "D"), set())
+    found = library_two_disjoint_paths(*args)
+    assert found is not None and found == two_disjoint_paths(*args)
+    assert found["A"][0] == "D" and found["B"][0] == "C"
+    # each search runs from S, node 0, and names the nodes after it
+    first, second = (set(zip([0] + path, path)) for path in searched)
+    assert any((b, a) in first for a, b in second)
+
+
+def test_disjoint_paths_match_the_capacity_flow_on_the_labels_witnesses(
+        monkeypatch):
+    # the flows behind the 33 R7 witnesses of the default-seed `labels`
+    # benchmark, on blocks far larger than the random graphs above, against
+    # the reference on the component they are run on; monochrome_check
+    # numbers the component's pairs and edges in the order of their names
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import DEFAULT_SEED, WORKLOADS, to_defining_graph
+
+    calls = []
+    monkeypatch.setattr(fiber, "_two_disjoint_paths",
+                        lambda *args: calls.append(args)
+                        or _two_disjoint_paths(*args))
+    sizes = []
+    for op in WORKLOADS["labels"](DEFAULT_SEED):
+        if op.expect_rule != "R7":
+            continue
+        g = to_defining_graph(artinsplit, op.graph)
+        fp = fiber_product(build_collapsed(is_admissible(g)).graph)
+        comp = fp.component(monochrome_check(fp).witness_component)
+        (n, ends, usable, sources, sinks), = calls
+        calls.clear()
+        names = sorted(comp.vertices)
+        eids = sorted(e.id for e in comp.edges)
+        assert {(eids[j], names[a], names[b]) for j, (a, b) in enumerate(ends)
+                } == {(e.id, e.tail, e.head) for e in comp.edges}
+        found = _two_disjoint_paths(n, ends, usable, sources, sinks)
+        assert found is not None
+        keep = set(usable)
+        assert {
+            names[s]: (names[t], [(eids[j], sign) for j, sign in steps])
+            for s, (t, steps) in found.items()
+        } == two_disjoint_paths(
+            comp, tuple(names[s] for s in sources),
+            tuple(names[t] for t in sinks),
+            {eid for j, eid in enumerate(eids) if j not in keep})
+        sizes.append(len({v for j in usable for v in ends[j]}))
+    assert len(sizes) == 33 and min(sizes) < 20 and max(sizes) > 200
 
 
 class TestFillRank:
@@ -499,14 +574,15 @@ class TestOppressive:
             Y = random_bouquet_immersion(rng, max_vertices=4)
             y0 = min(Y.vertices)
             for word, mu1, mu2 in oppressive_pairs(Y, y0):
-                assert mu1.start == y0 and mu1.end != y0 and mu1.steps
+                assert mu1.start == y0 and mu1.steps
+                assert mu1.vertices()[-1] != y0
                 assert is_simple_path(mu1)
                 if mu2 is None:
                     assert word == mu1.word()
                     continue
                 assert is_simple_path(mu2)
-                assert mu2.end == y0
-                assert mu2.start not in (y0, mu1.end)
+                assert mu2.vertices()[-1] == y0
+                assert mu2.start not in (y0, mu1.vertices()[-1])
                 assert word == mu1.word() + mu2.word()
 
     def test_matches_the_pair_enumeration(self):

@@ -442,16 +442,14 @@ class TestWalk:
         g = path_graph(3)
         w = Walk(g, "v2", (("e1", -1), ("e0", -1)))
         assert w.vertices() == ("v2", "v1", "v0")
-        assert w.end == "v0"
-        assert not w.is_closed()
         assert is_simple_path(w)
 
     def test_simple_cycle_detection(self):
         g = cycle_graph(3)
         w = Walk(g, "v0", (("e0", +1), ("e1", +1), ("e2", +1)))
-        assert w.is_closed() and w.is_simple_cycle()
+        assert w.is_simple_cycle()
         back_and_forth = Walk(g, "v0", (("e0", +1), ("e0", -1)))
-        assert back_and_forth.is_closed()
+        assert back_and_forth.vertices() == ("v0", "v1", "v0")
         assert not back_and_forth.is_simple_cycle()
 
     def test_loop_step_is_a_simple_cycle(self):
