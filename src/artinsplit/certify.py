@@ -9,8 +9,11 @@ cited rather than recomputed.
 
 The rules are R1 and R3 to R8.  The numbering skips R2, because a
 three-vertex graph with two edges is a path, which R1 decides; rule numbers
-stay fixed because certificates name them.  R5 to R7 read one
-`is_admissible` verdict, which carries its graph to the splitting and Xbar.
+stay fixed because certificates name them.  Each stage runs at one call
+site: one union-find count decides forest and connectivity, the
+orientation is resolved once per certificate, a triangle's consistency
+probe included, and one `is_admissible` verdict carries its graph to the
+splitting and Xbar, whose self fiber product gets one monochrome check.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from .defining_graph import (
     DefiningGraph,
     OrientationReport,
     all_labels_even,
-    is_connected,
-    is_forest,
     require_valid,
 )
 from .fiber import (
@@ -34,6 +35,7 @@ from .fiber import (
     monochrome_check,
 )
 from .horizontal import SplittingCertificate, build_collapsed, compute_splitting
+from .multigraph import named_classes
 from .orientation import (
     AdmissibilityVerdict,
     SearchSpaceError,
@@ -259,29 +261,29 @@ def _resolve_orientation(
     return verdict, info
 
 
-def _monochrome_evidence(verdict: AdmissibilityVerdict) -> MonochromeVerdict:
-    return monochrome_check(fiber_product(build_collapsed(verdict).graph))
-
-
 def certify(g: DefiningGraph) -> RFCertificate:
     """Evaluate the certification rules in order; first match decides.
 
     R1 forest; R3 affine triangle; R4 triangle with labels at least 4
     avoiding (odd,4,4); R5 admissible and all labels even at least 6; R6
     admissible and monochrome self fiber product; R7 admissible, splitting
-    only; R8 unknown.  On triangles where a label rule decides, the
-    monochrome machinery still runs and the comparison is recorded as a
+    only; R8 unknown.  Past R1 and a disconnected R8, the orientation is
+    resolved once.  On triangles where a label rule decides, the monochrome
+    machinery still runs on it and the comparison is recorded as a
     consistency probe.
     """
     report = require_valid(g, oriented=False)
 
     labels = g.labels()
+    # every edge but the closing ones joins two classes, and a connected
+    # graph on n vertices needs exactly n - 1 such joins
+    closing = named_classes(g.vertices, ((e.u, e.v) for e in g.edges))[1]
     evidence: dict = {
         "labels": {
             "all": list(labels),
-            "is_forest": is_forest(g),
+            "is_forest": not closing,
             "is_triangle": g.is_triangle(),
-            "is_connected": is_connected(g),
+            "is_connected": len(g.edges) - closing == len(g.vertices) - 1,
             "all_even": all_labels_even(g),
         },
     }
@@ -305,25 +307,8 @@ def certify(g: DefiningGraph) -> RFCertificate:
             evidence=evidence,
         )
 
-    def probe_triangle(judged: bool) -> None:
-        """Run the orientation and monochrome machinery on a triangle that
-        a label rule already decided residually finite.  When `judged`, the
-        rule's prediction is compared with the monochrome verdict."""
-        probe: dict = {"evaluated": False}
-        evidence["consistency_probe"] = probe
-        used, orient_info = _resolve_orientation(g, report)
-        probe["orientation"] = orient_info
-        if used is None:
-            return
-        mono = _monochrome_evidence(used)
-        probe["evaluated"] = True
-        probe["all_monochrome"] = mono.all_monochrome
-        if judged:
-            probe["label_rule_predicts_rf"] = True
-            probe["agrees"] = mono.all_monochrome
-
     # R1: forests (covers every disconnected forest as well)
-    if evidence["labels"]["is_forest"]:
+    if not closing:
         return cert(RESIDUALLY_FINITE, "R1")
 
     if not evidence["labels"]["is_connected"]:
@@ -333,44 +318,54 @@ def certify(g: DefiningGraph) -> RFCertificate:
         )
         return cert(UNKNOWN, "R8")
 
+    used, orient_info = _resolve_orientation(g, report)
+    rule = None
     if g.is_triangle():  # `labels` is sorted
         if labels in ((3, 3, 3), (2, 4, 4), (2, 3, 6)):
-            probe_triangle(judged=False)
-            return cert(RESIDUALLY_FINITE, "R3")
-        if labels[0] >= 4 and not (labels[:2] == (4, 4) and labels[2] % 2):
+            rule, caveats, judged = "R3", (), False
+        elif labels[0] >= 4 and not (labels[:2] == (4, 4) and labels[2] % 2):
             # the monochrome criterion is modeled on an even label, so on
             # an all-odd triangle the probe records without judging
-            probe_triangle(judged=any(l % 2 == 0 for l in labels))
+            rule, caveats = "R4", (_CAVEAT_TILING, _CAVEAT_QUOTIENT)
+            judged = any(l % 2 == 0 for l in labels)
+
+    if rule is None:
+        evidence["orientation"] = orient_info
+        if used is None:
+            return cert(UNKNOWN, "R8")
+        splitting = compute_splitting(used)
+        if all(e.label % 2 == 0 and e.label >= 6 for e in g.edges):
             return cert(
                 RESIDUALLY_FINITE,
-                "R4",
-                caveats=(_CAVEAT_TILING, _CAVEAT_QUOTIENT),
+                "R5",
+                caveats=(_CAVEAT_QUOTIENT,),
+                splitting=splitting,
             )
 
-    used, orient_info = _resolve_orientation(g, report)
-    evidence["orientation"] = orient_info
-    if used is None:
-        return cert(UNKNOWN, "R8")
+    mono = None
+    if used is not None:
+        mono = monochrome_check(fiber_product(build_collapsed(used).graph))
 
-    splitting = compute_splitting(used)
+    if rule is not None:
+        # the label rule decides; the monochrome verdict is only a probe
+        probe: dict = {"evaluated": mono is not None,
+                       "orientation": orient_info}
+        if mono is not None:
+            probe["all_monochrome"] = mono.all_monochrome
+            if judged:
+                probe["label_rule_predicts_rf"] = True
+                probe["agrees"] = mono.all_monochrome
+        evidence["consistency_probe"] = probe
+        return cert(RESIDUALLY_FINITE, rule, caveats=caveats)
 
-    if all(e.label % 2 == 0 and e.label >= 6 for e in g.edges):
-        return cert(
-            RESIDUALLY_FINITE,
-            "R5",
-            caveats=(_CAVEAT_QUOTIENT,),
-            splitting=splitting,
-        )
-
-    mono = _monochrome_evidence(used)
     if mono.all_monochrome:
-        caveats = [_CAVEAT_QUOTIENT, _CAVEAT_TILING]
+        caveats = (_CAVEAT_QUOTIENT, _CAVEAT_TILING)
         if all(l % 2 == 1 for l in labels):
-            caveats.append(_CAVEAT_ALL_ODD)
+            caveats += (_CAVEAT_ALL_ODD,)
         return cert(
             RESIDUALLY_FINITE,
             "R6",
-            caveats=tuple(caveats),
+            caveats=caveats,
             splitting=splitting,
             monochrome=mono,
         )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .multigraph import bfs_forest, named_classes
+from .multigraph import bfs_forest
 
 
 class InvalidDefiningGraph(ValueError):
@@ -69,6 +69,9 @@ class DefiningGraph:
         """Convenience constructor from (u, v, label[, iota]) tuples."""
         out = []
         for i, spec in enumerate(edges):
+            if not isinstance(spec, (tuple, list)):
+                raise SchemaError(f"edges[{i}]: expected a tuple or list, "
+                                  f"got {type(spec).__name__}")
             if len(spec) not in (3, 4):
                 raise SchemaError(
                     f"edges[{i}]: expected 3 or 4 items, got {len(spec)}")
@@ -223,21 +226,6 @@ def require_valid(
             )
         )
     return report
-
-
-def is_connected(g: DefiningGraph) -> bool:
-    """Every edge but the closing ones joins two classes, and a connected
-    graph on n vertices needs exactly n - 1 such joins."""
-    closing = named_classes(g.vertices, ((e.u, e.v) for e in g.edges))[1]
-    return len(g.edges) - closing == len(g.vertices) - 1
-
-
-def is_forest(g: DefiningGraph) -> bool:
-    """No edge closes a cycle.  A forest on n > 0 vertices has fewer than
-    n edges, which decides most other graphs without the union-find."""
-    if len(g.edges) >= len(g.vertices) > 0:
-        return False
-    return not named_classes(g.vertices, ((e.u, e.v) for e in g.edges))[1]
 
 
 def is_bipartite(g: DefiningGraph) -> bool:

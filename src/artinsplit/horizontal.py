@@ -42,7 +42,6 @@ from .multigraph import (
     Edge,
     bouquet,
     classes,
-    is_cover,
 )
 from .orientation import (
     AdmissibilityVerdict,
@@ -246,15 +245,16 @@ def compute_splitting(verdict: AdmissibilityVerdict) -> SplittingCertificate:
     along its two embeddings.
 
     Three cross-checks run on `_level_edges`, the integer edge lists that
-    `build_family` spells out, on the one union-find: x_quarter has two
-    components exactly in the HNN case, x_half has rank 1 - |V| + 2|E|, and
-    x_quarter covers x_half with degree 2.  They fix the ranks of x_quarter
-    and its halves: x_half is connected, so a double cover of it has one
-    component or two.  Two are each a 1-sheeted cover, of the rank of
-    x_half; one has 2|V| vertices and 4|E| edges, so rank 1 - 2|V| + 4|E|.
-    x0, a bouquet of |E| loops, has rank |E| by construction.
-    `verdict` is `is_admissible`'s, on the graph and lifts it decided.  A
-    disconnected graph is refused before an inadmissible one.
+    `build_family` spells out: on the one union-find, x_quarter has two
+    components exactly in the HNN case and x_half has rank 1 - |V| + 2|E|;
+    off the quarter numbering, x_quarter covers x_half with degree 2.  They
+    fix the ranks of x_quarter and its halves: x_half is connected, so a
+    double cover of it has one component or two.  Two are each a 1-sheeted
+    cover, of the rank of x_half; one has 2|V| vertices and 4|E| edges, so
+    rank 1 - 2|V| + 4|E|.  x0, a bouquet of |E| loops, has rank |E| by
+    construction.  `verdict` is `is_admissible`'s, on the graph and lifts
+    it decided.  A disconnected graph is refused before an inadmissible
+    one.
     """
     g = verdict.graph
     half, quarter = _level_edges(g, verdict.lifts)
@@ -275,9 +275,20 @@ def compute_splitting(verdict: AdmissibilityVerdict) -> SplittingCertificate:
     hnn = is_bipartite(g) and all_labels_even(g)
     _require((parts == 2) == hnn, "x_quarter components")
     _require(half_rank == rank_b, "rank of x_half")
+    # x_quarter edge j lies over x_half edge j // 2 and quarter id q over
+    # vertex q mod n, so every vertex fiber has two members, and so does
+    # every edge fiber once x_quarter has twice x_half's edges.  When each
+    # quarter edge's ends also lie over its half edge's, and its ends
+    # (q, j // 2, side) are distinct, each star maps injectively into its
+    # image's star.  Those image stars, two per vertex of x_half, hold
+    # 2 * 2|half| = 2|quarter| ends, as many as the stars mapped into them,
+    # so each star maps onto its image's: a covering map of degree 2.
     _require(
-        is_cover(quarter, (nv, half), [q % nv for q in range(2 * nv)],
-                 [j // 2 for j in range(len(quarter))], 2),
+        len(quarter) == 2 * len(half)
+        and all((a % nv, b % nv) == half[j // 2]
+                for j, (a, b) in enumerate(quarter))
+        and len({(q, j // 2, side) for j, ends in enumerate(quarter)
+                 for side, q in enumerate(ends)}) == 2 * len(quarter),
         "x_quarter -> x_half double cover",
     )
     if hnn:

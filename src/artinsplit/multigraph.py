@@ -7,11 +7,11 @@ operations are pure: graphs are never mutated after construction, and every
 listing (components, blocks, cycles) comes back in a deterministic order.
 The one union-find, `root`, `join` and `classes` over integer ids
 (`named_classes` numbers hashable names for it), counts components, free
-ranks, blocks, the collapse classes of the sign double cover and the
-fiber product's components.  `is_cover` tests a covering map over
-integer ids.  The one breadth-first search, `bfs_tree`, runs paths,
-blocks and the bipartite test.  The one blocks routine, `edge_blocks`,
-runs over integer ids; `blocks` numbers a graph's names for it.
+ranks, blocks, a defining graph's forest and connectivity, the collapse
+classes of the sign double cover and the fiber product's components.
+The one breadth-first search, `bfs_tree`, runs paths, blocks and the
+bipartite test.  The one blocks routine, `edge_blocks`, runs over
+integer ids; `blocks` numbers a graph's names for it.
 """
 
 from __future__ import annotations
@@ -111,49 +111,6 @@ def is_immersion(g: ColoredGraph) -> bool:
     return all(
         len({(e.color, sign) for e, sign in g.incident_ends(v)}) == g.valence(v)
         for v in g.vertices
-    )
-
-
-def is_cover(
-    source: Sequence[tuple[int, int]],
-    target: tuple[int, Sequence[tuple[int, int]]],
-    vertex_map: Sequence[int],
-    edge_map: Sequence[int],
-    n: int,
-) -> bool:
-    """True when a map of graphs over integer ids is a covering map with
-    every fiber of size exactly n.
-
-    `source` lists the (tail, head) of each source edge over the source
-    vertices 0..len(vertex_map)-1; `target` is the target's vertex count
-    and edge list.  Source vertex v maps to `vertex_map[v]`, source edge j
-    to target edge `edge_map[j]`, tail to tail and head to head.
-    """
-    nt, target_edges = target
-    vertex_fibers = [0] * nt
-    for w in vertex_map:
-        vertex_fibers[w] += 1
-    edge_fibers = [0] * len(target_edges)
-    for j in edge_map:
-        edge_fibers[j] += 1
-    if any(c != n for c in vertex_fibers) or any(c != n for c in edge_fibers):
-        return False
-    valence = [0] * nt
-    for a, b in target_edges:
-        valence[a] += 1
-        valence[b] += 1
-    star = [0] * len(vertex_map)
-    ends = set()
-    for (a, b), j in zip(source, edge_map):
-        if (vertex_map[a], vertex_map[b]) != target_edges[j]:
-            return False
-        star[a] += 1
-        star[b] += 1
-        ends.add((a, j, +1))
-        ends.add((b, j, -1))
-    # local bijectivity: each star maps injectively onto a star of its size
-    return len(ends) == 2 * len(source) and all(
-        k == valence[w] for k, w in zip(star, vertex_map)
     )
 
 

@@ -33,7 +33,7 @@ from artinsplit.defining_graph import (
     is_bipartite,
     require_valid,
 )
-from artinsplit.multigraph import bfs_path, is_cover
+from artinsplit.multigraph import bfs_path
 from artinsplit.orientation import (
     _alternating_tails,
     _is_cycle_expression,
@@ -1054,10 +1054,54 @@ def deck_involution_on_quarter(family: HorizontalFamily) -> GraphMap:
     )
 
 
+def is_cover(
+    source: Sequence[tuple[int, int]],
+    target: tuple[int, Sequence[tuple[int, int]]],
+    vertex_map: Sequence[int],
+    edge_map: Sequence[int],
+    n: int,
+) -> bool:
+    """True when a map of graphs over integer ids is a covering map with
+    every fiber of size exactly n.
+
+    `source` lists the (tail, head) of each source edge over the source
+    vertices 0..len(vertex_map)-1; `target` is the target's vertex count
+    and edge list.  Source vertex v maps to `vertex_map[v]`, source edge j
+    to target edge `edge_map[j]`, tail to tail and head to head.  The
+    reference for the double cover `compute_splitting` reads off the
+    quarter numbering.
+    """
+    nt, target_edges = target
+    vertex_fibers = [0] * nt
+    for w in vertex_map:
+        vertex_fibers[w] += 1
+    edge_fibers = [0] * len(target_edges)
+    for j in edge_map:
+        edge_fibers[j] += 1
+    if any(c != n for c in vertex_fibers) or any(c != n for c in edge_fibers):
+        return False
+    valence = [0] * nt
+    for a, b in target_edges:
+        valence[a] += 1
+        valence[b] += 1
+    star = [0] * len(vertex_map)
+    ends = set()
+    for (a, b), j in zip(source, edge_map):
+        if (vertex_map[a], vertex_map[b]) != target_edges[j]:
+            return False
+        star[a] += 1
+        star[b] += 1
+        ends.add((a, j, +1))
+        ends.add((b, j, -1))
+    # local bijectivity: each star maps injectively onto a star of its size
+    return len(ends) == 2 * len(source) and all(
+        k == valence[w] for k, w in zip(star, vertex_map)
+    )
+
+
 def is_degree_n_cover(m: GraphMap, n: int) -> bool:
     """True when m is a covering map with every fiber of size exactly n:
-    `multigraph.is_cover` on the source and target numbered in their own
-    order."""
+    `is_cover` on the source and target numbered in their own order."""
     sv = {v: i for i, v in enumerate(m.source.vertices)}
     tv = {v: i for i, v in enumerate(m.target.vertices)}
     te = {e.id: j for j, e in enumerate(m.target.edges)}

@@ -41,7 +41,7 @@ from generators import (
     random_bouquet_immersion,
     ring,
 )
-from oracles import canonical_json_reference
+from oracles import canonical_json_reference, is_cover
 
 
 def graph(vertices, rows):
@@ -176,6 +176,15 @@ class TestOrientationHandling:
         )
         cert = certify(g)
         assert cert.evidence["orientation"]["used"] == "provided"
+
+    def test_a_search_past_its_bound_is_refused(self):
+        # C25 with label 4 has 25 orientable edges, one past the bound
+        names = [f"v{i}" for i in range(25)]
+        cert = certify(graph(names, [(u, v, 4, None) for u, v in
+                                     zip(names, names[1:] + names[:1])]))
+        assert (cert.verdict, cert.rule) == (UNKNOWN, "R8")
+        assert cert.evidence["orientation"]["search"] == (
+            "refused: 25 orientable edges exceed the search bound 24")
 
     def test_inadmissible_orientation_triggers_search(self):
         g = tri(5, 4, 4)
@@ -541,7 +550,7 @@ def test_immersion_check_survives_python_O():
             ["a", "b", "c"],
             [("a", "b", 5, "a"), ("b", "c", 5, "b"), ("a", "c", 5, "c")],
         )
-        c._monochrome_evidence(is_admissible(g))
+        c.certify(g)
         print("check did not fire")
     """
     conservation = """
@@ -736,6 +745,115 @@ def test_every_splitting_cross_check_can_fire(monkeypatch):
     assert survived == []
     assert kinds["amalgam"] >= 5 and kinds["hnn"] >= 5, kinds
     assert set(fired) == declared, fired
+
+
+def test_the_double_cover_check_matches_the_reference(monkeypatch):
+    # the cover check reads x_quarter -> x_half off the quarter numbering;
+    # wherever the components check before it passes, it must fire exactly
+    # when the general covering-map reference says no.  The changes: every
+    # single-end change of one x_quarter edge, none of which is a cover,
+    # and every crossing of the ends of the two edges over one x_half edge,
+    # each of which is
+    real = horizontal._level_edges
+    quarter_now = [None]
+    monkeypatch.setattr(horizontal, "_level_edges",
+                        lambda g, lifts: (real(g, lifts)[0], quarter_now[0]))
+    prefix = "splitting cross-check failed: "
+    rng = random.Random(71)
+    seen = Counter()
+    for labels in (LABELS, (2, 4, 6)):
+        for _ in range(15):
+            g = random_admissible_graph(
+                rng, max_vertices=5, max_extra_edges=2, labels=labels)
+            verdict = is_admissible(g)
+            half, quarter = real(g, verdict.lifts)
+            n = len(g.vertices)
+            changes = [quarter]
+            for j, ends in enumerate(quarter):
+                for end in (0, 1):
+                    for q in range(2 * n):
+                        if q != ends[end]:
+                            changed = list(quarter)
+                            changed[j] = ((q, ends[1]) if end == 0
+                                          else (ends[0], q))
+                            changes.append(changed)
+            for h in range(len(half)):
+                (a, b), (c, d) = quarter[2 * h:2 * h + 2]
+                changes.append(quarter[:2 * h] + [(a, d), (c, b)]
+                               + quarter[2 * h + 2:])
+            for changed in changes:
+                quarter_now[0] = changed
+                try:
+                    compute_splitting(verdict)
+                    fired = None
+                except AssertionError as e:
+                    fired = str(e).removeprefix(prefix)
+                if fired == "x_quarter components":
+                    seen["components"] += 1
+                    continue
+                cover = is_cover(
+                    changed, (n, half), [q % n for q in range(2 * n)],
+                    [j // 2 for j in range(len(changed))], 2)
+                assert fired == (None if cover else
+                                 "x_quarter -> x_half double cover"), changed
+                seen[cover] += 1
+    assert seen[True] >= 100 and seen[False] >= 1000, seen
+
+
+def test_each_stage_runs_at_one_call_site(monkeypatch):
+    # certify resolves the orientation once per certificate, the triangle
+    # probe included, and the orientation is found and checked only there;
+    # Xbar, its self fiber product and the monochrome check run once
+    # whichever rule reads them, and not at all for R1, R5 and both R8s
+    c = sys.modules["artinsplit.certify"]
+    calls, running = Counter(), []
+
+    def counted(name):
+        real = getattr(c, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            if name in ("find_admissible_orientation", "is_admissible"):
+                assert "_resolve_orientation" in running, name
+            running.append(name)
+            try:
+                return real(*args)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(c, name, wrapper)
+
+    for name in ("_resolve_orientation", "find_admissible_orientation",
+                 "is_admissible", "compute_splitting", "build_collapsed",
+                 "fiber_product", "monochrome_check"):
+        counted(name)
+    names = [f"v{i}" for i in range(25)]
+    cases = [
+        (graph(["a", "b", "c"], [("a", "b", 3, None), ("b", "c", 7, None)]),
+         "R1", 0, 0, 0),
+        (graph(list("abcdef"), [(u, v, 3, None) for u, v in
+                                ("ab", "bc", "ac", "de", "ef", "df")]),
+         "R8", 0, 0, 0),
+        (tri(3, 3, 3), "R3", 1, 0, 1),
+        (tri(2, 4, 4), "R3", 1, 0, 0),  # no admissible orientation
+        (tri(5, 5, 5), "R4", 1, 0, 1),
+        (square(6, 6, 8, 6), "R5", 1, 1, 0),
+        (square(4, 4, 5, 5), "R6", 1, 1, 1),
+        (tri(5, 4, 4), "R7", 1, 1, 1),
+        (tri(2, 3, 3), "R8", 1, 0, 0),
+        (graph(names, [(u, v, 4, None) for u, v in
+                       zip(names, names[1:] + names[:1])]), "R8", 1, 0, 0),
+    ]
+    for g, rule, resolved, split, product in cases:
+        calls.clear()
+        assert c.certify(g).rule == rule
+        searched = (calls["find_admissible_orientation"]
+                    + calls["is_admissible"])
+        assert (resolved, split, product) == (
+            calls["_resolve_orientation"], calls["compute_splitting"],
+            calls["build_collapsed"]), (rule, calls)
+        assert calls["fiber_product"] == calls["monochrome_check"] == product
+        assert (searched > 0) == (resolved > 0), (rule, calls)
 
 
 def test_library_has_no_assert_statements():

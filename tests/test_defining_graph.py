@@ -13,8 +13,6 @@ from artinsplit.defining_graph import (
     canonical_cycle,
     enumerate_cycles,
     is_bipartite,
-    is_connected,
-    is_forest,
 )
 from generators import random_defining_graph, ring, triangle
 from oracles import neighbours_by_edge_scan
@@ -81,6 +79,15 @@ class TestBuild:
                 DefiningGraph.build(["a", "b", "c"],
                                     [("b", "c", 2), spec])
 
+    def test_a_spec_that_is_not_a_tuple_or_list_is_refused(self):
+        # a string spec used to be split into characters, "abc" building
+        # edge a-b with label "c", and an int or None spec raised a bare
+        # TypeError
+        for spec, kind in (("abc", "str"), (5, "int"), (None, "NoneType")):
+            with pytest.raises(SchemaError, match=(
+                    rf"^edges\[0\]: expected a tuple or list, got {kind}$")):
+                DefiningGraph.build(["a", "b", "c"], [spec])
+
     def test_is_triangle(self):
         assert triangle().is_triangle()
         assert not random_path().is_triangle()
@@ -126,6 +133,10 @@ class TestValidate:
         rep = validate(g)
         assert rep.ok and not rep.iota_total
 
+    def test_duplicate_vertex_names(self):
+        g = DefiningGraph.build(["b", "a", "c", "b", "a"], [])
+        assert validate(g).problems == ("duplicate vertex names: a, b",)
+
     def test_vertex_name_characters(self):
         g = DefiningGraph.build(["a+b"], [])
         assert any("vertex name" in p for p in validate(g).problems)
@@ -170,13 +181,13 @@ class TestValidate:
 
 class TestPredicates:
     def test_connected(self):
-        assert is_connected(triangle())
+        assert certify(triangle()).evidence["labels"]["is_connected"]
         g = DefiningGraph.build(["a", "b", "c", "d"], [("a", "b", 2, None)])
-        assert not is_connected(g)
+        assert not certify(g).evidence["labels"]["is_connected"]
 
     def test_forest(self):
-        assert is_forest(random_path())
-        assert not is_forest(triangle())
+        assert certify(random_path()).evidence["labels"]["is_forest"]
+        assert not certify(triangle()).evidence["labels"]["is_forest"]
 
     def test_bipartite(self):
         assert not is_bipartite(triangle())
@@ -237,6 +248,10 @@ class TestCycles:
     def test_default_bound_is_capped(self):
         assert MAX_CYCLE_LEN >= 10
 
+    def test_a_bound_past_the_cap_is_refused(self):
+        with pytest.raises(ValueError, match="max_len 13 exceeds bound 12"):
+            enumerate_cycles(triangle(), MAX_CYCLE_LEN + 1)
+
     def test_no_duplicates_up_to_symmetry(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -252,7 +267,7 @@ def test_generated_graphs_validate(seed):
     g = random_defining_graph(rng)
     rep = validate(g)
     assert rep.ok
-    assert is_connected(g)
+    assert certify(g).evidence["labels"]["is_connected"]
 
 
 @settings(max_examples=50, deadline=None)

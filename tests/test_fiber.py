@@ -10,6 +10,7 @@ from artinsplit import (
     DefiningGraph,
     Edge,
     FiberInputError,
+    MonochromeVerdict,
     OppressiveWords,
     StructureError,
     Walk,
@@ -66,6 +67,15 @@ class TestFiberProduct:
         with pytest.raises(FiberInputError, match="immersion"):
             fiber_product(g)
 
+    def test_rejects_ids_holding_the_pair_separator(self):
+        # pair ids join factor ids with "|"; a loop at each vertex keeps
+        # these graphs immersions
+        for v, e in (("a|b", "l"), ("a", "l|1")):
+            g = ColoredGraph([v], [Edge(e, v, v, "x")])
+            assert is_immersion(g)
+            with pytest.raises(FiberInputError, match='may contain it'):
+                fiber_product(g)
+
     def test_art333_self_fiber(self):
         col, fp = self_fiber(triangle((3, 3, 3)))
         assert len(col.graph.vertices) == 3 and len(col.graph.edges) == 9
@@ -102,6 +112,9 @@ class TestFiberProduct:
 
 
 class TestMonochrome:
+    def test_a_verdict_without_a_witness_has_no_colors(self):
+        assert MonochromeVerdict(all_monochrome=True).witness_colors() == ()
+
     def test_all_odd_triangle_is_mixed(self):
         _, fp = self_fiber(triangle((5, 5, 5)))
         verdict = monochrome_check(fp)

@@ -16,11 +16,11 @@ from artinsplit import (
     Walk,
     blocks,
     bouquet,
+    certify,
     connected_components,
     free_rank,
     is_immersion,
 )
-from artinsplit.defining_graph import is_connected, is_forest
 from artinsplit.multigraph import (
     bfs_path,
     bfs_tree,
@@ -306,7 +306,9 @@ class TestUnionFind:
             uf = UnionFind(g.vertices)
             forest = all([uf.union(e.u, e.v) for e in g.edges])
             connected = len({uf.find(v) for v in g.vertices}) == 1
-            assert (is_forest(g), is_connected(g)) == (forest, connected)
+            labels = certify(g).evidence["labels"]
+            assert (labels["is_forest"], labels["is_connected"]) == (
+                forest, connected)
             seen.add((forest, connected))
         assert len(seen) == 4
 
@@ -451,6 +453,20 @@ class TestWalk:
         back_and_forth = Walk(g, "v0", (("e0", +1), ("e0", -1)))
         assert back_and_forth.vertices() == ("v0", "v1", "v0")
         assert not back_and_forth.is_simple_cycle()
+
+    def test_walks_that_are_not_simple_cycles(self):
+        # open, empty, through a vertex twice, along an edge twice
+        g = ColoredGraph(["a", "b", "c", "d", "e"], [
+            Edge("ab", "a", "b", "x"), Edge("bc", "b", "c", "x"),
+            Edge("ca", "c", "a", "x"), Edge("ad", "a", "d", "x"),
+            Edge("de", "d", "e", "x"), Edge("ea", "e", "a", "x"),
+        ])
+        triangle = (("ab", +1), ("bc", +1), ("ca", +1))
+        assert Walk(g, "a", triangle).is_simple_cycle()
+        figure_eight = triangle + (("ad", +1), ("de", +1), ("ea", +1))
+        back_and_forth = (("ab", +1), ("ab", -1))
+        for steps in (triangle[:2], (), figure_eight, back_and_forth):
+            assert not Walk(g, "a", steps).is_simple_cycle(), steps
 
     def test_loop_step_is_a_simple_cycle(self):
         g = ColoredGraph(["a"], [Edge("l", "a", "a", "c")])

@@ -19,8 +19,7 @@ from artinsplit import (
     is_admissible,
     oracle_almost_misdirected,
 )
-from artinsplit.defining_graph import is_forest
-from artinsplit.multigraph import classes
+from artinsplit.multigraph import classes, named_classes
 from artinsplit.orientation import (
     MAX_ORIENTABLE_EDGES,
     _is_cycle_expression,
@@ -355,6 +354,19 @@ class TestCheckWitness:
                     assert not check_witness(g, WitnessCycle(seq, bad))
         assert closing_oriented
 
+    def test_rejects_a_walk_that_is_no_cycle_expression(self):
+        # empty, too short, backtracking, or closed by a missing edge d-a
+        # on a path whose tails alternate
+        g = DefiningGraph.build(
+            ["a", "b", "c", "d"],
+            [("a", "b", 3, "a"), ("b", "c", 3, "c"), ("a", "c", 3, "c"),
+             ("c", "d", 3, "c")],
+        )
+        for seq, tails in (((), ()), (("a", "b"), ("a", "a")),
+                           (("a", "b", "a"), ("a", "a", "a")),
+                           (("a", "b", "c", "d"), ("a", "c", "c", "d"))):
+            assert not check_witness(g, WitnessCycle(seq, tails))
+
     def test_collapsed_cycle_witness_peels_its_wrap(self):
         # the collapsed cycle's arc wraps back over the edge v0-v3 at both
         # ends; peeling them leaves the triangle v3, v2, v4
@@ -510,8 +522,8 @@ class TestFindOrientation:
             assert first_admissible_orientation_by_blocks(g) == expected
             # both lifts of a label-2 edge collapse, and a sign cover is a
             # forest exactly when its base is
-            twos = [(e.u, e.v, 2) for e in g.edges if e.label == 2]
-            if not is_forest(DefiningGraph.build(g.vertices, twos)):
+            twos = [(e.u, e.v) for e in g.edges if e.label == 2]
+            if named_classes(g.vertices, twos)[1]:
                 label_2_cycles += 1
                 assert found is None
             if found is None:

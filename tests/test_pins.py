@@ -15,7 +15,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -43,18 +43,17 @@ def listing(groups):
                    for command, keys in sorted(groups.items()))
 
 
-def check_benchmark_outputs(monkeypatch, workload, keep=None):
-    """Replay each default-seed op of `workload` that `keep(op)` accepts
-    (every op without `keep`) once: its output digest, then the benchmark's
-    own re-checks of what it claims.  Fail once, listing every moved key and
-    every failed check; return the ops replayed."""
+def check_benchmark_outputs(monkeypatch, workload):
+    """Replay each default-seed op of `workload` once: its output digest,
+    then the benchmark's own re-checks of what it claims.  Fail once,
+    listing every moved key and every failed check; return the ops
+    replayed."""
     monkeypatch.syspath_prepend(str(BENCH))
     from operations import execute, prepare
     from workloads import DEFAULT_SEED, WORKLOADS
 
     recorded = json.loads((BENCH / "expected.json").read_text())[workload]
-    ops = [op for op in WORKLOADS[workload](DEFAULT_SEED)
-           if keep is None or keep(op)]
+    ops = WORKLOADS[workload](DEFAULT_SEED)
     fresh, commands, failed = {}, {}, defaultdict(list)
     for op in ops:
         outcome = execute(artinsplit, cli, op, prepare(artinsplit, op),
@@ -64,8 +63,6 @@ def check_benchmark_outputs(monkeypatch, workload, keep=None):
         if outcome.problem and outcome.digest == recorded.get(op.key):
             failed[commands[op.key]].append(f"{op.key}: {outcome.problem}")
     assert len(ops) == len(fresh)
-    if keep is not None:
-        recorded = {key: recorded[key] for key in fresh if key in recorded}
     groups = moved(recorded, fresh, lambda key: commands.get(key, "no op"))
     if groups or failed:
         pytest.fail(f"{sum(map(len, groups.values()))} of {len(ops)} "
@@ -79,8 +76,17 @@ def check_benchmark_outputs(monkeypatch, workload, keep=None):
 def test_benchmark_outputs_match_their_recorded_digests(
         workload, count, monkeypatch):
     # every default-seed op of the workload; this pins R7's witness cycles
-    # to the byte
-    assert len(check_benchmark_outputs(monkeypatch, workload)) == count
+    # to the byte.  Only the cli workload runs commands: 220 each of
+    # `check`, `split` and `export`, and some `fiber --oppressive`
+    ops = check_benchmark_outputs(monkeypatch, workload)
+    assert len(ops) == count
+    commands = [op.argv for op in ops if op.kind == "cli"]
+    assert Counter(argv[0] for argv in commands
+                   if argv[0] in ("check", "split", "export")) == (
+        dict.fromkeys(("check", "split", "export"), 220)
+        if workload == "cli" else {})
+    assert any(argv[0] == "fiber" and "--oppressive" in argv
+               for argv in commands) == (workload == "cli")
 
 
 def fuzz_ledger(run_cli):
