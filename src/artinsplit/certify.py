@@ -320,7 +320,7 @@ def certify(g: DefiningGraph) -> RFCertificate:
 
     used, orient_info = _resolve_orientation(g, report)
     rule = None
-    if g.is_triangle():  # `labels` is sorted
+    if evidence["labels"]["is_triangle"]:  # `labels` is sorted
         if labels in ((3, 3, 3), (2, 4, 4), (2, 3, 6)):
             rule, caveats, judged = "R3", (), False
         elif labels[0] >= 4 and not (labels[:2] == (4, 4) and labels[2] % 2):

@@ -8,7 +8,7 @@ edge between two vertices means there is no relation between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
@@ -29,16 +29,20 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class DefiningEdge:
-    """An undirected labelled edge, stored with endpoints in sorted order."""
+    """An undirected labelled edge, stored with endpoints in sorted order.
+
+    `key`, the pair (u, v), is built once with the edge: the search and
+    `is_admissible` read it several times per edge.  It takes no part in
+    comparisons, hashing or the repr."""
 
     u: str
     v: str
     label: int
     iota: Optional[str] = None
+    key: tuple[str, str] = field(init=False, compare=False, repr=False)
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.u, self.v)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.u, self.v))
 
     @property
     def color(self) -> str:

@@ -24,6 +24,12 @@ collapsed lifts, taken in the order of the quarter names.  Names are
 spelled out only in a returned `WitnessCycle` and in Xbar.  A bounded
 search over explicit closed walks, `oracle_almost_misdirected`, provides
 an independent check.
+
+Reversing every tail swaps the p and m lifts of every edge, which the
+deck involution v+ <-> v- of the cover does too, so an orientation and its
+mirror image are admissible together.  `find_admissible_orientation` uses
+this to fix tail u on its first edge: a search that finds nothing covers
+half the tree.
 """
 
 from __future__ import annotations
@@ -124,9 +130,11 @@ def check_witness(g: DefiningGraph, w: WitnessCycle) -> bool:
 
 
 def _is_cycle_expression(g: DefiningGraph, seq: tuple[str, ...]) -> bool:
-    n = len(seq)
-    if n < 3:
+    # only the empty walk stops here: the loop below rejects a 1-vertex
+    # walk, which has no loop edge, and a 2-vertex one, which backtracks
+    if not seq:
         return False
+    n = len(seq)
     for i in range(n):
         if g.edge_between(seq[i], seq[(i + 1) % n]) is None:
             return False
@@ -394,9 +402,30 @@ def find_admissible_orientation(
 
     After every step each unassigned edge is checked: when neither tail
     can join, the search backtracks; when exactly one can, that tail is
-    forced.  Pruning only subtrees without an admissible leaf keeps the
-    first answer the same.  An explicit stack of open decisions drives the
-    search, so its depth does not grow the Python stack.
+    forced.  An explicit stack of open decisions drives the search, so its
+    depth does not grow the Python stack.
+
+    Admissibility is symmetric under reversing every tail.  Reversal swaps
+    each edge's p and m lifts, which the deck involution v+ <-> v- of the
+    sign double cover maps onto each other, so it maps the collapsed lifts
+    onto the collapsed lifts of the reversed orientation; the forest, the
+    twins v+ and v- and the closed uncollapsed lifts all survive it.  So
+    the first admissible orientation in search order has tail u on the
+    first orientable edge: its mirror image is admissible too, and one of
+    them has tail u there and comes first.  The search therefore makes
+    that tail a root move, never pushed as a decision, and never tries
+    tail v there.  The move is as safe as a decision: at the root only
+    the label-2 lifts are joined, and they are invariant under the
+    involution, so after the root `propagate` either the search is dead or
+    every edge can join both its tails and none is forced.
+
+    The pruning invariant: no cut subtree holds the first admissible
+    leaf.  A refused join or a forced tail cuts only subtrees with no
+    admissible leaf at all.  The skipped half, tail v on the first edge,
+    does hold admissible leaves, but each is the mirror image of a leaf in
+    the kept half, which comes earlier in search order.  So the first
+    answer stays the same, and a search that finds nothing covers half
+    the tree.
     """
     require_valid(g, oriented=False)
     orientable = sorted(
@@ -488,6 +517,11 @@ def find_admissible_orientation(
     # open decisions: (edge index, trail length before its tail u)
     decisions: list[tuple[int, int]] = []
     alive = propagate()
+    if alive and tails:
+        # the root move: the first edge takes tail u and never tail v, as
+        # the mirror image of each orientation with tail v comes earlier
+        assign(0, 0)
+        alive = propagate()
     while True:
         if alive:
             if None not in tails:

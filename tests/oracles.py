@@ -840,7 +840,10 @@ def first_admissible_orientation(g: DefiningGraph):
 
     Every orientation of the label >= 3 edges, sorted by (label, endpoints),
     is tried in `itertools.product` order with tail u before tail v, and
-    decided by `sign_cover_admissible`.
+    decided by `sign_cover_admissible`.  It stays a plain enumeration of
+    all 2^k, with no cut by the reversal symmetry the search uses to fix
+    its first edge's tail, so that it does not depend on the argument it
+    checks.
     """
     orientable = sorted(
         (e for e in g.edges if e.label >= 3), key=lambda e: (e.label, e.key)

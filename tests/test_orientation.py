@@ -19,7 +19,8 @@ from artinsplit import (
     is_admissible,
     oracle_almost_misdirected,
 )
-from artinsplit.multigraph import classes, named_classes
+from artinsplit import orientation
+from artinsplit.multigraph import classes, join, named_classes, root
 from artinsplit.orientation import (
     MAX_ORIENTABLE_EDGES,
     _is_cycle_expression,
@@ -66,6 +67,19 @@ MIXED_NAMES = ("a", "a1", "a10", "a9", "a.b", "a_", "A", "B", "b", "b.c", "b1",
 
 def collapsed_of(g):
     return collapsed_lifts(edge_lifts(g), g.orientation())
+
+
+def reversed_tails(g, edges):
+    """g with the tail of each orientable edge among `edges` moved to its
+    other end."""
+    return g.with_orientation(
+        {e.key: e.other(e.iota) for e in edges if e.label >= 3})
+
+
+def first_orientable(g):
+    """The first orientable edge in search order, by (label, endpoints)."""
+    return min((e for e in g.edges if e.label >= 3),
+               key=lambda e: (e.label, e.key))
 
 
 class TestDoubleCover:
@@ -177,9 +191,41 @@ class TestIsAdmissible:
             flipped_inadmissible += not is_admissible(flipped).admissible
         assert flipped_inadmissible > 1500
 
+    def test_reversing_every_tail_keeps_the_verdict(self):
+        # reversal maps the collapsed lifts onto their images under the deck
+        # involution v+ <-> v- of the sign double cover, so an orientation
+        # and its mirror image are admissible together; every graph has a
+        # label-2 edge, every other orientation is searched, and a search
+        # gives its first orientable edge tail u
+        rng = random.Random(61)
+        seen = {True: 0, False: 0}
+        searched = 0
+        while sum(seen.values()) < 1000:
+            g = random_defining_graph(rng, max_vertices=8, max_extra_edges=4)
+            labels = {e.label for e in g.edges}
+            if 2 not in labels or labels == {2}:
+                continue
+            found = None
+            if sum(seen.values()) % 2:
+                found = find_admissible_orientation(g)
+            if found is None:
+                g = with_random_orientation(rng, g)
+            else:
+                first = first_orientable(g)
+                assert next(iter(found.items())) == (first.key, first.u)
+                g = g.with_orientation(found)
+                searched += 1
+            admissible = is_admissible(g).admissible
+            assert is_admissible(reversed_tails(g, g.edges)).admissible == (
+                admissible), g
+            seen[admissible] += 1
+        assert searched > 100
+        assert seen[True] > 150 and seen[False] > 500
+
     def test_admissibility_is_block_local(self):
         # every simple cycle lies in one biconnected block, so the graph is
-        # admissible exactly when each block is, taken as its own graph
+        # admissible exactly when each block is, taken as its own graph; so
+        # reversing the tails of one block alone keeps the verdict too
         rng = random.Random(17)
         seen = {True: 0, False: 0}
         for i in range(1000):
@@ -200,6 +246,7 @@ class TestIsAdmissible:
             cg = ColoredGraph(
                 g.vertices, [Edge(e.color, e.u, e.v, e.color) for e in g.edges]
             )
+            admissible = is_admissible(g).admissible
             parts = []
             for block in blocks(cg):
                 edges = [e for e in g.edges if e.color in block]
@@ -207,8 +254,9 @@ class TestIsAdmissible:
                     sorted({v for e in edges for v in e.key}),
                     [(e.u, e.v, e.label, e.iota) for e in edges],
                 ))
+                assert is_admissible(reversed_tails(g, edges)).admissible == (
+                    admissible)
             assert len(parts) >= 2
-            admissible = is_admissible(g).admissible
             assert admissible == all(is_admissible(p).admissible for p in parts)
             seen[admissible] += 1
         assert seen[True] > 50 and seen[False] > 500
@@ -563,6 +611,37 @@ class TestFindOrientation:
             else:
                 assert list(found) == list(expected)
         assert 0 < exhausted < len(graphs)
+
+    def test_an_exhausted_search_never_tries_tail_v_first(self, monkeypatch):
+        # tail u on the first orientable edge is a root move, never undone,
+        # so a search that finds nothing never joins the ends of that edge's
+        # m lift, which tail v collapses.  Whether it joins the ends of the
+        # p lift tells a search that got past the root from one that the
+        # label-2 lifts killed there; the K4-refuted chain and most of the
+        # others get past it
+        rng = random.Random(71)
+        graphs = [square_chain([4] * 15 + [9] * 6)]
+        graphs += [random_defining_graph(rng, max_vertices=8, max_extra_edges=5)
+                   for _ in range(300)]
+        past_root = []
+        for g in graphs:
+            if all(e.label == 2 for e in g.edges):
+                continue
+            first = first_orientable(g)
+            _, p, m = next(el for el in edge_lifts(g) if el[0].key == first.key)
+            joined = {"p": False, "m": False}
+
+            def spy(parent, size, ra, rb):
+                out = join(parent, size, ra, rb)
+                for name, (a, b) in (("p", p), ("m", m)):
+                    joined[name] |= root(parent, a) == root(parent, b)
+                return out
+
+            monkeypatch.setattr(orientation, "join", spy)
+            if find_admissible_orientation(g) is None:
+                assert not joined["m"], g
+                past_root.append(joined["p"])
+        assert past_root[0] and sum(past_root) >= 60
 
     def test_search_space_guard(self):
         names = [f"v{i}" for i in range(8)]
