@@ -23,7 +23,6 @@ import sys
 
 from .certify import canonical_json, certify, witness_json
 from .defining_graph import (
-    MAX_CYCLE_LEN,
     DefiningGraph,
     InvalidDefiningGraph,
     SchemaError,
@@ -42,6 +41,7 @@ from .horizontal import (
 )
 from .multigraph import ColoredGraph, DisconnectedError
 from .orientation import (
+    ORACLE_MAX_LEN,
     SearchSpaceError,
     find_admissible_orientation,
     is_admissible,
@@ -240,7 +240,7 @@ def _check_text(p: dict) -> list[str]:
 def cmd_check(args, g: DefiningGraph) -> int:
     report = g.report
     verdict = is_admissible(g)
-    oracle = oracle_almost_misdirected(g, args.max_cycle_len)
+    oracle = oracle_almost_misdirected(g)
     if verdict.admissible:
         status = "confirmed" if oracle is None else "conflict"
     else:
@@ -256,7 +256,7 @@ def cmd_check(args, g: DefiningGraph) -> int:
         "reason": verdict.reason,
         "witness": witness_json(verdict.witness),
         "oracle": {
-            "max_cycle_len": args.max_cycle_len,
+            "max_cycle_len": ORACLE_MAX_LEN,
             "witness": witness_json(oracle),
             "status": status,
         },
@@ -462,20 +462,6 @@ def cmd_export(args, g: DefiningGraph) -> int:
     return 0
 
 
-def _cycle_len_bound(text: str) -> int:
-    """--max-cycle-len: an integer from 3, the shortest cycle, up to the
-    enumeration bound MAX_CYCLE_LEN."""
-    try:
-        bound = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 3 <= bound <= MAX_CYCLE_LEN:
-        raise argparse.ArgumentTypeError(
-            f"{bound} is outside 3..{MAX_CYCLE_LEN}"
-        )
-    return bound
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
@@ -495,9 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate and decide admissibility")
     common(p)
-    p.add_argument("--max-cycle-len", type=_cycle_len_bound, default=10,
-                   help="bound for the independent cycle-search oracle "
-                        f"(3 to {MAX_CYCLE_LEN})")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("orient", help="search for an admissible orientation")

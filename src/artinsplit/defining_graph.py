@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .multigraph import bfs_forest
 
@@ -256,35 +256,44 @@ def canonical_cycle(seq: Iterable[str]) -> Cycle:
     return min(c[i:] + c[:i] for c in (s, s[::-1]) for i in range(len(s)))
 
 
-def enumerate_cycles(g: DefiningGraph, max_len: int = 10) -> list[Cycle]:
+def enumerate_cycles(g: DefiningGraph, max_len: int = 10) -> Iterator[Cycle]:
     """Closed walks without backtracking, up to rotation and reversal.
 
     Non-simple walks are included: a cycle here is any closed edge path that
     never immediately reverses an edge, including across the wrap-around.
-    Lengths run from 3 (no loops or parallel edges exist) to max_len.
+    Lengths run from 3 (no loops or parallel edges exist) to max_len.  The
+    bound and the graph are checked at the call; the walks then come
+    lazily, each as its `canonical_cycle`, in sorted order with no set and
+    no sort, because:
+    1. starts go in ascending order, and each walk begins with its start;
+    2. neighbours are tried in sorted order, the start first of those the
+       search allows, so a closed walk comes before its extensions and after
+       every walk of an earlier sibling subtree: tuple order, prefixes first;
+    3. a canonical cycle C starts at its least vertex, never backtracks
+       (the wrap included) and has no vertex below C[0], so the search
+       reaches it as the walk C itself, exactly once.
     """
     if max_len > MAX_CYCLE_LEN:
         raise ValueError(f"max_len {max_len} exceeds bound {MAX_CYCLE_LEN}")
     require_valid(g, oriented=False)
-    found: set[Cycle] = set()
-    order = {v: i for i, v in enumerate(sorted(g.vertices))}
 
-    def extend(walk: list[str], start: str) -> None:
+    def extend(walk: list[str], start: str) -> Iterator[Cycle]:
         v = walk[-1]
         for w in g.neighbours(v):
-            if order[w] < order[start]:
+            if w < start:
                 continue  # each cycle is generated from its least vertex only
             if len(walk) >= 2 and w == walk[-2]:
                 continue  # backtracks
             if w == start:
                 if len(walk) >= 3 and walk[1] != walk[-1]:
-                    found.add(canonical_cycle(walk))
+                    cycle = tuple(walk)
+                    if canonical_cycle(cycle) == cycle:
+                        yield cycle
                 # fall through: the walk may also continue past the start
             if len(walk) < max_len:
                 walk.append(w)
-                extend(walk, start)
+                yield from extend(walk, start)
                 walk.pop()
 
-    for start in sorted(g.vertices, key=order.get):
-        extend([start], start)
-    return sorted(found)
+    return (cycle for start in sorted(g.vertices)
+            for cycle in extend([start], start))

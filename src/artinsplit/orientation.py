@@ -23,7 +23,8 @@ verdict's witness is found on the same quarter ids, from the stars of the
 collapsed lifts, taken in the order of the quarter names.  Names are
 spelled out only in a returned `WitnessCycle` and in Xbar.  A bounded
 search over explicit closed walks, `oracle_almost_misdirected`, provides
-an independent check.
+an independent check, drawing the walks lazily in canonical order and
+stopping at its first witness.
 
 Reversing every tail swaps the p and m lifts of every edge, which the
 deck involution v+ <-> v- of the cover does too, so an orientation and its
@@ -161,16 +162,20 @@ def _alternating_tails(
     return tails
 
 
+ORACLE_MAX_LEN = 10
+
+
 def oracle_almost_misdirected(
-    g: DefiningGraph, max_len: int = 10
+    g: DefiningGraph, max_len: int = ORACLE_MAX_LEN
 ) -> Optional[WitnessCycle]:
     """Search closed walks up to max_len for an almost misdirected one.
 
     Exhaustive within the length bound, and independent of the double-cover
     criterion.  Returns the first witness in a deterministic order, or None:
     per walk, direction and rotation, the first edge forward, then back.
-    The walks of `enumerate_cycles` close and never backtrack, so no
-    rotation is checked again as a cycle expression.
+    The walks are drawn lazily from `enumerate_cycles`, in canonical order,
+    and the search stops at its first witness.  They close and never
+    backtrack, so no rotation is checked again as a cycle expression.
     """
     require_valid(g, oriented=True)
     for cyc in enumerate_cycles(g, max_len):

@@ -24,12 +24,13 @@ from artinsplit import (
     blocks,
     build_family,
     connected_components,
-    enumerate_cycles,
     free_rank,
     is_admissible,
 )
 from artinsplit.defining_graph import (
+    Cycle,
     all_labels_even,
+    canonical_cycle,
     is_bipartite,
     require_valid,
 )
@@ -817,13 +818,33 @@ def _expression_misdirects(
     return None
 
 
+def eager_cycles(g: DefiningGraph, max_len: int) -> list[Cycle]:
+    """Reference for `enumerate_cycles`: every closed non-backtracking walk
+    from its least vertex, up to max_len, collected as canonical forms in
+    a set, which is then sorted."""
+    found: set[Cycle] = set()
+
+    def extend(walk: list[str], start: str) -> None:
+        for w in g.neighbours(walk[-1]):
+            if w < start or (len(walk) >= 2 and w == walk[-2]):
+                continue
+            if w == start and len(walk) >= 3 and walk[1] != walk[-1]:
+                found.add(canonical_cycle(walk))
+            if len(walk) < max_len:
+                extend(walk + [w], start)
+
+    for start in g.vertices:
+        extend([start], start)
+    return sorted(found)
+
+
 def oracle_by_expressions(
     g: DefiningGraph, max_len: int = 10
 ) -> Optional[WitnessCycle]:
     """Reference for `oracle_almost_misdirected`: every rotation of every
     walk re-checked as a cycle expression before its tails are tried."""
     require_valid(g, oriented=True)
-    for cyc in enumerate_cycles(g, max_len):
+    for cyc in eager_cycles(g, max_len):
         n = len(cyc)
         for direction in (cyc, tuple(reversed(cyc))):
             for shift in range(n):

@@ -10,6 +10,7 @@ from artinsplit import (
     SchemaError,
     build_collapsed,
     certify,
+    check_witness,
     cli,
     defining_graph,
     is_admissible,
@@ -39,16 +40,6 @@ CLASHING = {
         {"u": "a", "v": "b", "label": 3, "iota": "a"},
         {"u": "b", "v": "c", "label": 3, "iota": "b"},
         {"u": "a", "v": "c", "label": 3, "iota": "a"},
-    ],
-}
-
-MISDIRECTED_SQUARE = {
-    "vertices": ["a", "b", "c", "d"],
-    "edges": [
-        {"u": "a", "v": "b", "label": 3, "iota": "a"},
-        {"u": "b", "v": "c", "label": 3, "iota": "c"},
-        {"u": "c", "v": "d", "label": 3, "iota": "c"},
-        {"u": "a", "v": "d", "label": 3, "iota": "d"},
     ],
 }
 
@@ -314,25 +305,35 @@ class TestCheck:
         assert data["oracle"]["status"] == "confirmed"
 
     def test_small_bound_goes_inconclusive(self, write, capsys):
-        # the only almost misdirected cycle is the whole square, beyond 3
-        main(
-            ["check", "--input", write(MISDIRECTED_SQUARE), "--format", "json",
-             "--max-cycle-len", "3"]
-        )
+        # a 12-cycle whose edges alternate in direction is almost
+        # misdirected as a whole, and it has no closed walk of length 10
+        # or less, within the oracle's fixed bound
+        names = [f"v{i}" for i in range(12)]
+        ring12 = {"vertices": names, "edges": [
+            {"u": names[i], "v": names[(i + 1) % 12], "label": 4,
+             "iota": names[(i + i % 2) % 12]}
+            for i in range(12)
+        ]}
+        assert main(["check", "--input", write(ring12),
+                     "--format", "json"]) == 1
         data = json.loads(capsys.readouterr().out)
         assert data["admissible"] is False
-        assert data["oracle"]["status"] == "inconclusive"
-        assert data["witness"]["vertices"]
+        assert data["oracle"] == {
+            "max_cycle_len": 10, "witness": None, "status": "inconclusive"}
+        assert len(data["witness"]["vertices"]) == 12
+        g = parse_defining_graph(ring12)
+        assert check_witness(g, is_admissible(g).witness)
 
-    @pytest.mark.parametrize("bound", ["-3", "2", "13", "50"])
+    @pytest.mark.parametrize("bound", ["-3", "2", "3", "10", "12", "13", "50"])
     def test_bound_outside_3_to_12_is_exit_two(self, write, capsys, bound):
-        # below 3 no cycle would be searched, above 12 is past the
-        # enumeration bound
+        # the oracle's bound is fixed at 10, so the option is gone and any
+        # bound, inside 3 to 12 or not, is an input error
         with pytest.raises(SystemExit) as exc:
             main(["check", "--input", write(TRIANGLE), "--max-cycle-len", bound])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--max-cycle-len" in err and "Traceback" not in err
+        assert err.startswith("usage: ") and "Traceback" not in err
+        assert "unrecognized arguments: --max-cycle-len" in err
 
 
 class TestOrient:
@@ -644,9 +645,7 @@ def test_seeded_fuzz_every_input_ends_in_exit_0_1_or_2(tmp_path, run_cli):
     for round_, texts, argvs in fuzz_rounds(rng):
         if round_ < 3:
             texts += [LONG_INTEGER, DEEP_ARRAYS]
-        check = ["check", "--max-cycle-len",
-                 rng.choice(("2", "3", "5", "12", "13", "x")), "--format"]
-        for argv in argvs + [check + ["json"], check + ["text"]]:
+        for argv in argvs:
             for text in texts:
                 run(argv, text)
             if round_ < 3:

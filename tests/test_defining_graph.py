@@ -15,7 +15,7 @@ from artinsplit.defining_graph import (
     is_bipartite,
 )
 from generators import random_defining_graph, ring, triangle
-from oracles import neighbours_by_edge_scan
+from oracles import eager_cycles, neighbours_by_edge_scan
 
 
 class TestBuild:
@@ -224,7 +224,7 @@ class TestCycles:
         assert canonical_cycle(("d", "c", "b", "a")) == base
 
     def test_triangle_has_one_short_cycle(self):
-        cycles = enumerate_cycles(triangle(), max_len=3)
+        cycles = list(enumerate_cycles(triangle(), max_len=3))
         assert cycles == [("a", "b", "c")]
 
     def test_longer_walks_appear_past_the_simple_length(self):
@@ -239,9 +239,9 @@ class TestCycles:
                 ("c", "d", 3, "c"),
             ],
         )
-        short = enumerate_cycles(g, max_len=3)
+        short = list(enumerate_cycles(g, max_len=3))
         assert len(short) == 2
-        longer = enumerate_cycles(g, max_len=6)
+        longer = list(enumerate_cycles(g, max_len=6))
         assert set(short) <= set(longer)
         assert len(longer) > len(short)
 
@@ -252,11 +252,28 @@ class TestCycles:
         with pytest.raises(ValueError, match="max_len 13 exceeds bound 12"):
             enumerate_cycles(triangle(), MAX_CYCLE_LEN + 1)
 
+    def test_an_invalid_graph_is_refused_at_the_call(self):
+        g = DefiningGraph.build(["a", "b"], [("a", "b", 1, None)])
+        with pytest.raises(InvalidDefiningGraph, match="label must be"):
+            enumerate_cycles(g)
+
+    def test_matches_the_eager_reference_in_order(self):
+        # the walks come lazily, in the sorted order of their canonical
+        # forms, at every bound up to the cap; the graphs thin out as the
+        # bound grows, since the walks grow exponentially with it
+        rng = random.Random(34)
+        for max_len in range(3, MAX_CYCLE_LEN + 1):
+            for _ in range(100):
+                g = random_defining_graph(
+                    rng, max_extra_edges=4 if max_len <= 8 else 3)
+                assert list(enumerate_cycles(g, max_len)) == eager_cycles(
+                    g, max_len), (g, max_len)
+
     def test_no_duplicates_up_to_symmetry(self):
         rng = random.Random(5)
         for _ in range(20):
             g = random_defining_graph(rng, max_vertices=6, max_extra_edges=3)
-            cycles = enumerate_cycles(g, max_len=6)
+            cycles = list(enumerate_cycles(g, max_len=6))
             assert len(cycles) == len({canonical_cycle(c) for c in cycles})
 
 

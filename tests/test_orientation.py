@@ -19,7 +19,7 @@ from artinsplit import (
     is_admissible,
     oracle_almost_misdirected,
 )
-from artinsplit import orientation
+from artinsplit import defining_graph, orientation
 from artinsplit.multigraph import classes, join, named_classes, root
 from artinsplit.orientation import (
     MAX_ORIENTABLE_EDGES,
@@ -449,6 +449,20 @@ class TestOracle:
     def test_bound_is_respected(self):
         # the offending cycle has length 3, so bound 2 must miss it
         assert oracle_almost_misdirected(CLASHING, max_len=2) is None
+
+    def test_stops_at_its_first_witness(self, monkeypatch):
+        # the clashing triangle's first walk, (a, b, c), is a witness, and
+        # its laps of 6 and 9 follow it; the walks are drawn lazily, so
+        # the laps are never put in canonical form
+        calls = []
+        real = defining_graph.canonical_cycle
+        monkeypatch.setattr(defining_graph, "canonical_cycle",
+                            lambda seq: calls.append(1) or real(seq))
+        assert oracle_almost_misdirected(CLASHING, max_len=10) is not None
+        lazy = len(calls)
+        calls.clear()
+        assert len(list(enumerate_cycles(CLASHING, 10))) == 3
+        assert lazy < len(calls)
 
     def test_matches_the_expression_checking_reference(self):
         # the oracle tries each rotation's tails without re-checking it as a
