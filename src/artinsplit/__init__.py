@@ -24,7 +24,6 @@ from .defining_graph import (
     InvalidDefiningGraph,
     OrientationReport,
     SchemaError,
-    enumerate_cycles,
     require_valid,
     validate,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "check_witness",
     "compute_splitting",
     "connected_components",
-    "enumerate_cycles",
     "fiber_product",
     "find_admissible_orientation",
     "free_rank",

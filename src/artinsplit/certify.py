@@ -334,7 +334,7 @@ def certify(g: DefiningGraph) -> RFCertificate:
         if used is None:
             return cert(UNKNOWN, "R8")
         splitting = compute_splitting(used)
-        if all(e.label % 2 == 0 and e.label >= 6 for e in g.edges):
+        if evidence["labels"]["all_even"] and labels[0] >= 6:
             return cert(
                 RESIDUALLY_FINITE,
                 "R5",

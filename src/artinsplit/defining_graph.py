@@ -1,4 +1,4 @@
-"""Labelled defining graphs: input model, validation, cycle enumeration.
+"""Labelled defining graphs: input model and validation.
 
 A defining graph is a finite simple graph whose edges carry an integer label
 at least 2.  An edge with label at least 3 is orientable and may carry a
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .multigraph import bfs_forest
 
@@ -244,56 +244,3 @@ def is_bipartite(g: DefiningGraph) -> bool:
 def all_labels_even(g: DefiningGraph) -> bool:
     return all(e.label % 2 == 0 for e in g.edges)
 
-
-MAX_CYCLE_LEN = 12
-
-Cycle = tuple[str, ...]
-
-
-def canonical_cycle(seq: Iterable[str]) -> Cycle:
-    """Least rotation of the lesser traversal direction of a closed walk."""
-    s = tuple(seq)
-    return min(c[i:] + c[:i] for c in (s, s[::-1]) for i in range(len(s)))
-
-
-def enumerate_cycles(g: DefiningGraph, max_len: int = 10) -> Iterator[Cycle]:
-    """Closed walks without backtracking, up to rotation and reversal.
-
-    Non-simple walks are included: a cycle here is any closed edge path that
-    never immediately reverses an edge, including across the wrap-around.
-    Lengths run from 3 (no loops or parallel edges exist) to max_len.  The
-    bound and the graph are checked at the call; the walks then come
-    lazily, each as its `canonical_cycle`, in sorted order with no set and
-    no sort, because:
-    1. starts go in ascending order, and each walk begins with its start;
-    2. neighbours are tried in sorted order, the start first of those the
-       search allows, so a closed walk comes before its extensions and after
-       every walk of an earlier sibling subtree: tuple order, prefixes first;
-    3. a canonical cycle C starts at its least vertex, never backtracks
-       (the wrap included) and has no vertex below C[0], so the search
-       reaches it as the walk C itself, exactly once.
-    """
-    if max_len > MAX_CYCLE_LEN:
-        raise ValueError(f"max_len {max_len} exceeds bound {MAX_CYCLE_LEN}")
-    require_valid(g, oriented=False)
-
-    def extend(walk: list[str], start: str) -> Iterator[Cycle]:
-        v = walk[-1]
-        for w in g.neighbours(v):
-            if w < start:
-                continue  # each cycle is generated from its least vertex only
-            if len(walk) >= 2 and w == walk[-2]:
-                continue  # backtracks
-            if w == start:
-                if len(walk) >= 3 and walk[1] != walk[-1]:
-                    cycle = tuple(walk)
-                    if canonical_cycle(cycle) == cycle:
-                        yield cycle
-                # fall through: the walk may also continue past the start
-            if len(walk) < max_len:
-                walk.append(w)
-                yield from extend(walk, start)
-                walk.pop()
-
-    return (cycle for start in sorted(g.vertices)
-            for cycle in extend([start], start))

@@ -399,10 +399,12 @@ def fiber_product(Y: ColoredGraph) -> FiberProduct:
 
     vertex_counts = [1] * count
     edge_counts = [0] * count
+    ranks = [0] * count  # a tree's rank is 0
     classification = ["tree"] * count
     for r, i in number.items():
         vertex_counts[i] = vertices[r]
         edge_counts[i] = edges[r]
+        ranks[i] = edges[r] - vertices[r] + 1
         if edges[r] >= vertices[r]:
             classification[i] = "cycle-bearing"
     per_color: dict[str, int] = {}
@@ -415,9 +417,6 @@ def fiber_product(Y: ColoredGraph) -> FiberProduct:
     diagonal = sorted({component_of(b, b) for b in branches})
     for i in diagonal:
         classification[i] = "diagonal"
-    ranks = [0] * count
-    for i in number.values():
-        ranks[i] = edge_counts[i] - vertex_counts[i] + 1
     return FiberProduct(
         factor=Y,
         component_of=component_of,

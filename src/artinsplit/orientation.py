@@ -21,10 +21,10 @@ and the `collapsed` lifts, and is the one argument of
 and undoes them with `multigraph.root` and `join`.  An inadmissible
 verdict's witness is found on the same quarter ids, from the stars of the
 collapsed lifts, taken in the order of the quarter names.  Names are
-spelled out only in a returned `WitnessCycle` and in Xbar.  A bounded
-search over explicit closed walks, `oracle_almost_misdirected`, provides
-an independent check, drawing the walks lazily in canonical order and
-stopping at its first witness.
+spelled out only in a returned `WitnessCycle` and in Xbar.  A search
+over the closed walks up to `ORACLE_MAX_LEN`, `oracle_almost_misdirected`,
+provides an independent check: its own `_closed_walks` draws them lazily
+in canonical order, and it stops at its first witness.
 
 Reversing every tail swaps the p and m lifts of every edge, which the
 deck involution v+ <-> v- of the cover does too, so an orientation and its
@@ -36,14 +36,9 @@ half the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .defining_graph import (
-    DefiningEdge,
-    DefiningGraph,
-    enumerate_cycles,
-    require_valid,
-)
+from .defining_graph import DefiningEdge, DefiningGraph, require_valid
 from .multigraph import bfs_path, classes, join, root
 
 
@@ -165,23 +160,63 @@ def _alternating_tails(
 ORACLE_MAX_LEN = 10
 
 
-def oracle_almost_misdirected(
-    g: DefiningGraph, max_len: int = ORACLE_MAX_LEN
-) -> Optional[WitnessCycle]:
-    """Search closed walks up to max_len for an almost misdirected one.
+def _canonical(walk: tuple[str, ...]) -> tuple[str, ...]:
+    """Least rotation of the lesser traversal direction of a closed walk."""
+    return min(c[i:] + c[:i] for c in (walk, walk[::-1])
+               for i in range(len(walk)))
 
-    Exhaustive within the length bound, and independent of the double-cover
-    criterion.  Returns the first witness in a deterministic order, or None:
-    per walk, direction and rotation, the first edge forward, then back.
-    The walks are drawn lazily from `enumerate_cycles`, in canonical order,
-    and the search stops at its first witness.  They close and never
+
+def _closed_walks(g: DefiningGraph) -> Iterator[tuple[str, ...]]:
+    """Closed walks without backtracking, up to rotation and reversal.
+
+    Non-simple walks are included: a walk here is any closed edge path that
+    never immediately reverses an edge, including across the wrap-around.
+    Lengths run from 3 (no loops or parallel edges exist) to
+    `ORACLE_MAX_LEN`.  The walks come lazily, each as its `_canonical`
+    form, in sorted order with no set and no sort, because:
+    1. starts go in ascending order, and each walk begins with its start;
+    2. neighbours are tried in sorted order, the start first of those the
+       search allows, so a closed walk comes before its extensions and after
+       every walk of an earlier sibling subtree: tuple order, prefixes first;
+    3. a canonical walk C starts at its least vertex, never backtracks
+       (the wrap included) and has no vertex below C[0], so the search
+       reaches it as the walk C itself, exactly once.
+    """
+    def extend(walk: list[str], start: str) -> Iterator[tuple[str, ...]]:
+        for w in g.neighbours(walk[-1]):
+            if w < start:
+                continue  # each walk is generated from its least vertex only
+            if len(walk) >= 2 and w == walk[-2]:
+                continue  # backtracks
+            if w == start:
+                if len(walk) >= 3 and walk[1] != walk[-1]:
+                    cycle = tuple(walk)
+                    if _canonical(cycle) == cycle:
+                        yield cycle
+                # fall through: the walk may also continue past the start
+            if len(walk) < ORACLE_MAX_LEN:
+                walk.append(w)
+                yield from extend(walk, start)
+                walk.pop()
+
+    return (cycle for start in sorted(g.vertices)
+            for cycle in extend([start], start))
+
+
+def oracle_almost_misdirected(g: DefiningGraph) -> Optional[WitnessCycle]:
+    """Search the walks of `_closed_walks` for an almost misdirected one.
+
+    Exhaustive up to their length bound, `ORACLE_MAX_LEN`, and independent
+    of the double-cover criterion.  Returns the first witness in a
+    deterministic order, or None: per walk, direction and rotation, the
+    first edge forward, then back.  The walks come lazily, in canonical
+    order, and the search stops at its first witness.  They close and never
     backtrack, so no rotation is checked again as a cycle expression.
     """
     require_valid(g, oriented=True)
-    for cyc in enumerate_cycles(g, max_len):
-        n = len(cyc)
-        for direction in (cyc, tuple(reversed(cyc))):
-            for shift in range(n):
+    for cyc in _closed_walks(g):
+        for direction in (cyc, cyc[::-1]):
+            for shift in range(len(cyc)):
                 expr = direction[shift:] + direction[:shift]
                 for first_forward in (True, False):
                     tails = _alternating_tails(g, expr, first_forward)

@@ -28,14 +28,13 @@ from artinsplit import (
     is_admissible,
 )
 from artinsplit.defining_graph import (
-    Cycle,
     all_labels_even,
-    canonical_cycle,
     is_bipartite,
     require_valid,
 )
 from artinsplit.multigraph import bfs_path
 from artinsplit.orientation import (
+    ORACLE_MAX_LEN,
     _alternating_tails,
     _is_cycle_expression,
     minus,
@@ -818,18 +817,29 @@ def _expression_misdirects(
     return None
 
 
-def eager_cycles(g: DefiningGraph, max_len: int) -> list[Cycle]:
-    """Reference for `enumerate_cycles`: every closed non-backtracking walk
-    from its least vertex, up to max_len, collected as canonical forms in
-    a set, which is then sorted."""
-    found: set[Cycle] = set()
+def least_rotation(walk: Sequence[str]) -> tuple[str, ...]:
+    """A closed walk's canonical form: the least of the rotations of both
+    its traversal directions, every one of them listed and compared."""
+    forms = []
+    for direction in (list(walk), list(reversed(walk))):
+        for _ in direction:
+            forms.append(tuple(direction))
+            direction.append(direction.pop(0))
+    return min(forms)
+
+
+def eager_cycles(g: DefiningGraph, max_len: int) -> list[tuple[str, ...]]:
+    """Reference for `orientation._closed_walks`: every closed
+    non-backtracking walk from its least vertex, up to max_len, collected
+    as canonical forms in a set, which is then sorted."""
+    found: set[tuple[str, ...]] = set()
 
     def extend(walk: list[str], start: str) -> None:
         for w in g.neighbours(walk[-1]):
             if w < start or (len(walk) >= 2 and w == walk[-2]):
                 continue
             if w == start and len(walk) >= 3 and walk[1] != walk[-1]:
-                found.add(canonical_cycle(walk))
+                found.add(least_rotation(walk))
             if len(walk) < max_len:
                 extend(walk + [w], start)
 
@@ -838,13 +848,11 @@ def eager_cycles(g: DefiningGraph, max_len: int) -> list[Cycle]:
     return sorted(found)
 
 
-def oracle_by_expressions(
-    g: DefiningGraph, max_len: int = 10
-) -> Optional[WitnessCycle]:
+def oracle_by_expressions(g: DefiningGraph) -> Optional[WitnessCycle]:
     """Reference for `oracle_almost_misdirected`: every rotation of every
     walk re-checked as a cycle expression before its tails are tried."""
     require_valid(g, oriented=True)
-    for cyc in eager_cycles(g, max_len):
+    for cyc in eager_cycles(g, ORACLE_MAX_LEN):
         n = len(cyc)
         for direction in (cyc, tuple(reversed(cyc))):
             for shift in range(n):

@@ -108,7 +108,7 @@ def test_criterion_04_admissibility_oracle():
             rng, random_defining_graph(rng, max_vertices=7, max_extra_edges=3)
         )
         verdict = is_admissible(g)
-        witness = oracle_almost_misdirected(g, 10)
+        witness = oracle_almost_misdirected(g)
         assert verdict.admissible == (witness is None)
         checked += 1
     assert checked >= 500

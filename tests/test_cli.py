@@ -15,6 +15,7 @@ from artinsplit import (
     defining_graph,
     is_admissible,
     oppressive_set,
+    oracle_almost_misdirected,
 )
 from artinsplit.cli import (
     defining_graph_dot,
@@ -323,6 +324,22 @@ class TestCheck:
         assert len(data["witness"]["vertices"]) == 12
         g = parse_defining_graph(ring12)
         assert check_witness(g, is_admissible(g).witness)
+
+    def test_an_oracle_witness_on_an_admissible_graph_is_a_conflict(
+            self, write, monkeypatch, capsys):
+        # a conflict means the criterion or the oracle is wrong, so no
+        # input reaches it: the oracle is made to return the clashing
+        # triangle's witness on the admissible one
+        clash = oracle_almost_misdirected(parse_defining_graph(CLASHING))
+        monkeypatch.setattr(cli, "oracle_almost_misdirected", lambda g: clash)
+        assert main(["check", "--input", write(TRIANGLE),
+                     "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["admissible"] is True
+        assert data["oracle"]["status"] == "conflict"
+        assert main(["check", "--input", write(TRIANGLE)]) == 0
+        out = capsys.readouterr().out
+        assert "oracle (closed walks up to 10): conflict" in out
 
     @pytest.mark.parametrize("bound", ["-3", "2", "3", "10", "12", "13", "50"])
     def test_bound_outside_3_to_12_is_exit_two(self, write, capsys, bound):

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from artinsplit import (DefiningGraph, InvalidDefiningGraph, SchemaError,
                         certify, require_valid, validate)
-from artinsplit.defining_graph import (
-    MAX_CYCLE_LEN,
-    all_labels_even,
-    canonical_cycle,
-    enumerate_cycles,
-    is_bipartite,
+from artinsplit.defining_graph import all_labels_even, is_bipartite
+from artinsplit.orientation import (
+    ORACLE_MAX_LEN,
+    _canonical,
+    _closed_walks,
+    oracle_almost_misdirected,
 )
 from generators import random_defining_graph, ring, triangle
 from oracles import eager_cycles, neighbours_by_edge_scan
@@ -218,63 +218,39 @@ class TestPredicates:
 
 
 class TestCycles:
+    """The oracle's closed-walk generator, `orientation._closed_walks`, and
+    its canonical form, on defining graphs."""
+
     def test_canonical_cycle_of_rotation_and_reversal(self):
-        base = canonical_cycle(("a", "b", "c", "d"))
-        assert canonical_cycle(("c", "d", "a", "b")) == base
-        assert canonical_cycle(("d", "c", "b", "a")) == base
+        base = _canonical(("a", "b", "c", "d"))
+        assert _canonical(("c", "d", "a", "b")) == base
+        assert _canonical(("d", "c", "b", "a")) == base
 
     def test_triangle_has_one_short_cycle(self):
-        cycles = list(enumerate_cycles(triangle(), max_len=3))
-        assert cycles == [("a", "b", "c")]
-
-    def test_longer_walks_appear_past_the_simple_length(self):
-        # a closed non-backtracking walk around two triangles glued on an edge
-        g = DefiningGraph.build(
-            ["a", "b", "c", "d"],
-            [
-                ("a", "b", 3, "a"),
-                ("b", "c", 3, "b"),
-                ("a", "c", 3, "c"),
-                ("b", "d", 3, "b"),
-                ("c", "d", 3, "c"),
-            ],
-        )
-        short = list(enumerate_cycles(g, max_len=3))
-        assert len(short) == 2
-        longer = list(enumerate_cycles(g, max_len=6))
-        assert set(short) <= set(longer)
-        assert len(longer) > len(short)
-
-    def test_default_bound_is_capped(self):
-        assert MAX_CYCLE_LEN >= 10
-
-    def test_a_bound_past_the_cap_is_refused(self):
-        with pytest.raises(ValueError, match="max_len 13 exceeds bound 12"):
-            enumerate_cycles(triangle(), MAX_CYCLE_LEN + 1)
+        # the triangle itself, then its laps of 6 and 9 up to the bound 10
+        cycles = list(_closed_walks(triangle()))
+        assert cycles == [("a", "b", "c") * k for k in (1, 2, 3)]
 
     def test_an_invalid_graph_is_refused_at_the_call(self):
         g = DefiningGraph.build(["a", "b"], [("a", "b", 1, None)])
         with pytest.raises(InvalidDefiningGraph, match="label must be"):
-            enumerate_cycles(g)
+            oracle_almost_misdirected(g)
 
     def test_matches_the_eager_reference_in_order(self):
         # the walks come lazily, in the sorted order of their canonical
-        # forms, at every bound up to the cap; the graphs thin out as the
-        # bound grows, since the walks grow exponentially with it
+        # forms, up to the fixed bound
         rng = random.Random(34)
-        for max_len in range(3, MAX_CYCLE_LEN + 1):
-            for _ in range(100):
-                g = random_defining_graph(
-                    rng, max_extra_edges=4 if max_len <= 8 else 3)
-                assert list(enumerate_cycles(g, max_len)) == eager_cycles(
-                    g, max_len), (g, max_len)
+        for _ in range(300):
+            g = random_defining_graph(rng, max_extra_edges=3)
+            assert list(_closed_walks(g)) == eager_cycles(
+                g, ORACLE_MAX_LEN), g
 
     def test_no_duplicates_up_to_symmetry(self):
         rng = random.Random(5)
         for _ in range(20):
             g = random_defining_graph(rng, max_vertices=6, max_extra_edges=3)
-            cycles = list(enumerate_cycles(g, max_len=6))
-            assert len(cycles) == len({canonical_cycle(c) for c in cycles})
+            cycles = list(_closed_walks(g))
+            assert len(cycles) == len({_canonical(c) for c in cycles})
 
 
 @settings(max_examples=50, deadline=None)
@@ -297,5 +273,5 @@ def test_generated_graphs_validate(seed):
 def test_canonical_cycle_is_rotation_invariant(vertices, rotate):
     seq = tuple(vertices)
     rotated = seq[rotate % len(seq):] + seq[: rotate % len(seq)]
-    assert canonical_cycle(seq) == canonical_cycle(rotated)
-    assert canonical_cycle(seq) == canonical_cycle(tuple(reversed(seq)))
+    assert _canonical(seq) == _canonical(rotated)
+    assert _canonical(seq) == _canonical(tuple(reversed(seq)))

@@ -13,16 +13,16 @@ from artinsplit import (
     WitnessCycle,
     check_witness,
     compute_splitting,
-    enumerate_cycles,
     blocks,
     find_admissible_orientation,
     is_admissible,
     oracle_almost_misdirected,
 )
-from artinsplit import defining_graph, orientation
+from artinsplit import orientation
 from artinsplit.multigraph import classes, join, named_classes, root
 from artinsplit.orientation import (
     MAX_ORIENTABLE_EDGES,
+    _closed_walks,
     _is_cycle_expression,
     collapsed_lifts,
     edge_lifts,
@@ -38,6 +38,7 @@ from generators import (
     with_random_orientation,
 )
 from oracles import (
+    eager_cycles,
     first_admissible_orientation,
     first_admissible_orientation_by_blocks,
     oracle_by_expressions,
@@ -161,7 +162,7 @@ class TestIsAdmissible:
                 shape.vertices,
                 [(e.u, e.v, rng.randint(3, 7), None) for e in shape.edges],
             )
-            cycles = [c for c in enumerate_cycles(g, max_len=6)
+            cycles = [c for c in eager_cycles(g, 6)
                       if len(set(c)) == len(c)]
             if not cycles:
                 continue
@@ -446,27 +447,23 @@ class TestOracle:
         assert w is not None
         assert check_witness(CLASHING, w)
 
-    def test_bound_is_respected(self):
-        # the offending cycle has length 3, so bound 2 must miss it
-        assert oracle_almost_misdirected(CLASHING, max_len=2) is None
-
     def test_stops_at_its_first_witness(self, monkeypatch):
         # the clashing triangle's first walk, (a, b, c), is a witness, and
         # its laps of 6 and 9 follow it; the walks are drawn lazily, so
         # the laps are never put in canonical form
         calls = []
-        real = defining_graph.canonical_cycle
-        monkeypatch.setattr(defining_graph, "canonical_cycle",
+        real = orientation._canonical
+        monkeypatch.setattr(orientation, "_canonical",
                             lambda seq: calls.append(1) or real(seq))
-        assert oracle_almost_misdirected(CLASHING, max_len=10) is not None
+        assert oracle_almost_misdirected(CLASHING) is not None
         lazy = len(calls)
         calls.clear()
-        assert len(list(enumerate_cycles(CLASHING, 10))) == 3
+        assert len(list(_closed_walks(CLASHING))) == 3
         assert lazy < len(calls)
 
     def test_matches_the_expression_checking_reference(self):
         # the oracle tries each rotation's tails without re-checking it as a
-        # cycle expression, since `enumerate_cycles` only makes those; the
+        # cycle expression, since `_closed_walks` only makes those; the
         # reference re-checks every rotation first, and the two must return
         # the same witness, first edge forward before backward; a third of
         # the graphs take names whose sorted order differs from their input
@@ -483,16 +480,17 @@ class TestOracle:
                     (name[e.u], name[e.v], e.label, e.iota and name[e.iota])
                     for e in g.edges
                 ])
-            for max_len in (6, 10):
-                witness = oracle_almost_misdirected(g, max_len)
-                assert witness == oracle_by_expressions(g, max_len), g
-                found += witness is not None
-            for cyc in enumerate_cycles(g, 10):
+            witness = oracle_almost_misdirected(g)
+            assert witness == oracle_by_expressions(g), g
+            found += witness is not None
+            for cyc in _closed_walks(g):
                 for direction in (cyc, cyc[::-1]):
                     for shift in range(len(cyc)):
                         assert _is_cycle_expression(
                             g, direction[shift:] + direction[:shift])
-        assert found >= 1000
+        # 528 of the 1,000 graphs have a witness; at least half must, and
+        # some must not, so both answers are compared in number
+        assert 500 <= found < 1000
 
 
 class TestFindOrientation:
@@ -678,7 +676,7 @@ def test_criterion_matches_bounded_oracle(seed):
         rng, random_defining_graph(rng, max_vertices=6, max_extra_edges=3)
     )
     verdict = is_admissible(g)
-    witness = oracle_almost_misdirected(g, max_len=10)
+    witness = oracle_almost_misdirected(g)
     assert verdict.admissible == (witness is None)
     if not verdict.admissible:
         assert check_witness(g, verdict.witness)
